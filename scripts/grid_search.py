@@ -12,10 +12,7 @@ import time
 
 from nohgnn.data import bin_snapshots, load_edge_list
 from nohgnn.synth import planted_partition_graph
-from nohgnn.training import TrainConfig, evaluate_model, prepare, train_loop
-
-LR_GRID = (0.1, 0.01, 0.02, 0.05, 0.001, 0.002)
-BETA_GRID = (0.01, 0.005, 0.001, 0.0005)
+from nohgnn.training import BETA_GRID, LR_GRID, TrainConfig, evaluate_model, prepare, train_loop
 
 
 def main(argv=None) -> int:

@@ -13,6 +13,8 @@ configuration).
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -79,13 +81,17 @@ def read_records(path: str) -> dict[str, np.ndarray]:
     records: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: record name is not valid UTF-8") from None
         tag, rank = struct.unpack("<BB", take(2))
         if tag not in _TAG_DTYPES:
             raise CheckpointError(f"{path}: record {name!r} has unknown dtype tag {tag}")
         dims = struct.unpack(f"<{rank}Q", take(8 * rank))
         dtype = _TAG_DTYPES[tag]
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        # Python ints: a product of untrusted 64-bit dims must not wrap around
+        size = math.prod(dims)
         payload = take(size * dtype.itemsize)
         arr = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
         records[name] = arr.astype(arr.dtype.newbyteorder("="), copy=False)
@@ -176,18 +182,8 @@ def load_dataset(path: str) -> tuple[DynamicGraph, DynamicGraph, dict[str, Label
     return graph, masked, splits, int(_require(records, "split_seed", path))
 
 
-_CONFIG_FIELDS = (
-    "learning_rate",
-    "beta_reg",
-    "max_epochs",
-    "patience",
-    "k_hops",
-    "layers",
-    "dim",
-    "seed",
-    "neg_ratio",
-    "threshold",
-)
+# every TrainConfig field but the transform, which is stored as a code
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "transform")
 
 
 def save_model(path: str, store: ParamStore, config: TrainConfig, n_nodes: int, t_slots: int) -> None:

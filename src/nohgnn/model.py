@@ -60,19 +60,14 @@ def propagate(
     """Aggregation tensor times node tensor under the transform.
 
     With the identity transform each slice multiplies independently. Under a
-    mixing transform the sparse values are scattered onto the union support,
-    transformed tube-wise, multiplied slice-wise against the transformed node
-    tensor, and transformed back; the full dense N x N x T tensor is never
+    mixing transform one ``sparse_m_product`` tape op transforms the values
+    on the union support, multiplies slice-wise against the transformed node
+    tensor, and transforms back; the full dense N x N x T tensor is never
     materialized.
     """
     if tf.is_identity:
         return tape.spmm(pattern, weights, h)
-    u_indptr, u_indices, _ = pattern.union
-    p_stack = tape.scatter_to_union(weights, pattern)
-    p_hat = tape.mode3(p_stack, tf.m)
-    h_hat = tape.mode3(h, tf.m)
-    prod = tape.spmm_shared(u_indptr, u_indices, p_hat, h_hat)
-    return tape.mode3(prod, tf.minv)
+    return tape.sparse_m_product(pattern, weights, h, tf)
 
 
 def weight_product(tape: Tape, h: Node, w: Node, tf: Transform) -> Node:

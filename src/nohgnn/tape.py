@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over a fixed primitive set.
 
 The op set is closed on purpose: every primitive the model needs (slice
-matrix multiplies, the mode-3 product, masked softmax, activations,
-gathers, reductions, the BCE expression) has its own backward rule here,
-so each rule can be tested against central differences in isolation.
+matrix multiplies, the mode-3 product, the sparse M-product, segment
+softmax, activations, gathers, reductions, the BCE expression) has its own
+backward rule here, so each rule can be tested against central differences
+in isolation.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from nohgnn import tensor3
 from nohgnn.errors import NumericError, ParameterError, ShapeError
-from nohgnn.tensor3 import SlicePattern
+from nohgnn.tensor3 import SlicePattern, Transform
 
 PROB_FLOOR = 1e-12
 FD_DENOM_FLOOR = 1e-8
@@ -235,34 +237,6 @@ class Tape:
 
         return self._record(out, (values, h), backward)
 
-    def spmm_shared(self, indptr: np.ndarray, indices: np.ndarray, values: Node, h: Node) -> Node:
-        """Per-slice sparse @ dense where every slice shares one sparsity
-        structure and values is a (T, nnz) stack."""
-        t_count, nnz = values.value.shape
-        n_rows = indptr.shape[0] - 1
-        if h.value.ndim != 3 or h.value.shape[0] != t_count:
-            raise ShapeError(f"node tensor shape {h.value.shape} does not match value stack {values.value.shape}")
-        if indices.shape[0] != nnz:
-            raise ShapeError("shared structure does not match value stack width")
-        rows = np.repeat(np.arange(n_rows), np.diff(indptr))
-
-        def slice_csr(vals_t):
-            return sp.csr_matrix((vals_t, indices, indptr), shape=(n_rows, h.value.shape[1]), copy=False)
-
-        out = np.empty((t_count, n_rows, h.value.shape[2]))
-        for t in range(t_count):
-            out[t] = slice_csr(values.value[t]) @ h.value[t]
-
-        def backward(g):
-            dvals = np.empty_like(values.value)
-            dh = np.empty_like(h.value)
-            for t in range(t_count):
-                dvals[t] = np.einsum("ef,ef->e", g[t][rows], h.value[t][indices])
-                dh[t] = slice_csr(values.value[t]).T @ g[t]
-            return dvals, dh
-
-        return self._record(out, (values, h), backward)
-
     def pair_dot(self, o: Node, pattern: SlicePattern) -> Node:
         """Dot products o[t,i]·o[t,j] for every (t,i,j) in the pattern, flat."""
         if o.value.ndim != 3 or o.value.shape[0] != pattern.t_slots:
@@ -307,20 +281,39 @@ class Tape:
 
         return self._record(w, (scores,), backward)
 
-    def scatter_to_union(self, values: Node, pattern: SlicePattern) -> Node:
-        """Place flat per-slice values into a dense (T, union nnz) stack."""
+    def sparse_m_product(self, pattern: SlicePattern, values: Node, h: Node, tf: Transform) -> Node:
+        """Sparse M-product of flat pattern values with a (T, N, F) node
+        tensor under the transform (``tensor3.sparse_m_product``).
+
+        The op keeps the transformed union stack P-hat and H-hat; backward
+        applies M^-T to the incoming gradient, takes the sampled and the
+        transposed slice products in the transform domain, maps both back
+        with M^T, and gathers the value gradient off the union support.
+        """
         if values.value.shape != (pattern.nnz,):
             raise ShapeError(f"values shape {values.value.shape} does not match pattern nnz {pattern.nnz}")
-        _, u_indices, flat_to_union = pattern.union
-        t_count = pattern.t_slots
-        out = np.zeros((t_count, u_indices.shape[0]))
-        slots = pattern.entry_slots
-        out[slots, flat_to_union] = values.value
+        if h.value.ndim != 3 or h.value.shape[:2] != (pattern.t_slots, pattern.n_cols):
+            raise ShapeError(f"node tensor shape {h.value.shape} does not match pattern {pattern.t_slots}x{pattern.n_cols}")
+        if tf.size != pattern.t_slots:
+            raise ShapeError(f"transform size {tf.size} does not match {pattern.t_slots} slices")
+        out, p_hat, h_hat = tensor3.sparse_m_product(pattern, values.value, h.value, tf)
+        u_indptr, u_indices, flat_to_union = pattern.union
+        rows = np.repeat(np.arange(pattern.n_rows), np.diff(u_indptr))
+        shape = (pattern.n_rows, pattern.n_cols)
 
         def backward(g):
-            return (g[slots, flat_to_union],)
+            g_hat = np.tensordot(tf.minv.T, g, axes=(1, 0))
+            dp_hat = np.empty_like(p_hat)
+            dh_hat = np.empty_like(h_hat)
+            for t in range(pattern.t_slots):
+                dp_hat[t] = np.einsum("ef,ef->e", g_hat[t][rows], h_hat[t][u_indices])
+                p_t = sp.csr_matrix((p_hat[t], u_indices, u_indptr), shape=shape, copy=False)
+                dh_hat[t] = p_t.T @ g_hat[t]
+            dp = np.tensordot(tf.m.T, dp_hat, axes=(1, 0))
+            dh = np.tensordot(tf.m.T, dh_hat, axes=(1, 0))
+            return dp[pattern.entry_slots, flat_to_union], dh
 
-        return self._record(out, (values,), backward)
+        return self._record(out, (values, h), backward)
 
     def csr_const_matmul(self, c: sp.csr_matrix, g_node: Node) -> Node:
         """Constant sparse matrix times a dense parameterized matrix."""

@@ -1,5 +1,9 @@
 """Third-order tensor algebra: dense tensors, per-slice sparse stacks, and
-the invertible-transform tensor product.
+the invertible-transform tensor product (M-product).
+
+``sparse_m_product`` is the one sparse M-product kernel: ``m_product`` runs
+its sparse branch through it, and the tape op of the same name records it
+for the model's propagation layers.
 
 Storage convention: a tensor with dims (d1, d2, d3) lives in a float64 array
 of shape (d3, d1, d2), so ``data[t]`` is the t-th frontal slice and
@@ -208,37 +212,29 @@ def facewise_product(x, y: Tensor3) -> Tensor3:
     return Tensor3(np.matmul(x.data, y.data))
 
 
-def _union_structure(slices) -> tuple[np.ndarray, np.ndarray]:
-    """CSR structure of the union of the slices' supports."""
-    n_rows, n_cols = slices[0].shape
-    acc = sp.csr_matrix((n_rows, n_cols))
-    for s in slices:
-        marker = sp.csr_matrix(
-            (np.ones(s.nnz), s.indices.copy(), s.indptr.copy()), shape=s.shape
-        )
-        acc = acc + marker
-    acc.sum_duplicates()
-    acc.sort_indices()
-    return acc.indptr.astype(np.int64), acc.indices.astype(np.int64)
+def sparse_m_product(
+    pattern: SlicePattern, values: np.ndarray, y: np.ndarray, tf: Transform
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M-product of a sparse stack, given as flat values over ``pattern``,
+    with a dense (T, d2, F) array ``y``.
 
-
-def _union_tubes(x: SliceSparse3, u_indptr, u_indices) -> np.ndarray:
-    """Gather the tubes of a sparse stack over its union support.
-
-    Returns an array of shape (union nnz, T) whose row u holds the tube of
-    the u-th union entry.
+    The values are scattered onto the union of the slices' supports, so the
+    mode-3 transform acts on a dense (T, union nnz) stack and never on the
+    full d1 x d2 x T tensor; each transformed slice then multiplies the
+    matching slice of y M as a CSR matrix, and M^-1 maps the result back.
+    Returns the product with the transformed stack P-hat and y-hat, which a
+    backward pass reuses.
     """
-    d1 = x.shape2d[0]
-    tubes = np.zeros((len(u_indices), len(x.slices)))
-    for t, s in enumerate(x.slices):
-        for i in range(d1):
-            a0, a1 = s.indptr[i], s.indptr[i + 1]
-            if a0 == a1:
-                continue
-            u0, u1 = u_indptr[i], u_indptr[i + 1]
-            pos = u0 + np.searchsorted(u_indices[u0:u1], s.indices[a0:a1])
-            tubes[pos, t] = s.data[a0:a1]
-    return tubes
+    u_indptr, u_indices, flat_to_union = pattern.union
+    p_stack = np.zeros((pattern.t_slots, len(u_indices)))
+    p_stack[pattern.entry_slots, flat_to_union] = values
+    p_hat = _apply_mode3(p_stack, tf.m)
+    y_hat = _apply_mode3(y, tf.m)
+    shape = (pattern.n_rows, pattern.n_cols)
+    prod = np.empty((pattern.t_slots, pattern.n_rows, y.shape[2]))
+    for t in range(pattern.t_slots):
+        prod[t] = sp.csr_matrix((p_hat[t], u_indices, u_indptr), shape=shape, copy=False) @ y_hat[t]
+    return _apply_mode3(prod, tf.minv), p_hat, y_hat
 
 
 def m_product(x, y: Tensor3, tf: Transform) -> Tensor3:
@@ -246,8 +242,8 @@ def m_product(x, y: Tensor3, tf: Transform) -> Tensor3:
 
     Computes ((x mode3 M) facewise (y mode3 M)) mode3 M^-1. With the
     identity transform this reduces to the plain face-wise product. A
-    sparse left operand is never densified to full d1 x d2 x T; only the
-    union of its per-slice supports is materialized.
+    sparse left operand goes through ``sparse_m_product`` and is never
+    densified to full d1 x d2 x T.
     """
     xd1, xd2, xd3 = x.dims
     if tf.size != xd3:
@@ -259,16 +255,9 @@ def m_product(x, y: Tensor3, tf: Transform) -> Tensor3:
             raise ShapeError(
                 f"facewise product needs (d1,k,T)x(k,d2,T), got {x.dims} and {y.dims}"
             )
-        u_indptr, u_indices = _union_structure(x.slices)
-        tubes_hat = _union_tubes(x, u_indptr, u_indices) @ tf.m.T
-        y_hat = _apply_mode3(y.data, tf.m)
-        out = np.empty((xd3, xd1, y.dims[1]))
-        for t in range(xd3):
-            xt = sp.csr_matrix(
-                (tubes_hat[:, t], u_indices, u_indptr), shape=x.shape2d
-            )
-            out[t] = xt @ y_hat[t]
-        return Tensor3(_apply_mode3(out, tf.minv))
+        values = np.concatenate([s.data for s in x.slices])
+        out, _, _ = sparse_m_product(SlicePattern.from_sparse(x), values, y.data, tf)
+        return Tensor3(out)
     x_hat = mode3_product(x, tf.m)
     y_hat = mode3_product(y, tf.m)
     return mode3_product(facewise_product(x_hat, y_hat), tf.minv)
@@ -391,31 +380,12 @@ class SlicePattern:
         densification.
         """
         if self._union is None:
-            mats = [
-                sp.csr_matrix(
-                    (np.ones(len(self.indices[t])), self.indices[t], self.indptrs[t]),
-                    shape=(self.n_rows, self.n_cols),
-                )
-                for t in range(self.t_slots)
-            ]
-            u_indptr, u_indices = _union_structure(mats)
-            flat_to_union = np.empty(self.nnz, dtype=np.int64)
-            for t in range(self.t_slots):
-                indptr = self.indptrs[t]
-                for i in range(self.n_rows):
-                    a0, a1 = indptr[i], indptr[i + 1]
-                    if a0 == a1:
-                        continue
-                    u0, u1 = u_indptr[i], u_indptr[i + 1]
-                    pos = u0 + np.searchsorted(
-                        u_indices[u0:u1], self.indices[t][a0:a1]
-                    )
-                    flat_to_union[self.offsets[t] + a0 : self.offsets[t] + a1] = pos
-            self._union = (u_indptr, u_indices, flat_to_union)
+            keys = np.concatenate(
+                [self.rows[t] * self.n_cols + self.indices[t] for t in range(self.t_slots)]
+            )
+            # sorted distinct keys are the union entries in row-major CSR order
+            u_keys, flat_to_union = np.unique(keys, return_inverse=True)
+            counts = np.bincount(u_keys // self.n_cols, minlength=self.n_rows)
+            u_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+            self._union = (u_indptr, u_keys % self.n_cols, flat_to_union.astype(np.int64, copy=False))
         return self._union
-
-    def union_csr(self, column: np.ndarray) -> sp.csr_matrix:
-        u_indptr, u_indices, _ = self.union
-        return sp.csr_matrix(
-            (column, u_indices, u_indptr), shape=(self.n_rows, self.n_cols)
-        )

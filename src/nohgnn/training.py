@@ -10,6 +10,7 @@ epoch's parameters are returned.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,10 +63,11 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.beta_reg < 0:
-            raise ParameterError(f"beta_reg must be >= 0, got {self.beta_reg}")
+        # written so NaN, for which every comparison is false, fails too
+        if not 0 < self.learning_rate < math.inf:
+            raise ParameterError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.beta_reg < math.inf:
+            raise ParameterError(f"beta_reg must be finite and >= 0, got {self.beta_reg}")
         if self.patience < 1:
             raise ParameterError(f"patience must be >= 1, got {self.patience}")
         if self.max_epochs < 1:

@@ -104,6 +104,28 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="dtype tag"):
             read_records(str(path))
 
+    def test_non_utf8_record_name_rejected(self, tmp_path):
+        path = tmp_path / "n.nohg"
+        write_records(str(path), {"x": np.asarray(1.0)})
+        blob = bytearray(path.read_bytes())
+        blob[4 + 4 + 4 + 2] = 0xFF  # the 1-byte name
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="UTF-8") as info:
+            read_records(str(path))
+        assert str(path) in str(info.value)
+
+    def test_dims_product_past_int64_rejected(self, tmp_path):
+        path = tmp_path / "d.nohg"
+        write_records(str(path), {"x": np.zeros((1, 1))})
+        blob = bytearray(path.read_bytes())
+        # 2**32 * 2**32 wraps to 0 in int64, which must not read as an empty payload
+        dims_at = 4 + 4 + 4 + 2 + 1 + 2
+        blob[dims_at : dims_at + 16] = struct.pack("<2Q", 2**32, 2**32)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="truncated") as info:
+            read_records(str(path))
+        assert str(path) in str(info.value)
+
     def test_unsupported_dtype_write_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="dtype"):
             write_records(str(tmp_path / "x.nohg"), {"x": np.zeros(2, dtype=np.float32)})

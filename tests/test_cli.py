@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from nohgnn.checkpoint import load_dataset, load_model
+from nohgnn.checkpoint import load_dataset, load_model, write_records
 from nohgnn.cli import main
 from nohgnn.synth import planted_partition
 
@@ -157,6 +157,16 @@ class TestEval:
         rc = main(["eval", str(out / "dataset.nohg"), str(out / "checkpoint.nohg")])
         assert rc == 1
         assert "not a model" in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_reports_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.nohg"
+        write_records(str(path), {"x": np.asarray(1.0)})
+        blob = bytearray(path.read_bytes())
+        blob[4 + 4 + 4 + 2] = 0xFF  # record name byte, not valid UTF-8
+        path.write_bytes(bytes(blob))
+        assert main(["eval", str(path), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(rf"^error: {re.escape(str(path))}: record name", err, re.M)
 
 
 class TestGradcheck:

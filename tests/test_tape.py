@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import nohgnn.tape as tape_mod
 from nohgnn.errors import ParameterError, ShapeError
 from nohgnn.tape import Node, ParamStore, Tape, grad_check, masked_softmax
-from nohgnn.tensor3 import SlicePattern, SliceSparse3
+from nohgnn.tensor3 import SlicePattern, SliceSparse3, Tensor3, m_product, make_transform
 
 
 def fd_probe(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -199,20 +199,23 @@ class TestSparseRules:
         assert max_rel_err(vals.grad, fd) < 1e-6
 
     def test_spmm_shared_matches_dense(self):
+        # every slice shares one support; under the identity transform the
+        # fused sparse M-product is the plain per-slice sparse product
         rng = np.random.default_rng(17)
         n = 5
         base = (rng.random((n, n)) < 0.5).astype(float)
         base_csr = sp.csr_matrix(base)
         indptr, indices = base_csr.indptr, base_csr.indices
         t_slots = 3
+        pat = SlicePattern([indptr] * t_slots, [indices] * t_slots, n, n)
         vals0 = rng.normal(size=(t_slots, base_csr.nnz))
         h0 = rng.normal(size=(t_slots, n, 2))
         r = rng.normal(size=(t_slots, n, 2))
 
         t = Tape()
-        vals = t.leaf(vals0, requires_grad=True)
+        vals = t.leaf(vals0.reshape(-1), requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
-        out = t.spmm_shared(indptr, indices, vals, h)
+        out = t.sparse_m_product(pat, vals, h, make_transform("identity", t_slots))
         loss = t.sum(t.mul(out, t.constant(r)))
         t.backward(loss)
 
@@ -223,13 +226,44 @@ class TestSparseRules:
         np.testing.assert_allclose(h.grad, np.swapaxes(dense, 1, 2) @ r, atol=1e-12)
 
         def f(v):
+            v = v.reshape(t_slots, -1)
             acc = 0.0
             for k in range(t_slots):
                 acc += float((sp.csr_matrix((v[k], indices, indptr), shape=(n, n)) @ h0[k] * r[k]).sum())
             return acc
 
-        fd = fd_probe(f, vals0.copy())
+        fd = fd_probe(f, vals0.reshape(-1).copy())
         assert max_rel_err(vals.grad, fd) < 1e-6
+
+    @pytest.mark.parametrize("kind", ["dct", "custom"])
+    def test_sparse_m_product_matches_dense_route(self, kind):
+        rng = np.random.default_rng(17)
+        t_slots, n = 3, 5
+        pat = random_pattern(rng, t_slots, n)
+        if kind == "dct":
+            tf = make_transform("dct", t_slots)
+        else:
+            tf = make_transform("custom", t_slots, np.eye(t_slots) + 0.4 * rng.normal(size=(t_slots, t_slots)))
+            assert not np.allclose(tf.minv, tf.m.T)
+        vals0 = rng.normal(size=pat.nnz)
+        h0 = rng.normal(size=(t_slots, n, 2))
+        r = rng.normal(size=(t_slots, n, 2))
+
+        t = Tape()
+        vals = t.leaf(vals0, requires_grad=True)
+        h = t.leaf(h0, requires_grad=True)
+        out = t.sparse_m_product(pat, vals, h, tf)
+        t.backward(t.sum(t.mul(out, t.constant(r))))
+
+        # dense route: densify the stack and take the library's dense M-product
+        def dense_route(v, h_arr):
+            return m_product(pat.to_sparse(v).densify(), Tensor3(h_arr), tf).data
+
+        np.testing.assert_allclose(out.value, dense_route(vals0, h0), atol=1e-12)
+        fd_vals = fd_probe(lambda v: float((dense_route(v, h0) * r).sum()), vals0.copy())
+        fd_h = fd_probe(lambda h_arr: float((dense_route(vals0, h_arr) * r).sum()), h0.copy())
+        assert max_rel_err(vals.grad, fd_vals) < 1e-6
+        assert max_rel_err(h.grad, fd_h) < 1e-6
 
     def test_pair_dot_matches_masked_gram(self):
         rng = np.random.default_rng(18)
@@ -256,19 +290,24 @@ class TestSparseRules:
         assert max_rel_err(o.grad, fd) < 1e-6
 
     def test_scatter_to_union_round_trip(self):
+        # sparse_m_product scatters the flat values onto the union support;
+        # against identity slices of H it returns the scattered slices
         a0 = np.array([[0, 1.0], [0, 0]])
         a1 = np.array([[0, 2.0], [3.0, 0]])
         pat = SlicePattern.from_sparse(SliceSparse3.from_dense(np.stack([a0, a1])))
         t = Tape()
         v = t.leaf(np.array([10.0, 20.0, 30.0]), requires_grad=True)
-        out = t.scatter_to_union(v, pat)
+        out = t.sparse_m_product(pat, v, t.constant(np.stack([np.eye(2)] * 2)), make_transform("identity", 2))
         loss = t.sum(t.mul(out, t.constant(np.ones_like(out.value))))
         t.backward(loss)
         # union support is {(0,1), (1,0)}; slice 0 leaves (1,0) empty
-        u_indptr, u_indices, _ = pat.union
-        assert out.value.shape == (2, 2)
-        assert sorted(out.value[0].tolist()) == [0.0, 10.0]
-        assert sorted(out.value[1].tolist()) == [20.0, 30.0]
+        u_indptr, u_indices, flat_to_union = pat.union
+        np.testing.assert_array_equal(u_indptr, [0, 1, 2])
+        np.testing.assert_array_equal(u_indices, [1, 0])
+        np.testing.assert_array_equal(flat_to_union, [0, 0, 1])
+        assert out.value.shape == (2, 2, 2)
+        np.testing.assert_array_equal(out.value[0], [[0.0, 10.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(out.value[1], [[0.0, 20.0], [30.0, 0.0]])
         np.testing.assert_array_equal(v.grad, [1.0, 1.0, 1.0])
 
     def test_csr_const_matmul(self):

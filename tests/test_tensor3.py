@@ -312,8 +312,36 @@ class TestTypesAndInvariants:
         pat = SlicePattern.from_sparse(ssp)
         u_indptr, u_indices, flat_to_union = pat.union
         assert len(u_indices) == 2
-        dense0 = pat.union_csr(np.array([5.0, 0.0])).toarray()
-        dense1 = pat.union_csr(np.array([0.0, 7.0])).toarray()
+        dense0 = sp.csr_matrix((np.array([5.0, 0.0]), u_indices, u_indptr), shape=(2, 2)).toarray()
+        dense1 = sp.csr_matrix((np.array([0.0, 7.0]), u_indices, u_indptr), shape=(2, 2)).toarray()
         placed = {tuple(np.argwhere(dense0 == 5.0)[0]), tuple(np.argwhere(dense1 == 7.0)[0])}
         assert placed == {(0, 1), (1, 0)}
         assert sorted(flat_to_union.tolist()) == [0, 1]
+
+    @pytest.mark.parametrize(
+        "t_slots, n_rows, n_cols, empty_slots, empty_rows",
+        [
+            (1, 6, 6, (), (2,)),  # single slice
+            (3, 4, 9, (1,), ()),  # non-square
+            (4, 7, 5, (0, 3), (0, 4, 6)),
+            (2, 3, 3, (0, 1), ()),  # every slice empty
+        ],
+    )
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.05, 0.9))
+    def test_pattern_union_matches_set_reference(
+        self, t_slots, n_rows, n_cols, empty_slots, empty_rows, seed, density
+    ):
+        rng = np.random.default_rng(seed)
+        dense = rng.random((t_slots, n_rows, n_cols)) < density
+        dense[list(empty_slots)] = False
+        dense[:, list(empty_rows)] = False
+        pat = SlicePattern.from_sparse(SliceSparse3.from_dense(dense.astype(float)))
+        u_indptr, u_indices, flat_to_union = pat.union
+
+        flat = [(int(i), int(j)) for t in range(t_slots) for i, j in zip(pat.rows[t], pat.indices[t])]
+        got = [(i, int(j)) for i in range(n_rows) for j in u_indices[u_indptr[i] : u_indptr[i + 1]]]
+        assert got == sorted(set(flat))
+        assert u_indptr.dtype == u_indices.dtype == flat_to_union.dtype == np.int64
+        assert len(u_indptr) == n_rows + 1
+        assert [got[u] for u in flat_to_union] == flat

@@ -58,6 +58,11 @@ class TestTrainConfig:
             {"transform": "fft"},
             {"threshold": 0.0},
             {"threshold": 1.0},
+            # NaN fails every comparison, so plain range checks would let it through
+            {"learning_rate": math.nan},
+            {"learning_rate": math.inf},
+            {"beta_reg": math.nan},
+            {"beta_reg": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
