@@ -85,6 +85,8 @@ def read_records(path: str) -> dict[str, np.ndarray]:
             name = take(name_len).decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: record name is not valid UTF-8") from None
+        if name in records:
+            raise CheckpointError(f"{path}: duplicate record {name!r}")
         tag, rank = struct.unpack("<BB", take(2))
         if tag not in _TAG_DTYPES:
             raise CheckpointError(f"{path}: record {name!r} has unknown dtype tag {tag}")

@@ -24,6 +24,7 @@ log = logging.getLogger(__name__)
 
 SPLIT_FRACTIONS = (0.7, 0.2, 0.1)
 MIN_SPLITTABLE_EDGES = 3
+SAMPLE_ROUNDS = 32
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,22 @@ def load_edge_list(path: str) -> tuple[list[EdgeEvent], dict[str, int]]:
             try:
                 src = dense(parts[0])
                 dst = dense(parts[1])
-                ts = int(float(parts[2]))
+                ts = _parse_timestamp(parts[2])
                 weight = float(parts[3]) if len(parts) == 4 else 1.0
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(f"{path}:{line_no}: {exc}") from None
             events.append(EdgeEvent(src, dst, ts, weight))
     if not events:
         raise ParseError(f"{path}: no edge events found")
     return events, id_map
+
+
+def _parse_timestamp(token: str) -> int:
+    """Integer tokens exactly; other numeric tokens truncated through float."""
+    try:
+        return int(token)
+    except ValueError:
+        return int(float(token))
 
 
 class DynamicGraph:
@@ -309,79 +318,107 @@ def negative_sample(
     """Draw ``ratio`` label-0 pairs per positive by corrupting the tail node.
 
     A candidate (i, j', t) is accepted when j' != i, the pair is not an edge
-    of ``g`` at slot t, and it was not already sampled in this call. Anchors
-    whose non-neighbors are exhausted fall back to a uniform non-edge of the
-    slot; a fully connected slot raises a sampling error.
+    of ``g`` at slot t, and it was not already sampled in this call. Each of
+    at most ``SAMPLE_ROUNDS`` rounds draws one tail per pending candidate and
+    judges the whole round at once against int64 keys t*N^2 + a*N + b of the
+    canonical pair (a, b): edge and already-taken membership by binary search
+    in sorted keys, and among candidates of the round sharing a key only the
+    first is accepted. Validity depends on the key alone, so this accepts
+    exactly what a loop over the candidates in order would. Anchors still
+    pending after the rounds fall back to a uniform non-edge of the slot; a
+    fully connected slot raises a sampling error.
     """
     if ratio < 1:
         raise ParameterError(f"negative ratio must be >= 1, got {ratio}")
     rng = np.random.default_rng(seed)
     n = g.n_nodes
+    slot_span = n * n
     anchors = np.repeat(positives.pairs[:, 0], ratio)
     slots = np.repeat(positives.pairs[:, 2], ratio)
     total = len(anchors)
     out = np.empty((total, 3), dtype=np.int64)
     out[:, 0] = anchors
     out[:, 2] = slots
-    taken: dict[int, set[int]] = {}
+    # every slot's keys lie in [t*N^2, (t+1)*N^2), so the slots' sorted keys
+    # concatenate into one sorted array
+    edges = np.concatenate([g.edge_keys(t) + t * slot_span for t in range(g.t_slots)])
+    taken = np.zeros(0, dtype=np.int64)
     pending = np.arange(total)
     rounds = 0
-    while len(pending) and rounds < 32:
+    while len(pending) and rounds < SAMPLE_ROUNDS:
         rounds += 1
-        draws = rng.integers(0, n, size=len(pending))
-        still = []
-        for k, j in zip(pending, draws):
-            i, t = int(out[k, 0]), int(out[k, 2])
-            j = int(j)
-            a, b = (i, j) if (i < j or not g.undirected) else (j, i)
-            key = a * n + b
-            slot_taken = taken.setdefault(t, set())
-            if j == i or g.has_edge(a, b, t) or key in slot_taken:
-                still.append(k)
-                continue
-            out[k, 0], out[k, 1] = a, b
-            slot_taken.add(key)
-        pending = np.asarray(still, dtype=np.int64)
+        a, b = anchors[pending], rng.integers(0, n, size=len(pending))
+        if g.undirected:
+            a, b = np.minimum(a, b), np.maximum(a, b)
+        keys = slots[pending] * slot_span + a * n + b
+        order = np.argsort(keys, kind="stable")
+        lead = np.ones(len(keys), dtype=bool)
+        lead[1:] = keys[order[1:]] != keys[order[:-1]]
+        first = np.empty(len(keys), dtype=bool)
+        first[order] = lead
+        accept = first & (a != b) & ~_contains(edges, keys) & ~_contains(taken, keys)
+        out[pending[accept], 0] = a[accept]
+        out[pending[accept], 1] = b[accept]
+        taken = np.sort(np.concatenate([taken, keys[accept]]))
+        pending = pending[~accept]
     for k in pending:
-        i, t = int(out[k, 0]), int(out[k, 2])
-        slot_taken = taken.setdefault(t, set())
-        choice = _fallback_non_edge(g, i, t, slot_taken, rng)
-        a, b = choice
+        i, t = int(anchors[k]), int(slots[k])
+        lo, hi = np.searchsorted(taken, [t * slot_span, (t + 1) * slot_span])
+        a, b = _fallback_non_edge(g, i, t, taken[lo:hi] - t * slot_span, rng)
         out[k, 0], out[k, 1] = a, b
-        slot_taken.add(a * n + b)
+        key = t * slot_span + a * n + b
+        taken = np.insert(taken, np.searchsorted(taken, key), key)
     return LabeledPairSet(out, np.zeros(total), positives.role)
 
 
-def _candidate_tails(g: DynamicGraph, i: int, t: int, taken: set[int]) -> np.ndarray:
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each key occurs in the ascending array ``sorted_keys``."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
+
+
+def _candidate_tails(g: DynamicGraph, i: int, t: int, taken: np.ndarray) -> np.ndarray:
+    """Ascending tails j whose pair with anchor i is a free non-edge at slot t.
+
+    ``taken`` holds the sorted slot-local keys a*N+b already sampled.
+    """
     n = g.n_nodes
-    blocked = set(g.neighbors(i, t).tolist())
-    blocked.add(i)
-    tails = []
-    for j in range(n):
-        if j in blocked:
-            continue
-        a, b = (i, j) if (i < j or not g.undirected) else (j, i)
-        if a * n + b in taken:
-            continue
-        tails.append(j)
-    return np.asarray(tails, dtype=np.int64)
+    free = np.ones(n, dtype=bool)
+    free[g.neighbors(i, t)] = False
+    free[i] = False
+    tails = np.flatnonzero(free)
+    keys = np.where(tails > i, i * n + tails, tails * n + i) if g.undirected else i * n + tails
+    return tails[~_contains(taken, keys)]
 
 
 def _fallback_non_edge(
-    g: DynamicGraph, i: int, t: int, taken: set[int], rng: np.random.Generator
+    g: DynamicGraph, i: int, t: int, taken: np.ndarray, rng: np.random.Generator
 ) -> tuple[int, int]:
+    """A uniform free non-edge for anchor i at slot t, else of the whole slot.
+
+    One draw indexes the free tails of i in ascending order or, when i has
+    none, the free pairs of the slot in ascending (a, b) order; the second
+    is located row by row from per-row free counts.
+    """
     tails = _candidate_tails(g, i, t, taken)
     if len(tails):
         j = int(tails[rng.integers(0, len(tails))])
         return (i, j) if (i < j or not g.undirected) else (j, i)
     n = g.n_nodes
-    free = []
-    for a in range(n):
-        row = set(g.neighbors(a, t).tolist())
-        for b in range(a + 1, n) if g.undirected else range(n):
-            if b == a or b in row or a * n + b in taken:
-                continue
-            free.append((a, b))
-    if not free:
+    keys = g.edge_keys(t)
+    heads, ends = np.divmod(keys, n)
+    in_domain = ends > heads if g.undirected else ends != heads
+    blocked = np.union1d(keys[in_domain], taken)
+    domain_per_row = n - 1 - np.arange(n) if g.undirected else np.full(n, n - 1)
+    free_per_row = domain_per_row - np.bincount(blocked // n, minlength=n)
+    total = int(free_per_row.sum())
+    if total == 0:
         raise SamplingError(f"slot {t} has no remaining non-edges to sample")
-    return free[rng.integers(0, len(free))]
+    pick = int(rng.integers(0, total))
+    row_ends = np.cumsum(free_per_row)
+    a = int(np.searchsorted(row_ends, pick, side="right"))
+    cols = np.arange(a + 1, n) if g.undirected else np.delete(np.arange(n), a)
+    cols = cols[~_contains(blocked, a * n + cols)]
+    return a, int(cols[pick - (row_ends[a] - free_per_row[a])])

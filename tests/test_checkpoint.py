@@ -126,6 +126,20 @@ class TestContainer:
             read_records(str(path))
         assert str(path) in str(info.value)
 
+    def test_duplicate_record_name_rejected(self, tmp_path):
+        path = tmp_path / "dup.nohg"
+        write_records(str(path), {"a": np.asarray(1.0), "b": np.asarray(2.0)})
+        blob = bytearray(path.read_bytes())
+        # second record: header, then the first record's name length, name,
+        # tag, rank and 8-byte payload; its own 1-byte name follows its length
+        second_name = 4 + 4 + 4 + (2 + 1 + 2 + 8) + 2
+        assert blob[second_name : second_name + 1] == b"b"
+        blob[second_name] = ord("a")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="duplicate record 'a'") as info:
+            read_records(str(path))
+        assert str(path) in str(info.value)
+
     def test_unsupported_dtype_write_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="dtype"):
             write_records(str(tmp_path / "x.nohg"), {"x": np.zeros(2, dtype=np.float32)})

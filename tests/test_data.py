@@ -2,19 +2,25 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sampler_oracle
 from nohgnn.data import (
+    DynamicGraph,
     EdgeEvent,
+    LabeledPairSet,
     _apportion,
     bin_snapshots,
+    edges_of_slice,
     load_edge_list,
     merge_pair_sets,
     negative_sample,
     split_edges,
 )
 from nohgnn.errors import ParameterError, ParseError, SamplingError
+from nohgnn.tensor3 import SliceSparse3
 
 
 def write_edges(tmp_path, text, name="edges.txt"):
@@ -55,6 +61,20 @@ class TestLoadEdgeList:
         path = write_edges(tmp_path, "0 1 1453438800.0\n")
         events, _ = load_edge_list(path)
         assert events[0].timestamp == 1453438800
+
+    def test_nanosecond_timestamps_stay_exact(self, tmp_path):
+        # float64 values near 1.7e18 are 256 apart, so a float parse merges all three
+        path = write_edges(tmp_path, "0 1 1700000000000000000\n1 2 1700000000000000001\n2 3 1700000000000000002\n")
+        events, _ = load_edge_list(path)
+        assert [e.timestamp for e in events] == [1700000000000000000, 1700000000000000001, 1700000000000000002]
+        g = bin_snapshots(events, 3)
+        assert [len(edges) for edges in g.slot_edges] == [1, 1, 1]
+        assert g.has_edge(2, 1, 1) and g.has_edge(3, 2, 2)
+
+    def test_infinite_timestamp_reports_line(self, tmp_path):
+        path = write_edges(tmp_path, "0 1 5\n0 1 inf\n")
+        with pytest.raises(ParseError, match=":2:"):
+            load_edge_list(path)
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = write_edges(tmp_path, "0 1 5\n0 1\n")
@@ -284,6 +304,88 @@ class TestNegativeSample:
         neg = negative_sample(g, positives, seed=seed % 89)
         for i, j, t in neg.pairs:
             assert not g.has_edge(int(i), int(j), int(t))
+
+
+def matrix_graph(rng, n, densities, undirected):
+    """A graph with one independent Bernoulli adjacency per slot density."""
+    slices = []
+    for p in densities:
+        dense = rng.random((n, n)) < p
+        np.fill_diagonal(dense, False)
+        if undirected:
+            dense = np.triu(dense, 1)
+            dense = dense | dense.T
+        slices.append(sp.csr_matrix(dense.astype(np.float64)))
+    edges = [edges_of_slice(s, undirected) for s in slices]
+    return DynamicGraph(n, SliceSparse3(slices, shape=(n, n)), edges, {}, undirected)
+
+
+def oracle_outcome(sampler, g, positives, ratio, seed):
+    try:
+        return sampler(g, positives, ratio=ratio, seed=seed).pairs
+    except SamplingError as exc:
+        return str(exc)
+
+
+class TestNegativeSampleOracle:
+    """The vectorised sampler against the per-candidate loop it replaced."""
+
+    @settings(max_examples=150)
+    @given(
+        n=st.integers(2, 10),
+        densities=st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9, 1.0]), min_size=1, max_size=4),
+        undirected=st.booleans(),
+        ratio=st.integers(1, 3),
+        n_pos=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_equal_to_loop(self, n, densities, undirected, ratio, n_pos, seed):
+        rng = np.random.default_rng(seed)
+        g = matrix_graph(rng, n, densities, undirected)
+        # anchors need not be edges: slots without edges and full slots both occur
+        positives = LabeledPairSet(
+            np.column_stack([rng.integers(0, n, n_pos), rng.integers(0, n, n_pos), rng.integers(0, len(densities), n_pos)]),
+            np.ones(n_pos),
+            "train",
+        )
+        got = oracle_outcome(negative_sample, g, positives, ratio, [seed, 1])
+        want = oracle_outcome(sampler_oracle.negative_sample, g, positives, ratio, [seed, 1])
+        if isinstance(want, str):
+            assert got == want
+        else:
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("undirected", [True, False])
+    def test_exhausted_rounds_use_both_fallbacks(self, undirected):
+        # hub 0 misses only nodes 198 and 199 among 200, so 32 rounds of
+        # uniform tails often do not find them and the anchor fallback takes
+        # them; the third negative has to come from the whole-slot fallback
+        rng = np.random.default_rng(4)
+        g = matrix_graph(rng, 200, [0.05], undirected)
+        s = g.adjacency.slices[0].tolil()
+        s[0, 1:198] = 1.0
+        s[0, 198:] = 0.0
+        if undirected:
+            s[1:198, 0] = 1.0
+            s[198:, 0] = 0.0
+        s = s.tocsr()
+        g = DynamicGraph(200, SliceSparse3([s], shape=(200, 200)), [edges_of_slice(s, undirected)], {}, undirected)
+        positives = LabeledPairSet(np.zeros((3, 3), dtype=np.int64), np.ones(3), "train")
+        for seed in range(4):
+            got = negative_sample(g, positives, ratio=1, seed=seed).pairs
+            np.testing.assert_array_equal(got, sampler_oracle.negative_sample(g, positives, ratio=1, seed=seed).pairs)
+            assert np.sum((got[:, 0] == 0) & (got[:, 1] >= 198)) == 2
+
+    @pytest.mark.parametrize("undirected", [True, False])
+    def test_larger_graph_bit_equal(self, undirected):
+        rng = np.random.default_rng(5)
+        g = matrix_graph(rng, 120, [0.02, 0.1, 0.3], undirected)
+        for ratio, seed in ((1, 0), (3, [7, 2])):
+            positives = split_edges(g, seed=ratio)[0]
+            np.testing.assert_array_equal(
+                negative_sample(g, positives, ratio=ratio, seed=seed).pairs,
+                sampler_oracle.negative_sample(g, positives, ratio=ratio, seed=seed).pairs,
+            )
 
 
 class TestPairSets:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -129,6 +130,22 @@ class TestStructuredRules:
         t.backward(loss)
         np.testing.assert_array_equal(out.value, [[0, 1], [4, 5], [0, 1]])
         np.testing.assert_array_equal(a.grad, [[2, 2], [0, 0], [1, 1]])
+
+    @pytest.mark.parametrize("n_rows,n_index", [(7, 0), (7, 1), (7, 40), (50, 30), (3, 200)])
+    def test_gather_rows_backward_bit_equals_add_at(self, n_rows, n_index):
+        # repeated indices, and (with more rows than picks) rows never gathered
+        rng = np.random.default_rng(n_rows * 1000 + n_index)
+        idx = rng.integers(0, n_rows, size=n_index)
+        g = rng.normal(size=(n_index, 5)) * 10.0 ** rng.integers(-8, 8, size=(n_index, 1))
+        t = Tape()
+        a = t.leaf(rng.normal(size=(n_rows, 5)), requires_grad=True)
+        t.gather_rows(a, idx)
+        _, _, backward = t._entries[-1]
+        (got,) = backward(g)
+        want = np.zeros((n_rows, 5))
+        np.add.at(want, idx, g)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_gather_rows_range_check(self):
         t = Tape()
@@ -322,6 +339,21 @@ class TestSparseRules:
         np.testing.assert_allclose(g.grad, c.toarray().T @ r, atol=1e-12)
 
 
+class TestSddmm:
+    @pytest.mark.parametrize("nnz", [0, 1, tape_mod.SDDMM_BLOCK, tape_mod.SDDMM_BLOCK + 1, 3 * tape_mod.SDDMM_BLOCK + 7])
+    @pytest.mark.parametrize("width", [3, 32])
+    def test_blocked_bit_equals_one_einsum(self, nnz, width):
+        rng = np.random.default_rng(nnz + width)
+        a = rng.normal(size=(60, width))
+        b = rng.normal(size=(45, width))
+        rows = rng.integers(0, 60, size=nnz)
+        cols = rng.integers(0, 45, size=nnz)
+        got = np.empty(nnz)
+        tape_mod._sddmm(a, rows, b, cols, got)
+        want = np.einsum("ef,ef->e", a[rows], b[cols])
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSoftmax:
     def test_uniform_pair(self):
         np.testing.assert_allclose(masked_softmax(np.array([0.0, 0.0])), [0.5, 0.5], atol=1e-15)
@@ -455,6 +487,43 @@ class TestBackwardContract:
         loss = t.add(t.mul(x, x), x)  # x^2 + x
         t.backward(loss)
         assert float(x.grad) == pytest.approx(7.0)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(("add", "concat", "scale"))))
+    def test_aliased_gradients_accumulate_out_of_place(self, order):
+        # y feeds add(y, y), both halves of a concat, and a scale: three
+        # consumers, two of whose rules hand back their incoming gradient or
+        # views of it; the one recorded last hands y its first gradient
+        rng = np.random.default_rng(29)
+        c = rng.normal(size=(3, 4))
+        r1, r2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 8))
+
+        def build(t, x):
+            y = t.mul(x, t.constant(c))
+            make = {
+                "add": lambda: t.add(y, y),
+                "concat": lambda: t.concat(y, y),
+                "scale": lambda: t.scale(y, 0.5),
+            }
+            out = {name: make[name]() for name in order}
+            loss = t.add(
+                t.add(t.sum(t.mul(out["add"], t.constant(r1))), t.sum(t.mul(out["concat"], t.constant(r2)))),
+                t.sumsq(out["scale"]),
+            )
+            return loss, y, out
+
+        x0 = rng.normal(size=(3, 4))
+        t = Tape()
+        x = t.leaf(x0, requires_grad=True)
+        loss, y, out = build(t, x)
+        t.backward(loss)
+        numeric = fd_probe(lambda v: float(build(Tape(), Tape().leaf(v, requires_grad=True))[0].value), x0.copy())
+        assert max_rel_err(x.grad, numeric) < 1e-6
+        # each consumer's own gradient is untouched by the sums taken into y
+        assert np.array_equal(out["add"].grad, r1)
+        assert np.array_equal(out["concat"].grad, r2)
+        assert np.array_equal(out["scale"].grad, 2.0 * out["scale"].value)
+        np.testing.assert_allclose(y.grad, 2.0 * r1 + r2[:, :4] + r2[:, 4:] + out["scale"].value, rtol=1e-12)
+        assert np.array_equal(x.grad, y.grad * c)
 
     def test_constant_subgraph_not_recorded(self):
         t = Tape()
