@@ -21,10 +21,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from nohgnn.data import DynamicGraph, LabeledPairSet, edges_of_slice
-from nohgnn.errors import CheckpointError
+from nohgnn.errors import CheckpointError, ParameterError
 from nohgnn.tape import ParamStore
 from nohgnn.tensor3 import SliceSparse3
-from nohgnn.training import TRANSFORM_KINDS, TrainConfig
+from nohgnn.training import TRANSFORM_KINDS, TrainConfig, init_params
 
 MAGIC = b"NOHG"
 VERSION = 1
@@ -214,10 +214,28 @@ def load_model(path: str) -> tuple[ParamStore, TrainConfig, int, int]:
     if not 0 <= code < len(TRANSFORM_KINDS):
         raise CheckpointError(f"{path}: unknown transform code {code}")
     config = TrainConfig(transform=TRANSFORM_KINDS[code], **kwargs)
-    store = ParamStore()
-    for name in sorted(records):
-        if name.startswith("param."):
-            store.add(name[len("param."):], records[name])
-    if not store.names():
+    n_nodes = int(_require(records, "meta.n_nodes", path))
+    t_slots = int(_require(records, "meta.t_slots", path))
+    stored = {name[len("param."):]: arr for name, arr in records.items() if name.startswith("param.")}
+    if not stored:
         raise CheckpointError(f"{path}: model checkpoint holds no parameters")
-    return store, config, int(_require(records, "meta.n_nodes", path)), int(_require(records, "meta.t_slots", path))
+    # the names and shapes a run with this configuration trains
+    try:
+        expected = init_params(config, n_nodes, t_slots)
+    except ParameterError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    for name in expected.names():
+        if name not in stored:
+            raise CheckpointError(f"{path}: missing record 'param.{name}'")
+        if stored[name].shape != expected.value(name).shape:
+            raise CheckpointError(
+                f"{path}: record 'param.{name}' has shape {stored[name].shape}, "
+                f"expected {expected.value(name).shape}"
+            )
+    for name in sorted(stored):
+        if name not in expected:
+            raise CheckpointError(f"{path}: unexpected record 'param.{name}'")
+    store = ParamStore()
+    for name in sorted(stored):
+        store.add(name, stored[name])
+    return store, config, n_nodes, t_slots

@@ -463,16 +463,6 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape: t
     return rng.uniform(-limit, limit, size=shape)
 
 
-def masked_softmax(scores: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
-    """Stable softmax over the given support; weights align with support order."""
-    scores = _as_f64(scores)
-    picked = scores if support is None else scores[np.asarray(support, dtype=np.int64)]
-    if picked.size == 0:
-        raise ParameterError("masked_softmax needs a non-empty support")
-    e = np.exp(picked - picked.max())
-    return e / e.sum()
-
-
 def grad_check(
     build_loss: Callable[[Tape, dict[str, Node]], Node],
     params: ParamStore,

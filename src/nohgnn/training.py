@@ -1,10 +1,13 @@
 """Full-batch training of the link predictor.
 
-One epoch resamples the training negatives, runs the whole pipeline (feature
-generation, aggregation weights, layer stack, decoder), applies one Adam
-update, and scores the frozen validation set. Training stops at the epoch cap
-or after ``patience`` epochs without a new best validation F1; the best
-epoch's parameters are returned.
+The pipeline splits into ``embed`` (feature generation, aggregation weights,
+layer stack) and the decoder. One epoch resamples the training negatives,
+decodes them from an embedding recorded on the current parameters, applies
+one Adam update, and records the embedding of the updated parameters. That
+one forward both scores the frozen validation set and serves as the next
+epoch's training forward, so each parameter state is embedded once. Training
+stops at the epoch cap or after ``patience`` epochs without a new best
+validation F1; the best epoch's parameters are returned.
 """
 
 from __future__ import annotations
@@ -251,6 +254,16 @@ def init_params(config: TrainConfig, n_nodes: int, t_slots: int) -> ParamStore:
     return store
 
 
+def embed(
+    tape: Tape, leaves: dict[str, Node], prep: PreparedData, tf: Transform, config: TrainConfig
+) -> Node:
+    """Features, aggregation weights and the layer stack: the (T, N, F)
+    embedding node that the decoder reads pairs from."""
+    feats = generate_features(tape, prep.ctx, leaves)
+    weights = aggregation_weights(tape, feats, prep.pattern)
+    return forward(tape, leaves, prep.pattern, weights, tf, config.layers)
+
+
 def model_probs(
     tape: Tape,
     leaves: dict[str, Node],
@@ -260,10 +273,7 @@ def model_probs(
     pairs: np.ndarray,
 ) -> Node:
     """The whole pipeline: features, aggregation weights, layers, decoder."""
-    feats = generate_features(tape, prep.ctx, leaves)
-    weights = aggregation_weights(tape, feats, prep.pattern)
-    h = forward(tape, leaves, prep.pattern, weights, tf, config.layers)
-    return decode(tape, leaves, h, pairs)
+    return decode(tape, leaves, embed(tape, leaves, prep, tf, config), pairs)
 
 
 def predict(store: ParamStore, prep: PreparedData, config: TrainConfig, pairs: np.ndarray) -> np.ndarray:
@@ -301,13 +311,32 @@ def write_metric_log(path: str, history: list[dict]) -> None:
             )
 
 
+def _record_embedding(
+    store: ParamStore, prep: PreparedData, tf: Transform, config: TrainConfig
+) -> tuple[Tape, dict[str, Node], Node]:
+    """A fresh tape holding the embedding of the store's current parameters,
+    recorded for the backward."""
+    tape = Tape()
+    leaves = store.leaves(tape)
+    return tape, leaves, embed(tape, leaves, prep, tf, config)
+
+
 def train_loop(
     prep: PreparedData,
     config: TrainConfig,
     log_path: str | None = None,
     eval_hook=None,
 ) -> TrainResult:
-    """Optimize and early-stop on validation F1.
+    """Optimize and early-stop on validation F1, embedding each parameter
+    state once.
+
+    After the Adam step of epoch e the embedding of the updated parameters is
+    recorded on a fresh tape. The validation pairs are decoded from its
+    values on a separate tape without gradients, and epoch e + 1 decodes its
+    training pairs on the recorded tape and runs the backward through it. The
+    finished tape, with every gradient on it, is released before the next one
+    is recorded. An epoch with no recorded embedding records its own when it
+    starts: the first one, and every one when ``eval_hook`` is given.
 
     ``eval_hook(epoch, store) -> float`` replaces the validation metric when
     given (protocol tests drive stopping behavior through it). Raises a
@@ -322,14 +351,15 @@ def train_loop(
     adam = Adam(store, config.learning_rate)
     result = TrainResult(store=store.clone())
     stall = 0
+    recorded = None
     for epoch in range(1, config.max_epochs + 1):
         neg = negative_sample(
             prep.full_graph, prep.train_pos, config.neg_ratio, seed=[config.seed, epoch]
         )
         train_set = merge_pair_sets(prep.train_pos, neg)
-        tape = Tape()
-        leaves = store.leaves(tape)
-        probs = model_probs(tape, leaves, prep, tf, config, train_set.pairs)
+        tape, leaves, h = recorded or _record_embedding(store, prep, tf, config)
+        recorded = None
+        probs = decode(tape, leaves, h, train_set.pairs)
         loss = compute_loss(tape, probs, train_set.labels, leaves, config.beta_reg)
         if not np.isfinite(loss.value):
             raise NumericError(f"training diverged at epoch {epoch}: loss is not finite")
@@ -337,16 +367,22 @@ def train_loop(
         store.zero_grads()
         store.harvest(leaves)
         adam.step()
+        loss_value = float(loss.value)
+        # the finished tape and its gradients go before the next forward is recorded
+        del tape, leaves, h, probs, loss
 
         if eval_hook is not None:
             val_f1 = float(eval_hook(epoch, store))
             val_acc = val_f1
         else:
-            metrics = evaluate_model(store, prep, config, prep.val_set)
+            recorded = _record_embedding(store, prep, tf, config)
+            vt = Tape()
+            val_probs = decode(vt, store.constants(vt), vt.constant(recorded[2].value), prep.val_set.pairs)
+            metrics = evaluate(val_probs.value, prep.val_set.labels, config.threshold)
             val_f1 = metrics.f1
             val_acc = metrics.accuracy
         result.history.append(
-            {"epoch": epoch, "loss": float(loss.value), "val_f1": val_f1, "val_acc": val_acc}
+            {"epoch": epoch, "loss": loss_value, "val_f1": val_f1, "val_acc": val_acc}
         )
         result.epochs_run = epoch
         if val_f1 > result.best_val_f1:

@@ -1,5 +1,6 @@
 """Tests for the binary container and the dataset/model artifacts."""
 
+import re
 import struct
 
 import numpy as np
@@ -236,4 +237,30 @@ class TestModelArtifact:
         del records["meta.dim"]
         write_records(path, records)
         with pytest.raises(CheckpointError, match="meta.dim"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r.pop("param.layer2.w"), r"missing record 'param\.layer2\.w'"),
+            (lambda r: r.__setitem__("param.layer2.w", np.zeros((3, 4, 5))),
+             r"record 'param\.layer2\.w' has shape \(3, 4, 5\), expected \(2, 8, 8\)"),
+            (lambda r: r.__setitem__("param.embed.e", np.zeros(32)),
+             r"record 'param\.embed\.e' has shape \(32,\), expected \(4, 8\)"),
+            (lambda r: r.__setitem__("param.layer3.w", np.zeros((2, 8, 8))),
+             r"unexpected record 'param\.layer3\.w'"),
+            (lambda r: r.__setitem__("meta.layers", np.asarray(1)),
+             r"unexpected record 'param\.layer2\.w'"),
+            (lambda r: r.__setitem__("meta.n_nodes", np.asarray(0)), r"n_nodes"),
+        ],
+        ids=["missing", "wrong-shape", "wrong-rank", "extra", "fewer-layers", "no-nodes"],
+    )
+    def test_parameter_records_checked_against_config(self, tmp_path, edit, message):
+        path = str(tmp_path / "m.nohg")
+        config = TrainConfig(dim=8, layers=2)
+        save_model(path, init_params(config, 4, 2), config, 4, 2)
+        records = read_records(path)
+        edit(records)
+        write_records(path, records)
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(path)}: {message}"):
             load_model(path)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from nohgnn.checkpoint import load_dataset, load_model, write_records
+from nohgnn.checkpoint import load_dataset, load_model, read_records, write_records
 from nohgnn.cli import main
 from nohgnn.synth import planted_partition
 
@@ -167,6 +167,27 @@ class TestEval:
         assert main(["eval", str(path), str(path)]) == 1
         err = capsys.readouterr().err
         assert re.search(rf"^error: {re.escape(str(path))}: record name", err, re.M)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r.pop("param.layer2.w"), "missing record 'param.layer2.w'"),
+            (lambda r: r.__setitem__("param.layer2.w", r["param.layer2.w"][:, :2]),
+             "record 'param.layer2.w' has shape (3, 2, 4), expected (3, 4, 4)"),
+        ],
+        ids=["missing", "wrong-shape"],
+    )
+    def test_bad_parameter_record_reports_error(self, tmp_path, edge_file, capsys, edit, message):
+        rc, out = run_train(tmp_path, edge_file[0], "run")
+        ckpt = out / "checkpoint.nohg"
+        records = read_records(str(ckpt))
+        edit(records)
+        write_records(str(ckpt), records)
+        capsys.readouterr()
+        assert main(["eval", str(ckpt), str(out / "dataset.nohg")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ckpt}: {message}\n" in err
+        assert "Traceback" not in err
 
 
 class TestGradcheck:

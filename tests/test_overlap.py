@@ -11,8 +11,9 @@ from nohgnn.overlap import (
     overlap_scores,
 )
 from nohgnn.structural import build_feature_context, compute_overlap_tensor
-from nohgnn.tape import Tape, masked_softmax
+from nohgnn.tape import Tape
 from nohgnn.tensor3 import SliceSparse3
+from softmax_reference import masked_softmax
 
 
 def pattern_for(dense_b: np.ndarray):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import nohgnn.tape as tape_mod
 from nohgnn.errors import ParameterError, ShapeError
-from nohgnn.tape import Node, ParamStore, Tape, grad_check, masked_softmax
+from nohgnn.tape import Node, ParamStore, Tape, grad_check
 from nohgnn.tensor3 import SlicePattern, SliceSparse3, Tensor3, m_product, make_transform
+from softmax_reference import masked_softmax
 
 
 def fd_probe(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import train_loop_oracle
+from nohgnn import training
 from nohgnn.data import LabeledPairSet
 from nohgnn.errors import NumericError, ParameterError
 from nohgnn.synth import planted_partition_graph
@@ -383,6 +385,86 @@ class TestTrainLoop:
         probs = predict(result.store, prep, config, prep.val_set.pairs)
         manual = evaluate(probs, prep.val_set.labels, config.threshold)
         assert metrics == manual
+
+
+def assert_same_run(got, want):
+    assert got.history == want.history
+    assert (got.best_epoch, got.epochs_run, got.best_val_f1) == (want.best_epoch, want.epochs_run, want.best_val_f1)
+    assert got.store.names() == want.store.names()
+    for name in want.store.names():
+        assert got.store.value(name).tobytes() == want.store.value(name).tobytes()
+
+
+def count_calls(monkeypatch, module, attr):
+    calls = []
+    inner = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestSharedForward:
+    """The loop that embeds each parameter state once against the loop that
+    ran a training and a validation forward per epoch (``train_loop_oracle``)."""
+
+    @pytest.mark.parametrize("transform", ["identity", "dct"])
+    @pytest.mark.parametrize("max_epochs, patience", [(1, 10), (4, 10), (30, 1)], ids=["one", "four", "early-stop"])
+    def test_bit_equal_to_two_forward_loop(self, tmp_path, transform, max_epochs, patience):
+        prep, config = small_prep(seed=3, transform=transform, max_epochs=max_epochs, patience=patience)
+        want = train_loop_oracle.train_loop(prep, config, log_path=str(tmp_path / "want.jsonl"))
+        got = train_loop(prep, config, log_path=str(tmp_path / "got.jsonl"))
+        assert_same_run(got, want)
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        if patience == 1:
+            assert want.epochs_run < max_epochs
+
+    def test_bit_equal_with_eval_hook(self):
+        prep, config = small_prep(seed=3, transform="dct", max_epochs=6, patience=2)
+        scores = {1: 0.3, 2: 0.5, 3: 0.4}
+        hook = lambda epoch, store: scores.get(epoch, 0.1)  # noqa: E731
+        assert_same_run(train_loop(prep, config, eval_hook=hook), train_loop_oracle.train_loop(prep, config, eval_hook=hook))
+
+    @pytest.mark.parametrize("hook", [False, True], ids=["validate", "eval-hook"])
+    def test_one_embedding_per_parameter_state(self, monkeypatch, hook):
+        prep, config = small_prep(max_epochs=4, patience=10)
+        calls = count_calls(monkeypatch, training, "generate_features")
+        samples = count_calls(monkeypatch, training, "negative_sample")
+        result = train_loop(prep, config, eval_hook=(lambda epoch, store: epoch / 10.0) if hook else None)
+        assert result.epochs_run == 4
+        assert len(calls) == (4 if hook else 5)
+        assert len(samples) == 4
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("hook", [False, True], ids=["validate", "eval-hook"])
+    @pytest.mark.parametrize(
+        "param, message",
+        [("embed.e", "layer 1 produced non-finite activations"), ("dec.w2", "training diverged at epoch 3: loss is not finite")],
+    )
+    def test_divergence_raises_at_the_same_step(self, monkeypatch, hook, param, message):
+        prep, config = small_prep(max_epochs=6, patience=10)
+        steps = []
+        inner = training.Adam.step
+
+        def step_then_poison(self):
+            inner(self)
+            steps.append(None)
+            if self.step_count == 2:
+                self.store.set_value(param, np.full_like(self.store.value(param), np.inf))
+
+        monkeypatch.setattr(training.Adam, "step", step_then_poison)
+        eval_hook = (lambda epoch, store: 0.5) if hook else None
+        outcomes = []
+        for loop in (train_loop_oracle.train_loop, train_loop):
+            steps.clear()
+            with pytest.raises(NumericError) as excinfo:
+                loop(prep, config, eval_hook=eval_hook)
+            outcomes.append((str(excinfo.value), len(steps)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (message, 2)
 
 
 class TestGradientCheck:
