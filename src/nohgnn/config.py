@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
+from nohgnn.data import utf8_lines
 from nohgnn.errors import ParseError
 from nohgnn.training import TrainConfig
 
@@ -77,7 +78,7 @@ _CONVERTERS = {
 def load_run_config(path: str) -> RunConfig:
     kwargs = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+        for line_no, raw in enumerate(utf8_lines(fh, path), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

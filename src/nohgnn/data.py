@@ -52,7 +52,7 @@ def load_edge_list(path: str) -> tuple[list[EdgeEvent], dict[str, int]]:
         return id_map[token]
 
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+        for line_no, raw in enumerate(utf8_lines(fh, path), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -70,6 +70,15 @@ def load_edge_list(path: str) -> tuple[list[EdgeEvent], dict[str, int]]:
     if not events:
         raise ParseError(f"{path}: no edge events found")
     return events, id_map
+
+
+def utf8_lines(fh, path: str):
+    """The lines of a text file opened as UTF-8; a byte sequence that is not
+    UTF-8 raises ``ParseError`` naming the file."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_timestamp(token: str) -> int:

@@ -10,10 +10,11 @@ hidden layer and a sigmoid output.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from nohgnn.errors import NumericError, ParameterError
 from nohgnn.tape import Node, ParamStore, Tape, xavier_uniform
-from nohgnn.tensor3 import SlicePattern, Transform
+from nohgnn.tensor3 import SlicePattern, Transform, transform_slices
 
 ACTIVATIONS = ("relu", "linear")
 
@@ -55,19 +56,27 @@ def init_model_params(
 
 
 def propagate(
-    tape: Tape, pattern: SlicePattern, weights: Node, h: Node, tf: Transform
+    tape: Tape,
+    pattern: SlicePattern,
+    weights: Node,
+    h: Node,
+    tf: Transform,
+    slices: list[sp.csr_matrix],
 ) -> Node:
     """Aggregation tensor times node tensor under the transform.
 
+    ``slices`` are the aggregation tensor's slices under the transform
+    (``transform_slices``), which ``forward`` builds once for all layers.
     With the identity transform each slice multiplies independently. Under a
-    mixing transform one ``sparse_m_product`` tape op transforms the values
-    on the union support, multiplies slice-wise against the transformed node
-    tensor, and transforms back; the full dense N x N x T tensor is never
-    materialized.
+    mixing transform one ``sparse_m_product`` tape op multiplies the
+    transformed slices, held on the union support, with the transformed node
+    tensor and transforms back; the full dense N x N x T tensor is never
+    materialized. Either op keeps ``weights`` as its parent and returns the
+    gradient of the flat weights itself.
     """
     if tf.is_identity:
-        return tape.spmm(pattern, weights, h)
-    return tape.sparse_m_product(pattern, weights, h, tf)
+        return tape.spmm(pattern, weights, h, slices)
+    return tape.sparse_m_product(pattern, weights, h, tf, slices)
 
 
 def weight_product(tape: Tape, h: Node, w: Node, tf: Transform) -> Node:
@@ -90,6 +99,11 @@ def forward(
 ) -> Node:
     """Run the layer stack and return the (T, N, F) embedding node.
 
+    The aggregation operator (``transform_slices`` of ``p_weights``) is
+    built once, before the first layer, and every layer's product and
+    backward uses it; it is not a tape node, so each layer still hands its
+    own weight gradient to ``p_weights``.
+
     ``activation`` is "relu" for the real model (hidden layers only; the last
     layer stays linear) or "linear" to bypass every nonlinearity in oracle
     tests.
@@ -98,9 +112,10 @@ def forward(
         raise ParameterError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
     if n_layers < 1:
         raise ParameterError(f"layer count must be >= 1, got {n_layers}")
+    slices = transform_slices(pattern, p_weights.value, tf)
     h = tape.replicate(leaves["embed.e"], pattern.t_slots)
     for layer in range(1, n_layers + 1):
-        spread = propagate(tape, pattern, p_weights, h, tf)
+        spread = propagate(tape, pattern, p_weights, h, tf, slices)
         h = weight_product(tape, spread, leaves[f"layer{layer}.w"], tf)
         if activation == "relu" and layer < n_layers:
             h = tape.relu(h)

@@ -26,6 +26,15 @@ FD_DENOM_FLOOR = 1e-8
 # 0.30 s at 4096 and 0.39 s unblocked; over an M-shape union (32 slices)
 # 0.38, 0.46 and 1.10 s
 SDDMM_BLOCK = 1024
+# float64 values per (T, chunk) stack of the sparse M-product backward,
+# which holds two such stacks instead of two (T, union nnz) ones. A chunk
+# is a multiple of 8 union entries wide and the last one takes the
+# remainder, so that every chunk's M^T product is one OpenBLAS runs with
+# the kernels, column for column, of a single product over the whole union,
+# and rounds the same. Narrower products can round differently: a
+# one-column one runs a matrix-vector kernel, and at 32 slices one under
+# about 1,000 columns takes a small-matrix path whose last columns differ
+UNION_CHUNK = 2**20
 
 
 def _as_f64(value) -> np.ndarray:
@@ -42,7 +51,14 @@ def _sddmm(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray, out
     one block of ``SDDMM_BLOCK`` entries at a time."""
     for lo in range(0, len(rows), SDDMM_BLOCK):
         hi = lo + SDDMM_BLOCK
-        np.einsum("ef,ef->e", a[rows[lo:hi]], b[cols[lo:hi]], out=out[lo:hi])
+        np.einsum("ef,ef->e", a.take(rows[lo:hi], axis=0), b.take(cols[lo:hi], axis=0), out=out[lo:hi])
+
+
+def _union_chunk_width(t_slots: int) -> int:
+    """Union entries per chunk: ``UNION_CHUNK`` values over T slices,
+    rounded up to a multiple of 8."""
+    cols = -(-UNION_CHUNK // t_slots)
+    return (cols + 7) // 8 * 8
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -213,7 +229,7 @@ class Tape:
             )
             return (scatter @ g,)
 
-        return self._record(a.value[index], (a,), backward)
+        return self._record(a.value.take(index, axis=0), (a,), backward)
 
     def concat(self, a: Node, b: Node) -> Node:
         if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[0] != b.value.shape[0]:
@@ -235,8 +251,15 @@ class Tape:
 
     # ----- sparse-structured primitives -----
 
-    def spmm(self, pattern: SlicePattern, values: Node, h: Node) -> Node:
-        """Per-slice sparse @ dense with one flat value vector over the pattern."""
+    def spmm(self, pattern: SlicePattern, values: Node, h: Node, slices: list[sp.csr_matrix]) -> Node:
+        """Per-slice sparse @ dense with one flat value vector over the pattern.
+
+        ``slices`` are the values' per-slice CSR matrices without exact
+        zeros (``tensor3.transform_slices`` under the identity), which a
+        forward builds once and shares with every layer. The products use
+        them both ways; the value gradient covers every pattern entry,
+        because at a zero value it is g·h, not 0.
+        """
         if values.value.shape != (pattern.nnz,):
             raise ShapeError(f"values shape {values.value.shape} does not match pattern nnz {pattern.nnz}")
         if h.value.ndim != 3 or h.value.shape[0] != pattern.t_slots:
@@ -244,7 +267,7 @@ class Tape:
         t_count = h.value.shape[0]
         out = np.empty((t_count, pattern.n_rows, h.value.shape[2]))
         for t in range(t_count):
-            out[t] = pattern.csr(values.value, t) @ h.value[t]
+            out[t] = slices[t] @ h.value[t]
 
         def backward(g):
             dvals = np.empty(pattern.nnz)
@@ -252,13 +275,17 @@ class Tape:
             for t in range(t_count):
                 lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
                 _sddmm(g[t], pattern.rows[t], h.value[t], pattern.indices[t], dvals[lo:hi])
-                dh[t] = pattern.csr(values.value, t).T @ g[t]
+                dh[t] = slices[t].T @ g[t]
             return dvals, dh
 
         return self._record(out, (values, h), backward)
 
     def pair_dot(self, o: Node, pattern: SlicePattern) -> Node:
-        """Dot products o[t,i]·o[t,j] for every (t,i,j) in the pattern, flat."""
+        """Dot products o[t,i]·o[t,j] for every (t,i,j) in the pattern, flat.
+
+        Backward leaves out the entries whose incoming gradient is exactly 0
+        (``tensor3.nonzero_csr``), such as those of every zero softmax weight.
+        """
         if o.value.ndim != 3 or o.value.shape[0] != pattern.t_slots:
             raise ShapeError(f"feature tensor shape {o.value.shape} does not match pattern slices")
         n = o.value.shape[1]
@@ -272,7 +299,7 @@ class Tape:
             do = np.empty_like(o.value)
             for t in range(t_count):
                 lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
-                s_g = sp.csr_matrix((g[lo:hi], pattern.indices[t], pattern.indptrs[t]), shape=(n, n), copy=False)
+                s_g = tensor3.nonzero_csr(g[lo:hi], pattern.indices[t], pattern.indptrs[t], (n, n))
                 do[t] = s_g @ o.value[t] + s_g.T @ o.value[t]
             return (do,)
 
@@ -301,14 +328,19 @@ class Tape:
 
         return self._record(w, (scores,), backward)
 
-    def sparse_m_product(self, pattern: SlicePattern, values: Node, h: Node, tf: Transform) -> Node:
+    def sparse_m_product(
+        self, pattern: SlicePattern, values: Node, h: Node, tf: Transform, slices: list[sp.csr_matrix]
+    ) -> Node:
         """Sparse M-product of flat pattern values with a (T, N, F) node
         tensor under the transform (``tensor3.sparse_m_product``).
 
-        The op keeps the transformed union stack P-hat and H-hat; backward
-        applies M^-T to the incoming gradient, takes the sampled and the
-        transposed slice products in the transform domain, maps both back
-        with M^T, and gathers the value gradient off the union support.
+        ``slices`` are the transformed values P-hat
+        (``tensor3.transform_slices``), which a forward builds once and
+        shares with every layer. The op keeps them and H-hat. Backward applies M^-T to the incoming gradient, takes
+        the transposed slice products for dH-hat, and works over the union in
+        chunks for the values (see ``UNION_CHUNK``): the sampled products of
+        every slice, then M^T, then the chunk's pattern entries, so no
+        (T, union nnz) gradient stack is ever held.
         """
         if values.value.shape != (pattern.nnz,):
             raise ShapeError(f"values shape {values.value.shape} does not match pattern nnz {pattern.nnz}")
@@ -316,22 +348,22 @@ class Tape:
             raise ShapeError(f"node tensor shape {h.value.shape} does not match pattern {pattern.t_slots}x{pattern.n_cols}")
         if tf.size != pattern.t_slots:
             raise ShapeError(f"transform size {tf.size} does not match {pattern.t_slots} slices")
-        out, p_hat, h_hat = tensor3.sparse_m_product(pattern, values.value, h.value, tf)
-        u_indptr, u_indices, flat_to_union = pattern.union
-        rows = np.repeat(np.arange(pattern.n_rows), np.diff(u_indptr))
-        shape = (pattern.n_rows, pattern.n_cols)
+        out, h_hat = tensor3.sparse_m_product(slices, h.value, tf)
+        u_indices = pattern.union[1]
 
         def backward(g):
             g_hat = np.tensordot(tf.minv.T, g, axes=(1, 0))
-            dp_hat = np.empty_like(p_hat)
             dh_hat = np.empty_like(h_hat)
             for t in range(pattern.t_slots):
-                _sddmm(g_hat[t], rows, h_hat[t], u_indices, dp_hat[t])
-                p_t = sp.csr_matrix((p_hat[t], u_indices, u_indptr), shape=shape, copy=False)
-                dh_hat[t] = p_t.T @ g_hat[t]
-            dp = np.tensordot(tf.m.T, dp_hat, axes=(1, 0))
-            dh = np.tensordot(tf.m.T, dh_hat, axes=(1, 0))
-            return dp[pattern.entry_slots, flat_to_union], dh
+                dh_hat[t] = slices[t].T @ g_hat[t]
+            dvals = np.empty(pattern.nnz)
+            for chunk in pattern.union_chunks(_union_chunk_width(pattern.t_slots)):
+                dp_hat = np.empty((pattern.t_slots, chunk.hi - chunk.lo))
+                for t in range(pattern.t_slots):
+                    _sddmm(g_hat[t], chunk.rows, h_hat[t], u_indices[chunk.lo : chunk.hi], dp_hat[t])
+                dp = np.tensordot(tf.m.T, dp_hat, axes=(1, 0))
+                dvals[chunk.entries] = dp[chunk.slots, chunk.positions]
+            return dvals, np.tensordot(tf.m.T, dh_hat, axes=(1, 0))
 
         return self._record(out, (values, h), backward)
 

@@ -1,9 +1,11 @@
 """Third-order tensor algebra: dense tensors, per-slice sparse stacks, and
 the invertible-transform tensor product (M-product).
 
-``sparse_m_product`` is the one sparse M-product kernel: ``m_product`` runs
-its sparse branch through it, and the tape op of the same name records it
-for the model's propagation layers.
+``sparse_m_product`` is the one sparse M-product kernel, over the slices
+that ``transform_slices`` builds: ``m_product`` runs its sparse branch
+through both, and the model builds the slices of its aggregation tensor
+once per forward and shares them with the tape op of the same name in
+every layer.
 
 Storage convention: a tensor with dims (d1, d2, d3) lives in a float64 array
 of shape (d3, d1, d2), so ``data[t]`` is the t-th frontal slice and
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -212,29 +215,61 @@ def facewise_product(x, y: Tensor3) -> Tensor3:
     return Tensor3(np.matmul(x.data, y.data))
 
 
-def sparse_m_product(
-    pattern: SlicePattern, values: np.ndarray, y: np.ndarray, tf: Transform
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """M-product of a sparse stack, given as flat values over ``pattern``,
-    with a dense (T, d2, F) array ``y``.
+def nonzero_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
+    """CSR matrix of the entries of (data, indices, indptr) whose value is
+    not exactly 0.
 
-    The values are scattered onto the union of the slices' supports, so the
-    mode-3 transform acts on a dense (T, union nnz) stack and never on the
-    full d1 x d2 x T tensor; each transformed slice then multiplies the
-    matching slice of y M as a CSR matrix, and M^-1 maps the result back.
-    Returns the product with the transformed stack P-hat and y-hat, which a
-    backward pass reuses.
+    Its products with a finite dense operand equal those of the full matrix
+    bit for bit: scipy sums every output from +0, a ±0 term leaves a nonzero
+    partial sum unchanged, and +0 + (-0) is +0.
     """
+    keep = data != 0
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    return sp.csr_matrix((data[keep], indices[keep], kept[indptr]), shape=shape)
+
+
+def transform_slices(pattern: SlicePattern, values: np.ndarray, tf: Transform) -> list[sp.csr_matrix]:
+    """Frontal slices of a sparse stack under the transform, as CSR matrices.
+
+    The stack is given as flat values over ``pattern``. With the identity
+    transform slice t is the pattern's slice t without its exact zeros
+    (``nonzero_csr``). A mixing transform acts on a dense (T, union nnz)
+    stack, never on the full d1 x d2 x T tensor: the values are scattered
+    onto the union of the slices' supports, M mixes every tube, and slice t
+    of the result P-hat is a CSR matrix over the union support. All of them
+    share one set of structure arrays.
+    """
+    shape = (pattern.n_rows, pattern.n_cols)
+    if tf.is_identity:
+        return [
+            nonzero_csr(values[pattern.offsets[t] : pattern.offsets[t + 1]], pattern.indices[t], pattern.indptrs[t], shape)
+            for t in range(pattern.t_slots)
+        ]
     u_indptr, u_indices, flat_to_union = pattern.union
     p_stack = np.zeros((pattern.t_slots, len(u_indices)))
     p_stack[pattern.entry_slots, flat_to_union] = values
     p_hat = _apply_mode3(p_stack, tf.m)
+    first = sp.csr_matrix((p_hat[0], u_indices, u_indptr), shape=shape, copy=False)
+    # later slices reuse the index arrays scipy converted for the first
+    return [first] + [
+        sp.csr_matrix((p_hat[t], first.indices, first.indptr), shape=shape, copy=False)
+        for t in range(1, pattern.t_slots)
+    ]
+
+
+def sparse_m_product(slices: list[sp.csr_matrix], y: np.ndarray, tf: Transform) -> tuple[np.ndarray, np.ndarray]:
+    """M-product of a sparse stack with a dense (T, d2, F) array ``y``.
+
+    ``slices`` are the stack's slices under the transform
+    (``transform_slices``); each multiplies the matching slice of y M, and
+    M^-1 maps the result back. Returns the product and y-hat, which a
+    backward pass reuses.
+    """
     y_hat = _apply_mode3(y, tf.m)
-    shape = (pattern.n_rows, pattern.n_cols)
-    prod = np.empty((pattern.t_slots, pattern.n_rows, y.shape[2]))
-    for t in range(pattern.t_slots):
-        prod[t] = sp.csr_matrix((p_hat[t], u_indices, u_indptr), shape=shape, copy=False) @ y_hat[t]
-    return _apply_mode3(prod, tf.minv), p_hat, y_hat
+    prod = np.empty((len(slices), slices[0].shape[0], y.shape[2]))
+    for t, p_t in enumerate(slices):
+        prod[t] = p_t @ y_hat[t]
+    return _apply_mode3(prod, tf.minv), y_hat
 
 
 def m_product(x, y: Tensor3, tf: Transform) -> Tensor3:
@@ -256,8 +291,8 @@ def m_product(x, y: Tensor3, tf: Transform) -> Tensor3:
                 f"facewise product needs (d1,k,T)x(k,d2,T), got {x.dims} and {y.dims}"
             )
         values = np.concatenate([s.data for s in x.slices])
-        out, _, _ = sparse_m_product(SlicePattern.from_sparse(x), values, y.data, tf)
-        return Tensor3(out)
+        slices = transform_slices(SlicePattern.from_sparse(x), values, tf)
+        return Tensor3(sparse_m_product(slices, y.data, tf)[0])
     x_hat = mode3_product(x, tf.m)
     y_hat = mode3_product(y, tf.m)
     return mode3_product(facewise_product(x_hat, y_hat), tf.minv)
@@ -315,6 +350,7 @@ class SlicePattern:
             np.arange(self.t_slots, dtype=np.int64), np.diff(self.offsets)
         )
         self._union: tuple | None = None
+        self._chunks: tuple[int, list[UnionChunk]] | None = None
 
     @classmethod
     def from_sparse(cls, x: SliceSparse3) -> "SlicePattern":
@@ -344,33 +380,6 @@ class SlicePattern:
             indices.append(aug.indices)
         return cls(indptrs, indices, d1, d2)
 
-    def slice_values(self, values: np.ndarray, t: int) -> np.ndarray:
-        return values[self.offsets[t] : self.offsets[t + 1]]
-
-    def csr(self, values: np.ndarray, t: int) -> sp.csr_matrix:
-        """View slice t of a flat value array as a CSR matrix (no copy of
-        the structure arrays)."""
-        return sp.csr_matrix(
-            (self.slice_values(values, t), self.indices[t], self.indptrs[t]),
-            shape=(self.n_rows, self.n_cols),
-        )
-
-    def to_sparse(self, values: np.ndarray) -> SliceSparse3:
-        return SliceSparse3(
-            [self.csr(values, t).copy() for t in range(self.t_slots)],
-            shape=(self.n_rows, self.n_cols),
-        )
-
-    def entry_table(self) -> np.ndarray:
-        """All pattern entries as an (nnz, 3) array of (t, row, col)."""
-        out = np.empty((self.nnz, 3), dtype=np.int64)
-        for t in range(self.t_slots):
-            o0, o1 = self.offsets[t], self.offsets[t + 1]
-            out[o0:o1, 0] = t
-            out[o0:o1, 1] = self.rows[t]
-            out[o0:o1, 2] = self.indices[t]
-        return out
-
     @property
     def union(self):
         """Union-of-slices structure: (indptr, indices, flat-to-union map).
@@ -389,3 +398,38 @@ class SlicePattern:
             u_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
             self._union = (u_indptr, u_keys % self.n_cols, flat_to_union.astype(np.int64, copy=False))
         return self._union
+
+    def union_chunks(self, width: int) -> list[UnionChunk]:
+        """The union entries in chunks of ``width``, the last of which takes
+        the remainder, each with the flat entries that map into it; built
+        once per pattern and width."""
+        if width < 1:
+            raise ParameterError(f"union chunk width must be >= 1, got {width}")
+        if self._chunks is None or self._chunks[0] != width:
+            u_indptr, _, flat_to_union = self.union
+            n_union = int(u_indptr[-1])
+            rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(u_indptr))
+            order = np.argsort(flat_to_union, kind="stable")
+            bounds = np.append(np.arange(0, n_union, width)[: max(1, n_union // width)], n_union)
+            cuts = np.searchsorted(flat_to_union[order], bounds)
+            chunks = []
+            for k in range(len(bounds) - 1):
+                lo, hi = int(bounds[k]), int(bounds[k + 1])
+                entries = order[cuts[k] : cuts[k + 1]]
+                chunks.append(
+                    UnionChunk(lo, hi, rows[lo:hi], entries, self.entry_slots[entries], flat_to_union[entries] - lo)
+                )
+            self._chunks = (width, chunks)
+        return self._chunks[1]
+
+
+class UnionChunk(NamedTuple):
+    """Union entries ``[lo, hi)`` with their rows, and the flat pattern
+    entries that map into them with their slices and positions in the chunk."""
+
+    lo: int
+    hi: int
+    rows: np.ndarray
+    entries: np.ndarray
+    slots: np.ndarray
+    positions: np.ndarray

@@ -1,0 +1,137 @@
+"""The propagation ops as they were before the aggregation operator was
+built once per forward, kept as the reference the differential tests in
+``test_propagate.py`` compare against.
+
+``Tape.spmm``, ``Tape.sparse_m_product`` and ``Tape.pair_dot`` rebuilt their
+operator from the flat values on every call, walked every pattern entry,
+zero or not, and the sparse M-product backward held full (T, union nnz)
+stacks. They are copied verbatim, with the SDDMM helper and
+``tensor3.sparse_m_product`` they called; the one edit is that the slice
+CSR view, which has left ``SlicePattern``, comes from ``pattern_helpers``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from nohgnn.errors import ShapeError
+from nohgnn.tape import Node, Tape
+from nohgnn.tensor3 import SlicePattern, Transform, _apply_mode3
+from pattern_helpers import csr
+
+SDDMM_BLOCK = 1024
+
+
+def _sddmm(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
+    """Sampled dense-dense product into ``out``: ``out[e] = a[rows[e]] · b[cols[e]]``,
+    one block of ``SDDMM_BLOCK`` entries at a time."""
+    for lo in range(0, len(rows), SDDMM_BLOCK):
+        hi = lo + SDDMM_BLOCK
+        np.einsum("ef,ef->e", a[rows[lo:hi]], b[cols[lo:hi]], out=out[lo:hi])
+
+
+def sparse_m_product(
+    pattern: SlicePattern, values: np.ndarray, y: np.ndarray, tf: Transform
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M-product of a sparse stack, given as flat values over ``pattern``,
+    with a dense (T, d2, F) array ``y``.
+
+    The values are scattered onto the union of the slices' supports, so the
+    mode-3 transform acts on a dense (T, union nnz) stack and never on the
+    full d1 x d2 x T tensor; each transformed slice then multiplies the
+    matching slice of y M as a CSR matrix, and M^-1 maps the result back.
+    Returns the product with the transformed stack P-hat and y-hat, which a
+    backward pass reuses.
+    """
+    u_indptr, u_indices, flat_to_union = pattern.union
+    p_stack = np.zeros((pattern.t_slots, len(u_indices)))
+    p_stack[pattern.entry_slots, flat_to_union] = values
+    p_hat = _apply_mode3(p_stack, tf.m)
+    y_hat = _apply_mode3(y, tf.m)
+    shape = (pattern.n_rows, pattern.n_cols)
+    prod = np.empty((pattern.t_slots, pattern.n_rows, y.shape[2]))
+    for t in range(pattern.t_slots):
+        prod[t] = sp.csr_matrix((p_hat[t], u_indices, u_indptr), shape=shape, copy=False) @ y_hat[t]
+    return _apply_mode3(prod, tf.minv), p_hat, y_hat
+
+
+class OracleTape(Tape):
+    """A tape whose three propagation ops are the earlier ones."""
+
+    def spmm(self, pattern: SlicePattern, values: Node, h: Node) -> Node:
+        """Per-slice sparse @ dense with one flat value vector over the pattern."""
+        if values.value.shape != (pattern.nnz,):
+            raise ShapeError(f"values shape {values.value.shape} does not match pattern nnz {pattern.nnz}")
+        if h.value.ndim != 3 or h.value.shape[0] != pattern.t_slots:
+            raise ShapeError(f"node tensor shape {h.value.shape} does not match pattern slices")
+        t_count = h.value.shape[0]
+        out = np.empty((t_count, pattern.n_rows, h.value.shape[2]))
+        for t in range(t_count):
+            out[t] = csr(pattern, values.value, t) @ h.value[t]
+
+        def backward(g):
+            dvals = np.empty(pattern.nnz)
+            dh = np.empty_like(h.value)
+            for t in range(t_count):
+                lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
+                _sddmm(g[t], pattern.rows[t], h.value[t], pattern.indices[t], dvals[lo:hi])
+                dh[t] = csr(pattern, values.value, t).T @ g[t]
+            return dvals, dh
+
+        return self._record(out, (values, h), backward)
+
+    def pair_dot(self, o: Node, pattern: SlicePattern) -> Node:
+        """Dot products o[t,i]·o[t,j] for every (t,i,j) in the pattern, flat."""
+        if o.value.ndim != 3 or o.value.shape[0] != pattern.t_slots:
+            raise ShapeError(f"feature tensor shape {o.value.shape} does not match pattern slices")
+        n = o.value.shape[1]
+        t_count = o.value.shape[0]
+        out = np.empty(pattern.nnz)
+        for t in range(t_count):
+            lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
+            _sddmm(o.value[t], pattern.rows[t], o.value[t], pattern.indices[t], out[lo:hi])
+
+        def backward(g):
+            do = np.empty_like(o.value)
+            for t in range(t_count):
+                lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
+                s_g = sp.csr_matrix((g[lo:hi], pattern.indices[t], pattern.indptrs[t]), shape=(n, n), copy=False)
+                do[t] = s_g @ o.value[t] + s_g.T @ o.value[t]
+            return (do,)
+
+        return self._record(out, (o,), backward)
+
+    def sparse_m_product(self, pattern: SlicePattern, values: Node, h: Node, tf: Transform) -> Node:
+        """Sparse M-product of flat pattern values with a (T, N, F) node
+        tensor under the transform (``tensor3.sparse_m_product``).
+
+        The op keeps the transformed union stack P-hat and H-hat; backward
+        applies M^-T to the incoming gradient, takes the sampled and the
+        transposed slice products in the transform domain, maps both back
+        with M^T, and gathers the value gradient off the union support.
+        """
+        if values.value.shape != (pattern.nnz,):
+            raise ShapeError(f"values shape {values.value.shape} does not match pattern nnz {pattern.nnz}")
+        if h.value.ndim != 3 or h.value.shape[:2] != (pattern.t_slots, pattern.n_cols):
+            raise ShapeError(f"node tensor shape {h.value.shape} does not match pattern {pattern.t_slots}x{pattern.n_cols}")
+        if tf.size != pattern.t_slots:
+            raise ShapeError(f"transform size {tf.size} does not match {pattern.t_slots} slices")
+        out, p_hat, h_hat = sparse_m_product(pattern, values.value, h.value, tf)
+        u_indptr, u_indices, flat_to_union = pattern.union
+        rows = np.repeat(np.arange(pattern.n_rows), np.diff(u_indptr))
+        shape = (pattern.n_rows, pattern.n_cols)
+
+        def backward(g):
+            g_hat = np.tensordot(tf.minv.T, g, axes=(1, 0))
+            dp_hat = np.empty_like(p_hat)
+            dh_hat = np.empty_like(h_hat)
+            for t in range(pattern.t_slots):
+                _sddmm(g_hat[t], rows, h_hat[t], u_indices, dp_hat[t])
+                p_t = sp.csr_matrix((p_hat[t], u_indices, u_indptr), shape=shape, copy=False)
+                dh_hat[t] = p_t.T @ g_hat[t]
+            dp = np.tensordot(tf.m.T, dp_hat, axes=(1, 0))
+            dh = np.tensordot(tf.m.T, dh_hat, axes=(1, 0))
+            return dp[pattern.entry_slots, flat_to_union], dh
+
+        return self._record(out, (values, h), backward)

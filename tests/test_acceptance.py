@@ -37,6 +37,7 @@ from nohgnn.tensor3 import (
     sparse_matpower_sum,
 )
 from nohgnn.training import TrainConfig, evaluate_model, prepare, train_loop
+from pattern_helpers import entry_table
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 ASK_UBUNTU = DATA_DIR / "ask-ubuntu.txt"
@@ -185,7 +186,7 @@ def test_criterion_5_forward_oracle():
         ).value
 
         p_dense = np.zeros((t_slots, n, n))
-        for (t, i, j), v in zip(pat.entry_table(), p_flat):
+        for (t, i, j), v in zip(entry_table(pat), p_flat):
             p_dense[int(t), int(i), int(j)] = v
         h = np.stack([store.value("embed.e")] * t_slots)
         for layer in range(1, n_layers + 1):

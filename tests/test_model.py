@@ -5,6 +5,7 @@ from nohgnn.errors import NumericError, ParameterError
 from nohgnn.model import LAYER_NOISE_SCALE, decode, forward, init_model_params
 from nohgnn.tape import ParamStore, Tape
 from nohgnn.tensor3 import SlicePattern, SliceSparse3, make_transform
+from pattern_helpers import to_sparse
 
 
 def loop_mode3(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -51,7 +52,7 @@ def random_sparse_p(rng, t_slots, n):
     raw = rng.normal(size=pattern.nnz)
     tape = Tape()
     weights = tape.segment_softmax(tape.constant(raw), pattern.row_splits).value
-    dense = pattern.to_sparse(weights).densify().data
+    dense = to_sparse(pattern, weights).densify().data
     return pattern, weights, dense
 
 

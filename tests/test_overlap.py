@@ -13,6 +13,7 @@ from nohgnn.overlap import (
 from nohgnn.structural import build_feature_context, compute_overlap_tensor
 from nohgnn.tape import Tape
 from nohgnn.tensor3 import SliceSparse3
+from pattern_helpers import entry_table
 from softmax_reference import masked_softmax
 
 
@@ -25,7 +26,7 @@ class TestPattern:
         b = np.zeros((1, 3, 3))
         b[0, 0, 1] = b[0, 1, 0] = 4.0
         pat = pattern_for(b)
-        entries = {(int(t), int(i), int(j)) for t, i, j in pat.entry_table()}
+        entries = {(int(t), int(i), int(j)) for t, i, j in entry_table(pat)}
         assert entries == {(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 2, 2)}
 
     def test_every_row_non_empty(self):
@@ -44,7 +45,7 @@ class TestScores:
         o = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         t = Tape()
         scores = overlap_scores(t, t.constant(o), pat)
-        table = pat.entry_table()
+        table = entry_table(pat)
         for (slot, i, j), s in zip(table, scores.value):
             if i != j:
                 assert s == 0.0
@@ -56,7 +57,7 @@ class TestScores:
         o = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         t = Tape()
         scores = overlap_scores(t, t.constant(o), pat)
-        table = pat.entry_table().tolist()
+        table = entry_table(pat).tolist()
         idx = table.index([0, 0, 1])
         assert scores.value[idx] == pytest.approx(11.0)
         assert scores.value[table.index([0, 1, 0])] == pytest.approx(11.0)
@@ -72,7 +73,7 @@ class TestScores:
         scores = overlap_scores(t, t.constant(o), pat)
         lookup = {
             (int(tt), int(i), int(j)): float(v)
-            for (tt, i, j), v in zip(pat.entry_table(), scores.value)
+            for (tt, i, j), v in zip(entry_table(pat), scores.value)
         }
         for (tt, i, j), v in lookup.items():
             assert lookup[(tt, j, i)] == pytest.approx(v, rel=1e-12)
@@ -87,7 +88,7 @@ class TestNormalization:
         o = rng.normal(size=(1, 3, 2))
         t = Tape()
         w = aggregation_weights(t, t.constant(o), pat)
-        table = pat.entry_table().tolist()
+        table = entry_table(pat).tolist()
         assert w.value[table.index([0, 2, 2])] == pytest.approx(1.0, abs=0)
 
     def test_two_equal_scores_give_half(self):
@@ -106,7 +107,7 @@ class TestNormalization:
         pat = pattern_for(b)
         t = Tape()
         scores = t.leaf(np.zeros(pat.nnz))
-        table = pat.entry_table().tolist()
+        table = entry_table(pat).tolist()
         raw = np.zeros(pat.nnz)
         raw[table.index([0, 0, 0])] = np.log(2.0)
         w = normalize_scores(t, t.constant(raw), pat)
@@ -162,7 +163,7 @@ class TestNormalization:
         t = Tape()
         w = aggregation_weights(t, t.constant(o), pat)
         dense_w = np.zeros((2, 4, 4))
-        for (tt, i, j), v in zip(pat.entry_table(), w.value):
+        for (tt, i, j), v in zip(entry_table(pat), w.value):
             dense_w[tt, i, j] = v
         for tt in range(2):
             for i in range(4):

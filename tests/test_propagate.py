@@ -1,0 +1,209 @@
+"""Differential tests of the propagation ops against the earlier ops in
+``propagate_oracle.py``: values and gradients must agree bit for bit."""
+
+import numpy as np
+import pytest
+
+import nohgnn.model as model_mod
+import nohgnn.tape as tape_mod
+from nohgnn.model import forward, init_model_params
+from nohgnn.tape import ParamStore, Tape
+from nohgnn.tensor3 import SlicePattern, SliceSparse3, make_transform, transform_slices
+from pattern_helpers import entry_table
+from propagate_oracle import OracleTape
+
+T_SLOTS, N, F = 4, 60, 5
+WEIGHT_CASES = ("no_zeros", "diagonal_only", "zero_slices", "mixed")
+
+
+def make_pattern(seed: int, t_slots: int = T_SLOTS, n: int = N, density: float = 0.3) -> SlicePattern:
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((t_slots, n, n)) < density).astype(float)
+    return SlicePattern.with_diagonal(SliceSparse3.from_dense(dense))
+
+
+def make_weights(case: str, pattern: SlicePattern, rng: np.random.Generator) -> np.ndarray:
+    w = rng.random(pattern.nnz) + 0.1
+    table = entry_table(pattern)
+    if case == "diagonal_only":
+        # what the softmax gives a row whose off-diagonal scores underflow
+        w = np.where(table[:, 1] == table[:, 2], 1.0, 0.0)
+    elif case == "zero_slices":
+        w[(table[:, 0] == 0) | (table[:, 0] == pattern.t_slots - 1)] = 0.0
+    elif case == "mixed":
+        w[rng.random(pattern.nnz) < 0.5] = 0.0
+        w[rng.random(pattern.nnz) < 0.1] = -0.0
+    return w
+
+
+def product(tape: Tape, op: str, pattern: SlicePattern, w, h, tf):
+    """The op under test on a ``Tape``, or the earlier op on an ``OracleTape``,
+    which built its operator itself."""
+    oracle = isinstance(tape, OracleTape)
+    if op == "spmm":
+        return tape.spmm(pattern, w, h) if oracle else tape.spmm(pattern, w, h, transform_slices(pattern, w.value, tf))
+    if oracle:
+        return tape.sparse_m_product(pattern, w, h, tf)
+    return tape.sparse_m_product(pattern, w, h, tf, transform_slices(pattern, w.value, tf))
+
+
+def run_op(tape: Tape, op: str, pattern: SlicePattern, w0, h0, r, tf):
+    w = tape.leaf(w0, requires_grad=True)
+    h = tape.leaf(h0, requires_grad=True)
+    out = product(tape, op, pattern, w, h, tf)
+    tape.backward(tape.sum(tape.mul(out, tape.constant(r))))
+    return out.value, w.grad, h.grad
+
+
+def assert_bit_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def inputs(seed: int, pattern: SlicePattern, case: str):
+    rng = np.random.default_rng(seed)
+    w0 = make_weights(case, pattern, rng)
+    h0 = rng.normal(size=(pattern.t_slots, pattern.n_cols, F))
+    r = rng.normal(size=(pattern.t_slots, pattern.n_rows, F))
+    return w0, h0, r
+
+
+@pytest.mark.parametrize("case", WEIGHT_CASES)
+def test_spmm_bit_equals_oracle(case):
+    pattern = make_pattern(1)
+    w0, h0, r = inputs(2, pattern, case)
+    tf = make_transform("identity", T_SLOTS)
+    got = run_op(Tape(), "spmm", pattern, w0, h0, r, tf)
+    want = run_op(OracleTape(), "spmm", pattern, w0, h0, r, tf)
+    assert_bit_equal(got, want)
+
+
+@pytest.mark.parametrize("case", WEIGHT_CASES)
+@pytest.mark.parametrize("kind", ["dct", "identity", "custom"])
+def test_sparse_m_product_bit_equals_oracle(case, kind):
+    pattern = make_pattern(3)
+    w0, h0, r = inputs(4, pattern, case)
+    matrix = np.eye(T_SLOTS) + 0.3 * np.random.default_rng(5).normal(size=(T_SLOTS, T_SLOTS))
+    tf = make_transform(kind, T_SLOTS, matrix if kind == "custom" else None)
+    got = run_op(Tape(), "sparse_m_product", pattern, w0, h0, r, tf)
+    want = run_op(OracleTape(), "sparse_m_product", pattern, w0, h0, r, tf)
+    assert_bit_equal(got, want)
+
+
+def check_chunks(pattern: SlicePattern, case: str, seed: int):
+    w0, h0, r = inputs(seed, pattern, case)
+    tf = make_transform("dct", pattern.t_slots)
+    got = run_op(Tape(), "sparse_m_product", pattern, w0, h0, r, tf)
+    want = run_op(OracleTape(), "sparse_m_product", pattern, w0, h0, r, tf)
+    assert_bit_equal(got, want)
+    n_union = len(pattern.union[1])
+    width = tape_mod._union_chunk_width(pattern.t_slots)
+    chunks = pattern.union_chunks(width)
+    assert width % 8 == 0
+    assert len(chunks) == max(1, n_union // width)
+    assert [c.lo for c in chunks[1:]] == [c.hi for c in chunks[:-1]]
+    assert (chunks[0].lo, chunks[-1].hi) == (0, n_union)
+    assert sorted(np.concatenate([c.entries for c in chunks]).tolist()) == list(range(pattern.nnz))
+    return chunks
+
+
+@pytest.mark.parametrize("width", ["one", "block", "union-1", "union", "union+1"])
+@pytest.mark.parametrize("case", ["no_zeros", "mixed"])
+def test_sparse_m_product_chunks_bit_equal_oracle(monkeypatch, width, case):
+    pattern = make_pattern(6)
+    n_union = len(pattern.union[1])
+    assert n_union > tape_mod.SDDMM_BLOCK + 1
+    target = {"one": 1, "block": tape_mod.SDDMM_BLOCK, "union-1": n_union - 1,
+              "union": n_union, "union+1": n_union + 1}[width]
+    monkeypatch.setattr(tape_mod, "UNION_CHUNK", T_SLOTS * target)
+    chunks = check_chunks(pattern, case, 7)
+    assert chunks[0].hi - chunks[0].lo >= min(target, n_union)
+
+
+@pytest.mark.parametrize("values", [32 * 1001, 2**17, tape_mod.UNION_CHUNK])
+def test_sparse_m_product_chunks_at_scale(monkeypatch, values):
+    """32 slices over a union of several chunks whose width is not a
+    multiple of 8: the M^T products are large enough for OpenBLAS's blocked
+    kernels, whose last columns round unlike the others."""
+    monkeypatch.setattr(tape_mod, "UNION_CHUNK", values)
+    pattern = make_pattern(18, t_slots=32, n=300, density=0.05)
+    n_union = len(pattern.union[1])
+    assert n_union % 8 != 0
+    chunks = check_chunks(pattern, "mixed", 16)
+    assert len(chunks) >= 2
+
+
+@pytest.mark.parametrize("case", ["no_zeros", "half_zero", "zero_slices"])
+def test_pair_dot_bit_equals_oracle(case):
+    pattern = make_pattern(8)
+    rng = np.random.default_rng(9)
+    o0 = rng.normal(size=(T_SLOTS, N, F))
+    r = rng.normal(size=pattern.nnz)
+    if case == "half_zero":
+        r[rng.random(pattern.nnz) < 0.5] = 0.0
+        r[rng.random(pattern.nnz) < 0.1] = -0.0
+    elif case == "zero_slices":
+        r[: pattern.offsets[2]] = 0.0
+    results = []
+    for tape in (Tape(), OracleTape()):
+        o = tape.leaf(o0, requires_grad=True)
+        out = tape.pair_dot(o, pattern)
+        tape.backward(tape.sum(tape.mul(out, tape.constant(r))))
+        results.append((out.value, o.grad))
+    assert_bit_equal(*results)
+
+
+@pytest.mark.parametrize("kind", ["identity", "dct"])
+def test_one_operator_per_forward(monkeypatch, kind):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return transform_slices(*args)
+
+    monkeypatch.setattr(model_mod, "transform_slices", counted)
+    pattern = make_pattern(10, n=12)
+    store = ParamStore()
+    init_model_params(store, 12, F, T_SLOTS, 2, np.random.default_rng(11))
+    tape = Tape()
+    leaves = store.leaves(tape)
+    weights = tape.leaf(np.random.default_rng(12).random(pattern.nnz), requires_grad=True)
+    h = forward(tape, leaves, pattern, weights, make_transform(kind, T_SLOTS), 2)
+    tape.backward(tape.sum(h))
+    assert calls == [pattern]
+    assert weights.grad is not None
+
+
+@pytest.mark.parametrize("kind", ["identity", "dct"])
+def test_value_gradient_at_zero_weight(kind):
+    """At an exactly-zero weight the op's value gradient is still g·h: the
+    products leave the entry out, the SDDMM must not."""
+    pattern = make_pattern(13, n=8, density=0.4)
+    rng = np.random.default_rng(14)
+    w0 = make_weights("mixed", pattern, rng)
+    zeros = np.flatnonzero(w0 == 0)[:6]
+    assert len(zeros) > 0
+    h0 = rng.normal(size=(T_SLOTS, 8, F))
+    r = rng.normal(size=(T_SLOTS, 8, F))
+    tf = make_transform(kind, T_SLOTS)
+    op = "spmm" if kind == "identity" else "sparse_m_product"
+    _, grad, _ = run_op(Tape(), op, pattern, w0, h0, r, tf)
+
+    def loss(w):
+        t = Tape()
+        w_node, h_node = t.constant(w), t.constant(h0)
+        return float((product(t, op, pattern, w_node, h_node, tf).value * r).sum())
+
+    eps = 1e-6
+    for e in zeros:
+        plus, minus = w0.copy(), w0.copy()
+        plus[e] += eps
+        minus[e] -= eps
+        numeric = (loss(plus) - loss(minus)) / (2 * eps)
+        assert abs(grad[e]) > 1e-3
+        assert abs(grad[e] - numeric) <= 1e-6 * max(1.0, abs(numeric))
+    if kind == "identity":
+        table = entry_table(pattern)
+        t, i, j = table[zeros].T
+        np.testing.assert_allclose(grad[zeros], np.einsum("ef,ef->e", r[t, i], h0[t, j]), rtol=1e-12)

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 import nohgnn.tape as tape_mod
 from nohgnn.errors import ParameterError, ShapeError
 from nohgnn.tape import Node, ParamStore, Tape, grad_check
-from nohgnn.tensor3 import SlicePattern, SliceSparse3, Tensor3, m_product, make_transform
+from nohgnn.tensor3 import (
+    SlicePattern,
+    SliceSparse3,
+    Tensor3,
+    m_product,
+    make_transform,
+    transform_slices,
+)
+from pattern_helpers import csr, entry_table, to_sparse
 from softmax_reference import masked_softmax
 
 
@@ -191,7 +199,7 @@ class TestSparseRules:
         t = Tape()
         vals = t.leaf(vals0, requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
-        out = t.spmm(pat, vals, h)
+        out = t.spmm(pat, vals, h, transform_slices(pat, vals0, make_transform("identity", 3)))
         loss = t.sum(t.mul(out, t.constant(r)))
         t.backward(loss)
 
@@ -199,7 +207,7 @@ class TestSparseRules:
         t2 = Tape()
         vals2 = t2.leaf(vals0, requires_grad=True)
         h2 = t2.leaf(h0, requires_grad=True)
-        dense_p = np.stack([pat.csr(vals0, k).toarray() for k in range(3)])
+        dense_p = np.stack([csr(pat, vals0, k).toarray() for k in range(3)])
         out2 = t2.matmul(t2.constant(dense_p), h2)
         loss2 = t2.sum(t2.mul(out2, t2.constant(r)))
         t2.backward(loss2)
@@ -209,7 +217,7 @@ class TestSparseRules:
         fd = fd_probe(
             lambda v: float(
                 sum(
-                    (pat.csr(v, k) @ h0[k] * r[k]).sum() for k in range(3)
+                    (csr(pat, v, k) @ h0[k] * r[k]).sum() for k in range(3)
                 )
             ),
             vals0.copy(),
@@ -233,7 +241,8 @@ class TestSparseRules:
         t = Tape()
         vals = t.leaf(vals0.reshape(-1), requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
-        out = t.sparse_m_product(pat, vals, h, make_transform("identity", t_slots))
+        tf = make_transform("identity", t_slots)
+        out = t.sparse_m_product(pat, vals, h, tf, transform_slices(pat, vals.value, tf))
         loss = t.sum(t.mul(out, t.constant(r)))
         t.backward(loss)
 
@@ -270,12 +279,12 @@ class TestSparseRules:
         t = Tape()
         vals = t.leaf(vals0, requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
-        out = t.sparse_m_product(pat, vals, h, tf)
+        out = t.sparse_m_product(pat, vals, h, tf, transform_slices(pat, vals0, tf))
         t.backward(t.sum(t.mul(out, t.constant(r))))
 
         # dense route: densify the stack and take the library's dense M-product
         def dense_route(v, h_arr):
-            return m_product(pat.to_sparse(v).densify(), Tensor3(h_arr), tf).data
+            return m_product(to_sparse(pat, v).densify(), Tensor3(h_arr), tf).data
 
         np.testing.assert_allclose(out.value, dense_route(vals0, h0), atol=1e-12)
         fd_vals = fd_probe(lambda v: float((dense_route(v, h0) * r).sum()), vals0.copy())
@@ -295,7 +304,7 @@ class TestSparseRules:
         loss = t.sum(t.mul(v, t.constant(r)))
         t.backward(loss)
 
-        table = pat.entry_table()
+        table = entry_table(pat)
         gram = np.einsum("tif,tjf->tij", o0, o0)
         expect = gram[table[:, 0], table[:, 1], table[:, 2]]
         np.testing.assert_allclose(v.value, expect, atol=1e-12)
@@ -315,7 +324,9 @@ class TestSparseRules:
         pat = SlicePattern.from_sparse(SliceSparse3.from_dense(np.stack([a0, a1])))
         t = Tape()
         v = t.leaf(np.array([10.0, 20.0, 30.0]), requires_grad=True)
-        out = t.sparse_m_product(pat, v, t.constant(np.stack([np.eye(2)] * 2)), make_transform("identity", 2))
+        tf = make_transform("identity", 2)
+        h = t.constant(np.stack([np.eye(2)] * 2))
+        out = t.sparse_m_product(pat, v, h, tf, transform_slices(pat, v.value, tf))
         loss = t.sum(t.mul(out, t.constant(np.ones_like(out.value))))
         t.backward(loss)
         # union support is {(0,1), (1,0)}; slice 0 leaves (1,0) empty

@@ -15,6 +15,7 @@ from nohgnn.tensor3 import (
     mode3_product,
     sparse_matpower_sum,
 )
+from pattern_helpers import entry_table, to_sparse
 
 
 def naive_mode3(x: Tensor3, m: np.ndarray) -> np.ndarray:
@@ -292,14 +293,14 @@ class TestTypesAndInvariants:
         ssp = SliceSparse3.from_dense(dense)
         pat = SlicePattern.from_sparse(ssp)
         vals = np.concatenate([s.data for s in ssp.slices]) if pat.nnz else np.zeros(0)
-        round_tripped = pat.to_sparse(vals)
+        round_tripped = to_sparse(pat, vals)
         np.testing.assert_allclose(round_tripped.densify().data, ssp.densify().data, atol=0)
 
     def test_pattern_with_diagonal(self):
         adj = np.zeros((3, 3))
         adj[0, 1] = 1.0
         pat = SlicePattern.with_diagonal(SliceSparse3.from_dense(adj[None]))
-        table = pat.entry_table()
+        table = entry_table(pat)
         entries = {(int(r), int(c)) for _, r, c in table}
         assert entries == {(0, 0), (0, 1), (1, 1), (2, 2)}
         # every row segment non-empty
