@@ -20,8 +20,8 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from nohgnn.data import DynamicGraph, LabeledPairSet, edges_of_slice
-from nohgnn.errors import CheckpointError, ParameterError
+from nohgnn.data import DynamicGraph, LabeledPairSet
+from nohgnn.errors import CheckpointError, ParameterError, ShapeError
 from nohgnn.tape import ParamStore
 from nohgnn.tensor3 import SliceSparse3
 from nohgnn.training import TRANSFORM_KINDS, TrainConfig, init_params
@@ -148,21 +148,50 @@ def save_dataset(
     write_records(path, records)
 
 
-def _load_graph(records: dict[str, np.ndarray], prefix: str, n: int, t_slots: int, undirected: bool, id_map: dict[str, int], path: str) -> DynamicGraph:
-    slices = []
-    for t in range(t_slots):
-        slices.append(
-            sp.csr_matrix(
-                (
-                    _require(records, f"{prefix}.{t}.data", path),
-                    _require(records, f"{prefix}.{t}.indices", path),
-                    _require(records, f"{prefix}.{t}.indptr", path),
-                ),
-                shape=(n, n),
-            )
+def _require_typed(records: dict[str, np.ndarray], name: str, path: str, dtype, rank: int) -> np.ndarray:
+    arr = _require(records, name, path)
+    if arr.dtype != dtype or arr.ndim != rank:
+        raise CheckpointError(
+            f"{path}: record {name!r} is {arr.dtype} of rank {arr.ndim}, expected {np.dtype(dtype)} of rank {rank}"
         )
-    slot_edges = [edges_of_slice(s, undirected) for s in slices]
-    return DynamicGraph(n, SliceSparse3(slices, shape=(n, n)), slot_edges, id_map, undirected)
+    return arr
+
+
+def _load_slice(records: dict[str, np.ndarray], name: str, n: int, path: str) -> sp.csr_matrix:
+    """One CSR adjacency slice, checked before scipy reads it: scipy trusts
+    ``indptr`` and can read out of bounds on a corrupt one."""
+    indptr = _require_typed(records, f"{name}.indptr", path, np.int64, 1)
+    indices = _require_typed(records, f"{name}.indices", path, np.int64, 1)
+    data = _require_typed(records, f"{name}.data", path, np.float64, 1)
+    if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0):
+        raise CheckpointError(
+            f"{path}: record '{name}.indptr' is not a row-pointer array for {n} rows and {len(indices)} entries"
+        )
+    if len(indices) and (indices.min() < 0 or indices.max() >= n):
+        raise CheckpointError(f"{path}: record '{name}.indices' holds a column outside [0, {n})")
+    if len(data) != len(indices):
+        raise CheckpointError(f"{path}: record '{name}.data' has {len(data)} entries, not {len(indices)}")
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _load_graph(records: dict[str, np.ndarray], prefix: str, n: int, t_slots: int, undirected: bool, id_map: dict[str, int], path: str) -> DynamicGraph:
+    slices = [_load_slice(records, f"{prefix}.{t}", n, path) for t in range(t_slots)]
+    try:
+        return DynamicGraph(n, SliceSparse3(slices, shape=(n, n)), id_map, undirected)
+    except ShapeError as exc:
+        raise CheckpointError(f"{path}: {prefix} adjacency: {exc}") from None
+
+
+def _load_split(records: dict[str, np.ndarray], role: str, n: int, t_slots: int, path: str) -> LabeledPairSet:
+    name = f"split.{role}"
+    pairs = _require_typed(records, name, path, np.int64, 2)
+    if pairs.shape[1] != 3:
+        raise CheckpointError(f"{path}: record {name!r} has shape {pairs.shape}, expected (k, 3)")
+    if len(pairs) and (pairs.min() < 0 or pairs[:, :2].max() >= n or pairs[:, 2].max() >= t_slots):
+        raise CheckpointError(
+            f"{path}: record {name!r} holds a node outside [0, {n}) or a slot outside [0, {t_slots})"
+        )
+    return LabeledPairSet(pairs, np.ones(len(pairs)), role)
 
 
 def load_dataset(path: str) -> tuple[DynamicGraph, DynamicGraph, dict[str, LabeledPairSet], int]:
@@ -171,16 +200,13 @@ def load_dataset(path: str) -> tuple[DynamicGraph, DynamicGraph, dict[str, Label
     n = int(_require(records, "n_nodes", path))
     t_slots = int(_require(records, "t_slots", path))
     undirected = bool(int(_require(records, "undirected", path)))
+    if n < 0 or t_slots < 1:
+        raise CheckpointError(f"{path}: records 'n_nodes'={n} and 't_slots'={t_slots} describe no graph")
     blob = bytes(_require(records, "idmap.tokens", path))
     id_map = {token: idx for idx, token in enumerate(blob.decode("utf-8").split("\n"))} if blob else {}
     graph = _load_graph(records, "full", n, t_slots, undirected, id_map, path)
     masked = _load_graph(records, "masked", n, t_slots, undirected, id_map, path)
-    splits = {
-        role: LabeledPairSet(
-            _require(records, f"split.{role}", path), np.ones(len(records[f"split.{role}"])), role
-        )
-        for role in ("train", "val", "test")
-    }
+    splits = {role: _load_split(records, role, n, t_slots, path) for role in ("train", "val", "test")}
     return graph, masked, splits, int(_require(records, "split_seed", path))
 
 

@@ -13,6 +13,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields
 
 from nohgnn.checkpoint import load_dataset, load_model, save_dataset, save_model
 from nohgnn.config import RunConfig, load_run_config, with_overrides
@@ -20,7 +21,6 @@ from nohgnn.data import bin_snapshots, load_edge_list, split_edges
 from nohgnn.errors import CheckpointError, NohgnnError, ParameterError
 from nohgnn.training import (
     TRANSFORM_KINDS,
-    TrainConfig,
     assemble,
     evaluate_model,
     labeled_split,
@@ -43,8 +43,16 @@ def _ingest(edges: str, slots: int, undirected: bool, seed: int):
     return events, graph, masked, {"train": train, "val": val, "test": test}
 
 
+def _load_config(args) -> RunConfig:
+    """The run file named by ``args.config``, if any, under the flags given;
+    a flag's destination is the field it sets."""
+    config_path = getattr(args, "config", None)
+    base = load_run_config(config_path) if config_path else RunConfig()
+    return with_overrides(base, **{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
+
+
 def cmd_ingest(args) -> int:
-    config = with_overrides(RunConfig(), edges=args.edges, slots=args.slots, seed=args.seed, out=args.out)
+    config = _load_config(args)
     events, graph, masked, splits = _ingest(config.edges, config.slots, config.undirected, config.seed)
     os.makedirs(config.out, exist_ok=True)
     out_path = os.path.join(config.out, DATASET_FILE)
@@ -52,26 +60,6 @@ def cmd_ingest(args) -> int:
     log.info("wrote %s", out_path)
     print(f"nodes={graph.n_nodes} edges={len(events)} slots={graph.t_slots}")
     return 0
-
-
-def _load_config(args) -> RunConfig:
-    base = load_run_config(args.config) if args.config else RunConfig()
-    return with_overrides(
-        base,
-        edges=args.edges,
-        slots=args.slots,
-        k_hops=args.k_hops,
-        layers=args.layers,
-        dim=args.dim,
-        learning_rate=args.lr,
-        beta_reg=args.beta,
-        transform=args.transform,
-        seed=args.seed,
-        neg_ratio=args.neg_ratio,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        out=args.out,
-    )
 
 
 def cmd_train(args) -> int:
@@ -147,12 +135,15 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--k-hops", type=int, default=None, metavar="K", help="overlap walk depth")
     train.add_argument("--layers", type=int, default=None, metavar="L", help="message-passing layers")
     train.add_argument("--dim", type=int, default=None, metavar="F", help="feature dimension")
-    train.add_argument("--lr", type=float, default=None, help="Adam learning rate")
-    train.add_argument("--beta", type=float, default=None, help="L2 penalty weight")
+    train.add_argument("--lr", dest="learning_rate", type=float, default=None, metavar="LR",
+                       help="Adam learning rate")
+    train.add_argument("--beta", dest="beta_reg", type=float, default=None, metavar="BETA",
+                       help="L2 penalty weight")
     train.add_argument("--transform", choices=TRANSFORM_KINDS, default=None, help="mode-3 transform")
     train.add_argument("--seed", type=int, default=None, help="run seed")
     train.add_argument("--neg-ratio", type=int, default=None, help="negatives per positive")
-    train.add_argument("--epochs", type=int, default=None, help="epoch cap")
+    train.add_argument("--epochs", dest="max_epochs", type=int, default=None, metavar="EPOCHS",
+                       help="epoch cap")
     train.add_argument("--patience", type=int, default=None, help="early-stopping patience")
     train.add_argument("--out", default=None, metavar="DIR", help="output directory (default .)")
 

@@ -2,8 +2,8 @@
 
 A run file carries the training hyperparameters plus dataset and output
 paths. Blank lines and ``#`` comments are ignored; unknown keys are rejected
-by name; missing keys take the defaults below. Command-line flags override
-file values.
+by name; missing keys take the defaults of ``TrainConfig`` and of the
+fields ``RunConfig`` adds. Command-line flags override file values.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from nohgnn.data import utf8_lines
-from nohgnn.errors import ParseError
+from nohgnn.errors import ParameterError, ParseError
 from nohgnn.training import TrainConfig
 
 
@@ -25,8 +25,9 @@ def _bool(text: str) -> bool:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """One training/evaluation run: data source, output directory, and knobs.
+class RunConfig(TrainConfig):
+    """One training/evaluation run: the hyperparameters, a data source and
+    an output directory.
 
     ``data`` names an ingested dataset artifact; ``edges`` plus ``slots``
     name a raw edge list to ingest on the fly. Exactly one source is needed
@@ -38,41 +39,14 @@ class RunConfig:
     slots: int | None = None
     undirected: bool = True
     out: str = "."
-    learning_rate: float = 0.01
-    beta_reg: float = 0.001
-    max_epochs: int = 300
-    patience: int = 10
-    k_hops: int = 2
-    layers: int = 2
-    dim: int = 32
-    transform: str = "identity"
-    seed: int = 0
-    neg_ratio: int = 1
-    threshold: float = 0.5
 
     def to_train_config(self) -> TrainConfig:
-        names = [f.name for f in fields(TrainConfig)]
-        return TrainConfig(**{name: getattr(self, name) for name in names})
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
-_CONVERTERS = {
-    "edges": str,
-    "data": str,
-    "slots": int,
-    "undirected": _bool,
-    "out": str,
-    "learning_rate": float,
-    "beta_reg": float,
-    "max_epochs": int,
-    "patience": int,
-    "k_hops": int,
-    "layers": int,
-    "dim": int,
-    "transform": str,
-    "seed": int,
-    "neg_ratio": int,
-    "threshold": float,
-}
+# field annotations are strings under postponed evaluation: "int", "str | None", ...
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool}
+_CONVERTERS = {f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -95,7 +69,10 @@ def load_run_config(path: str) -> RunConfig:
                 kwargs[key] = _CONVERTERS[key](value)
             except ValueError as exc:
                 raise ParseError(f"{path}:{line_no}: {exc}") from None
-    return RunConfig(**kwargs)
+    try:
+        return RunConfig(**kwargs)
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def with_overrides(config: RunConfig, **overrides) -> RunConfig:

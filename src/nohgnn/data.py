@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,38 +92,36 @@ def _parse_timestamp(token: str) -> int:
 class DynamicGraph:
     """A sequence of graph snapshots over one shared node set.
 
-    The adjacency is a per-slice sparse stack; ``slot_edges[t]`` lists the
-    distinct edges of slot t as (i, j) rows, canonicalized i < j when the
-    graph is undirected and sorted lexicographically.
+    The adjacency is a per-slice sparse stack and the only record of the
+    edges; ``slot_edges[t]`` lists the distinct edges of slot t as (i, j)
+    rows, canonicalized i < j when the graph is undirected and sorted
+    lexicographically, derived from it on first use.
     """
 
-    def __init__(
-        self,
-        n_nodes: int,
-        adjacency: SliceSparse3,
-        slot_edges: list[np.ndarray],
-        id_map: dict[str, int],
-        undirected: bool = True,
-    ):
+    def __init__(self, n_nodes: int, adjacency: SliceSparse3, id_map: dict[str, int], undirected: bool = True):
         if adjacency.shape2d != (n_nodes, n_nodes):
             raise ShapeError(f"adjacency {adjacency.shape2d} does not match n_nodes={n_nodes}")
-        if len(slot_edges) != len(adjacency.slices):
-            raise ShapeError("slot_edges and adjacency slice counts differ")
         if undirected:
             for t, s in enumerate(adjacency.slices):
                 if (s - s.T).nnz != 0:
                     raise ShapeError(f"slot {t} adjacency is not symmetric")
         self.n_nodes = n_nodes
         self.adjacency = adjacency
-        self.slot_edges = slot_edges
         self.id_map = id_map
         self.undirected = undirected
         self.overlap_cache: dict[int, SliceSparse3] = {}
-        self._edge_keys: list[np.ndarray | None] = [None] * len(slot_edges)
+        self._slot_edges: list[np.ndarray] | None = None
+        self._edge_keys: list[np.ndarray | None] = [None] * len(adjacency.slices)
 
     @property
     def t_slots(self) -> int:
         return len(self.adjacency.slices)
+
+    @property
+    def slot_edges(self) -> list[np.ndarray]:
+        if self._slot_edges is None:
+            self._slot_edges = [edges_of_slice(s, self.undirected) for s in self.adjacency.slices]
+        return self._slot_edges
 
     @property
     def edge_count(self) -> int:
@@ -140,11 +138,6 @@ class DynamicGraph:
             rows = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(s.indptr))
             self._edge_keys[t] = np.sort(rows * self.n_nodes + s.indices)
         return self._edge_keys[t]
-
-    def has_edge(self, i: int, j: int, t: int) -> bool:
-        keys = self.edge_keys(t)
-        pos = np.searchsorted(keys, i * self.n_nodes + j)
-        return pos < len(keys) and keys[pos] == i * self.n_nodes + j
 
 
 @dataclass
@@ -186,15 +179,13 @@ def bin_snapshots(
     events: list[EdgeEvent],
     t_slots: int,
     undirected: bool = True,
-    binarize: bool = True,
     id_map: dict[str, int] | None = None,
 ) -> DynamicGraph:
     """Bin events into T uniform timestamp ranges and build the adjacency.
 
     Slot index is floor(T*(ts-ts_min)/(ts_max-ts_min+1)), computed in exact
     integer arithmetic. Self-loops are dropped; duplicate edges within a slot
-    collapse to a single unit entry when ``binarize`` is set, and accumulate
-    their weights otherwise.
+    collapse to a single unit entry.
     """
     if t_slots < 1:
         raise ParameterError(f"t_slots must be >= 1, got {t_slots}")
@@ -223,19 +214,16 @@ def bin_snapshots(
             vals[t].append(e.weight)
 
     slices = []
-    slot_edges = []
     for t in range(t_slots):
         s = sp.csr_matrix(
             (np.asarray(vals[t]), (np.asarray(rows[t], dtype=np.int64), np.asarray(cols[t], dtype=np.int64))),
             shape=(n_nodes, n_nodes),
         )
         s.sum_duplicates()
-        if binarize:
-            s.data = np.ones_like(s.data)
+        s.data = np.ones_like(s.data)
         slices.append(s)
-        slot_edges.append(edges_of_slice(s, undirected))
     adjacency = SliceSparse3(slices, shape=(n_nodes, n_nodes))
-    return DynamicGraph(n_nodes, adjacency, slot_edges, dict(id_map or {}), undirected)
+    return DynamicGraph(n_nodes, adjacency, dict(id_map or {}), undirected)
 
 
 def _apportion(n: int, fractions: tuple[float, ...]) -> list[int]:
@@ -299,21 +287,12 @@ def split_edges(
         return LabeledPairSet(pairs, np.ones(len(pairs)), role)
 
     masked_slices = []
-    masked_edges = []
     for t, s in enumerate(g.adjacency.slices):
         coo = s.tocoo()
         keep = ~np.isin(coo.row.astype(np.int64) * g.n_nodes + coo.col, removed_keys[t])
-        masked = sp.csr_matrix(
-            (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=s.shape
-        )
-        masked_slices.append(masked)
-        masked_edges.append(edges_of_slice(masked, g.undirected))
+        masked_slices.append(sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=s.shape))
     masked_graph = DynamicGraph(
-        g.n_nodes,
-        SliceSparse3(masked_slices, shape=(g.n_nodes, g.n_nodes)),
-        masked_edges,
-        g.id_map,
-        g.undirected,
+        g.n_nodes, SliceSparse3(masked_slices, shape=(g.n_nodes, g.n_nodes)), g.id_map, g.undirected
     )
     return build(0, "train"), build(1, "val"), build(2, "test"), masked_graph
 

@@ -16,8 +16,6 @@ from nohgnn.errors import NumericError, ParameterError
 from nohgnn.tape import Node, ParamStore, Tape, xavier_uniform
 from nohgnn.tensor3 import SlicePattern, Transform, transform_slices
 
-ACTIVATIONS = ("relu", "linear")
-
 LAYER_NOISE_SCALE = 0.05
 
 
@@ -95,21 +93,15 @@ def forward(
     p_weights: Node,
     tf: Transform,
     n_layers: int,
-    activation: str = "relu",
 ) -> Node:
     """Run the layer stack and return the (T, N, F) embedding node.
 
     The aggregation operator (``transform_slices`` of ``p_weights``) is
     built once, before the first layer, and every layer's product and
     backward uses it; it is not a tape node, so each layer still hands its
-    own weight gradient to ``p_weights``.
-
-    ``activation`` is "relu" for the real model (hidden layers only; the last
-    layer stays linear) or "linear" to bypass every nonlinearity in oracle
-    tests.
+    own weight gradient to ``p_weights``. Hidden layers apply ReLU; the last
+    layer stays linear.
     """
-    if activation not in ACTIVATIONS:
-        raise ParameterError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
     if n_layers < 1:
         raise ParameterError(f"layer count must be >= 1, got {n_layers}")
     slices = transform_slices(pattern, p_weights.value, tf)
@@ -117,7 +109,7 @@ def forward(
     for layer in range(1, n_layers + 1):
         spread = propagate(tape, pattern, p_weights, h, tf, slices)
         h = weight_product(tape, spread, leaves[f"layer{layer}.w"], tf)
-        if activation == "relu" and layer < n_layers:
+        if layer < n_layers:
             h = tape.relu(h)
         if not np.all(np.isfinite(h.value)):
             raise NumericError(f"layer {layer} produced non-finite activations")

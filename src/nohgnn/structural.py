@@ -86,28 +86,20 @@ def build_feature_context(b: SliceSparse3) -> FeatureContext:
     return FeatureContext(unique, counts, n, t_slots)
 
 
-def _perceptron(tape: Tape, x: Node, leaves: dict[str, Node], prefix: str, linear: bool) -> Node:
-    h = tape.add(tape.matmul(x, leaves[f"{prefix}.w1"]), leaves[f"{prefix}.b1"])
-    if not linear:
-        h = tape.relu(h)
+def _perceptron(tape: Tape, x: Node, leaves: dict[str, Node], prefix: str) -> Node:
+    h = tape.relu(tape.add(tape.matmul(x, leaves[f"{prefix}.w1"]), leaves[f"{prefix}.b1"]))
     return tape.add(tape.matmul(h, leaves[f"{prefix}.w2"]), leaves[f"{prefix}.b2"])
 
 
-def generate_features(
-    tape: Tape,
-    ctx: FeatureContext,
-    leaves: dict[str, Node],
-    linear: bool = False,
-) -> Node:
+def generate_features(tape: Tape, ctx: FeatureContext, leaves: dict[str, Node]) -> Node:
     """Structural features as a (T, N, F) node.
 
     Row (t, i) is g_theta applied to the support-sum of g_edge over row i of
     the overlap slice t; empty rows feed the zero vector into g_theta.
-    ``linear`` bypasses the ReLUs for hand-composed linear oracles.
     """
     col = tape.constant(ctx.unique_values.reshape(-1, 1))
-    edge_out = _perceptron(tape, col, leaves, "gen.edge", linear)
+    edge_out = _perceptron(tape, col, leaves, "gen.edge")
     summed = tape.csr_const_matmul(ctx.counts, edge_out)
-    node_out = _perceptron(tape, summed, leaves, "gen.theta", linear)
+    node_out = _perceptron(tape, summed, leaves, "gen.theta")
     dim = node_out.value.shape[1]
     return tape.reshape(node_out, (ctx.t_slots, ctx.n_nodes, dim))

@@ -181,15 +181,6 @@ class Tape:
 
         return self._record(np.asarray(a.value.sum()), (a,), backward)
 
-    def mean(self, a: Node) -> Node:
-        shape = a.value.shape
-        n = a.value.size
-
-        def backward(g):
-            return (np.full(shape, float(g) / n),)
-
-        return self._record(np.asarray(a.value.mean()), (a,), backward)
-
     def sumsq(self, a: Node) -> Node:
         def backward(g):
             return (2.0 * float(g) * a.value,)
@@ -484,9 +475,6 @@ class ParamStore:
         for name, node in leaf_map.items():
             if node.grad is not None:
                 self._grads[name] += node.grad
-
-    def sumsq(self) -> float:
-        return float(sum(float((v * v).sum()) for v in self._values.values()))
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple) -> np.ndarray:

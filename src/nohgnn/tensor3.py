@@ -45,11 +45,6 @@ class Tensor3:
     def zeros(cls, d1: int, d2: int, d3: int) -> "Tensor3":
         return cls(np.zeros((d3, d1, d2)))
 
-    @classmethod
-    def from_slices(cls, slices) -> "Tensor3":
-        """Stack 2-d frontal slices along the time axis."""
-        return cls(np.stack([np.asarray(s, dtype=np.float64) for s in slices]))
-
     @property
     def dims(self) -> tuple[int, int, int]:
         d3, d1, d2 = self.data.shape
@@ -57,9 +52,6 @@ class Tensor3:
 
     def slice(self, t: int) -> np.ndarray:
         return self.data[t]
-
-    def tube(self, i: int, j: int) -> np.ndarray:
-        return self.data[:, i, j]
 
     def copy(self) -> "Tensor3":
         return Tensor3(self.data, copy=True)
@@ -115,9 +107,6 @@ class SliceSparse3:
 
     def densify(self) -> Tensor3:
         return Tensor3(np.stack([m.toarray() for m in self.slices]))
-
-    def copy(self) -> "SliceSparse3":
-        return SliceSparse3([m.copy() for m in self.slices], shape=self.shape2d)
 
     def __repr__(self) -> str:
         return f"SliceSparse3(dims={self.dims}, nnz={self.nnz})"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -414,18 +414,8 @@ def run_gradient_check(transform: str = "identity", eps: float = 1e-5, seed: int
     # one chord on top of the ring leaves every slot enough non-edges to
     # sample one negative per positive
     graph = dense_tiny_graph(6, 3, extra=1, seed=seed)
-    b = compute_overlap_tensor(graph, config.k_hops)
-    pattern = build_aggregation_pattern(b)
-    ctx = build_feature_context(b)
-    prep = PreparedData(
-        full_graph=graph,
-        masked_graph=graph,
-        train_pos=LabeledPairSet(np.zeros((0, 3)), np.zeros(0), "train"),
-        val_set=LabeledPairSet(np.zeros((0, 3)), np.zeros(0), "val"),
-        test_set=LabeledPairSet(np.zeros((0, 3)), np.zeros(0), "test"),
-        pattern=pattern,
-        ctx=ctx,
-    )
+    empty = {role: LabeledPairSet(np.zeros((0, 3)), np.zeros(0), role) for role in ("train", "val", "test")}
+    prep = assemble(graph, graph, empty, config)
     positives = LabeledPairSet(
         np.concatenate(
             [

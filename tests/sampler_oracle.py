@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from graph_helpers import has_edge
 from nohgnn.data import DynamicGraph, LabeledPairSet
 from nohgnn.errors import ParameterError, SamplingError
 
@@ -46,7 +47,7 @@ def negative_sample(
             a, b = (i, j) if (i < j or not g.undirected) else (j, i)
             key = a * n + b
             slot_taken = taken.setdefault(t, set())
-            if j == i or g.has_edge(a, b, t) or key in slot_taken:
+            if j == i or has_edge(g, a, b, t) or key in slot_taken:
                 still.append(k)
                 continue
             out[k, 0], out[k, 1] = a, b

@@ -1,10 +1,15 @@
 """Tests for the binary container and the dataset/model artifacts."""
 
+import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import nohgnn
 
 from nohgnn.checkpoint import (
     MAGIC,
@@ -192,6 +197,92 @@ class TestDatasetArtifact:
         path = str(tmp_path / "m.nohg")
         save_model(path, store, config, 4, 2)
         with pytest.raises(CheckpointError, match="not a dataset"):
+            load_dataset(path)
+
+
+def corrupt_dataset(tmp_path, name, value):
+    """A saved dataset whose record ``name`` is replaced by ``value``."""
+    graph, masked, splits = make_dataset(tmp_path)
+    path = str(tmp_path / "d.nohg")
+    save_dataset(path, graph, masked, splits, 0)
+    records = read_records(path)
+    records[name] = value(records[name])
+    write_records(path, records)
+    return path
+
+
+def descending(indptr):
+    out = indptr.copy()
+    out[1], out[2] = out[2] + 5, out[1]
+    return out
+
+
+class TestCorruptDataset:
+    """Records that scipy or the decoder would misread are rejected by name."""
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("full.0.indices", lambda a: a + 100),
+            ("full.0.indices", lambda a: a - 100),
+            ("masked.1.indptr", lambda a: a[:-1]),
+            ("masked.1.indptr", lambda a: a + 1),
+            ("full.2.indptr", lambda a: np.concatenate([a[:-1], [a[-1] - 1]])),
+            ("full.0.indices", lambda a: a.astype(np.float64)),
+            ("full.0.data", lambda a: a[:-1]),
+            ("full.0.data", lambda a: a.astype(np.int64)),
+        ],
+        ids=["index-high", "index-negative", "indptr-short", "indptr-offset", "indptr-end",
+             "float-indices", "data-short", "int-data"],
+    )
+    def test_bad_csr_record_named(self, tmp_path, name, value):
+        path = corrupt_dataset(tmp_path, name, value)
+        with pytest.raises(CheckpointError, match=re.escape(name)):
+            load_dataset(path)
+
+    def test_descending_indptr_reported_by_eval(self, tmp_path):
+        # scipy trusts indptr and can read out of bounds, so run the CLI in a
+        # child process: a crash fails this test instead of ending the session
+        path = corrupt_dataset(tmp_path, "full.0.indptr", descending)
+        graph, _, _ = make_dataset(tmp_path)
+        model = str(tmp_path / "m.nohg")
+        config = TrainConfig(dim=2)
+        save_model(model, init_params(config, graph.n_nodes, graph.t_slots), config, graph.n_nodes, graph.t_slots)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nohgnn.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nohgnn.cli", "eval", model, path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "'full.0.indptr'" in proc.stderr
+
+    def test_asymmetric_undirected_adjacency_rejected(self, tmp_path):
+        # an entry moved to another column breaks the symmetry of slot 0
+        path = corrupt_dataset(tmp_path, "masked.0.indices", lambda a: np.where(np.arange(len(a)) == 0, (a + 1) % 9, a))
+        with pytest.raises(CheckpointError, match="masked adjacency"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("split.test", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 0, 10**6, a), "node"),
+            ("split.test", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 2, 99, a), "slot"),
+            ("split.train", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 1, -1, a), "node"),
+            ("split.val", lambda a: a.reshape(-1), "int64 of rank 2"),
+            ("split.val", lambda a: a.reshape(-1, 1), r"\(k, 3\)"),
+            ("split.val", lambda a: a.astype(np.float64), "float64"),
+        ],
+        ids=["node-high", "slot-high", "node-negative", "flattened", "one-column", "float"],
+    )
+    def test_bad_split_record_named(self, tmp_path, name, value, message):
+        path = corrupt_dataset(tmp_path, name, value)
+        with pytest.raises(CheckpointError, match=f"{re.escape(repr(name))}.*{message}"):
+            load_dataset(path)
+
+    def test_bad_graph_size_rejected(self, tmp_path):
+        path = corrupt_dataset(tmp_path, "n_nodes", lambda a: np.asarray(-1))
+        with pytest.raises(CheckpointError, match="n_nodes"):
             load_dataset(path)
 
 

@@ -1,7 +1,10 @@
 """Tests for the run-configuration file format."""
 
+from dataclasses import fields
+
 import pytest
 
+from nohgnn.cli import _load_config, build_parser
 from nohgnn.config import RunConfig, load_run_config, with_overrides
 from nohgnn.errors import ParameterError, ParseError
 from nohgnn.training import TrainConfig
@@ -94,9 +97,56 @@ class TestLoadRunConfig:
         assert config.out == "runs/a=b"
 
     def test_invalid_hyperparameter_names_offending_key(self, tmp_path):
-        config = load_run_config(write(tmp_path, "learning_rate = -1.0\n"))
-        with pytest.raises(ParameterError, match="learning_rate"):
-            config.to_train_config()
+        path = write(tmp_path, "learning_rate = -1.0\n")
+        with pytest.raises(ParameterError, match="learning_rate") as info:
+            load_run_config(path)
+        assert str(info.value).startswith(path)
+
+
+# a value other than the default for every field a run file can set
+NON_DEFAULT = {
+    "learning_rate": 0.02,
+    "beta_reg": 0.0005,
+    "max_epochs": 50,
+    "patience": 5,
+    "k_hops": 3,
+    "layers": 1,
+    "dim": 16,
+    "transform": "dct",
+    "seed": 7,
+    "neg_ratio": 2,
+    "threshold": 0.4,
+    "edges": "data/edges.txt",
+    "data": "data/dataset.nohg",
+    "slots": 8,
+    "undirected": False,
+    "out": "runs/pp",
+}
+
+
+class TestDerivedSchema:
+    def test_run_file_keys_are_the_fields(self):
+        assert {f.name for f in fields(RunConfig)} == set(NON_DEFAULT)
+        assert {f.name for f in fields(TrainConfig)} < set(NON_DEFAULT)
+
+    def test_every_field_round_trips_through_a_run_file(self, tmp_path):
+        assert all(getattr(RunConfig(), name) != value for name, value in NON_DEFAULT.items())
+        text = "".join(f"{name} = {value}\n" for name, value in NON_DEFAULT.items())
+        assert load_run_config(write(tmp_path, text)) == RunConfig(**NON_DEFAULT)
+
+    @pytest.mark.parametrize("argv", [["train"], ["ingest", "--edges", "e.txt", "--slots", "2"]])
+    def test_every_flag_sets_a_field(self, argv):
+        # _load_config drops a destination that is not a field without a word
+        dests = set(vars(build_parser().parse_args(argv))) - {"command", "func", "config"}
+        assert dests <= {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--lr", "0.02", "learning_rate"), ("--beta", "0.0005", "beta_reg"), ("--epochs", "50", "max_epochs")],
+    )
+    def test_renamed_flags_set_their_field(self, flag, value, field):
+        config = _load_config(build_parser().parse_args(["train", flag, value]))
+        assert getattr(config, field) == NON_DEFAULT[field]
 
 
 class TestOverrides:

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sampler_oracle
+from graph_helpers import has_edge
 from nohgnn.data import (
     DynamicGraph,
     EdgeEvent,
     LabeledPairSet,
     _apportion,
     bin_snapshots,
-    edges_of_slice,
     load_edge_list,
     merge_pair_sets,
     negative_sample,
@@ -69,7 +69,7 @@ class TestLoadEdgeList:
         assert [e.timestamp for e in events] == [1700000000000000000, 1700000000000000001, 1700000000000000002]
         g = bin_snapshots(events, 3)
         assert [len(edges) for edges in g.slot_edges] == [1, 1, 1]
-        assert g.has_edge(2, 1, 1) and g.has_edge(3, 2, 2)
+        assert has_edge(g, 2, 1, 1) and has_edge(g, 3, 2, 2)
 
     def test_infinite_timestamp_reports_line(self, tmp_path):
         path = write_edges(tmp_path, "0 1 5\n0 1 inf\n")
@@ -98,7 +98,7 @@ class TestBinSnapshots:
         g = bin_snapshots(events, 2)
         for e, ts in zip(events, range(10)):
             t = 0 if ts < 5 else 1
-            assert g.has_edge(e.src, e.dst, t)
+            assert has_edge(g, e.src, e.dst, t)
         assert g.t_slots == 2
 
     def test_duplicate_edge_binarizes_to_unit(self):
@@ -106,12 +106,6 @@ class TestBinSnapshots:
         g = bin_snapshots(events, 1)
         assert g.adjacency.slices[0][0, 1] == 1.0
         assert len(g.slot_edges[0]) == 1
-
-    def test_weights_accumulate_without_binarize(self):
-        events = [EdgeEvent(0, 1, 0, 2.0), EdgeEvent(0, 1, 0, 3.5)]
-        g = bin_snapshots(events, 1, binarize=False)
-        assert g.adjacency.slices[0][0, 1] == 5.5
-        assert g.adjacency.slices[0][1, 0] == 5.5
 
     def test_self_loops_dropped(self):
         events = [EdgeEvent(0, 0, 0), EdgeEvent(0, 1, 0)]
@@ -204,10 +198,10 @@ class TestSplitEdges:
         train, val, test, masked = split_edges(g, seed=3)
         for ps in (val, test):
             for i, j, t in ps.pairs:
-                assert not masked.has_edge(int(i), int(j), int(t))
-                assert not masked.has_edge(int(j), int(i), int(t))
+                assert not has_edge(masked, int(i), int(j), int(t))
+                assert not has_edge(masked, int(j), int(i), int(t))
         for i, j, t in train.pairs:
-            assert masked.has_edge(int(i), int(j), int(t))
+            assert has_edge(masked, int(i), int(j), int(t))
 
     def test_same_seed_identical(self):
         g = random_graph(33)
@@ -258,8 +252,8 @@ class TestNegativeSample:
         positives = split_edges(g, seed=2)[0]
         neg = negative_sample(g, positives, seed=7)
         for i, j, t in neg.pairs:
-            assert not g.has_edge(int(i), int(j), int(t))
-            assert not g.has_edge(int(j), int(i), int(t))
+            assert not has_edge(g, int(i), int(j), int(t))
+            assert not has_edge(g, int(j), int(i), int(t))
             assert i != j
 
     def test_no_duplicates_within_call(self):
@@ -292,7 +286,7 @@ class TestNegativeSample:
         neg = negative_sample(g, positives, ratio=1, seed=11)
         assert neg.size == positives.size
         for i, j, t in neg.pairs:
-            assert not g.has_edge(int(i), int(j), int(t))
+            assert not has_edge(g, int(i), int(j), int(t))
 
     @settings(max_examples=15)
     @given(st.integers(0, 2**32 - 1))
@@ -303,7 +297,7 @@ class TestNegativeSample:
             return
         neg = negative_sample(g, positives, seed=seed % 89)
         for i, j, t in neg.pairs:
-            assert not g.has_edge(int(i), int(j), int(t))
+            assert not has_edge(g, int(i), int(j), int(t))
 
 
 def matrix_graph(rng, n, densities, undirected):
@@ -316,8 +310,7 @@ def matrix_graph(rng, n, densities, undirected):
             dense = np.triu(dense, 1)
             dense = dense | dense.T
         slices.append(sp.csr_matrix(dense.astype(np.float64)))
-    edges = [edges_of_slice(s, undirected) for s in slices]
-    return DynamicGraph(n, SliceSparse3(slices, shape=(n, n)), edges, {}, undirected)
+    return DynamicGraph(n, SliceSparse3(slices, shape=(n, n)), {}, undirected)
 
 
 def oracle_outcome(sampler, g, positives, ratio, seed):
@@ -369,7 +362,7 @@ class TestNegativeSampleOracle:
             s[1:198, 0] = 1.0
             s[198:, 0] = 0.0
         s = s.tocsr()
-        g = DynamicGraph(200, SliceSparse3([s], shape=(200, 200)), [edges_of_slice(s, undirected)], {}, undirected)
+        g = DynamicGraph(200, SliceSparse3([s], shape=(200, 200)), {}, undirected)
         positives = LabeledPairSet(np.zeros((3, 3), dtype=np.int64), np.ones(3), "train")
         for seed in range(4):
             got = negative_sample(g, positives, ratio=1, seed=seed).pairs

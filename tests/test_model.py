@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from nohgnn.errors import NumericError, ParameterError
-from nohgnn.model import LAYER_NOISE_SCALE, decode, forward, init_model_params
+from nohgnn.model import LAYER_NOISE_SCALE, decode, forward, init_model_params, propagate, weight_product
 from nohgnn.tape import ParamStore, Tape
-from nohgnn.tensor3 import SlicePattern, SliceSparse3, make_transform
+from nohgnn.tensor3 import SlicePattern, SliceSparse3, make_transform, transform_slices
 from pattern_helpers import to_sparse
 
 
@@ -56,6 +56,16 @@ def random_sparse_p(rng, t_slots, n):
     return pattern, weights, dense
 
 
+def linear_stack(tape, leaves, pattern, p_weights, tf, n_layers):
+    """``forward`` without the hidden-layer ReLUs, composed from its layer ops."""
+    slices = transform_slices(pattern, p_weights.value, tf)
+    h = tape.replicate(leaves["embed.e"], pattern.t_slots)
+    for layer in range(1, n_layers + 1):
+        spread = propagate(tape, pattern, p_weights, h, tf, slices)
+        h = weight_product(tape, spread, leaves[f"layer{layer}.w"], tf)
+    return h
+
+
 def diag_pattern(t_slots, n):
     empty = SliceSparse3.from_dense(np.zeros((t_slots, n, n)))
     return SlicePattern.with_diagonal(empty)
@@ -74,9 +84,14 @@ class TestForward:
         tape = Tape()
         leaves = store.leaves(tape)
         p_w = tape.constant(np.ones(pattern.nnz))
-        h = forward(tape, leaves, pattern, p_w, tf, 2, activation="linear")
+        h = linear_stack(tape, leaves, pattern, p_w, tf, 2)
         expect = np.stack([store.value("embed.e")] * t_slots)
         np.testing.assert_allclose(h.value, expect, atol=1e-12)
+        # on a nonnegative embedding the hidden ReLU passes everything through
+        store.set_value("embed.e", np.abs(store.value("embed.e")))
+        tape = Tape()
+        h = forward(tape, store.leaves(tape), pattern, tape.constant(np.ones(pattern.nnz)), tf, 2)
+        np.testing.assert_allclose(h.value, np.stack([store.value("embed.e")] * t_slots), atol=1e-12)
 
     def test_zero_weights_zero_output(self):
         rng = np.random.default_rng(51)
@@ -171,15 +186,6 @@ class TestForward:
         tape = Tape()
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="layer 1"):
             forward(tape, store.leaves(tape), pattern, tape.constant(weights), make_transform("identity", 2), 2)
-
-    def test_bad_activation(self):
-        rng = np.random.default_rng(55)
-        store = ParamStore()
-        init_model_params(store, 3, 2, 1, 1, rng)
-        pattern = diag_pattern(1, 3)
-        tape = Tape()
-        with pytest.raises(ParameterError):
-            forward(tape, store.leaves(tape), pattern, tape.constant(np.ones(3)), make_transform("identity", 1), 1, activation="tanh")
 
 
 class TestDecode:

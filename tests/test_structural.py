@@ -19,19 +19,16 @@ def triangle_graph():
     return bin_snapshots(events, 1)
 
 
-def naive_features(b_dense: np.ndarray, store: ParamStore, linear: bool) -> np.ndarray:
+def naive_features(b_dense: np.ndarray, store: ParamStore) -> np.ndarray:
     """Entry-by-entry oracle for the generator: loops over every node and
     support entry, no shared code with the implementation."""
 
-    def act(x):
-        return x if linear else np.maximum(x, 0.0)
-
     def edge(v):
-        h = act(np.array([[v]]) @ store.value("gen.edge.w1") + store.value("gen.edge.b1"))
+        h = np.maximum(np.array([[v]]) @ store.value("gen.edge.w1") + store.value("gen.edge.b1"), 0.0)
         return h @ store.value("gen.edge.w2") + store.value("gen.edge.b2")
 
     def theta(vec):
-        h = act(vec @ store.value("gen.theta.w1") + store.value("gen.theta.b1"))
+        h = np.maximum(vec @ store.value("gen.theta.w1") + store.value("gen.theta.b1"), 0.0)
         return h @ store.value("gen.theta.w2") + store.value("gen.theta.b2")
 
     t_slots, n, _ = b_dense.shape
@@ -114,11 +111,9 @@ class TestGenerateFeatures:
         g = dense_tiny_graph(7, 2, seed=4)
         b = compute_overlap_tensor(g, 2)
         ctx = build_feature_context(b)
-        for linear in (False, True):
-            t = Tape()
-            out = generate_features(t, ctx, store.leaves(t), linear=linear)
-            oracle = naive_features(b.densify().data, store, linear)
-            np.testing.assert_allclose(out.value, oracle, atol=1e-12)
+        t = Tape()
+        out = generate_features(t, ctx, store.leaves(t))
+        np.testing.assert_allclose(out.value, naive_features(b.densify().data, store), atol=1e-12)
 
     def test_linear_identity_maps_pass_value_through(self):
         dim = 3
@@ -129,11 +124,12 @@ class TestGenerateFeatures:
         store.set_value("gen.theta.w1", np.eye(dim))
         store.set_value("gen.theta.w2", np.eye(dim))
         # single pair with b = 1: the edge perceptron emits (1, 1, 1), and
-        # identity-like theta layers pass it through unchanged
+        # identity-like theta layers pass it through unchanged; every
+        # pre-activation is nonnegative, so the ReLUs pass it too
         g = bin_snapshots([EdgeEvent(0, 1, 0)], 1)
         ctx = build_feature_context(compute_overlap_tensor(g, 1))
         t = Tape()
-        out = generate_features(t, ctx, store.leaves(t), linear=True)
+        out = generate_features(t, ctx, store.leaves(t))
         np.testing.assert_allclose(out.value[0, 0], np.ones(dim), atol=1e-12)
         np.testing.assert_allclose(out.value[0, 1], np.ones(dim), atol=1e-12)
 

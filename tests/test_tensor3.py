@@ -55,7 +55,7 @@ class TestMode3Product:
         x = Tensor3(np.array([1.0, 2.0]).reshape(2, 1, 1))
         m = np.array([[1.0, 1.0], [0.0, 1.0]])
         out = mode3_product(x, m)
-        assert out.tube(0, 0) == pytest.approx([3.0, 2.0], abs=0)
+        assert out.data[:, 0, 0] == pytest.approx([3.0, 2.0], abs=0)
 
     def test_matches_reshape_oracle(self):
         rng = np.random.default_rng(1)
@@ -129,7 +129,7 @@ class TestMProduct:
         oracle = reshape_mode3(Tensor3(prod), tf.minv)
         np.testing.assert_allclose(out.data, oracle, atol=1e-12)
         # hand value: transformed tubes are (1/sqrt2, 1/sqrt2) each
-        np.testing.assert_allclose(out.tube(0, 0), [1 / np.sqrt(2), 0.0], atol=1e-12)
+        np.testing.assert_allclose(out.data[:, 0, 0], [1 / np.sqrt(2), 0.0], atol=1e-12)
 
     def test_associativity(self):
         rng = np.random.default_rng(6)

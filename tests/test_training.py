@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import train_loop_oracle
+from graph_helpers import has_edge
 from nohgnn import training
 from nohgnn.data import LabeledPairSet
 from nohgnn.errors import NumericError, ParameterError
@@ -268,13 +269,13 @@ class TestPrepare:
         prep, _ = small_prep()
         for pair_set in (prep.val_set, prep.test_set):
             for i, j, t in pair_set.pairs[pair_set.labels == 0.0]:
-                assert not prep.full_graph.has_edge(int(i), int(j), int(t))
+                assert not has_edge(prep.full_graph, int(i), int(j), int(t))
 
     def test_val_positives_absent_from_masked_graph(self):
         prep, _ = small_prep()
         for i, j, t in prep.val_set.pairs[prep.val_set.labels == 1.0]:
-            assert prep.full_graph.has_edge(int(i), int(j), int(t))
-            assert not prep.masked_graph.has_edge(int(i), int(j), int(t))
+            assert has_edge(prep.full_graph, int(i), int(j), int(t))
+            assert not has_edge(prep.masked_graph, int(i), int(j), int(t))
 
     def test_deterministic(self):
         prep_a, _ = small_prep(seed=5)
