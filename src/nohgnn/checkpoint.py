@@ -95,6 +95,9 @@ def read_records(path: str) -> dict[str, np.ndarray]:
         # Python ints: a product of untrusted 64-bit dims must not wrap around
         size = math.prod(dims)
         payload = take(size * dtype.itemsize)
+        # numpy also refuses an empty shape whose nonzero dims overflow its size type
+        if size == 0 and math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
+            raise CheckpointError(f"{path}: record {name!r} has dims {dims} past the array size limit")
         arr = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
         records[name] = arr.astype(arr.dtype.newbyteorder("="), copy=False)
     if offset != len(buf):
@@ -115,7 +118,7 @@ def _require(records: dict[str, np.ndarray], name: str, path: str) -> np.ndarray
 
 
 def _check_kind(records: dict[str, np.ndarray], path: str, kind: int, label: str) -> None:
-    if int(_require(records, "kind", path)) != kind:
+    if _require_scalar(records, "kind", path) != kind:
         raise CheckpointError(f"{path}: not a {label} artifact")
 
 
@@ -148,13 +151,19 @@ def save_dataset(
     write_records(path, records)
 
 
-def _require_typed(records: dict[str, np.ndarray], name: str, path: str, dtype, rank: int) -> np.ndarray:
+def _require_typed(records: dict[str, np.ndarray], name: str, path: str, dtypes, rank: int) -> np.ndarray:
+    """A record of the given rank and of ``dtypes``, one dtype or a tuple."""
     arr = _require(records, name, path)
-    if arr.dtype != dtype or arr.ndim != rank:
-        raise CheckpointError(
-            f"{path}: record {name!r} is {arr.dtype} of rank {arr.ndim}, expected {np.dtype(dtype)} of rank {rank}"
-        )
+    dtypes = dtypes if isinstance(dtypes, tuple) else (dtypes,)
+    if arr.dtype not in dtypes or arr.ndim != rank:
+        expected = " or ".join(np.dtype(d).name for d in dtypes)
+        raise CheckpointError(f"{path}: record {name!r} is {arr.dtype} of rank {arr.ndim}, expected {expected} of rank {rank}")
     return arr
+
+
+def _require_scalar(records: dict[str, np.ndarray], name: str, path: str, dtypes=np.int64) -> int | float:
+    """A rank-0 record as a Python number."""
+    return _require_typed(records, name, path, dtypes, 0).item()
 
 
 def _load_slice(records: dict[str, np.ndarray], name: str, n: int, path: str) -> sp.csr_matrix:
@@ -197,17 +206,20 @@ def _load_split(records: dict[str, np.ndarray], role: str, n: int, t_slots: int,
 def load_dataset(path: str) -> tuple[DynamicGraph, DynamicGraph, dict[str, LabeledPairSet], int]:
     records = read_records(path)
     _check_kind(records, path, KIND_DATASET, "dataset")
-    n = int(_require(records, "n_nodes", path))
-    t_slots = int(_require(records, "t_slots", path))
-    undirected = bool(int(_require(records, "undirected", path)))
+    n = _require_scalar(records, "n_nodes", path)
+    t_slots = _require_scalar(records, "t_slots", path)
+    undirected = bool(_require_scalar(records, "undirected", path))
     if n < 0 or t_slots < 1:
         raise CheckpointError(f"{path}: records 'n_nodes'={n} and 't_slots'={t_slots} describe no graph")
-    blob = bytes(_require(records, "idmap.tokens", path))
-    id_map = {token: idx for idx, token in enumerate(blob.decode("utf-8").split("\n"))} if blob else {}
+    blob = bytes(_require_typed(records, "idmap.tokens", path, np.uint8, 1))
+    try:
+        id_map = {token: idx for idx, token in enumerate(blob.decode("utf-8").split("\n"))} if blob else {}
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: record 'idmap.tokens' is not valid UTF-8") from None
     graph = _load_graph(records, "full", n, t_slots, undirected, id_map, path)
     masked = _load_graph(records, "masked", n, t_slots, undirected, id_map, path)
     splits = {role: _load_split(records, role, n, t_slots, path) for role in ("train", "val", "test")}
-    return graph, masked, splits, int(_require(records, "split_seed", path))
+    return graph, masked, splits, _require_scalar(records, "split_seed", path)
 
 
 # every TrainConfig field but the transform, which is stored as a code
@@ -234,14 +246,13 @@ def load_model(path: str) -> tuple[ParamStore, TrainConfig, int, int]:
     _check_kind(records, path, KIND_MODEL, "model")
     kwargs = {}
     for name in _CONFIG_FIELDS:
-        value = _require(records, f"meta.{name}", path)
-        kwargs[name] = int(value) if value.dtype == np.int64 else float(value)
-    code = int(_require(records, "meta.transform", path))
+        kwargs[name] = _require_scalar(records, f"meta.{name}", path, (np.int64, np.float64))
+    code = _require_scalar(records, "meta.transform", path)
     if not 0 <= code < len(TRANSFORM_KINDS):
         raise CheckpointError(f"{path}: unknown transform code {code}")
     config = TrainConfig(transform=TRANSFORM_KINDS[code], **kwargs)
-    n_nodes = int(_require(records, "meta.n_nodes", path))
-    t_slots = int(_require(records, "meta.t_slots", path))
+    n_nodes = _require_scalar(records, "meta.n_nodes", path)
+    t_slots = _require_scalar(records, "meta.t_slots", path)
     stored = {name[len("param."):]: arr for name, arr in records.items() if name.startswith("param.")}
     if not stored:
         raise CheckpointError(f"{path}: model checkpoint holds no parameters")

@@ -200,28 +200,22 @@ def bin_snapshots(
 
     rows: list[list[int]] = [[] for _ in range(t_slots)]
     cols: list[list[int]] = [[] for _ in range(t_slots)]
-    vals: list[list[float]] = [[] for _ in range(t_slots)]
     for e in events:
         if e.src == e.dst:
             continue
         t = (t_slots * (e.timestamp - ts_min)) // span
         rows[t].append(e.src)
         cols[t].append(e.dst)
-        vals[t].append(e.weight)
         if undirected:
             rows[t].append(e.dst)
             cols[t].append(e.src)
-            vals[t].append(e.weight)
 
     slices = []
     for t in range(t_slots):
-        s = sp.csr_matrix(
-            (np.asarray(vals[t]), (np.asarray(rows[t], dtype=np.int64), np.asarray(cols[t], dtype=np.int64))),
-            shape=(n_nodes, n_nodes),
-        )
-        s.sum_duplicates()
-        s.data = np.ones_like(s.data)
-        slices.append(s)
+        # distinct row-major keys are the slot's entries in CSR order
+        keys = np.unique(np.asarray(rows[t], dtype=np.int64) * n_nodes + np.asarray(cols[t], dtype=np.int64))
+        indptr = np.searchsorted(keys, np.arange(n_nodes + 1, dtype=np.int64) * n_nodes)
+        slices.append(sp.csr_matrix((np.ones(len(keys)), keys % n_nodes, indptr), shape=(n_nodes, n_nodes)))
     adjacency = SliceSparse3(slices, shape=(n_nodes, n_nodes))
     return DynamicGraph(n_nodes, adjacency, dict(id_map or {}), undirected)
 

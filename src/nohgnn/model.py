@@ -10,11 +10,10 @@ hidden layer and a sigmoid output.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from nohgnn.errors import NumericError, ParameterError
 from nohgnn.tape import Node, ParamStore, Tape, xavier_uniform
-from nohgnn.tensor3 import SlicePattern, Transform, transform_slices
+from nohgnn.tensor3 import SlicePattern, SparseOperator, Transform, sparse_operator
 
 LAYER_NOISE_SCALE = 0.05
 
@@ -53,28 +52,15 @@ def init_model_params(
     store.add("dec.b2", np.zeros(1))
 
 
-def propagate(
-    tape: Tape,
-    pattern: SlicePattern,
-    weights: Node,
-    h: Node,
-    tf: Transform,
-    slices: list[sp.csr_matrix],
-) -> Node:
+def propagate(tape: Tape, weights: Node, h: Node, op: SparseOperator) -> Node:
     """Aggregation tensor times node tensor under the transform.
 
-    ``slices`` are the aggregation tensor's slices under the transform
-    (``transform_slices``), which ``forward`` builds once for all layers.
-    With the identity transform each slice multiplies independently. Under a
-    mixing transform one ``sparse_m_product`` tape op multiplies the
-    transformed slices, held on the union support, with the transformed node
-    tensor and transforms back; the full dense N x N x T tensor is never
-    materialized. Either op keeps ``weights`` as its parent and returns the
-    gradient of the flat weights itself.
+    ``op`` is the operator of the flat ``weights`` (``sparse_operator``),
+    which ``forward`` builds once for all layers. One ``sparse_m_product``
+    tape op applies it, so the full dense N x N x T tensor is never
+    materialized, and hands the gradient of the flat weights to ``weights``.
     """
-    if tf.is_identity:
-        return tape.spmm(pattern, weights, h, slices)
-    return tape.sparse_m_product(pattern, weights, h, tf, slices)
+    return tape.sparse_m_product(weights, h, op)
 
 
 def weight_product(tape: Tape, h: Node, w: Node, tf: Transform) -> Node:
@@ -96,7 +82,7 @@ def forward(
 ) -> Node:
     """Run the layer stack and return the (T, N, F) embedding node.
 
-    The aggregation operator (``transform_slices`` of ``p_weights``) is
+    The aggregation operator (``sparse_operator`` of ``p_weights``) is
     built once, before the first layer, and every layer's product and
     backward uses it; it is not a tape node, so each layer still hands its
     own weight gradient to ``p_weights``. Hidden layers apply ReLU; the last
@@ -104,10 +90,10 @@ def forward(
     """
     if n_layers < 1:
         raise ParameterError(f"layer count must be >= 1, got {n_layers}")
-    slices = transform_slices(pattern, p_weights.value, tf)
+    op = sparse_operator(pattern, p_weights.value, tf)
     h = tape.replicate(leaves["embed.e"], pattern.t_slots)
     for layer in range(1, n_layers + 1):
-        spread = propagate(tape, pattern, p_weights, h, tf, slices)
+        spread = propagate(tape, p_weights, h, op)
         h = weight_product(tape, spread, leaves[f"layer{layer}.w"], tf)
         if layer < n_layers:
             h = tape.relu(h)

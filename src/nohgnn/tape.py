@@ -5,6 +5,9 @@ matrix multiplies, the mode-3 product, the sparse M-product, segment
 softmax, activations, gathers, reductions, the BCE expression) has its own
 backward rule here, so each rule can be tested against central differences
 in isolation.
+
+The sparse M-product is one op under every transform, over the operator
+``tensor3.sparse_operator`` builds; ``sumsq`` takes every parameter at once.
 """
 
 from __future__ import annotations
@@ -16,25 +19,10 @@ import scipy.sparse as sp
 
 from nohgnn import tensor3
 from nohgnn.errors import NumericError, ParameterError, ShapeError
-from nohgnn.tensor3 import SlicePattern, Transform
+from nohgnn.tensor3 import SlicePattern, SparseOperator
 
 PROB_FLOOR = 1e-12
 FD_DENOM_FLOOR = 1e-8
-# entries per SDDMM block, so that both gathered (block, F) float64 operands
-# stay in a core's L2 cache (256 KiB each at F = 32). With 2 MiB of L2 per
-# core, one SDDMM over an L-shape pattern (73 slices) took 0.27 s at 1024,
-# 0.30 s at 4096 and 0.39 s unblocked; over an M-shape union (32 slices)
-# 0.38, 0.46 and 1.10 s
-SDDMM_BLOCK = 1024
-# float64 values per (T, chunk) stack of the sparse M-product backward,
-# which holds two such stacks instead of two (T, union nnz) ones. A chunk
-# is a multiple of 8 union entries wide and the last one takes the
-# remainder, so that every chunk's M^T product is one OpenBLAS runs with
-# the kernels, column for column, of a single product over the whole union,
-# and rounds the same. Narrower products can round differently: a
-# one-column one runs a matrix-vector kernel, and at 32 slices one under
-# about 1,000 columns takes a small-matrix path whose last columns differ
-UNION_CHUNK = 2**20
 
 
 def _as_f64(value) -> np.ndarray:
@@ -44,21 +32,6 @@ def _as_f64(value) -> np.ndarray:
 def _relu_grad(x: np.ndarray) -> np.ndarray:
     """Subgradient mask for ReLU; module-level so tests can swap it out."""
     return (x > 0).astype(np.float64)
-
-
-def _sddmm(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
-    """Sampled dense-dense product into ``out``: ``out[e] = a[rows[e]] · b[cols[e]]``,
-    one block of ``SDDMM_BLOCK`` entries at a time."""
-    for lo in range(0, len(rows), SDDMM_BLOCK):
-        hi = lo + SDDMM_BLOCK
-        np.einsum("ef,ef->e", a.take(rows[lo:hi], axis=0), b.take(cols[lo:hi], axis=0), out=out[lo:hi])
-
-
-def _union_chunk_width(t_slots: int) -> int:
-    """Union entries per chunk: ``UNION_CHUNK`` values over T slices,
-    rounded up to a multiple of 8."""
-    cols = -(-UNION_CHUNK // t_slots)
-    return (cols + 7) // 8 * 8
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -181,11 +154,15 @@ class Tape:
 
         return self._record(np.asarray(a.value.sum()), (a,), backward)
 
-    def sumsq(self, a: Node) -> Node:
-        def backward(g):
-            return (2.0 * float(g) * a.value,)
+    def sumsq(self, *nodes: Node) -> Node:
+        """Sum of every node's squared entries, the nodes' sums added in the
+        order given."""
+        total = sum((a.value * a.value).sum() for a in nodes)
 
-        return self._record(np.asarray((a.value * a.value).sum()), (a,), backward)
+        def backward(g):
+            return tuple(2.0 * float(g) * a.value for a in nodes)
+
+        return self._record(np.asarray(total, dtype=np.float64), nodes, backward)
 
     # ----- shape plumbing -----
 
@@ -242,35 +219,6 @@ class Tape:
 
     # ----- sparse-structured primitives -----
 
-    def spmm(self, pattern: SlicePattern, values: Node, h: Node, slices: list[sp.csr_matrix]) -> Node:
-        """Per-slice sparse @ dense with one flat value vector over the pattern.
-
-        ``slices`` are the values' per-slice CSR matrices without exact
-        zeros (``tensor3.transform_slices`` under the identity), which a
-        forward builds once and shares with every layer. The products use
-        them both ways; the value gradient covers every pattern entry,
-        because at a zero value it is g·h, not 0.
-        """
-        if values.value.shape != (pattern.nnz,):
-            raise ShapeError(f"values shape {values.value.shape} does not match pattern nnz {pattern.nnz}")
-        if h.value.ndim != 3 or h.value.shape[0] != pattern.t_slots:
-            raise ShapeError(f"node tensor shape {h.value.shape} does not match pattern slices")
-        t_count = h.value.shape[0]
-        out = np.empty((t_count, pattern.n_rows, h.value.shape[2]))
-        for t in range(t_count):
-            out[t] = slices[t] @ h.value[t]
-
-        def backward(g):
-            dvals = np.empty(pattern.nnz)
-            dh = np.empty_like(h.value)
-            for t in range(t_count):
-                lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
-                _sddmm(g[t], pattern.rows[t], h.value[t], pattern.indices[t], dvals[lo:hi])
-                dh[t] = slices[t].T @ g[t]
-            return dvals, dh
-
-        return self._record(out, (values, h), backward)
-
     def pair_dot(self, o: Node, pattern: SlicePattern) -> Node:
         """Dot products o[t,i]·o[t,j] for every (t,i,j) in the pattern, flat.
 
@@ -284,7 +232,7 @@ class Tape:
         out = np.empty(pattern.nnz)
         for t in range(t_count):
             lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
-            _sddmm(o.value[t], pattern.rows[t], o.value[t], pattern.indices[t], out[lo:hi])
+            tensor3._sddmm(o.value[t], pattern.rows[t], o.value[t], pattern.indices[t], out[lo:hi])
 
         def backward(g):
             do = np.empty_like(o.value)
@@ -319,42 +267,19 @@ class Tape:
 
         return self._record(w, (scores,), backward)
 
-    def sparse_m_product(
-        self, pattern: SlicePattern, values: Node, h: Node, tf: Transform, slices: list[sp.csr_matrix]
-    ) -> Node:
+    def sparse_m_product(self, values: Node, h: Node, op: SparseOperator) -> Node:
         """Sparse M-product of flat pattern values with a (T, N, F) node
-        tensor under the transform (``tensor3.sparse_m_product``).
-
-        ``slices`` are the transformed values P-hat
-        (``tensor3.transform_slices``), which a forward builds once and
-        shares with every layer. The op keeps them and H-hat. Backward applies M^-T to the incoming gradient, takes
-        the transposed slice products for dH-hat, and works over the union in
-        chunks for the values (see ``UNION_CHUNK``): the sampled products of
-        every slice, then M^T, then the chunk's pattern entries, so no
-        (T, union nnz) gradient stack is ever held.
-        """
+        tensor: ``op`` is their operator (``tensor3.sparse_operator``), which
+        a forward builds once for every layer."""
+        pattern = op.pattern
         if values.value.shape != (pattern.nnz,):
             raise ShapeError(f"values shape {values.value.shape} does not match pattern nnz {pattern.nnz}")
         if h.value.ndim != 3 or h.value.shape[:2] != (pattern.t_slots, pattern.n_cols):
             raise ShapeError(f"node tensor shape {h.value.shape} does not match pattern {pattern.t_slots}x{pattern.n_cols}")
-        if tf.size != pattern.t_slots:
-            raise ShapeError(f"transform size {tf.size} does not match {pattern.t_slots} slices")
-        out, h_hat = tensor3.sparse_m_product(slices, h.value, tf)
-        u_indices = pattern.union[1]
+        out, h_hat = op.apply(h.value)
 
         def backward(g):
-            g_hat = np.tensordot(tf.minv.T, g, axes=(1, 0))
-            dh_hat = np.empty_like(h_hat)
-            for t in range(pattern.t_slots):
-                dh_hat[t] = slices[t].T @ g_hat[t]
-            dvals = np.empty(pattern.nnz)
-            for chunk in pattern.union_chunks(_union_chunk_width(pattern.t_slots)):
-                dp_hat = np.empty((pattern.t_slots, chunk.hi - chunk.lo))
-                for t in range(pattern.t_slots):
-                    _sddmm(g_hat[t], chunk.rows, h_hat[t], u_indices[chunk.lo : chunk.hi], dp_hat[t])
-                dp = np.tensordot(tf.m.T, dp_hat, axes=(1, 0))
-                dvals[chunk.entries] = dp[chunk.slots, chunk.positions]
-            return dvals, np.tensordot(tf.m.T, dh_hat, axes=(1, 0))
+            return op.grads(g, h_hat)
 
         return self._record(out, (values, h), backward)
 

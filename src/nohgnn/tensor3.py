@@ -1,11 +1,11 @@
 """Third-order tensor algebra: dense tensors, per-slice sparse stacks, and
 the invertible-transform tensor product (M-product).
 
-``sparse_m_product`` is the one sparse M-product kernel, over the slices
-that ``transform_slices`` builds: ``m_product`` runs its sparse branch
-through both, and the model builds the slices of its aggregation tensor
-once per forward and shares them with the tape op of the same name in
-every layer.
+The one sparse M-product kernel is the operator ``sparse_operator`` builds
+from flat values over a ``SlicePattern``: per-slice CSR matrices under the
+identity, P-hat on the union support under a mixing transform. Both forms
+have ``apply`` and ``grads``. ``m_product``'s sparse branch uses it, and
+the model builds one per forward for the tape op ``Tape.sparse_m_product``.
 
 Storage convention: a tensor with dims (d1, d2, d3) lives in a float64 array
 of shape (d3, d1, d2), so ``data[t]`` is the t-th frontal slice and
@@ -217,71 +217,26 @@ def nonzero_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape
     return sp.csr_matrix((data[keep], indices[keep], kept[indptr]), shape=shape)
 
 
-def transform_slices(pattern: SlicePattern, values: np.ndarray, tf: Transform) -> list[sp.csr_matrix]:
-    """Frontal slices of a sparse stack under the transform, as CSR matrices.
-
-    The stack is given as flat values over ``pattern``. With the identity
-    transform slice t is the pattern's slice t without its exact zeros
-    (``nonzero_csr``). A mixing transform acts on a dense (T, union nnz)
-    stack, never on the full d1 x d2 x T tensor: the values are scattered
-    onto the union of the slices' supports, M mixes every tube, and slice t
-    of the result P-hat is a CSR matrix over the union support. All of them
-    share one set of structure arrays.
-    """
-    shape = (pattern.n_rows, pattern.n_cols)
-    if tf.is_identity:
-        return [
-            nonzero_csr(values[pattern.offsets[t] : pattern.offsets[t + 1]], pattern.indices[t], pattern.indptrs[t], shape)
-            for t in range(pattern.t_slots)
-        ]
-    u_indptr, u_indices, flat_to_union = pattern.union
-    p_stack = np.zeros((pattern.t_slots, len(u_indices)))
-    p_stack[pattern.entry_slots, flat_to_union] = values
-    p_hat = _apply_mode3(p_stack, tf.m)
-    first = sp.csr_matrix((p_hat[0], u_indices, u_indptr), shape=shape, copy=False)
-    # later slices reuse the index arrays scipy converted for the first
-    return [first] + [
-        sp.csr_matrix((p_hat[t], first.indices, first.indptr), shape=shape, copy=False)
-        for t in range(1, pattern.t_slots)
-    ]
-
-
-def sparse_m_product(slices: list[sp.csr_matrix], y: np.ndarray, tf: Transform) -> tuple[np.ndarray, np.ndarray]:
-    """M-product of a sparse stack with a dense (T, d2, F) array ``y``.
-
-    ``slices`` are the stack's slices under the transform
-    (``transform_slices``); each multiplies the matching slice of y M, and
-    M^-1 maps the result back. Returns the product and y-hat, which a
-    backward pass reuses.
-    """
-    y_hat = _apply_mode3(y, tf.m)
-    prod = np.empty((len(slices), slices[0].shape[0], y.shape[2]))
-    for t, p_t in enumerate(slices):
-        prod[t] = p_t @ y_hat[t]
-    return _apply_mode3(prod, tf.minv), y_hat
-
-
 def m_product(x, y: Tensor3, tf: Transform) -> Tensor3:
     """Tensor product under an invertible mode-3 transform.
 
     Computes ((x mode3 M) facewise (y mode3 M)) mode3 M^-1. With the
     identity transform this reduces to the plain face-wise product. A
-    sparse left operand goes through ``sparse_m_product`` and is never
+    sparse left operand goes through its ``sparse_operator`` and is never
     densified to full d1 x d2 x T.
     """
     xd1, xd2, xd3 = x.dims
     if tf.size != xd3:
         raise ShapeError(f"transform size {tf.size} does not match d3={xd3}")
-    if tf.is_identity:
-        return facewise_product(x, y)
     if isinstance(x, SliceSparse3):
         if xd2 != y.dims[0] or xd3 != y.dims[2]:
             raise ShapeError(
                 f"facewise product needs (d1,k,T)x(k,d2,T), got {x.dims} and {y.dims}"
             )
         values = np.concatenate([s.data for s in x.slices])
-        slices = transform_slices(SlicePattern.from_sparse(x), values, tf)
-        return Tensor3(sparse_m_product(slices, y.data, tf)[0])
+        return Tensor3(sparse_operator(SlicePattern.from_sparse(x), values, tf).apply(y.data)[0])
+    if tf.is_identity:
+        return facewise_product(x, y)
     x_hat = mode3_product(x, tf.m)
     y_hat = mode3_product(y, tf.m)
     return mode3_product(facewise_product(x_hat, y_hat), tf.minv)
@@ -307,6 +262,38 @@ def sparse_matpower_sum(a: SliceSparse3, k_hops: int) -> SliceSparse3:
             acc = acc + cur
         out.append(acc)
     return SliceSparse3(out, shape=a.shape2d)
+
+
+# entries per SDDMM block, so that both gathered (block, F) float64 operands
+# stay in a core's L2 cache (256 KiB each at F = 32). With 2 MiB of L2 per
+# core, one SDDMM over an L-shape pattern (73 slices) took 0.27 s at 1024,
+# 0.30 s at 4096 and 0.39 s unblocked; over an M-shape union (32 slices)
+# 0.38, 0.46 and 1.10 s
+SDDMM_BLOCK = 1024
+# float64 values per (T, chunk) stack of the sparse M-product backward,
+# which holds two such stacks instead of two (T, union nnz) ones. A chunk
+# is a multiple of 8 union entries wide and the last one takes the
+# remainder, so that every chunk's M^T product is one OpenBLAS runs with
+# the kernels, column for column, of a single product over the whole union,
+# and rounds the same. Narrower products can round differently: a
+# one-column one runs a matrix-vector kernel, and at 32 slices one under
+# about 1,000 columns takes a small-matrix path whose last columns differ
+UNION_CHUNK = 2**20
+
+
+def _sddmm(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
+    """Sampled dense-dense product into ``out``: ``out[e] = a[rows[e]] · b[cols[e]]``,
+    one block of ``SDDMM_BLOCK`` entries at a time."""
+    for lo in range(0, len(rows), SDDMM_BLOCK):
+        hi = lo + SDDMM_BLOCK
+        np.einsum("ef,ef->e", a.take(rows[lo:hi], axis=0), b.take(cols[lo:hi], axis=0), out=out[lo:hi])
+
+
+def _union_chunk_width(t_slots: int) -> int:
+    """Union entries per chunk: ``UNION_CHUNK`` values over T slices,
+    rounded up to a multiple of 8."""
+    cols = -(-UNION_CHUNK // t_slots)
+    return (cols + 7) // 8 * 8
 
 
 class SlicePattern:
@@ -422,3 +409,99 @@ class UnionChunk(NamedTuple):
     entries: np.ndarray
     slots: np.ndarray
     positions: np.ndarray
+
+
+class FacewiseOperator:
+    """The sparse M-product of flat values over a pattern under the identity:
+    slice t of the stack, a CSR matrix without the values' exact zeros
+    (``nonzero_csr``), times slice t of y. The value gradient still covers
+    every pattern entry: at a zero value it is g·y, not 0."""
+
+    def __init__(self, pattern: SlicePattern, values: np.ndarray):
+        self.pattern = pattern
+        shape = (pattern.n_rows, pattern.n_cols)
+        self.slices = [
+            nonzero_csr(values[pattern.offsets[t] : pattern.offsets[t + 1]], pattern.indices[t], pattern.indptrs[t], shape)
+            for t in range(pattern.t_slots)
+        ]
+
+    def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The product with a dense (T, d2, F) array, and y for ``grads``."""
+        out = np.empty((len(self.slices), self.pattern.n_rows, y.shape[2]))
+        for t, s in enumerate(self.slices):
+            out[t] = s @ y[t]
+        return out, y
+
+    def grads(self, g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The gradients of the flat values and of y, given the product's."""
+        pattern = self.pattern
+        dvals = np.empty(pattern.nnz)
+        dy = np.empty_like(y)
+        for t, s in enumerate(self.slices):
+            lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
+            _sddmm(g[t], pattern.rows[t], y[t], pattern.indices[t], dvals[lo:hi])
+            dy[t] = s.T @ g[t]
+        return dvals, dy
+
+
+class UnionOperator:
+    """The sparse M-product of flat values over a pattern under a mixing
+    transform, which acts on a (T, union nnz) stack and never on the full
+    d1 x d2 x T tensor. The values are scattered onto the union of the
+    slices' supports and M mixes every tube; slice t of the result P-hat is
+    a CSR matrix over the union, and all of them share one set of structure
+    arrays. The value gradient runs over the union in chunks (see
+    ``UNION_CHUNK``), so no (T, union nnz) gradient stack is ever held."""
+
+    def __init__(self, pattern: SlicePattern, values: np.ndarray, tf: Transform):
+        if tf.size != pattern.t_slots:
+            raise ShapeError(f"transform size {tf.size} does not match {pattern.t_slots} slices")
+        self.pattern = pattern
+        self.tf = tf
+        u_indptr, u_indices, flat_to_union = pattern.union
+        p_stack = np.zeros((pattern.t_slots, len(u_indices)))
+        p_stack[pattern.entry_slots, flat_to_union] = values
+        p_hat = _apply_mode3(p_stack, tf.m)
+        shape = (pattern.n_rows, pattern.n_cols)
+        first = sp.csr_matrix((p_hat[0], u_indices, u_indptr), shape=shape, copy=False)
+        # later slices reuse the index arrays scipy converted for the first
+        self.slices = [first] + [
+            sp.csr_matrix((p_hat[t], first.indices, first.indptr), shape=shape, copy=False)
+            for t in range(1, pattern.t_slots)
+        ]
+
+    def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The product with a dense (T, d2, F) array, and y M for ``grads``."""
+        y_hat = _apply_mode3(y, self.tf.m)
+        prod = np.empty((len(self.slices), self.pattern.n_rows, y.shape[2]))
+        for t, p_t in enumerate(self.slices):
+            prod[t] = p_t @ y_hat[t]
+        return _apply_mode3(prod, self.tf.minv), y_hat
+
+    def grads(self, g: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The gradients of the flat values and of y, given the product's:
+        M^-T on g, the transposed slice products for y, and for the values
+        each chunk's sampled products, M^T, then the chunk's pattern entries."""
+        pattern, tf = self.pattern, self.tf
+        u_indices = pattern.union[1]
+        g_hat = _apply_mode3(g, tf.minv.T)
+        dy_hat = np.empty_like(y_hat)
+        for t, p_t in enumerate(self.slices):
+            dy_hat[t] = p_t.T @ g_hat[t]
+        dvals = np.empty(pattern.nnz)
+        for chunk in pattern.union_chunks(_union_chunk_width(pattern.t_slots)):
+            dp_hat = np.empty((pattern.t_slots, chunk.hi - chunk.lo))
+            for t in range(pattern.t_slots):
+                _sddmm(g_hat[t], chunk.rows, y_hat[t], u_indices[chunk.lo : chunk.hi], dp_hat[t])
+            dp = _apply_mode3(dp_hat, tf.m.T)
+            dvals[chunk.entries] = dp[chunk.slots, chunk.positions]
+        return dvals, _apply_mode3(dy_hat, tf.m.T)
+
+
+SparseOperator = FacewiseOperator | UnionOperator
+
+
+def sparse_operator(pattern: SlicePattern, values: np.ndarray, tf: Transform) -> SparseOperator:
+    """The sparse M-product operator of flat ``values`` over ``pattern``
+    under ``tf``: face-wise under the identity, over the union otherwise."""
+    return FacewiseOperator(pattern, values) if tf.is_identity else UnionOperator(pattern, values, tf)

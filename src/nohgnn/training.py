@@ -123,10 +123,7 @@ def compute_loss(
     entries of every parameter."""
     loss = tape.bce_mean(probs, labels)
     if beta > 0.0:
-        reg = None
-        for name in sorted(leaves):
-            term = tape.sumsq(leaves[name])
-            reg = term if reg is None else tape.add(reg, term)
+        reg = tape.sumsq(*(leaves[name] for name in sorted(leaves)))
         loss = tape.add(loss, tape.scale(reg, beta))
     return loss
 

@@ -71,6 +71,16 @@ class TestContainer:
         )
         assert (tmp_path / "g.nohg").read_bytes() == expected
 
+    def test_empty_record_with_oversized_dims_rejected(self, tmp_path):
+        # size 0, so no payload is missing, but numpy cannot shape (0, 2**61)
+        path = tmp_path / "big.nohg"
+        path.write_bytes(
+            MAGIC + struct.pack("<II", VERSION, 1)
+            + struct.pack("<H", 1) + b"a" + struct.pack("<BB", 0, 2) + struct.pack("<2Q", 0, 2**61)
+        )
+        with pytest.raises(CheckpointError, match=r"record 'a' has dims \(0, 2305843009213693952\)"):
+            read_records(str(path))
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.nohg"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
@@ -280,6 +290,25 @@ class TestCorruptDataset:
         with pytest.raises(CheckpointError, match=f"{re.escape(repr(name))}.*{message}"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("n_nodes", lambda a: a.reshape(1), "is int64 of rank 1, expected int64 of rank 0"),
+            ("t_slots", lambda a: a.reshape(1), "is int64 of rank 1, expected int64 of rank 0"),
+            ("kind", lambda a: a.reshape(1), "is int64 of rank 1, expected int64 of rank 0"),
+            ("undirected", lambda a: a.astype(np.float64), "is float64 of rank 0, expected int64 of rank 0"),
+            ("split_seed", lambda a: a.reshape(1, 1), "is int64 of rank 2, expected int64 of rank 0"),
+            ("idmap.tokens", lambda a: np.frombuffer(b"\xff\xfe", dtype=np.uint8), "is not valid UTF-8"),
+            ("idmap.tokens", lambda a: a.astype(np.int64), "is int64 of rank 1, expected uint8 of rank 1"),
+        ],
+        ids=["nodes-rank-1", "slots-rank-1", "kind-rank-1", "float-undirected", "seed-rank-2",
+             "tokens-not-utf8", "int-tokens"],
+    )
+    def test_bad_scalar_record_named(self, tmp_path, name, value, message):
+        path = corrupt_dataset(tmp_path, name, value)
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(path)}: record {re.escape(repr(name))} {message}"):
+            load_dataset(path)
+
     def test_bad_graph_size_rejected(self, tmp_path):
         path = corrupt_dataset(tmp_path, "n_nodes", lambda a: np.asarray(-1))
         with pytest.raises(CheckpointError, match="n_nodes"):
@@ -343,8 +372,15 @@ class TestModelArtifact:
             (lambda r: r.__setitem__("meta.layers", np.asarray(1)),
              r"unexpected record 'param\.layer2\.w'"),
             (lambda r: r.__setitem__("meta.n_nodes", np.asarray(0)), r"n_nodes"),
+            (lambda r: r.__setitem__("meta.dim", np.asarray([8])),
+             r"record 'meta\.dim' is int64 of rank 1, expected int64 or float64 of rank 0"),
+            (lambda r: r.__setitem__("meta.t_slots", np.asarray(2.0)),
+             r"record 'meta\.t_slots' is float64 of rank 0, expected int64 of rank 0"),
+            (lambda r: r.__setitem__("kind", np.asarray([1])),
+             r"record 'kind' is int64 of rank 1, expected int64 of rank 0"),
         ],
-        ids=["missing", "wrong-shape", "wrong-rank", "extra", "fewer-layers", "no-nodes"],
+        ids=["missing", "wrong-shape", "wrong-rank", "extra", "fewer-layers", "no-nodes",
+             "meta-rank-1", "float-slots", "kind-rank-1"],
     )
     def test_parameter_records_checked_against_config(self, tmp_path, edit, message):
         path = str(tmp_path / "m.nohg")

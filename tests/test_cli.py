@@ -169,6 +169,24 @@ class TestEval:
         assert re.search(rf"^error: {re.escape(str(path))}: record name", err, re.M)
 
     @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("t_slots", np.asarray([3]), "record 't_slots' is int64 of rank 1, expected int64 of rank 0"),
+            ("idmap.tokens", np.frombuffer(b"\xff\xfe", dtype=np.uint8), "record 'idmap.tokens' is not valid UTF-8"),
+        ],
+        ids=["rank-1-slots", "tokens-not-utf8"],
+    )
+    def test_bad_dataset_scalar_reports_one_error_line(self, tmp_path, edge_file, capsys, name, value, message):
+        rc, out = run_train(tmp_path, edge_file[0], "run")
+        data = out / "dataset.nohg"
+        records = read_records(str(data))
+        records[name] = value
+        write_records(str(data), records)
+        capsys.readouterr()
+        assert main(["eval", str(out / "checkpoint.nohg"), str(data)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {data}: {message}"]
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda r: r.pop("param.layer2.w"), "missing record 'param.layer2.w'"),

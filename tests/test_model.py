@@ -4,7 +4,7 @@ import pytest
 from nohgnn.errors import NumericError, ParameterError
 from nohgnn.model import LAYER_NOISE_SCALE, decode, forward, init_model_params, propagate, weight_product
 from nohgnn.tape import ParamStore, Tape
-from nohgnn.tensor3 import SlicePattern, SliceSparse3, make_transform, transform_slices
+from nohgnn.tensor3 import SlicePattern, SliceSparse3, make_transform, sparse_operator
 from pattern_helpers import to_sparse
 
 
@@ -58,10 +58,10 @@ def random_sparse_p(rng, t_slots, n):
 
 def linear_stack(tape, leaves, pattern, p_weights, tf, n_layers):
     """``forward`` without the hidden-layer ReLUs, composed from its layer ops."""
-    slices = transform_slices(pattern, p_weights.value, tf)
+    op = sparse_operator(pattern, p_weights.value, tf)
     h = tape.replicate(leaves["embed.e"], pattern.t_slots)
     for layer in range(1, n_layers + 1):
-        spread = propagate(tape, pattern, p_weights, h, tf, slices)
+        spread = propagate(tape, p_weights, h, op)
         h = weight_product(tape, spread, leaves[f"layer{layer}.w"], tf)
     return h
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import nohgnn.model as model_mod
-import nohgnn.tape as tape_mod
+import nohgnn.tensor3 as tensor3_mod
 from nohgnn.model import forward, init_model_params
 from nohgnn.tape import ParamStore, Tape
-from nohgnn.tensor3 import SlicePattern, SliceSparse3, make_transform, transform_slices
+from nohgnn.tensor3 import SlicePattern, SliceSparse3, make_transform, sparse_operator
 from pattern_helpers import entry_table
 from propagate_oracle import OracleTape
 
@@ -37,14 +37,13 @@ def make_weights(case: str, pattern: SlicePattern, rng: np.random.Generator) -> 
 
 
 def product(tape: Tape, op: str, pattern: SlicePattern, w, h, tf):
-    """The op under test on a ``Tape``, or the earlier op on an ``OracleTape``,
-    which built its operator itself."""
-    oracle = isinstance(tape, OracleTape)
+    """The one sparse M-product op on a ``Tape``, or the earlier ``op`` on an
+    ``OracleTape``, which built its operator itself."""
+    if not isinstance(tape, OracleTape):
+        return tape.sparse_m_product(w, h, sparse_operator(pattern, w.value, tf))
     if op == "spmm":
-        return tape.spmm(pattern, w, h) if oracle else tape.spmm(pattern, w, h, transform_slices(pattern, w.value, tf))
-    if oracle:
-        return tape.sparse_m_product(pattern, w, h, tf)
-    return tape.sparse_m_product(pattern, w, h, tf, transform_slices(pattern, w.value, tf))
+        return tape.spmm(pattern, w, h)
+    return tape.sparse_m_product(pattern, w, h, tf)
 
 
 def run_op(tape: Tape, op: str, pattern: SlicePattern, w0, h0, r, tf):
@@ -98,7 +97,7 @@ def check_chunks(pattern: SlicePattern, case: str, seed: int):
     want = run_op(OracleTape(), "sparse_m_product", pattern, w0, h0, r, tf)
     assert_bit_equal(got, want)
     n_union = len(pattern.union[1])
-    width = tape_mod._union_chunk_width(pattern.t_slots)
+    width = tensor3_mod._union_chunk_width(pattern.t_slots)
     chunks = pattern.union_chunks(width)
     assert width % 8 == 0
     assert len(chunks) == max(1, n_union // width)
@@ -113,20 +112,20 @@ def check_chunks(pattern: SlicePattern, case: str, seed: int):
 def test_sparse_m_product_chunks_bit_equal_oracle(monkeypatch, width, case):
     pattern = make_pattern(6)
     n_union = len(pattern.union[1])
-    assert n_union > tape_mod.SDDMM_BLOCK + 1
-    target = {"one": 1, "block": tape_mod.SDDMM_BLOCK, "union-1": n_union - 1,
+    assert n_union > tensor3_mod.SDDMM_BLOCK + 1
+    target = {"one": 1, "block": tensor3_mod.SDDMM_BLOCK, "union-1": n_union - 1,
               "union": n_union, "union+1": n_union + 1}[width]
-    monkeypatch.setattr(tape_mod, "UNION_CHUNK", T_SLOTS * target)
+    monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", T_SLOTS * target)
     chunks = check_chunks(pattern, case, 7)
     assert chunks[0].hi - chunks[0].lo >= min(target, n_union)
 
 
-@pytest.mark.parametrize("values", [32 * 1001, 2**17, tape_mod.UNION_CHUNK])
+@pytest.mark.parametrize("values", [32 * 1001, 2**17, tensor3_mod.UNION_CHUNK])
 def test_sparse_m_product_chunks_at_scale(monkeypatch, values):
     """32 slices over a union of several chunks whose width is not a
     multiple of 8: the M^T products are large enough for OpenBLAS's blocked
     kernels, whose last columns round unlike the others."""
-    monkeypatch.setattr(tape_mod, "UNION_CHUNK", values)
+    monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", values)
     pattern = make_pattern(18, t_slots=32, n=300, density=0.05)
     n_union = len(pattern.union[1])
     assert n_union % 8 != 0
@@ -160,9 +159,9 @@ def test_one_operator_per_forward(monkeypatch, kind):
 
     def counted(*args):
         calls.append(args[0])
-        return transform_slices(*args)
+        return sparse_operator(*args)
 
-    monkeypatch.setattr(model_mod, "transform_slices", counted)
+    monkeypatch.setattr(model_mod, "sparse_operator", counted)
     pattern = make_pattern(10, n=12)
     store = ParamStore()
     init_model_params(store, 12, F, T_SLOTS, 2, np.random.default_rng(11))

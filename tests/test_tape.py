@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nohgnn.tape as tape_mod
+import nohgnn.tensor3 as tensor3_mod
 from nohgnn.errors import ParameterError, ShapeError
 from nohgnn.tape import Node, ParamStore, Tape, grad_check
 from nohgnn.tensor3 import (
@@ -16,7 +17,7 @@ from nohgnn.tensor3 import (
     Tensor3,
     m_product,
     make_transform,
-    transform_slices,
+    sparse_operator,
 )
 from pattern_helpers import csr, entry_table, to_sparse
 from softmax_reference import masked_softmax
@@ -199,7 +200,7 @@ class TestSparseRules:
         t = Tape()
         vals = t.leaf(vals0, requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
-        out = t.spmm(pat, vals, h, transform_slices(pat, vals0, make_transform("identity", 3)))
+        out = t.sparse_m_product(vals, h, sparse_operator(pat, vals0, make_transform("identity", 3)))
         loss = t.sum(t.mul(out, t.constant(r)))
         t.backward(loss)
 
@@ -242,7 +243,7 @@ class TestSparseRules:
         vals = t.leaf(vals0.reshape(-1), requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
         tf = make_transform("identity", t_slots)
-        out = t.sparse_m_product(pat, vals, h, tf, transform_slices(pat, vals.value, tf))
+        out = t.sparse_m_product(vals, h, sparse_operator(pat, vals.value, tf))
         loss = t.sum(t.mul(out, t.constant(r)))
         t.backward(loss)
 
@@ -279,7 +280,7 @@ class TestSparseRules:
         t = Tape()
         vals = t.leaf(vals0, requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
-        out = t.sparse_m_product(pat, vals, h, tf, transform_slices(pat, vals0, tf))
+        out = t.sparse_m_product(vals, h, sparse_operator(pat, vals0, tf))
         t.backward(t.sum(t.mul(out, t.constant(r))))
 
         # dense route: densify the stack and take the library's dense M-product
@@ -291,6 +292,19 @@ class TestSparseRules:
         fd_h = fd_probe(lambda h_arr: float((dense_route(vals0, h_arr) * r).sum()), h0.copy())
         assert max_rel_err(vals.grad, fd_vals) < 1e-6
         assert max_rel_err(h.grad, fd_h) < 1e-6
+
+    def test_sparse_m_product_shape_checks(self):
+        rng = np.random.default_rng(20)
+        pat = random_pattern(rng, 3, 4)
+        with pytest.raises(ShapeError, match="transform size 4"):
+            sparse_operator(pat, np.ones(pat.nnz), make_transform("dct", 4))
+        t = Tape()
+        op = sparse_operator(pat, np.ones(pat.nnz), make_transform("dct", 3))
+        h = t.leaf(np.ones((3, 4, 2)), requires_grad=True)
+        with pytest.raises(ShapeError, match="values shape"):
+            t.sparse_m_product(t.leaf(np.ones(pat.nnz + 1), requires_grad=True), h, op)
+        with pytest.raises(ShapeError, match="node tensor shape"):
+            t.sparse_m_product(t.leaf(np.ones(pat.nnz), requires_grad=True), t.leaf(np.ones((3, 5, 2))), op)
 
     def test_pair_dot_matches_masked_gram(self):
         rng = np.random.default_rng(18)
@@ -317,8 +331,8 @@ class TestSparseRules:
         assert max_rel_err(o.grad, fd) < 1e-6
 
     def test_scatter_to_union_round_trip(self):
-        # sparse_m_product scatters the flat values onto the union support;
-        # against identity slices of H it returns the scattered slices
+        # against identity slices of H the product returns the slices, and
+        # the union support holds the entries of both
         a0 = np.array([[0, 1.0], [0, 0]])
         a1 = np.array([[0, 2.0], [3.0, 0]])
         pat = SlicePattern.from_sparse(SliceSparse3.from_dense(np.stack([a0, a1])))
@@ -326,7 +340,7 @@ class TestSparseRules:
         v = t.leaf(np.array([10.0, 20.0, 30.0]), requires_grad=True)
         tf = make_transform("identity", 2)
         h = t.constant(np.stack([np.eye(2)] * 2))
-        out = t.sparse_m_product(pat, v, h, tf, transform_slices(pat, v.value, tf))
+        out = t.sparse_m_product(v, h, sparse_operator(pat, v.value, tf))
         loss = t.sum(t.mul(out, t.constant(np.ones_like(out.value))))
         t.backward(loss)
         # union support is {(0,1), (1,0)}; slice 0 leaves (1,0) empty
@@ -352,7 +366,7 @@ class TestSparseRules:
 
 
 class TestSddmm:
-    @pytest.mark.parametrize("nnz", [0, 1, tape_mod.SDDMM_BLOCK, tape_mod.SDDMM_BLOCK + 1, 3 * tape_mod.SDDMM_BLOCK + 7])
+    @pytest.mark.parametrize("nnz", [0, 1, tensor3_mod.SDDMM_BLOCK, tensor3_mod.SDDMM_BLOCK + 1, 3 * tensor3_mod.SDDMM_BLOCK + 7])
     @pytest.mark.parametrize("width", [3, 32])
     def test_blocked_bit_equals_one_einsum(self, nnz, width):
         rng = np.random.default_rng(nnz + width)
@@ -361,7 +375,7 @@ class TestSddmm:
         rows = rng.integers(0, 60, size=nnz)
         cols = rng.integers(0, 45, size=nnz)
         got = np.empty(nnz)
-        tape_mod._sddmm(a, rows, b, cols, got)
+        tensor3_mod._sddmm(a, rows, b, cols, got)
         want = np.einsum("ef,ef->e", a[rows], b[cols])
         assert got.tobytes() == want.tobytes()
 

@@ -158,6 +158,21 @@ class TestComputeLoss:
         expected = math.log(2.0) + 0.1 * (1.0 + 4.0 + 9.0)
         assert loss.value == pytest.approx(expected, rel=1e-12)
 
+    def test_penalty_sums_leaves_in_name_order(self):
+        # magnitudes far apart, so a different summation order rounds differently
+        rng = np.random.default_rng(3)
+        values = {name: rng.normal(size=5) * scale for name, scale in (("c", 1e8), ("a", 1.0), ("b", 1e-8))}
+        tape = Tape()
+        probs = tape.leaf(np.full(2, 0.5), requires_grad=True)
+        leaves = {name: tape.leaf(v, requires_grad=True) for name, v in values.items()}
+        loss = compute_loss(tape, probs, np.ones(2), leaves, beta=0.1)
+        reg = (values["a"] ** 2).sum() + (values["b"] ** 2).sum() + (values["c"] ** 2).sum()
+        assert float(loss.value) == float(tape.bce_mean(tape.constant(np.full(2, 0.5)), np.ones(2)).value) + reg * 0.1
+        assert [op.__qualname__.split(".")[1] for _, _, op in tape._entries] == ["bce_mean", "sumsq", "scale", "add"]
+        tape.backward(loss)
+        for name, v in values.items():
+            assert leaves[name].grad.tobytes() == (2.0 * 0.1 * v).tobytes()
+
     def test_zero_beta_skips_parameters(self):
         tape = Tape()
         probs = tape.leaf(np.full(2, 0.5), requires_grad=True)
@@ -472,3 +487,25 @@ class TestGradientCheck:
     @pytest.mark.parametrize("transform", ["identity", "dct"])
     def test_full_model_gradients(self, transform):
         assert run_gradient_check(transform) <= 1e-4
+
+
+@pytest.mark.parametrize("kind, entries", [("dct", 41), ("identity", 35)])
+def test_tape_entries_of_one_training_step(kind, entries):
+    """One training step on the criterion-6 instance: one sparse M-product
+    entry per layer under either transform, and one entry for the L2
+    penalty over every parameter."""
+    config = TrainConfig(dim=32, transform=kind, seed=1)
+    prep = prepare(planted_partition_graph(seed=9), config)
+    store = training.init_params(config, prep.n_nodes, prep.t_slots)
+    pairs = training.labeled_split(prep, config, "train")
+    tape = Tape()
+    leaves = store.leaves(tape)
+    tf = training.make_transform(kind, prep.t_slots)
+    probs = training.model_probs(tape, leaves, prep, tf, config, pairs.pairs)
+    compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg)
+    ops = [backward.__qualname__.split(".")[1] for _, _, backward in tape._entries]
+    assert len(ops) == entries
+    assert ops.count("sparse_m_product") == config.layers
+    assert ops.count("sumsq") == 1
+    assert "spmm" not in ops
+    assert ops[-4:] == ["bce_mean", "sumsq", "scale", "add"]
