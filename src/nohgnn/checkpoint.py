@@ -20,7 +20,7 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from nohgnn.data import DynamicGraph, LabeledPairSet
+from nohgnn.data import DynamicGraph, LabeledPairSet, _contains
 from nohgnn.errors import CheckpointError, ParameterError, ShapeError
 from nohgnn.tape import ParamStore
 from nohgnn.tensor3 import SliceSparse3
@@ -180,6 +180,8 @@ def _load_slice(records: dict[str, np.ndarray], name: str, n: int, path: str) ->
         raise CheckpointError(f"{path}: record '{name}.indices' holds a column outside [0, {n})")
     if len(data) != len(indices):
         raise CheckpointError(f"{path}: record '{name}.data' has {len(data)} entries, not {len(indices)}")
+    if not np.all(np.isfinite(data)):
+        raise CheckpointError(f"{path}: record '{name}.data' holds a non-finite value")
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
@@ -203,6 +205,16 @@ def _load_split(records: dict[str, np.ndarray], role: str, n: int, t_slots: int,
     return LabeledPairSet(pairs, np.ones(len(pairs)), role)
 
 
+def _check_masked_inside_full(graph: DynamicGraph, masked: DynamicGraph, path: str) -> None:
+    """Every edge of the masked graph must be an edge of the full one."""
+    masked_keys = masked.slot_keys()
+    extra = masked_keys[~_contains(graph.slot_keys(), masked_keys)]
+    if len(extra):
+        t, key = divmod(int(extra[0]), graph.n_nodes * graph.n_nodes)
+        i, j = divmod(key, graph.n_nodes)
+        raise CheckpointError(f"{path}: masked adjacency slot {t} holds edge ({i}, {j}), which the full adjacency lacks")
+
+
 def load_dataset(path: str) -> tuple[DynamicGraph, DynamicGraph, dict[str, LabeledPairSet], int]:
     records = read_records(path)
     _check_kind(records, path, KIND_DATASET, "dataset")
@@ -218,6 +230,7 @@ def load_dataset(path: str) -> tuple[DynamicGraph, DynamicGraph, dict[str, Label
         raise CheckpointError(f"{path}: record 'idmap.tokens' is not valid UTF-8") from None
     graph = _load_graph(records, "full", n, t_slots, undirected, id_map, path)
     masked = _load_graph(records, "masked", n, t_slots, undirected, id_map, path)
+    _check_masked_inside_full(graph, masked, path)
     splits = {role: _load_split(records, role, n, t_slots, path) for role in ("train", "val", "test")}
     return graph, masked, splits, _require_scalar(records, "split_seed", path)
 

@@ -139,6 +139,13 @@ class DynamicGraph:
             self._edge_keys[t] = np.sort(rows * self.n_nodes + s.indices)
         return self._edge_keys[t]
 
+    def slot_keys(self) -> np.ndarray:
+        """Sorted int64 keys t*N^2 + i*N + j of the stored entries of every
+        slot: slot t's keys lie in [t*N^2, (t+1)*N^2), so the slots' sorted
+        keys concatenate into one sorted array."""
+        span = self.n_nodes * self.n_nodes
+        return np.concatenate([self.edge_keys(t) + t * span for t in range(self.t_slots)])
+
 
 @dataclass
 class LabeledPairSet:
@@ -321,9 +328,7 @@ def negative_sample(
     out = np.empty((total, 3), dtype=np.int64)
     out[:, 0] = anchors
     out[:, 2] = slots
-    # every slot's keys lie in [t*N^2, (t+1)*N^2), so the slots' sorted keys
-    # concatenate into one sorted array
-    edges = np.concatenate([g.edge_keys(t) + t * slot_span for t in range(g.t_slots)])
+    edges = g.slot_keys()
     taken = np.zeros(0, dtype=np.int64)
     pending = np.arange(total)
     rounds = 0

@@ -87,10 +87,15 @@ def forward(
     backward uses it; it is not a tape node, so each layer still hands its
     own weight gradient to ``p_weights``. Hidden layers apply ReLU; the last
     layer stays linear.
+
+    ``p_weights`` is a softmax output, so the operator is built
+    ``live_only``: the weight gradient is +0 at the dead entries, the exact
+    zeros (on dct, the tubes of exact zeros), where the full one would be
+    multiplied by 0 in the softmax backward anyway.
     """
     if n_layers < 1:
         raise ParameterError(f"layer count must be >= 1, got {n_layers}")
-    op = sparse_operator(pattern, p_weights.value, tf)
+    op = sparse_operator(pattern, p_weights.value, tf, live_only=True)
     h = tape.replicate(leaves["embed.e"], pattern.t_slots)
     for layer in range(1, n_layers + 1):
         spread = propagate(tape, p_weights, h, op)

@@ -4,8 +4,9 @@ the invertible-transform tensor product (M-product).
 The one sparse M-product kernel is the operator ``sparse_operator`` builds
 from flat values over a ``SlicePattern``: per-slice CSR matrices under the
 identity, P-hat on the union support under a mixing transform. Both forms
-have ``apply`` and ``grads``. ``m_product``'s sparse branch uses it, and
-the model builds one per forward for the tape op ``Tape.sparse_m_product``.
+have ``apply`` and ``grads``. ``facewise_product`` and ``m_product`` use
+it for a sparse left operand, and the model builds one per forward, from
+its softmax weights and live only, for the tape op ``Tape.sparse_m_product``.
 
 Storage convention: a tensor with dims (d1, d2, d3) lives in a float64 array
 of shape (d3, d1, d2), so ``data[t]`` is the t-th frontal slice and
@@ -186,19 +187,24 @@ def mode3_product(x: Tensor3, m) -> Tensor3:
     return Tensor3(_apply_mode3(x.data, m))
 
 
-def facewise_product(x, y: Tensor3) -> Tensor3:
-    """Slice-by-slice matrix product: result slice t is x_t @ y_t."""
-    xd1, xd2, xd3 = x.dims
-    yd1, yd2, yd3 = y.dims
-    if xd2 != yd1 or xd3 != yd3:
+def _check_facewise(x, y: Tensor3) -> None:
+    if x.dims[1] != y.dims[0] or x.dims[2] != y.dims[2]:
         raise ShapeError(
             f"facewise product needs (d1,k,T)x(k,d2,T), got {x.dims} and {y.dims}"
         )
+
+
+def _sparse_stack_product(x: SliceSparse3, y: Tensor3, tf: Transform) -> Tensor3:
+    """``x`` times ``y`` under ``tf`` through the stack's ``sparse_operator``."""
+    values = np.concatenate([s.data for s in x.slices])
+    return Tensor3(sparse_operator(SlicePattern.from_sparse(x), values, tf).apply(y.data)[0])
+
+
+def facewise_product(x, y: Tensor3) -> Tensor3:
+    """Slice-by-slice matrix product: result slice t is x_t @ y_t."""
+    _check_facewise(x, y)
     if isinstance(x, SliceSparse3):
-        out = np.empty((xd3, xd1, yd2))
-        for t in range(xd3):
-            out[t] = x.slices[t] @ y.data[t]
-        return Tensor3(out)
+        return _sparse_stack_product(x, y, make_transform("identity", x.dims[2]))
     if not isinstance(x, Tensor3):
         raise ShapeError(f"unsupported left operand type {type(x).__name__}")
     return Tensor3(np.matmul(x.data, y.data))
@@ -225,16 +231,12 @@ def m_product(x, y: Tensor3, tf: Transform) -> Tensor3:
     sparse left operand goes through its ``sparse_operator`` and is never
     densified to full d1 x d2 x T.
     """
-    xd1, xd2, xd3 = x.dims
+    xd3 = x.dims[2]
     if tf.size != xd3:
         raise ShapeError(f"transform size {tf.size} does not match d3={xd3}")
     if isinstance(x, SliceSparse3):
-        if xd2 != y.dims[0] or xd3 != y.dims[2]:
-            raise ShapeError(
-                f"facewise product needs (d1,k,T)x(k,d2,T), got {x.dims} and {y.dims}"
-            )
-        values = np.concatenate([s.data for s in x.slices])
-        return Tensor3(sparse_operator(SlicePattern.from_sparse(x), values, tf).apply(y.data)[0])
+        _check_facewise(x, y)
+        return _sparse_stack_product(x, y, tf)
     if tf.is_identity:
         return facewise_product(x, y)
     x_hat = mode3_product(x, tf.m)
@@ -414,16 +416,23 @@ class UnionChunk(NamedTuple):
 class FacewiseOperator:
     """The sparse M-product of flat values over a pattern under the identity:
     slice t of the stack, a CSR matrix without the values' exact zeros
-    (``nonzero_csr``), times slice t of y. The value gradient still covers
-    every pattern entry: at a zero value it is g·y, not 0."""
+    (``nonzero_csr``), times slice t of y.
 
-    def __init__(self, pattern: SlicePattern, values: np.ndarray):
+    The value gradient covers every pattern entry, since at a zero value it
+    is g·y, not 0. Built with ``live_only`` and some value exactly 0, it
+    covers only the live entries, those with a nonzero value, and is +0 at
+    the others (``sparse_operator``)."""
+
+    def __init__(self, pattern: SlicePattern, values: np.ndarray, live_only: bool = False):
         self.pattern = pattern
         shape = (pattern.n_rows, pattern.n_cols)
         self.slices = [
             nonzero_csr(values[pattern.offsets[t] : pattern.offsets[t + 1]], pattern.indices[t], pattern.indptrs[t], shape)
             for t in range(pattern.t_slots)
         ]
+        live = values != 0 if live_only else None
+        # None when every entry is live: grads then takes the full path
+        self.live = None if live is None or live.all() else live
 
     def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The product with a dense (T, d2, F) array, and y for ``grads``."""
@@ -435,11 +444,18 @@ class FacewiseOperator:
     def grads(self, g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The gradients of the flat values and of y, given the product's."""
         pattern = self.pattern
-        dvals = np.empty(pattern.nnz)
+        dvals = np.empty(pattern.nnz) if self.live is None else np.zeros(pattern.nnz)
         dy = np.empty_like(y)
         for t, s in enumerate(self.slices):
             lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
-            _sddmm(g[t], pattern.rows[t], y[t], pattern.indices[t], dvals[lo:hi])
+            if self.live is None:
+                _sddmm(g[t], pattern.rows[t], y[t], pattern.indices[t], dvals[lo:hi])
+            else:
+                # the live entries are those of s, in the same order
+                keep = self.live[lo:hi]
+                live_vals = np.empty(s.nnz)
+                _sddmm(g[t], pattern.rows[t][keep], y[t], s.indices, live_vals)
+                dvals[lo:hi][keep] = live_vals
             dy[t] = s.T @ g[t]
         return dvals, dy
 
@@ -451,17 +467,51 @@ class UnionOperator:
     slices' supports and M mixes every tube; slice t of the result P-hat is
     a CSR matrix over the union, and all of them share one set of structure
     arrays. The value gradient runs over the union in chunks (see
-    ``UNION_CHUNK``), so no (T, union nnz) gradient stack is ever held."""
+    ``UNION_CHUNK``), so no (T, union nnz) gradient stack is ever held.
 
-    def __init__(self, pattern: SlicePattern, values: np.ndarray, tf: Transform):
+    Built with ``live_only`` and some union tube dead, its values all
+    exactly 0, the operator keeps only the live tubes: P-hat is built chunk
+    by chunk and its CSR slices, the transposed products and the value
+    gradient's sampled products cover the live tubes alone. A dead tube's
+    P-hat column is M times 0, so dropping it changes no product. Both
+    mode-3 products keep their full chunk widths, so they round as over the
+    whole union, and the dead tubes' entries get a value gradient of +0."""
+
+    def __init__(self, pattern: SlicePattern, values: np.ndarray, tf: Transform, live_only: bool = False):
         if tf.size != pattern.t_slots:
             raise ShapeError(f"transform size {tf.size} does not match {pattern.t_slots} slices")
         self.pattern = pattern
         self.tf = tf
         u_indptr, u_indices, flat_to_union = pattern.union
-        p_stack = np.zeros((pattern.t_slots, len(u_indices)))
-        p_stack[pattern.entry_slots, flat_to_union] = values
-        p_hat = _apply_mode3(p_stack, tf.m)
+        live = None
+        if live_only:
+            live = np.zeros(len(u_indices), dtype=bool)
+            live[flat_to_union[values != 0]] = True
+        # each chunk's live columns, and the chunk cut down to its live
+        # tubes; None when every tube is live: the full-union path
+        self.live_chunks: list[tuple[np.ndarray, UnionChunk]] | None = None
+        if live is None or live.all():
+            p_stack = np.zeros((pattern.t_slots, len(u_indices)))
+            p_stack[pattern.entry_slots, flat_to_union] = values
+            p_hat = _apply_mode3(p_stack, tf.m)
+        else:
+            self.live_chunks = []
+            p_hat = np.empty((pattern.t_slots, int(np.count_nonzero(live))))
+            done = 0
+            for chunk in pattern.union_chunks(_union_chunk_width(pattern.t_slots)):
+                cols = np.flatnonzero(live[chunk.lo : chunk.hi])
+                keep = live[chunk.lo + chunk.positions]
+                self.live_chunks.append((cols, UnionChunk(
+                    chunk.lo, chunk.hi, chunk.rows[cols],
+                    chunk.entries[keep], chunk.slots[keep], chunk.positions[keep],
+                )))
+                if len(cols):
+                    p_stack = np.zeros((pattern.t_slots, chunk.hi - chunk.lo))
+                    p_stack[chunk.slots, chunk.positions] = values[chunk.entries]
+                    p_hat[:, done : done + len(cols)] = _apply_mode3(p_stack, tf.m).take(cols, axis=1)
+                    done += len(cols)
+            u_indptr = np.concatenate(([0], np.cumsum(live)))[u_indptr]
+            u_indices = u_indices[live]
         shape = (pattern.n_rows, pattern.n_cols)
         first = sp.csr_matrix((p_hat[0], u_indices, u_indptr), shape=shape, copy=False)
         # later slices reuse the index arrays scipy converted for the first
@@ -488,20 +538,45 @@ class UnionOperator:
         dy_hat = np.empty_like(y_hat)
         for t, p_t in enumerate(self.slices):
             dy_hat[t] = p_t.T @ g_hat[t]
-        dvals = np.empty(pattern.nnz)
-        for chunk in pattern.union_chunks(_union_chunk_width(pattern.t_slots)):
-            dp_hat = np.empty((pattern.t_slots, chunk.hi - chunk.lo))
-            for t in range(pattern.t_slots):
-                _sddmm(g_hat[t], chunk.rows, y_hat[t], u_indices[chunk.lo : chunk.hi], dp_hat[t])
-            dp = _apply_mode3(dp_hat, tf.m.T)
-            dvals[chunk.entries] = dp[chunk.slots, chunk.positions]
+        if self.live_chunks is None:
+            dvals = np.empty(pattern.nnz)
+            for chunk in pattern.union_chunks(_union_chunk_width(pattern.t_slots)):
+                dp_hat = np.empty((pattern.t_slots, chunk.hi - chunk.lo))
+                for t in range(pattern.t_slots):
+                    _sddmm(g_hat[t], chunk.rows, y_hat[t], u_indices[chunk.lo : chunk.hi], dp_hat[t])
+                dp = _apply_mode3(dp_hat, tf.m.T)
+                dvals[chunk.entries] = dp[chunk.slots, chunk.positions]
+        else:
+            dvals = np.zeros(pattern.nnz)
+            for cols, live in self.live_chunks:
+                if not len(cols):
+                    continue
+                # M^T runs over the chunk's full width, dead columns at 0
+                dp_hat = np.zeros((pattern.t_slots, live.hi - live.lo))
+                dp_live = np.empty(len(cols))
+                live_cols = u_indices[live.lo + cols]
+                for t in range(pattern.t_slots):
+                    _sddmm(g_hat[t], live.rows, y_hat[t], live_cols, dp_live)
+                    dp_hat[t, cols] = dp_live
+                dp = _apply_mode3(dp_hat, tf.m.T)
+                dvals[live.entries] = dp[live.slots, live.positions]
         return dvals, _apply_mode3(dy_hat, tf.m.T)
 
 
 SparseOperator = FacewiseOperator | UnionOperator
 
 
-def sparse_operator(pattern: SlicePattern, values: np.ndarray, tf: Transform) -> SparseOperator:
+def sparse_operator(pattern: SlicePattern, values: np.ndarray, tf: Transform, *, live_only: bool = False) -> SparseOperator:
     """The sparse M-product operator of flat ``values`` over ``pattern``
-    under ``tf``: face-wise under the identity, over the union otherwise."""
-    return FacewiseOperator(pattern, values) if tf.is_identity else UnionOperator(pattern, values, tf)
+    under ``tf``: face-wise under the identity, over the union otherwise.
+
+    ``live_only`` is for values that are a softmax output, whose backward
+    multiplies their gradient by the values: the value gradient is then
+    computed on the live entries only and is +0 elsewhere. Under the
+    identity an entry is live when its value is not 0; under a mixing
+    transform, when some value of its union tube is not 0. With every entry
+    live the operator is the full one.
+    """
+    if tf.is_identity:
+        return FacewiseOperator(pattern, values, live_only)
+    return UnionOperator(pattern, values, tf, live_only)

@@ -267,6 +267,21 @@ class TestCorruptDataset:
         assert proc.stderr.startswith("error: ")
         assert "'full.0.indptr'" in proc.stderr
 
+    def test_non_finite_adjacency_value_named(self, tmp_path):
+        path = corrupt_dataset(tmp_path, "masked.1.data", lambda a: np.where(np.arange(len(a)) == 0, np.nan, a))
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(path)}: record 'masked.1.data' holds a non-finite value"):
+            load_dataset(path)
+
+    def test_masked_edge_missing_from_full_rejected(self, tmp_path):
+        # swapping the stacks leaves the held-out edges in the masked graph only
+        graph, masked, splits = make_dataset(tmp_path)
+        path = str(tmp_path / "d.nohg")
+        save_dataset(path, masked, graph, splits, 0)
+        held_out = [t for t in range(graph.t_slots) if masked.adjacency.slices[t].nnz < graph.adjacency.slices[t].nnz]
+        assert held_out
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(path)}: masked adjacency slot {held_out[0]} holds edge \(\d+, \d+\)"):
+            load_dataset(path)
+
     def test_asymmetric_undirected_adjacency_rejected(self, tmp_path):
         # an entry moved to another column breaks the symmetry of slot 0
         path = corrupt_dataset(tmp_path, "masked.0.indices", lambda a: np.where(np.arange(len(a)) == 0, (a + 1) % 9, a))

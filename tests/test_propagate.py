@@ -157,9 +157,9 @@ def test_pair_dot_bit_equals_oracle(case):
 def test_one_operator_per_forward(monkeypatch, kind):
     calls = []
 
-    def counted(*args):
-        calls.append(args[0])
-        return sparse_operator(*args)
+    def counted(*args, **kwargs):
+        calls.append((args[0], kwargs))
+        return sparse_operator(*args, **kwargs)
 
     monkeypatch.setattr(model_mod, "sparse_operator", counted)
     pattern = make_pattern(10, n=12)
@@ -170,7 +170,7 @@ def test_one_operator_per_forward(monkeypatch, kind):
     weights = tape.leaf(np.random.default_rng(12).random(pattern.nnz), requires_grad=True)
     h = forward(tape, leaves, pattern, weights, make_transform(kind, T_SLOTS), 2)
     tape.backward(tape.sum(h))
-    assert calls == [pattern]
+    assert calls == [(pattern, {"live_only": True})]
     assert weights.grad is not None
 
 
@@ -206,3 +206,111 @@ def test_value_gradient_at_zero_weight(kind):
         table = entry_table(pattern)
         t, i, j = table[zeros].T
         np.testing.assert_allclose(grad[zeros], np.einsum("ef,ef->e", r[t, i], h0[t, j]), rtol=1e-12)
+
+
+LIVE_CASES = ("no_zeros", "mixed", "dead_chunks", "single_tube")
+
+
+def scale_pattern() -> SlicePattern:
+    """32 slices over a union of several 1,008-wide chunks whose total width
+    is not a multiple of 8, once ``UNION_CHUNK`` is 32 * 1001 values."""
+    pattern = make_pattern(18, t_slots=32, n=300, density=0.05)
+    assert len(pattern.union[1]) % 8 != 0
+    return pattern
+
+
+def live_weights(case: str, pattern: SlicePattern, rng: np.random.Generator) -> np.ndarray:
+    flat_to_union = pattern.union[2]
+    chunks = pattern.union_chunks(tensor3_mod._union_chunk_width(pattern.t_slots))
+    assert len(chunks) >= 4
+    if case in ("no_zeros", "mixed"):
+        return make_weights(case, pattern, rng)
+    w = rng.random(pattern.nnz) + 0.1
+    if case == "dead_chunks":
+        # every tube of the second and third chunks dead, and zeros elsewhere
+        w[(flat_to_union >= chunks[1].lo) & (flat_to_union < chunks[2].hi)] = 0.0
+        w[rng.random(pattern.nnz) < 0.3] = 0.0
+    else:
+        w[flat_to_union != (chunks[-2].lo + chunks[-1].hi) // 2] = 0.0
+    return w
+
+
+def live_entries(kind: str, pattern: SlicePattern, w: np.ndarray) -> np.ndarray:
+    """The entries whose value gradient the live operator computes."""
+    if kind == "identity":
+        return w != 0
+    flat_to_union = pattern.union[2]
+    tubes = np.zeros(len(pattern.union[1]), dtype=bool)
+    tubes[flat_to_union[w != 0]] = True
+    return tubes[flat_to_union]
+
+
+@pytest.mark.parametrize("case", LIVE_CASES)
+@pytest.mark.parametrize("kind", ["identity", "dct"])
+def test_live_operator_bit_equals_oracle(monkeypatch, kind, case):
+    """The live operator's product and node gradient equal the oracle's bit
+    for bit, and so does its value gradient on the live entries; on the
+    dead ones it is +0."""
+    monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", 32 * 1001)
+    pattern = scale_pattern()
+    rng = np.random.default_rng(19)
+    w0 = live_weights(case, pattern, rng)
+    h0 = rng.normal(size=(pattern.t_slots, pattern.n_cols, F))
+    r = rng.normal(size=(pattern.t_slots, pattern.n_rows, F))
+    tf = make_transform(kind, pattern.t_slots)
+    op = sparse_operator(pattern, w0, tf, live_only=True)
+    full = getattr(op, "live", None) is None and getattr(op, "live_chunks", None) is None
+    assert full == (case == "no_zeros")
+    tape = Tape()
+    w, h = tape.leaf(w0, requires_grad=True), tape.leaf(h0, requires_grad=True)
+    out = tape.sparse_m_product(w, h, op)
+    tape.backward(tape.sum(tape.mul(out, tape.constant(r))))
+    want = run_op(OracleTape(), "spmm" if kind == "identity" else "sparse_m_product", pattern, w0, h0, r, tf)
+    assert_bit_equal((out.value, h.grad), (want[0], want[2]))
+    live = live_entries(kind, pattern, w0)
+    assert live.all() == (case == "no_zeros")
+    assert w.grad[live].tobytes() == want[1][live].tobytes()
+    dead = w.grad[~live]
+    assert np.all(dead == 0) and not np.any(np.signbit(dead))
+
+
+@pytest.mark.parametrize("case", ["no_zeros", "mixed", "diagonal_only"])
+@pytest.mark.parametrize("kind", ["identity", "dct"])
+def test_live_forward_gradients_bit_equal_full(monkeypatch, kind, case):
+    """Every parameter gradient of a loss that reaches ``forward`` through
+    ``pair_dot`` and ``segment_softmax`` is the same, bit for bit, with the
+    live operator ``forward`` builds and with the full one."""
+    monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", 32 * 1001)
+    pattern = scale_pattern()
+    rng = np.random.default_rng(20)
+    o0 = 0.3 * rng.normal(size=(pattern.t_slots, pattern.n_rows, F))
+    table = entry_table(pattern)
+    off_diagonal = table[:, 1] != table[:, 2]
+    # an offset of -1e4 sets a weight to exactly 0; every row keeps its diagonal
+    offset = np.zeros(pattern.nnz)
+    if case == "mixed":
+        offset[off_diagonal & (rng.random(pattern.nnz) < 0.7)] = -1e4
+    elif case == "diagonal_only":
+        offset[off_diagonal] = -1e4
+    store = ParamStore()
+    init_model_params(store, pattern.n_rows, F, pattern.t_slots, 2, np.random.default_rng(21))
+    tf = make_transform(kind, pattern.t_slots)
+
+    def grads(**op_kwargs):
+        def build(pattern, values, tf, **_):
+            return sparse_operator(pattern, values, tf, **op_kwargs)
+
+        monkeypatch.setattr(model_mod, "sparse_operator", build)
+        tape = Tape()
+        leaves = store.leaves(tape)
+        o = tape.leaf(o0, requires_grad=True)
+        scores = tape.add(tape.pair_dot(o, pattern), tape.constant(offset))
+        weights = tape.segment_softmax(scores, pattern.row_splits)
+        assert np.any(weights.value == 0) == (case != "no_zeros")
+        h = forward(tape, leaves, pattern, weights, tf, 2)
+        tape.backward(tape.sum(h))
+        return [h.value, o.grad] + [leaves[name].grad for name in sorted(leaves) if leaves[name].grad is not None]
+
+    live, full = grads(live_only=True), grads()
+    assert len(live) == len(full) == 5
+    assert_bit_equal(live, full)
