@@ -3,6 +3,7 @@
 from nohgnn.data import (
     DynamicGraph,
     EdgeEvent,
+    EdgeTable,
     LabeledPairSet,
     bin_snapshots,
     load_edge_list,
@@ -46,6 +47,7 @@ __all__ = [
     "CheckpointError",
     "DynamicGraph",
     "EdgeEvent",
+    "EdgeTable",
     "LabeledPairSet",
     "Metrics",
     "NohgnnError",

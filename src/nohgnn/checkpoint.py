@@ -180,6 +180,9 @@ def _load_slice(records: dict[str, np.ndarray], name: str, n: int, path: str) ->
         raise CheckpointError(f"{path}: record '{name}.indices' holds a column outside [0, {n})")
     if len(data) != len(indices):
         raise CheckpointError(f"{path}: record '{name}.data' has {len(data)} entries, not {len(indices)}")
+    # row-major keys rise strictly exactly when no row repeats or unsorts a column
+    if np.any(np.diff(np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices) <= 0):
+        raise CheckpointError(f"{path}: record '{name}.indices' repeats or unsorts a column within a row")
     if not np.all(np.isfinite(data)):
         raise CheckpointError(f"{path}: record '{name}.data' holds a non-finite value")
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
@@ -228,6 +231,8 @@ def load_dataset(path: str) -> tuple[DynamicGraph, DynamicGraph, dict[str, Label
         id_map = {token: idx for idx, token in enumerate(blob.decode("utf-8").split("\n"))} if blob else {}
     except UnicodeDecodeError:
         raise CheckpointError(f"{path}: record 'idmap.tokens' is not valid UTF-8") from None
+    if blob and (len(id_map) != n or blob.count(b"\n") != n - 1):
+        raise CheckpointError(f"{path}: record 'idmap.tokens' does not hold {n} distinct tokens")
     graph = _load_graph(records, "full", n, t_slots, undirected, id_map, path)
     masked = _load_graph(records, "masked", n, t_slots, undirected, id_map, path)
     _check_masked_inside_full(graph, masked, path)
@@ -235,8 +240,13 @@ def load_dataset(path: str) -> tuple[DynamicGraph, DynamicGraph, dict[str, Label
     return graph, masked, splits, _require_scalar(records, "split_seed", path)
 
 
-# every TrainConfig field but the transform, which is stored as a code
-_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "transform")
+# every TrainConfig field but the transform, which is stored as a code, with
+# the dtype of its record (annotations are strings under postponed evaluation)
+_CONFIG_FIELDS = {
+    f.name: {"int": np.int64, "float": np.float64}[f.type]
+    for f in dataclasses.fields(TrainConfig)
+    if f.name != "transform"
+}
 
 
 def save_model(path: str, store: ParamStore, config: TrainConfig, n_nodes: int, t_slots: int) -> None:
@@ -258,8 +268,8 @@ def load_model(path: str) -> tuple[ParamStore, TrainConfig, int, int]:
     records = read_records(path)
     _check_kind(records, path, KIND_MODEL, "model")
     kwargs = {}
-    for name in _CONFIG_FIELDS:
-        kwargs[name] = _require_scalar(records, f"meta.{name}", path, (np.int64, np.float64))
+    for name, dtype in _CONFIG_FIELDS.items():
+        kwargs[name] = _require_scalar(records, f"meta.{name}", path, dtype)
     code = _require_scalar(records, "meta.transform", path)
     if not 0 <= code < len(TRANSFORM_KINDS):
         raise CheckpointError(f"{path}: unknown transform code {code}")
@@ -269,6 +279,10 @@ def load_model(path: str) -> tuple[ParamStore, TrainConfig, int, int]:
     stored = {name[len("param."):]: arr for name, arr in records.items() if name.startswith("param.")}
     if not stored:
         raise CheckpointError(f"{path}: model checkpoint holds no parameters")
+    # the embedding and layer stacks alone must fit in the stored values, so
+    # that corrupt sizes cannot make init_params allocate past the file
+    if n_nodes * config.dim + config.layers * t_slots * config.dim**2 > sum(a.size for a in stored.values()):
+        raise CheckpointError(f"{path}: metadata sizes describe more parameter values than the file stores")
     # the names and shapes a run with this configuration trains
     try:
         expected = init_params(config, n_nodes, t_slots)

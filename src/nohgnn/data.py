@@ -25,6 +25,7 @@ log = logging.getLogger(__name__)
 SPLIT_FRACTIONS = (0.7, 0.2, 0.1)
 MIN_SPLITTABLE_EDGES = 3
 SAMPLE_ROUNDS = 32
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -34,42 +35,84 @@ class EdgeEvent:
     src: int
     dst: int
     timestamp: int
-    weight: float = 1.0
 
 
-def load_edge_list(path: str) -> tuple[list[EdgeEvent], dict[str, int]]:
-    """Parse an edge-list file into events plus the id remapping.
+@dataclass(frozen=True)
+class EdgeTable:
+    """Timestamped interactions as int64 columns: the dense endpoint ids
+    ``src`` and ``dst`` and the exact timestamp ``ts`` of every event."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    ts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    @classmethod
+    def from_events(cls, events) -> "EdgeTable":
+        """The columns of records with ``src``, ``dst`` and ``timestamp``."""
+        try:
+            return cls(*(
+                np.array([getattr(e, name) for e in events], dtype=np.int64).reshape(-1)
+                for name in ("src", "dst", "timestamp")
+            ))
+        except OverflowError:
+            raise ParameterError("an event field lies outside the int64 range") from None
+
+
+def load_edge_list(path: str) -> tuple[EdgeTable, dict[str, int]]:
+    """Parse an edge-list file into an event table plus the id remapping.
 
     Returns (events, id_map) where id_map sends the external id token to its
-    dense index, assigned by first appearance in file order.
+    dense index, assigned by first appearance in file order. Integer stamps
+    are read exactly and other numeric ones truncated through float; a stamp
+    outside the int64 range is refused. A malformed file raises
+    ``ParseError`` naming the first line that does not parse.
     """
-    events: list[EdgeEvent] = []
-    id_map: dict[str, int] = {}
-
-    def dense(token: str) -> int:
-        if token not in id_map:
-            id_map[token] = len(id_map)
-        return id_map[token]
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(utf8_lines(fh, path), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) not in (3, 4):
-                raise ParseError(f"{path}:{line_no}: expected 'src dst timestamp [weight]', got {line!r}")
-            try:
-                src = dense(parts[0])
-                dst = dense(parts[1])
-                ts = _parse_timestamp(parts[2])
-                weight = float(parts[3]) if len(parts) == 4 else 1.0
-            except (ValueError, OverflowError) as exc:
-                raise ParseError(f"{path}:{line_no}: {exc}") from None
-            events.append(EdgeEvent(src, dst, ts, weight))
-    if not events:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    lines = list(map(str.strip, text.split("\n")))
+    line_nos = [k for k, line in enumerate(lines, start=1) if line and line[0] != "#"]
+    if not line_nos:
         raise ParseError(f"{path}: no edge events found")
-    return events, id_map
+    fields = "\n".join([lines[k - 1] for k in line_nos]).replace(",", " ")
+    counts = np.fromiter(map(len, map(str.split, fields.split("\n"))), np.int64, len(line_nos))
+    try:
+        if not np.all((counts == 3) | (counts == 4)):
+            raise ValueError
+        tokens = np.array(fields.split(), dtype=object)
+        starts = np.cumsum(counts) - counts
+        ends = tokens[(starts[:, None] + [0, 1]).ravel()].tolist()
+        ts = _timestamps(tokens[starts + 2])
+        list(map(float, tokens[starts[counts == 4] + 3]))
+    except (ValueError, OverflowError):
+        raise ParseError(_first_bad_line(path, lines, line_nos)) from None
+    id_map = {token: k for k, token in enumerate(dict.fromkeys(ends))}
+    dense = np.fromiter(map(id_map.__getitem__, ends), np.int64, len(ends))
+    return EdgeTable(dense[0::2], dense[1::2], ts), id_map
+
+
+def _first_bad_line(path: str, lines: list[str], line_nos: list[int]) -> str:
+    """The error message of the first data line that does not parse; the
+    caller has seen one fail."""
+    for line_no in line_nos:
+        line = lines[line_no - 1]
+        parts = line.replace(",", " ").split()
+        if len(parts) not in (3, 4):
+            return f"{path}:{line_no}: expected 'src dst timestamp [weight]', got {line!r}"
+        try:
+            ts = _parse_timestamp(parts[2])
+            if len(parts) == 4:
+                float(parts[3])
+        except (ValueError, OverflowError) as exc:
+            return f"{path}:{line_no}: {exc}"
+        if not INT64_MIN <= ts <= INT64_MAX:
+            return f"{path}:{line_no}: timestamp {parts[2]!r} lies outside the int64 range"
+    raise AssertionError(f"{path}: no line fails to parse")
 
 
 def utf8_lines(fh, path: str):
@@ -79,6 +122,15 @@ def utf8_lines(fh, path: str):
         yield from fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _timestamps(tokens: np.ndarray) -> np.ndarray:
+    """The int64 stamps of an object array of tokens, read as by
+    ``_parse_timestamp``; numpy's object cast calls ``int`` on each token."""
+    try:
+        return tokens.astype(np.int64)
+    except ValueError:
+        return np.array(list(map(_parse_timestamp, tokens)), dtype=np.int64)
 
 
 def _parse_timestamp(token: str) -> int:
@@ -101,10 +153,6 @@ class DynamicGraph:
     def __init__(self, n_nodes: int, adjacency: SliceSparse3, id_map: dict[str, int], undirected: bool = True):
         if adjacency.shape2d != (n_nodes, n_nodes):
             raise ShapeError(f"adjacency {adjacency.shape2d} does not match n_nodes={n_nodes}")
-        if undirected:
-            for t, s in enumerate(adjacency.slices):
-                if (s - s.T).nnz != 0:
-                    raise ShapeError(f"slot {t} adjacency is not symmetric")
         self.n_nodes = n_nodes
         self.adjacency = adjacency
         self.id_map = id_map
@@ -112,6 +160,23 @@ class DynamicGraph:
         self.overlap_cache: dict[int, SliceSparse3] = {}
         self._slot_edges: list[np.ndarray] | None = None
         self._edge_keys: list[np.ndarray | None] = [None] * len(adjacency.slices)
+        if undirected:
+            self._check_symmetric()
+
+    def _check_symmetric(self) -> None:
+        """Raise ``ShapeError`` naming the first slot whose adjacency differs
+        from its transpose, in an entry or a value."""
+        n = self.n_nodes
+        keys = self.slot_keys()
+        i, j = divmod(keys % (n * n), n)
+        # transposing moves no entry to another slot, so the transposed keys,
+        # sorted, line up slot by slot with the keys
+        transposed = keys + (j - i) * (n - 1)
+        order = np.argsort(transposed)
+        values = np.concatenate([s.data for s in self.adjacency.slices])
+        differ = (transposed[order] != keys) | (values[order] != values)
+        if differ.any():
+            raise ShapeError(f"slot {int(keys[differ.argmax()]) // (n * n)} adjacency is not symmetric")
 
     @property
     def t_slots(self) -> int:
@@ -120,7 +185,11 @@ class DynamicGraph:
     @property
     def slot_edges(self) -> list[np.ndarray]:
         if self._slot_edges is None:
-            self._slot_edges = [edges_of_slice(s, self.undirected) for s in self.adjacency.slices]
+            self._slot_edges = []
+            for t in range(self.t_slots):
+                i, j = divmod(self.edge_keys(t), self.n_nodes)
+                edges = np.column_stack([i, j])
+                self._slot_edges.append(edges[j > i] if self.undirected else edges)
         return self._slot_edges
 
     @property
@@ -132,11 +201,13 @@ class DynamicGraph:
         return s.indices[s.indptr[i] : s.indptr[i + 1]]
 
     def edge_keys(self, t: int) -> np.ndarray:
-        """Sorted int64 keys i*N+j of every stored adjacency entry at slot t."""
+        """Int64 keys i*N+j of every stored adjacency entry at slot t, in CSR
+        order, which is ascending because ``SliceSparse3`` slices are
+        canonical; so they line up with the slice's values."""
         if self._edge_keys[t] is None:
             s = self.adjacency.slices[t]
             rows = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(s.indptr))
-            self._edge_keys[t] = np.sort(rows * self.n_nodes + s.indices)
+            self._edge_keys[t] = rows * self.n_nodes + s.indices
         return self._edge_keys[t]
 
     def slot_keys(self) -> np.ndarray:
@@ -174,57 +245,60 @@ def merge_pair_sets(a: LabeledPairSet, b: LabeledPairSet, role: str | None = Non
     )
 
 
-def edges_of_slice(s: sp.csr_matrix, undirected: bool) -> np.ndarray:
-    """Distinct (i, j) edge rows of one adjacency slice, sorted lexicographically."""
-    half = sp.triu(s, k=1).tocoo() if undirected else s.tocoo()
-    pairs = np.column_stack([half.row, half.col]).astype(np.int64)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
-
-
 def bin_snapshots(
-    events: list[EdgeEvent],
+    events: EdgeTable | list[EdgeEvent],
     t_slots: int,
     undirected: bool = True,
     id_map: dict[str, int] | None = None,
 ) -> DynamicGraph:
     """Bin events into T uniform timestamp ranges and build the adjacency.
 
-    Slot index is floor(T*(ts-ts_min)/(ts_max-ts_min+1)), computed in exact
+    ``events`` is an ``EdgeTable`` or a list of ``EdgeEvent`` records. Slot
+    index is floor(T*(ts-ts_min)/(ts_max-ts_min+1)), computed in exact
     integer arithmetic. Self-loops are dropped; duplicate edges within a slot
     collapse to a single unit entry.
     """
     if t_slots < 1:
         raise ParameterError(f"t_slots must be >= 1, got {t_slots}")
-    if not events:
+    table = events if isinstance(events, EdgeTable) else EdgeTable.from_events(events)
+    if not len(table):
         raise ParameterError("cannot bin an empty event list")
-    stamps = [e.timestamp for e in events]
-    ts_min, ts_max = min(stamps), max(stamps)
+    ts_min, ts_max = int(table.ts.min()), int(table.ts.max())
     span = ts_max - ts_min + 1
     if ts_min == ts_max and t_slots > 1:
-        log.warning("all %d events share one timestamp; every event lands in slot 0", len(events))
-    n_nodes = 1 + max(max(e.src for e in events), max(e.dst for e in events))
+        log.warning("all %d events share one timestamp; every event lands in slot 0", len(table))
+    n_nodes = 1 + max(int(table.src.max()), int(table.dst.max()))
+    if t_slots * n_nodes * n_nodes > INT64_MAX:
+        raise ParameterError(f"{t_slots} slots of {n_nodes} nodes overflow the int64 edge keys")
 
-    rows: list[list[int]] = [[] for _ in range(t_slots)]
-    cols: list[list[int]] = [[] for _ in range(t_slots)]
-    for e in events:
-        if e.src == e.dst:
-            continue
-        t = (t_slots * (e.timestamp - ts_min)) // span
-        rows[t].append(e.src)
-        cols[t].append(e.dst)
-        if undirected:
-            rows[t].append(e.dst)
-            cols[t].append(e.src)
-
-    slices = []
-    for t in range(t_slots):
-        # distinct row-major keys are the slot's entries in CSR order
-        keys = np.unique(np.asarray(rows[t], dtype=np.int64) * n_nodes + np.asarray(cols[t], dtype=np.int64))
-        indptr = np.searchsorted(keys, np.arange(n_nodes + 1, dtype=np.int64) * n_nodes)
-        slices.append(sp.csr_matrix((np.ones(len(keys)), keys % n_nodes, indptr), shape=(n_nodes, n_nodes)))
-    adjacency = SliceSparse3(slices, shape=(n_nodes, n_nodes))
+    # slot t >= 1 starts at ts_min + ceil(t*span/T), so the stamp before that
+    # start is the last of slot t - 1; Python integers keep it exact
+    last = [ts_min + -(-t * span // t_slots) - 1 for t in range(1, t_slots)]
+    slot = np.searchsorted(np.array(last, dtype=np.int64), table.ts)
+    loop = table.src == table.dst
+    src, dst, slot = table.src[~loop], table.dst[~loop], slot[~loop]
+    if undirected:
+        src, dst, slot = np.concatenate([src, dst]), np.concatenate([dst, src]), np.concatenate([slot, slot])
+    keys = np.sort(slot * (n_nodes * n_nodes) + src * n_nodes + dst)
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    keys = keys[distinct]
+    adjacency = SliceSparse3(_slices_from_keys(keys, n_nodes, t_slots), shape=(n_nodes, n_nodes))
     return DynamicGraph(n_nodes, adjacency, dict(id_map or {}), undirected)
+
+
+def _slices_from_keys(keys: np.ndarray, n_nodes: int, t_slots: int, values: np.ndarray | None = None) -> list[sp.csr_matrix]:
+    """The CSR slices of the entries whose ascending, distinct int64 keys are
+    t*N^2 + i*N + j, with ``values`` in key order, or 1 where it is None."""
+    bounds = np.searchsorted(
+        keys, np.arange(t_slots, dtype=np.int64)[:, None] * (n_nodes * n_nodes) + np.arange(n_nodes + 1) * n_nodes
+    )
+    cols = keys % n_nodes
+    values = np.ones(len(keys)) if values is None else values
+    return [
+        sp.csr_matrix((values[p[0] : p[-1]], cols[p[0] : p[-1]], p - p[0]), shape=(n_nodes, n_nodes))
+        for p in bounds
+    ]
 
 
 def _apportion(n: int, fractions: tuple[float, ...]) -> list[int]:
@@ -251,51 +325,39 @@ def split_edges(
     if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ParameterError(f"fractions must be positive and sum to 1, got {fractions}")
     rng = np.random.default_rng(seed)
-    buckets: list[list[np.ndarray]] = [[], [], []]
-    removed_keys: list[np.ndarray] = []
+    roles = []
     for t, edges in enumerate(g.slot_edges):
         n_edges = len(edges)
         if n_edges == 0:
-            removed_keys.append(np.zeros(0, dtype=np.int64))
+            roles.append(np.zeros(0, dtype=np.int8))
             continue
         if n_edges < MIN_SPLITTABLE_EDGES:
             log.warning("slot %d has only %d edge(s); assigning all to train", t, n_edges)
             counts = [n_edges, 0, 0]
         else:
             counts = _apportion(n_edges, fractions)
-        shuffled = edges[rng.permutation(n_edges)]
-        lo = 0
-        parts = []
-        for c in counts:
-            parts.append(shuffled[lo : lo + c])
-            lo += c
-        for bucket, part in zip(buckets, parts):
-            if len(part):
-                bucket.append(np.column_stack([part, np.full(len(part), t, dtype=np.int64)]))
-        held_out = np.concatenate([parts[1], parts[2]]) if len(parts[1]) + len(parts[2]) else np.zeros((0, 2), dtype=np.int64)
-        keys = held_out[:, 0] * g.n_nodes + held_out[:, 1]
-        if g.undirected:
-            keys = np.concatenate([keys, held_out[:, 1] * g.n_nodes + held_out[:, 0]])
-        removed_keys.append(keys)
-
-    def build(role_idx: int, role: str) -> LabeledPairSet:
-        if buckets[role_idx]:
-            pairs = np.concatenate(buckets[role_idx])
-            order = np.lexsort((pairs[:, 1], pairs[:, 0], pairs[:, 2]))
-            pairs = pairs[order]
-        else:
-            pairs = np.zeros((0, 3), dtype=np.int64)
-        return LabeledPairSet(pairs, np.ones(len(pairs)), role)
-
-    masked_slices = []
-    for t, s in enumerate(g.adjacency.slices):
-        coo = s.tocoo()
-        keep = ~np.isin(coo.row.astype(np.int64) * g.n_nodes + coo.col, removed_keys[t])
-        masked_slices.append(sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=s.shape))
-    masked_graph = DynamicGraph(
-        g.n_nodes, SliceSparse3(masked_slices, shape=(g.n_nodes, g.n_nodes)), g.id_map, g.undirected
+        # the shuffled edges fall into train, val and test in that order
+        role = np.empty(n_edges, dtype=np.int8)
+        role[rng.permutation(n_edges)] = np.repeat(np.arange(3, dtype=np.int8), counts)
+        roles.append(role)
+    role = np.concatenate(roles)
+    # every slot's edges are sorted, so the stacked (i, j, t) rows are in (t, i, j) order
+    pairs = np.concatenate(
+        [np.column_stack([edges, np.full(len(edges), t, dtype=np.int64)]) for t, edges in enumerate(g.slot_edges)]
     )
-    return build(0, "train"), build(1, "val"), build(2, "test"), masked_graph
+    n = g.n_nodes
+    held_out = pairs[role > 0]
+    removed = held_out[:, 2] * (n * n) + held_out[:, 0] * n + held_out[:, 1]
+    if g.undirected:
+        removed = np.concatenate([removed, held_out[:, 2] * (n * n) + held_out[:, 1] * n + held_out[:, 0]])
+    keys = g.slot_keys()
+    values = np.concatenate([s.data for s in g.adjacency.slices])
+    keep = ~_contains(np.sort(removed), keys)
+    masked_slices = _slices_from_keys(keys[keep], n, g.t_slots, values[keep])
+    masked_graph = DynamicGraph(n, SliceSparse3(masked_slices, shape=(n, n)), g.id_map, g.undirected)
+    train, val, test = (LabeledPairSet(pairs[role == r], np.ones(int((role == r).sum())), name)
+                        for r, name in enumerate(("train", "val", "test")))
+    return train, val, test, masked_graph
 
 
 def negative_sample(

@@ -71,16 +71,13 @@ class FeatureContext:
 def build_feature_context(b: SliceSparse3) -> FeatureContext:
     n = b.shape2d[0]
     t_slots = len(b.slices)
-    all_vals = np.concatenate([s.data for s in b.slices]) if b.nnz else np.zeros(0)
-    unique, inverse = np.unique(all_vals, return_inverse=True)
-    rows = np.concatenate(
-        [
-            t * n + np.repeat(np.arange(n, dtype=np.int64), np.diff(s.indptr))
-            for t, s in enumerate(b.slices)
-        ]
-    ) if b.nnz else np.zeros(0, dtype=np.int64)
+    values = np.concatenate([np.zeros(0)] + [s.data for s in b.slices])
+    unique = np.unique(values)
+    # one CSR row per (slot, node) over the value columns: B's own row
+    # structure, each entry moved to its value's column, then summed
+    indptr = np.concatenate([[0]] + [np.diff(s.indptr) for s in b.slices]).cumsum()
     counts = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, inverse)), shape=(t_slots * n, len(unique))
+        (np.ones(len(values)), np.searchsorted(unique, values), indptr), shape=(t_slots * n, len(unique))
     )
     counts.sum_duplicates()
     return FeatureContext(unique, counts, n, t_slots)

@@ -255,15 +255,31 @@ def sparse_matpower_sum(a: SliceSparse3, k_hops: int) -> SliceSparse3:
     d1, d2, _ = a.dims
     if d1 != d2:
         raise ShapeError(f"slices must be square, got {d1}x{d2}")
-    out = []
-    for s in a.slices:
-        acc = s.copy()
-        cur = s
-        for _ in range(k_hops - 1):
-            cur = cur @ s
-            acc = acc + cur
-        out.append(acc)
-    return SliceSparse3(out, shape=a.shape2d)
+    block = _block_diagonal(a)
+    acc = cur = block
+    for _ in range(k_hops - 1):
+        cur = cur @ block
+        # canonical terms make a canonical sum, at less cost than unsorted ones
+        acc = acc + cur.sorted_indices()
+    # slot t is rows and columns [t*d1, (t+1)*d1) of the block matrix
+    slices = []
+    for t in range(len(a.slices)):
+        p = acc.indptr[t * d1 : (t + 1) * d1 + 1]
+        slices.append(sp.csr_matrix((acc.data[p[0] : p[-1]], acc.indices[p[0] : p[-1]] - t * d1, p - p[0]), shape=a.shape2d))
+    return SliceSparse3(slices, shape=a.shape2d)
+
+
+def _block_diagonal(x: SliceSparse3) -> sp.csr_matrix:
+    """The slices of ``x`` as the diagonal blocks of one (T*d1, T*d2) CSR
+    matrix; its products and sums are those of the slices, entry for entry."""
+    d1, d2, t_slots = x.dims
+    offsets = np.cumsum([0] + [s.nnz for s in x.slices])
+    # int32 where it fits, as scipy would narrow it to anyway
+    index = np.int32 if max(offsets[-1], t_slots * max(d1, d2)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.concatenate([np.zeros(1, index)] + [s.indptr[1:] + index(off) for s, off in zip(x.slices, offsets)])
+    indices = np.concatenate([np.zeros(0, index)] + [s.indices + index(t * d2) for t, s in enumerate(x.slices)])
+    data = np.concatenate([np.zeros(0)] + [s.data for s in x.slices])
+    return sp.csr_matrix((data, indices, indptr), shape=(t_slots * d1, t_slots * d2))
 
 
 # entries per SDDMM block, so that both gathered (block, F) float64 operands

@@ -21,7 +21,7 @@ from nohgnn.checkpoint import (
     save_model,
     write_records,
 )
-from nohgnn.data import load_edge_list, bin_snapshots, split_edges
+from nohgnn.data import EdgeEvent, load_edge_list, bin_snapshots, split_edges
 from nohgnn.errors import CheckpointError
 from nohgnn.synth import planted_partition_graph
 from nohgnn.training import TrainConfig, init_params
@@ -161,12 +161,12 @@ class TestContainer:
             write_records(str(tmp_path / "x.nohg"), {"x": np.zeros(2, dtype=np.float32)})
 
 
-def make_dataset(tmp_path, seed=3):
+def make_dataset(tmp_path, seed=3, undirected=True):
     text = "\n".join(f"n{i} n{(i * 7 + 1) % 9} {t}" for t in range(3) for i in range(9))
     edge_file = tmp_path / "edges.txt"
     edge_file.write_text(text + "\n")
     events, id_map = load_edge_list(str(edge_file))
-    graph = bin_snapshots(events, 3, id_map=id_map)
+    graph = bin_snapshots(events, 3, undirected=undirected, id_map=id_map)
     train, val, test, masked = split_edges(graph, seed=seed)
     return graph, masked, {"train": train, "val": val, "test": test}
 
@@ -210,9 +210,9 @@ class TestDatasetArtifact:
             load_dataset(path)
 
 
-def corrupt_dataset(tmp_path, name, value):
+def corrupt_dataset(tmp_path, name, value, undirected=True):
     """A saved dataset whose record ``name`` is replaced by ``value``."""
-    graph, masked, splits = make_dataset(tmp_path)
+    graph, masked, splits = make_dataset(tmp_path, undirected=undirected)
     path = str(tmp_path / "d.nohg")
     save_dataset(path, graph, masked, splits, 0)
     records = read_records(path)
@@ -248,6 +248,35 @@ class TestCorruptDataset:
     def test_bad_csr_record_named(self, tmp_path, name, value):
         path = corrupt_dataset(tmp_path, name, value)
         with pytest.raises(CheckpointError, match=re.escape(name)):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("undirected", [True, False])
+    @pytest.mark.parametrize("edit", ["repeat", "swap"])
+    def test_repeated_or_unsorted_column_named(self, tmp_path, edit, undirected):
+        # scipy would sum a repeated column to 2, and sort an unsorted row silently
+        events = [EdgeEvent(0, 1, 0), EdgeEvent(0, 2, 0), EdgeEvent(1, 2, 0), EdgeEvent(2, 1, 0)]
+        graph = bin_snapshots(events, 1, undirected=undirected)
+        train, val, test, masked = split_edges(graph, seed=0)
+        path = str(tmp_path / "d.nohg")
+        save_dataset(path, graph, masked, {"train": train, "val": val, "test": test}, 0)
+        records = read_records(path)
+        row = records["full.0.indices"][:2]  # node 0's two columns, 1 and 2
+        assert row.tolist() == [1, 2]
+        row[:] = [1, 1] if edit == "repeat" else [2, 1]
+        write_records(path, records)
+        with pytest.raises(CheckpointError, match=re.escape("'full.0.indices' repeats or unsorts a column")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "tokens",
+        ["n0\nn0" + "".join(f"\nn{i}" for i in range(2, 9)), "\n".join(f"n{i}" for i in range(8)),
+         "\n".join(f"n{i}" for i in range(10)), "\n" * 8],
+        ids=["repeated", "too-few", "too-many", "all-empty"],
+    )
+    def test_id_map_of_other_size_named(self, tmp_path, tokens):
+        blob = np.frombuffer(tokens.encode("utf-8"), dtype=np.uint8)
+        path = corrupt_dataset(tmp_path, "idmap.tokens", lambda _: blob)
+        with pytest.raises(CheckpointError, match=re.escape("'idmap.tokens' does not hold 9 distinct tokens")):
             load_dataset(path)
 
     def test_descending_indptr_reported_by_eval(self, tmp_path):
@@ -388,14 +417,20 @@ class TestModelArtifact:
              r"unexpected record 'param\.layer2\.w'"),
             (lambda r: r.__setitem__("meta.n_nodes", np.asarray(0)), r"n_nodes"),
             (lambda r: r.__setitem__("meta.dim", np.asarray([8])),
-             r"record 'meta\.dim' is int64 of rank 1, expected int64 or float64 of rank 0"),
+             r"record 'meta\.dim' is int64 of rank 1, expected int64 of rank 0"),
+            (lambda r: r.__setitem__("meta.dim", np.asarray(8.0)),
+             r"record 'meta\.dim' is float64 of rank 0, expected int64 of rank 0"),
+            (lambda r: r.__setitem__("meta.learning_rate", np.asarray(1)),
+             r"record 'meta\.learning_rate' is int64 of rank 0, expected float64 of rank 0"),
+            (lambda r: r.__setitem__("meta.n_nodes", np.asarray(2**40)),
+             r"metadata sizes describe more parameter values than the file stores"),
             (lambda r: r.__setitem__("meta.t_slots", np.asarray(2.0)),
              r"record 'meta\.t_slots' is float64 of rank 0, expected int64 of rank 0"),
             (lambda r: r.__setitem__("kind", np.asarray([1])),
              r"record 'kind' is int64 of rank 1, expected int64 of rank 0"),
         ],
         ids=["missing", "wrong-shape", "wrong-rank", "extra", "fewer-layers", "no-nodes",
-             "meta-rank-1", "float-slots", "kind-rank-1"],
+             "meta-rank-1", "float-dim", "int-learning-rate", "huge-n-nodes", "float-slots", "kind-rank-1"],
     )
     def test_parameter_records_checked_against_config(self, tmp_path, edit, message):
         path = str(tmp_path / "m.nohg")

@@ -35,15 +35,17 @@ class TestLoadEdgeList:
         events, id_map = load_edge_list(path)
         assert len(events) == 2
         assert len(id_map) == 3
-        assert events[0] == EdgeEvent(0, 1, 5)
-        assert events[1] == EdgeEvent(1, 2, 9)
+        assert events.src.tolist() == [0, 1]
+        assert events.dst.tolist() == [1, 2]
+        assert events.ts.tolist() == [5, 9]
+        assert events.ts.dtype == np.int64
 
     def test_first_appearance_remap(self, tmp_path):
         path = write_edges(tmp_path, "42 7 0\n7 99 1\n")
         events, id_map = load_edge_list(path)
         assert id_map == {"42": 0, "7": 1, "99": 2}
-        assert (events[0].src, events[0].dst) == (0, 1)
-        assert (events[1].src, events[1].dst) == (1, 2)
+        assert (events.src[0], events.dst[0]) == (0, 1)
+        assert (events.src[1], events.dst[1]) == (1, 2)
 
     def test_id_map_is_bijection_onto_range(self, tmp_path):
         path = write_edges(tmp_path, "5 3 0\n3 5 1\n9 5 2\n")
@@ -54,19 +56,18 @@ class TestLoadEdgeList:
         path = write_edges(tmp_path, "# header\n0,1,5,2.5\n\n1, 2, 9\n")
         events, _ = load_edge_list(path)
         assert len(events) == 2
-        assert events[0].weight == 2.5
-        assert events[1].weight == 1.0
+        assert events.ts.tolist() == [5, 9]
 
     def test_float_timestamps_truncate(self, tmp_path):
         path = write_edges(tmp_path, "0 1 1453438800.0\n")
         events, _ = load_edge_list(path)
-        assert events[0].timestamp == 1453438800
+        assert events.ts.tolist() == [1453438800]
 
     def test_nanosecond_timestamps_stay_exact(self, tmp_path):
         # float64 values near 1.7e18 are 256 apart, so a float parse merges all three
         path = write_edges(tmp_path, "0 1 1700000000000000000\n1 2 1700000000000000001\n2 3 1700000000000000002\n")
         events, _ = load_edge_list(path)
-        assert [e.timestamp for e in events] == [1700000000000000000, 1700000000000000001, 1700000000000000002]
+        assert events.ts.tolist() == [1700000000000000000, 1700000000000000001, 1700000000000000002]
         g = bin_snapshots(events, 3)
         assert [len(edges) for edges in g.slot_edges] == [1, 1, 1]
         assert has_edge(g, 2, 1, 1) and has_edge(g, 3, 2, 2)

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nohgnn.checkpoint import read_records, write_records
+from nohgnn.checkpoint import load_dataset, load_model, read_records, save_dataset, save_model, write_records
 from nohgnn.cli import main
 from nohgnn.config import load_run_config
-from nohgnn.data import load_edge_list
+from nohgnn.data import load_edge_list, split_edges
 from nohgnn.errors import NohgnnError, ParseError
+from nohgnn.synth import planted_partition_graph
+from nohgnn.training import TrainConfig, init_params
 
 NOT_UTF8 = b"\xff"
 
@@ -110,3 +112,73 @@ config_line = st.tuples(
 @given(lines=st.lists(config_line, max_size=6), raw=st.binary(max_size=40))
 def test_load_run_config_fuzz(scratch_file, lines, raw):
     _only_named_errors(load_run_config, scratch_file, "\n".join(lines).encode("utf-8") + raw)
+
+
+@pytest.fixture(scope="module")
+def saved_artifacts(tmp_path_factory) -> dict[str, tuple]:
+    """A real dataset and model container: their records and their bytes."""
+    folder = tmp_path_factory.mktemp("artifacts")
+    graph = planted_partition_graph(8, 3, p_in=0.6, p_out=0.2, seed=1)
+    train, val, test, masked = split_edges(graph, seed=0)
+    save_dataset(str(folder / "d.nohg"), graph, masked, {"train": train, "val": val, "test": test}, 0)
+    config = TrainConfig(dim=2, layers=1)
+    save_model(str(folder / "m.nohg"), init_params(config, 8, 3), config, 8, 3)
+    return {kind: (read_records(str(folder / f"{kind}.nohg")), (folder / f"{kind}.nohg").read_bytes())
+            for kind in ("d", "m")}
+
+
+LOADERS = {"d": load_dataset, "m": load_model}
+EXTREMES = [-(2**63), -1, 0, 1, 2, 3, 8, 9, 2**31, 2**40, 2**63 - 1]
+record_edit = st.tuples(
+    st.integers(0, 10_000),
+    st.sampled_from(["drop", "set", "cast", "grow", "shrink", "flatten", "rank0"]),
+    st.integers(0, 10_000),
+    st.one_of(st.sampled_from(EXTREMES), st.integers(-3, 12), st.sampled_from([0.5, -0.0, float("nan"), float("inf")])),
+)
+
+
+def _edit_records(records: dict[str, np.ndarray], edits) -> dict[str, np.ndarray]:
+    """A copy of ``records`` with each edit applied to the record it picks."""
+    out = {name: arr.copy() for name, arr in records.items()}
+    for pick, op, pos, value in edits:
+        if not out:
+            break
+        name = sorted(out)[pick % len(out)]
+        arr = out[name]
+        if op == "drop":
+            del out[name]
+        elif op == "set" and arr.size and (np.isfinite(value) or arr.dtype == np.float64):
+            # astype wraps a value outside the record's dtype instead of raising
+            arr.reshape(-1)[pos % arr.size] = np.asarray(value).astype(arr.dtype)
+        elif op == "cast":
+            out[name] = arr.astype([np.int64, np.float64, np.uint8][pos % 3])
+        elif op == "grow":
+            out[name] = np.concatenate([arr.reshape(-1), arr.reshape(-1)[:1]]) if arr.size else arr.reshape(-1)
+        elif op == "shrink":
+            out[name] = arr.reshape(-1)[: max(0, arr.size - 1 - pos % 3)]
+        elif op == "flatten":
+            out[name] = arr.reshape(-1) if arr.ndim != 1 else arr.reshape(1, -1)
+        elif op == "rank0" and arr.size:
+            out[name] = np.asarray(arr.reshape(-1)[pos % arr.size])
+    return out
+
+
+@pytest.mark.parametrize("kind", ["d", "m"])
+@settings(max_examples=150)
+@given(edits=st.lists(record_edit, min_size=1, max_size=4))
+def test_saved_container_record_fuzz(saved_artifacts, scratch_file, kind, edits):
+    write_records(str(scratch_file), _edit_records(saved_artifacts[kind][0], edits))
+    try:
+        LOADERS[kind](str(scratch_file))
+    except NohgnnError:
+        pass
+
+
+@pytest.mark.parametrize("kind", ["d", "m"])
+@settings(max_examples=150)
+@given(edits=st.lists(edit, max_size=6), cut=st.integers(0, 100_000))
+def test_saved_container_byte_fuzz(saved_artifacts, scratch_file, kind, edits, cut):
+    mutated = bytearray(saved_artifacts[kind][1])
+    for pos, byte in edits:
+        mutated[pos % len(mutated)] = byte
+    _only_named_errors(LOADERS[kind], scratch_file, bytes(mutated[: len(mutated) - cut % 64]))
