@@ -24,7 +24,7 @@ from nohgnn.data import DynamicGraph, LabeledPairSet, _contains
 from nohgnn.errors import CheckpointError, ParameterError, ShapeError
 from nohgnn.tape import ParamStore
 from nohgnn.tensor3 import SliceSparse3
-from nohgnn.training import TRANSFORM_KINDS, TrainConfig, init_params
+from nohgnn.training import TRANSFORM_KINDS, TrainConfig, param_shapes
 
 MAGIC = b"NOHG"
 VERSION = 1
@@ -257,8 +257,8 @@ def save_model(path: str, store: ParamStore, config: TrainConfig, n_nodes: int, 
         "meta.t_slots": _scalar(t_slots),
         "meta.transform": _scalar(TRANSFORM_KINDS.index(config.transform)),
     }
-    for name in _CONFIG_FIELDS:
-        records[f"meta.{name}"] = _scalar(getattr(config, name))
+    for name, dtype in _CONFIG_FIELDS.items():
+        records[f"meta.{name}"] = np.asarray(getattr(config, name), dtype=dtype)
     for name in store.names():
         records[f"param.{name}"] = store.value(name)
     write_records(path, records)
@@ -269,7 +269,10 @@ def load_model(path: str) -> tuple[ParamStore, TrainConfig, int, int]:
     _check_kind(records, path, KIND_MODEL, "model")
     kwargs = {}
     for name, dtype in _CONFIG_FIELDS.items():
-        kwargs[name] = _require_scalar(records, f"meta.{name}", path, dtype)
+        # older files stored a float field that held an integral value as int64
+        accepted = (np.float64, np.int64) if dtype is np.float64 else dtype
+        value = _require_scalar(records, f"meta.{name}", path, accepted)
+        kwargs[name] = float(value) if dtype is np.float64 else value
     code = _require_scalar(records, "meta.transform", path)
     if not 0 <= code < len(TRANSFORM_KINDS):
         raise CheckpointError(f"{path}: unknown transform code {code}")
@@ -279,23 +282,18 @@ def load_model(path: str) -> tuple[ParamStore, TrainConfig, int, int]:
     stored = {name[len("param."):]: arr for name, arr in records.items() if name.startswith("param.")}
     if not stored:
         raise CheckpointError(f"{path}: model checkpoint holds no parameters")
-    # the embedding and layer stacks alone must fit in the stored values, so
-    # that corrupt sizes cannot make init_params allocate past the file
-    if n_nodes * config.dim + config.layers * t_slots * config.dim**2 > sum(a.size for a in stored.values()):
-        raise CheckpointError(f"{path}: metadata sizes describe more parameter values than the file stores")
-    # the names and shapes a run with this configuration trains
+    # the shapes come lazily, so a corrupt layer count stops at the first
+    # missing record instead of enumerating every layer it names
+    expected = set()
     try:
-        expected = init_params(config, n_nodes, t_slots)
+        for name, shape in param_shapes(config, n_nodes, t_slots):
+            if name not in stored:
+                raise CheckpointError(f"{path}: missing record 'param.{name}'")
+            if stored[name].shape != shape:
+                raise CheckpointError(f"{path}: record 'param.{name}' has shape {stored[name].shape}, expected {shape}")
+            expected.add(name)
     except ParameterError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    for name in expected.names():
-        if name not in stored:
-            raise CheckpointError(f"{path}: missing record 'param.{name}'")
-        if stored[name].shape != expected.value(name).shape:
-            raise CheckpointError(
-                f"{path}: record 'param.{name}' has shape {stored[name].shape}, "
-                f"expected {expected.value(name).shape}"
-            )
     for name in sorted(stored):
         if name not in expected:
             raise CheckpointError(f"{path}: unexpected record 'param.{name}'")

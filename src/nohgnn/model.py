@@ -9,13 +9,31 @@ hidden layer and a sigmoid output.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from nohgnn.errors import NumericError, ParameterError
-from nohgnn.tape import Node, ParamStore, Tape, xavier_uniform
+from nohgnn.tape import Node, ParamStore, Tape, init_dense, xavier_uniform
 from nohgnn.tensor3 import SlicePattern, SparseOperator, Transform, sparse_operator
 
 LAYER_NOISE_SCALE = 0.05
+
+
+def model_param_shapes(n_nodes: int, dim: int, t_slots: int, n_layers: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Each model parameter's name and shape, in creation order: the node
+    embedding, one weight stack per layer, and the decoder. Lazy, so that a
+    reader can stop at the first name a file lacks whatever the layer count."""
+    if n_layers < 1:
+        raise ParameterError(f"layer count must be >= 1, got {n_layers}")
+    if dim < 1 or n_nodes < 1 or t_slots < 1:
+        raise ParameterError(
+            f"n_nodes, dim, t_slots must be >= 1, got {n_nodes}, {dim}, {t_slots}"
+        )
+    yield "embed.e", (n_nodes, dim)
+    for layer in range(1, n_layers + 1):
+        yield f"layer{layer}.w", (t_slots, dim, dim)
+    yield from {"dec.w1": (2 * dim, dim), "dec.b1": (dim,), "dec.w2": (dim, 1), "dec.b2": (1,)}.items()
 
 
 def init_model_params(
@@ -26,7 +44,7 @@ def init_model_params(
     n_layers: int,
     rng: np.random.Generator,
 ) -> None:
-    """Register the node embedding, per-layer weight tensors, and decoder.
+    """Register the parameters of ``model_param_shapes``.
 
     The embedding and decoder are Xavier-uniform with zero biases; each
     layer's weight stack starts at the identity plus small Xavier noise.
@@ -35,21 +53,12 @@ def init_model_params(
     toward zero faster than the data signal grows. Everything is drawn in a
     fixed creation order so a given seed always produces the same values.
     """
-    if n_layers < 1:
-        raise ParameterError(f"layer count must be >= 1, got {n_layers}")
-    if dim < 1 or n_nodes < 1 or t_slots < 1:
-        raise ParameterError(
-            f"n_nodes, dim, t_slots must be >= 1, got {n_nodes}, {dim}, {t_slots}"
-        )
-    store.add("embed.e", xavier_uniform(rng, n_nodes, dim, (n_nodes, dim)))
-    eye = np.broadcast_to(np.eye(dim), (t_slots, dim, dim))
-    for layer in range(1, n_layers + 1):
-        noise = xavier_uniform(rng, dim, dim, (t_slots, dim, dim))
-        store.add(f"layer{layer}.w", eye + LAYER_NOISE_SCALE * noise)
-    store.add("dec.w1", xavier_uniform(rng, 2 * dim, dim, (2 * dim, dim)))
-    store.add("dec.b1", np.zeros(dim))
-    store.add("dec.w2", xavier_uniform(rng, dim, 1, (dim, 1)))
-    store.add("dec.b2", np.zeros(1))
+    for name, shape in model_param_shapes(n_nodes, dim, t_slots, n_layers):
+        if name.startswith("layer"):
+            noise = xavier_uniform(rng, dim, dim, shape)
+            store.add(name, np.broadcast_to(np.eye(dim), shape) + LAYER_NOISE_SCALE * noise)
+        else:
+            store.add(name, init_dense(shape, rng))
 
 
 def propagate(tape: Tape, weights: Node, h: Node, op: SparseOperator) -> Node:

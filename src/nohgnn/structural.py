@@ -13,6 +13,7 @@ separately and keeps node-relabeling equivariance bit-exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,26 +21,27 @@ import scipy.sparse as sp
 
 from nohgnn.data import DynamicGraph
 from nohgnn.errors import ParameterError
-from nohgnn.tape import Node, ParamStore, Tape, xavier_uniform
+from nohgnn.tape import Node, ParamStore, Tape, init_dense
 from nohgnn.tensor3 import SliceSparse3, sparse_matpower_sum
 
 
-def init_generator_params(store: ParamStore, dim: int, rng: np.random.Generator) -> None:
-    """Register both feature perceptrons: edge maps 1->F->F, node maps F->F->F.
-
-    Weights are Xavier-uniform draws in a fixed creation order; biases start
-    at zero.
-    """
+def generator_param_shapes(dim: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Each feature-generator parameter's name and shape, in creation order:
+    the edge perceptron maps 1->F->F, the node perceptron F->F->F."""
     if dim < 1:
         raise ParameterError(f"feature dimension must be >= 1, got {dim}")
-    store.add("gen.edge.w1", xavier_uniform(rng, 1, dim, (1, dim)))
-    store.add("gen.edge.b1", np.zeros(dim))
-    store.add("gen.edge.w2", xavier_uniform(rng, dim, dim, (dim, dim)))
-    store.add("gen.edge.b2", np.zeros(dim))
-    store.add("gen.theta.w1", xavier_uniform(rng, dim, dim, (dim, dim)))
-    store.add("gen.theta.b1", np.zeros(dim))
-    store.add("gen.theta.w2", xavier_uniform(rng, dim, dim, (dim, dim)))
-    store.add("gen.theta.b2", np.zeros(dim))
+    for name, fan_in in (("edge", 1), ("theta", dim)):
+        yield f"gen.{name}.w1", (fan_in, dim)
+        yield f"gen.{name}.b1", (dim,)
+        yield f"gen.{name}.w2", (dim, dim)
+        yield f"gen.{name}.b2", (dim,)
+
+
+def init_generator_params(store: ParamStore, dim: int, rng: np.random.Generator) -> None:
+    """Register both feature perceptrons: Xavier-uniform weights drawn in a
+    fixed creation order, zero biases."""
+    for name, shape in generator_param_shapes(dim):
+        store.add(name, init_dense(shape, rng))
 
 
 def compute_overlap_tensor(g: DynamicGraph, k_hops: int) -> SliceSparse3:

@@ -408,6 +408,13 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape: t
     return rng.uniform(-limit, limit, size=shape)
 
 
+def init_dense(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """A zero bias vector, or a Xavier-uniform matrix over its own fans."""
+    if len(shape) == 1:
+        return np.zeros(shape)
+    return xavier_uniform(rng, shape[0], shape[1], shape)
+
+
 def grad_check(
     build_loss: Callable[[Tape, dict[str, Node]], Node],
     params: ParamStore,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,13 +27,14 @@ from nohgnn.data import (
     split_edges,
 )
 from nohgnn.errors import NumericError, ParameterError
-from nohgnn.model import decode, forward, init_model_params
+from nohgnn.model import decode, forward, init_model_params, model_param_shapes
 from nohgnn.overlap import aggregation_weights, build_aggregation_pattern
 from nohgnn.structural import (
     FeatureContext,
     build_feature_context,
     compute_overlap_tensor,
     generate_features,
+    generator_param_shapes,
     init_generator_params,
 )
 from nohgnn.synth import dense_tiny_graph
@@ -239,6 +241,12 @@ def labeled_split(prep: PreparedData, config: TrainConfig, role: str) -> Labeled
         prep.full_graph, prep.train_pos, config.neg_ratio, seed=[config.seed, TRAIN_EVAL_SEED_TAG]
     )
     return merge_pair_sets(prep.train_pos, neg)
+
+
+def param_shapes(config: TrainConfig, n_nodes: int, t_slots: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Each parameter ``init_params`` creates, as a lazy (name, shape) pair."""
+    yield from model_param_shapes(n_nodes, config.dim, t_slots, config.layers)
+    yield from generator_param_shapes(config.dim)
 
 
 def init_params(config: TrainConfig, n_nodes: int, t_slots: int) -> ParamStore:

@@ -374,6 +374,29 @@ class TestModelArtifact:
         for name in store.names():
             assert np.array_equal(store2.value(name), store.value(name))
 
+    def test_integral_float_fields_round_trip(self, tmp_path):
+        # float fields given as Python ints are stored as float64 records
+        config = TrainConfig(beta_reg=0, learning_rate=1)
+        path = str(tmp_path / "m.nohg")
+        save_model(path, init_params(config, 4, 2), config, 4, 2)
+        records = read_records(path)
+        assert records["meta.beta_reg"].dtype == np.float64
+        assert records["meta.learning_rate"].dtype == np.float64
+        _, config2, _, _ = load_model(path)
+        assert config2 == config
+        assert isinstance(config2.beta_reg, float) and isinstance(config2.learning_rate, float)
+
+    def test_int64_float_field_from_older_files_loads(self, tmp_path):
+        # older files wrote a float field holding an integral value as int64
+        config = TrainConfig()
+        path = str(tmp_path / "m.nohg")
+        save_model(path, init_params(config, 4, 2), config, 4, 2)
+        records = read_records(path)
+        records["meta.beta_reg"] = np.asarray(0)
+        write_records(path, records)
+        _, config2, _, _ = load_model(path)
+        assert config2.beta_reg == 0.0 and isinstance(config2.beta_reg, float)
+
     def test_dataset_file_rejected(self, tmp_path):
         graph, masked, splits = make_dataset(tmp_path)
         path = str(tmp_path / "d.nohg")
@@ -420,17 +443,19 @@ class TestModelArtifact:
              r"record 'meta\.dim' is int64 of rank 1, expected int64 of rank 0"),
             (lambda r: r.__setitem__("meta.dim", np.asarray(8.0)),
              r"record 'meta\.dim' is float64 of rank 0, expected int64 of rank 0"),
-            (lambda r: r.__setitem__("meta.learning_rate", np.asarray(1)),
-             r"record 'meta\.learning_rate' is int64 of rank 0, expected float64 of rank 0"),
+            (lambda r: r.__setitem__("meta.learning_rate", np.asarray([0.05])),
+             r"record 'meta\.learning_rate' is float64 of rank 1, expected float64 or int64 of rank 0"),
             (lambda r: r.__setitem__("meta.n_nodes", np.asarray(2**40)),
-             r"metadata sizes describe more parameter values than the file stores"),
+             r"record 'param\.embed\.e' has shape \(4, 8\), expected \(1099511627776, 8\)"),
+            (lambda r: r.__setitem__("meta.layers", np.asarray(2**62)),
+             r"missing record 'param\.layer3\.w'"),
             (lambda r: r.__setitem__("meta.t_slots", np.asarray(2.0)),
              r"record 'meta\.t_slots' is float64 of rank 0, expected int64 of rank 0"),
             (lambda r: r.__setitem__("kind", np.asarray([1])),
              r"record 'kind' is int64 of rank 1, expected int64 of rank 0"),
         ],
         ids=["missing", "wrong-shape", "wrong-rank", "extra", "fewer-layers", "no-nodes",
-             "meta-rank-1", "float-dim", "int-learning-rate", "huge-n-nodes", "float-slots", "kind-rank-1"],
+             "meta-rank-1", "float-dim", "learning-rate-rank-1", "huge-n-nodes", "huge-layers", "float-slots", "kind-rank-1"],
     )
     def test_parameter_records_checked_against_config(self, tmp_path, edit, message):
         path = str(tmp_path / "m.nohg")

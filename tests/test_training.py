@@ -483,6 +483,20 @@ class TestSharedForward:
         assert outcomes[0] == (message, 2)
 
 
+class TestInitParams:
+    def test_param_shapes_describe_init_params(self):
+        config = TrainConfig(dim=5, layers=3)
+        store = training.init_params(config, 7, 4)
+        shapes = dict(training.param_shapes(config, 7, 4))
+        assert sorted(shapes) == store.names()
+        for name, shape in shapes.items():
+            assert store.value(name).shape == shape
+
+    def test_param_shapes_refuse_an_empty_graph(self):
+        with pytest.raises(ParameterError, match="n_nodes"):
+            list(training.param_shapes(TrainConfig(), 0, 4))
+
+
 class TestGradientCheck:
     @pytest.mark.parametrize("transform", ["identity", "dct"])
     def test_full_model_gradients(self, transform):
