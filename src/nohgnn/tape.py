@@ -177,25 +177,28 @@ class Tape:
         return self._record(value, (a,), backward)
 
     def gather_rows(self, a: Node, index: np.ndarray) -> Node:
-        """Rows ``a[index]`` of a matrix; an index may repeat or leave rows out.
+        """Rows ``a[index]`` of a matrix, shaped ``index.shape + (columns,)``;
+        an index of any shape may repeat or leave rows out.
 
-        Backward multiplies the gradient by the (rows of a) x len(index)
-        matrix of ones at (index[k], k), which sums repeated rows in the same
-        order, and so to the same bits, as ``np.add.at``.
+        Backward multiplies the gradient, flattened to one row per index
+        entry, by the (rows of a) x index.size matrix of ones at
+        (index.flat[k], k), which sums repeated rows in the same order, and so
+        to the same bits, as ``np.add.at``.
         """
         index = np.asarray(index, dtype=np.int64)
-        if a.value.ndim != 2 or index.ndim != 1:
-            raise ShapeError(f"gather_rows expects a matrix and a flat index, got {a.value.shape}, {index.shape}")
+        if a.value.ndim != 2:
+            raise ShapeError(f"gather_rows expects a matrix, got {a.value.shape}")
         if index.size and (index.min() < 0 or index.max() >= a.value.shape[0]):
             raise ParameterError("gather_rows index out of range")
-        n_rows = a.value.shape[0]
+        n_rows, n_cols = a.value.shape
 
         def backward(g):
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(index, minlength=n_rows))))
+            flat = index.ravel()
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=n_rows))))
             scatter = sp.csr_matrix(
-                (np.ones(len(index)), np.argsort(index, kind="stable"), indptr), shape=(n_rows, len(index))
+                (np.ones(flat.size), np.argsort(flat, kind="stable"), indptr), shape=(n_rows, flat.size)
             )
-            return (scatter @ g,)
+            return (scatter @ g.reshape(flat.size, n_cols),)
 
         return self._record(a.value.take(index, axis=0), (a,), backward)
 

@@ -1,14 +1,18 @@
 """The per-event and per-slice set-up code that the columnar ingest and the
-sort-based assemble replaced, kept as the reference the differential tests
-in ``test_ingest.py`` compare against.
+sort-based assemble replaced, and the per-row feature generator that the
+per-class one replaced, kept as the reference the differential tests in
+``test_ingest.py`` and ``test_structural.py`` compare against.
 
 ``load_edge_list`` built one ``EdgeEvent`` per line, ``bin_snapshots``
 appended every event to per-slot Python lists, ``split_edges`` masked each
 slot with ``np.isin`` and a COO round trip, ``build_feature_context`` took
 ``np.unique(..., return_inverse=True)`` and a COO ``sum_duplicates``, and
-``sparse_matpower_sum`` ran a scipy call chain per slice. They are copied
-verbatim; the one edit is that ``split_edges`` derives the slot edges with
-the copied ``edges_of_slice`` instead of reading ``DynamicGraph.slot_edges``.
+``sparse_matpower_sum`` ran a scipy call chain per slice.
+``generate_features`` ran the node perceptron on all T*N rows of the full
+(T*N, U) walk-count histogram that this ``FeatureContext`` holds. They are
+copied verbatim; the one edit is that ``split_edges`` derives the slot edges
+with the copied ``edges_of_slice`` instead of reading
+``DynamicGraph.slot_edges``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from nohgnn.data import (
     utf8_lines,
 )
 from nohgnn.errors import ParameterError, ParseError, ShapeError
-from nohgnn.structural import FeatureContext
+from nohgnn.tape import Node, Tape
 from nohgnn.tensor3 import SliceSparse3
 
 log = logging.getLogger("nohgnn.data")
@@ -223,6 +227,21 @@ def sparse_matpower_sum(a: SliceSparse3, k_hops: int) -> SliceSparse3:
     return SliceSparse3(out, shape=a.shape2d)
 
 
+@dataclass(frozen=True)
+class FeatureContext:
+    """Constant quantities for feature generation over one overlap tensor.
+
+    ``unique_values`` holds the distinct b values; ``counts`` is a
+    (T*N, U) matrix whose (t*N+i, u) entry counts occurrences of the u-th
+    value in row i of slot t.
+    """
+
+    unique_values: np.ndarray
+    counts: sp.csr_matrix
+    n_nodes: int
+    t_slots: int
+
+
 def build_feature_context(b: SliceSparse3) -> FeatureContext:
     n = b.shape2d[0]
     t_slots = len(b.slices)
@@ -239,3 +258,22 @@ def build_feature_context(b: SliceSparse3) -> FeatureContext:
     )
     counts.sum_duplicates()
     return FeatureContext(unique, counts, n, t_slots)
+
+
+def _perceptron(tape: Tape, x: Node, leaves: dict[str, Node], prefix: str) -> Node:
+    h = tape.relu(tape.add(tape.matmul(x, leaves[f"{prefix}.w1"]), leaves[f"{prefix}.b1"]))
+    return tape.add(tape.matmul(h, leaves[f"{prefix}.w2"]), leaves[f"{prefix}.b2"])
+
+
+def generate_features(tape: Tape, ctx: FeatureContext, leaves: dict[str, Node]) -> Node:
+    """Structural features as a (T, N, F) node.
+
+    Row (t, i) is g_theta applied to the support-sum of g_edge over row i of
+    the overlap slice t; empty rows feed the zero vector into g_theta.
+    """
+    col = tape.constant(ctx.unique_values.reshape(-1, 1))
+    edge_out = _perceptron(tape, col, leaves, "gen.edge")
+    summed = tape.csr_const_matmul(ctx.counts, edge_out)
+    node_out = _perceptron(tape, summed, leaves, "gen.theta")
+    dim = node_out.value.shape[1]
+    return tape.reshape(node_out, (ctx.t_slots, ctx.n_nodes, dim))

@@ -91,8 +91,10 @@ def assert_same_pipeline(events, old_events, id_map, t_slots, undirected, seed):
         assert_slices_equal(b.slices, old_b.slices)
         ctx, old_ctx = structural.build_feature_context(b), oracle.build_feature_context(old_b)
         assert np.array_equal(ctx.unique_values, old_ctx.unique_values)
-        assert_slices_equal([ctx.counts], [old_ctx.counts])
-        assert ctx.counts.shape == old_ctx.counts.shape
+        assert ctx.row_class.shape == (old_ctx.t_slots, old_ctx.n_nodes)
+        full = ctx.counts[ctx.row_class.ravel()]
+        assert_slices_equal([full], [old_ctx.counts])
+        assert full.shape == old_ctx.counts.shape
 
 
 @settings(max_examples=150)

@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from nohgnn.data import EdgeEvent, bin_snapshots
+import ingest_oracle as oracle
+from nohgnn import structural, training
+from nohgnn.data import EdgeEvent, EdgeTable, bin_snapshots
 from nohgnn.errors import ParameterError
 from nohgnn.structural import (
     build_feature_context,
@@ -11,7 +16,14 @@ from nohgnn.structural import (
 )
 from nohgnn.tape import ParamStore, Tape, grad_check, xavier_uniform
 from nohgnn.synth import dense_tiny_graph, planted_partition, planted_partition_graph
-from nohgnn.tensor3 import SliceSparse3
+from nohgnn.tensor3 import SliceSparse3, make_transform
+
+# A gen.* gradient of the per-class generator may differ from the per-row
+# oracle's by this much, relative to its largest entry. Measured worst on the
+# fixtures below: 8.8e-12 (criterion 6, gen.theta.b2, a sum over the feature
+# rows' gradients that cancels to about 6e-6 of the sum of their magnitudes),
+# and at most 2.5e-14 on the others.
+GEN_GRAD_RTOL = 1e-10
 
 
 def triangle_graph():
@@ -44,6 +56,41 @@ def naive_features(b_dense: np.ndarray, store: ParamStore) -> np.ndarray:
     return out
 
 
+def heavy_tailed_graph(n_nodes=80, n_events=600, t_slots=5, seed=3):
+    """A small edge list whose endpoints follow a Zipf-like activity law, so a
+    few hubs carry most events and many walk-count rows repeat."""
+    rng = np.random.default_rng(seed)
+    weight = (np.arange(n_nodes) + 1.0) ** -0.8
+    weight /= weight.sum()
+    src, dst = rng.choice(n_nodes, (2, n_events), p=weight)
+    return bin_snapshots(EdgeTable(src, dst, np.sort(rng.integers(0, 10_000, n_events))), t_slots)
+
+
+def criterion_9_graph():
+    events = planted_partition(16, 3, p_in=0.6, p_out=0.05, retention=0.9, seed=4)
+    return bin_snapshots(events, 3)
+
+
+# (graph, config) of the criterion-6 instance, the criterion-9 fixture under
+# both transforms, and a small heavy-tailed input
+ORACLE_CASES = {
+    "criterion-6": (lambda: planted_partition_graph(seed=9), dict(dim=32, transform="dct", seed=1)),
+    "criterion-9-identity": (criterion_9_graph, dict(dim=8, seed=5)),
+    "criterion-9-dct": (criterion_9_graph, dict(dim=8, transform="dct", seed=5)),
+    "heavy-tailed": (heavy_tailed_graph, dict(dim=7, transform="dct", seed=2)),
+}
+
+
+def full_counts(ctx) -> sp.csr_matrix:
+    return ctx.counts[ctx.row_class.ravel()]
+
+
+def theta_of_zero(store: ParamStore) -> np.ndarray:
+    dim = store.value("gen.theta.b1").shape[0]
+    h = np.maximum(np.zeros((1, dim)) @ store.value("gen.theta.w1") + store.value("gen.theta.b1"), 0)
+    return (h @ store.value("gen.theta.w2") + store.value("gen.theta.b2"))[0]
+
+
 class TestOverlapTensor:
     def test_k1_equals_adjacency(self):
         g = triangle_graph()
@@ -74,19 +121,77 @@ class TestFeatureContext:
         g = dense_tiny_graph(6, 3, seed=1)
         b = compute_overlap_tensor(g, 2)
         ctx = build_feature_context(b)
+        full = full_counts(ctx)
         dense = b.densify().data
         for t in range(3):
             for i in range(6):
                 row = dense[t, i]
                 for u, val in enumerate(ctx.unique_values):
-                    assert ctx.counts[t * 6 + i, u] == np.count_nonzero(row == val)
+                    assert full[t * 6 + i, u] == np.count_nonzero(row == val)
 
     def test_unique_values_sorted_distinct(self):
         g = planted_partition_graph(20, 3, seed=2)
         b = compute_overlap_tensor(g, 2)
         ctx = build_feature_context(b)
         assert np.all(np.diff(ctx.unique_values) > 0)
-        assert ctx.counts.shape == (3 * 20, len(ctx.unique_values))
+        assert ctx.row_class.shape == (3, 20)
+        assert ctx.counts.shape == (ctx.row_class.max() + 1, len(ctx.unique_values))
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_classes_expand_to_the_oracle_histogram(self, case):
+        make_graph, _ = ORACLE_CASES[case]
+        b = compute_overlap_tensor(make_graph(), 2)
+        ctx, old = build_feature_context(b), oracle.build_feature_context(b)
+        assert np.array_equal(ctx.unique_values, old.unique_values)
+        assert ctx.row_class.shape == (old.t_slots, old.n_nodes)
+        full = full_counts(ctx)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(full, name), getattr(old.counts, name)), name
+        # the classes are distinct rows, numbered in order of first occurrence
+        assert len({(r.indices.tobytes(), r.data.tobytes()) for r in ctx.counts}) == ctx.counts.shape[0]
+        flat = ctx.row_class.ravel()
+        first = np.unique(flat, return_index=True)[1]
+        assert np.all(np.diff(first) > 0)
+        assert ctx.counts.shape[0] < flat.size
+
+    def test_empty_overlap_gives_one_class_of_theta_of_zero(self):
+        b = SliceSparse3([sp.csr_matrix((4, 4)) for _ in range(3)], shape=(4, 4))
+        ctx = build_feature_context(b)
+        assert ctx.counts.shape == (1, 0)
+        assert np.array_equal(ctx.row_class, np.zeros((3, 4), dtype=np.int64))
+        store = ParamStore()
+        init_generator_params(store, 5, np.random.default_rng(1))
+        t = Tape()
+        out = generate_features(t, ctx, store.leaves(t))
+        assert out.value.shape == (3, 4, 5)
+        assert np.array_equal(out.value, np.broadcast_to(theta_of_zero(store), (3, 4, 5)))
+
+    def test_all_distinct_rows(self):
+        # slot t, row i holds i + 1 entries of value t + 1: no two rows agree
+        slices = [
+            sp.csr_matrix(np.triu(np.full((5, 5), t + 1.0))[::-1]) for t in range(2)
+        ]
+        b = SliceSparse3(slices, shape=(5, 5))
+        ctx, old = build_feature_context(b), oracle.build_feature_context(b)
+        assert np.array_equal(ctx.row_class, np.arange(10).reshape(2, 5))
+        store = ParamStore()
+        init_generator_params(store, 4, np.random.default_rng(2))
+        t1, t2 = Tape(), Tape()
+        got = generate_features(t1, ctx, store.leaves(t1)).value
+        want = oracle.generate_features(t2, old, store.leaves(t2)).value
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("weights", [(0, 0, 0), (1, 0, 1), (0, 1, 1)])
+    def test_hash_collisions_split_exactly(self, monkeypatch, weights):
+        # zero multipliers give every row one hash, or hash only its columns
+        # or only its counts; the grouping must still be exact
+        b = compute_overlap_tensor(heavy_tailed_graph(), 2)
+        want = build_feature_context(b)
+        monkeypatch.setattr(structural, "ROW_HASH_WEIGHTS", np.array(weights, dtype=np.uint64))
+        got = build_feature_context(b)
+        assert np.array_equal(got.row_class, want.row_class)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got.counts, name), getattr(want.counts, name)), name
 
 
 class TestGenerateFeatures:
@@ -141,9 +246,7 @@ class TestGenerateFeatures:
         ctx = build_feature_context(b)
         t = Tape()
         out = generate_features(t, ctx, store.leaves(t))
-        zero_in = np.zeros((1, 4))
-        h = np.maximum(zero_in @ store.value("gen.theta.w1") + store.value("gen.theta.b1"), 0)
-        expect = (h @ store.value("gen.theta.w2") + store.value("gen.theta.b2"))[0]
+        expect = theta_of_zero(store)
         # slot 1 leaves nodes 0..3 without edges
         np.testing.assert_allclose(out.value[1, 0], expect, atol=1e-12)
         np.testing.assert_allclose(out.value[1, 2], expect, atol=1e-12)
@@ -174,6 +277,69 @@ class TestGenerateFeatures:
             return t.sum(t.mul(generate_features(t, ctx, leaves), t.constant(r)))
 
         assert grad_check(build, store) <= 1e-4
+
+
+def oracle_case(case):
+    make_graph, kwargs = ORACLE_CASES[case]
+    config = training.TrainConfig(**kwargs)
+    prep = training.prepare(make_graph(), config)
+    b = compute_overlap_tensor(prep.masked_graph, config.k_hops)
+    return config, prep, dataclasses.replace(prep, ctx=oracle.build_feature_context(b))
+
+
+def step_gradients(config, prep, store):
+    """Every parameter's gradient of one training step's loss."""
+    pairs = training.labeled_split(prep, config, "train")
+    tape = Tape()
+    leaves = store.leaves(tape)
+    tf = make_transform(config.transform, prep.t_slots)
+    probs = training.model_probs(tape, leaves, prep, tf, config, pairs.pairs)
+    tape.backward(training.compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg))
+    return {name: node.grad for name, node in leaves.items()}
+
+
+class TestPerClassGenerator:
+    """The per-class generator against the per-row one it replaced
+    (``ingest_oracle.generate_features``)."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_features_bit_equal_to_oracle(self, case):
+        config, prep, old = oracle_case(case)
+        store = training.init_params(config, prep.n_nodes, prep.t_slots)
+        t1, t2 = Tape(), Tape()
+        got = generate_features(t1, prep.ctx, store.leaves(t1)).value
+        want = oracle.generate_features(t2, old.ctx, store.leaves(t2)).value
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_training_step_gradients_match_oracle(self, monkeypatch, case):
+        config, prep, old = oracle_case(case)
+        store = training.init_params(config, prep.n_nodes, prep.t_slots)
+        got = step_gradients(config, prep, store)
+        monkeypatch.setattr(training, "generate_features", oracle.generate_features)
+        want = step_gradients(config, old, store)
+        assert got.keys() == want.keys()
+        for name in got:
+            if name.startswith("gen."):
+                # the duplicate rows' gradients are summed in another order
+                scale = max(np.abs(want[name]).max(), np.finfo(float).tiny)
+                assert np.abs(got[name] - want[name]).max() <= GEN_GRAD_RTOL * scale, name
+            else:
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_recorded_values_have_one_row_per_class(self):
+        # apart from the gathered output, nothing the generator records is
+        # as tall as the T*N rows of the histogram
+        config, prep, _ = oracle_case("heavy-tailed")
+        store = training.init_params(config, prep.n_nodes, prep.t_slots)
+        tape = Tape()
+        out = generate_features(tape, prep.ctx, store.leaves(tape))
+        n_classes = prep.ctx.counts.shape[0]
+        assert len(prep.ctx.unique_values) <= n_classes < prep.t_slots * prep.n_nodes
+        *inner, (last, _, _) = tape._entries
+        assert last is out and out.value.shape == (prep.t_slots, prep.n_nodes, config.dim)
+        assert max(node.value.shape[0] for node, _, _ in inner) == n_classes
 
 
 class TestInit:

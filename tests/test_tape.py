@@ -157,6 +157,24 @@ class TestStructuredRules:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 0), (2, 3, 2)])
+    def test_shaped_gather_equals_flat_gather_and_reshape(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        idx = rng.integers(0, 5, size=shape)
+        a0 = rng.normal(size=(5, 3))
+        r = rng.normal(size=shape + (3,))
+        grads, values = [], []
+        for shaped in (True, False):
+            t = Tape()
+            a = t.leaf(a0, requires_grad=True)
+            out = t.gather_rows(a, idx) if shaped else t.reshape(t.gather_rows(a, idx.ravel()), shape + (3,))
+            t.backward(t.sum(t.mul(out, t.constant(r))))
+            values.append(out.value)
+            grads.append(a.grad)
+        assert values[0].shape == shape + (3,)
+        assert values[0].tobytes() == values[1].tobytes()
+        assert grads[0].tobytes() == grads[1].tobytes()
+
     def test_gather_rows_range_check(self):
         t = Tape()
         a = t.leaf(np.zeros((3, 2)), requires_grad=True)

@@ -301,7 +301,7 @@ class TestPrepare:
     def test_support_built_on_masked_graph(self):
         prep, config = small_prep()
         assert prep.pattern.nnz >= prep.masked_graph.edge_count
-        assert prep.ctx.t_slots == prep.full_graph.t_slots
+        assert prep.ctx.row_class.shape == (prep.full_graph.t_slots, prep.n_nodes)
 
 
 class TestTrainLoop:
