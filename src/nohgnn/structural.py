@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from nohgnn.data import DynamicGraph
 from nohgnn.errors import ParameterError
-from nohgnn.tape import Node, ParamStore, Tape, init_dense
+from nohgnn.tape import Node, ParamStore, Tape, init_dense, row_scatter
 from nohgnn.tensor3 import SliceSparse3, sparse_matpower_sum
 
 
@@ -75,12 +75,15 @@ class FeatureContext:
     row i of slot t. ``counts`` is a (classes, U) matrix holding each distinct
     histogram row once, in order of first occurrence, and ``row_class`` is the
     (T, N) index of each (t, i) row's class, so ``counts[row_class.ravel()]``
-    is the full (T*N, U) histogram.
+    is the full (T*N, U) histogram. ``row_scatter`` is
+    ``row_scatter(row_class, classes)``, which every backward of the feature
+    gather multiplies by.
     """
 
     unique_values: np.ndarray
     counts: sp.csr_matrix
     row_class: np.ndarray
+    row_scatter: sp.csr_matrix
 
 
 def build_feature_context(b: SliceSparse3) -> FeatureContext:
@@ -98,8 +101,9 @@ def build_feature_context(b: SliceSparse3) -> FeatureContext:
     rep = _row_representatives(counts)
     # classes are numbered by their first rows, in row order
     is_first = rep == np.arange(len(rep))
-    class_of = np.cumsum(is_first) - 1
-    return FeatureContext(unique, counts[np.flatnonzero(is_first)], class_of[rep].reshape(t_slots, n))
+    firsts = np.flatnonzero(is_first)
+    row_class = (np.cumsum(is_first) - 1)[rep].reshape(t_slots, n)
+    return FeatureContext(unique, counts[firsts], row_class, row_scatter(row_class, len(firsts)))
 
 
 def _row_representatives(m: sp.csr_matrix) -> np.ndarray:
@@ -161,4 +165,4 @@ def generate_features(tape: Tape, ctx: FeatureContext, leaves: dict[str, Node]) 
     edge_out = _perceptron(tape, col, leaves, "gen.edge")
     summed = tape.csr_const_matmul(ctx.counts, edge_out)
     node_out = _perceptron(tape, summed, leaves, "gen.theta")
-    return tape.gather_rows(node_out, ctx.row_class)
+    return tape.gather_rows(node_out, ctx.row_class, ctx.row_scatter)

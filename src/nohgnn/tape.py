@@ -58,14 +58,30 @@ class Node:
         return self.value.shape
 
 
+def row_scatter(index: np.ndarray, n_rows: int) -> sp.csr_matrix:
+    """The (n_rows, index.size) CSR matrix of ones at (index.flat[k], k).
+
+    Times a matrix with one row per index entry, it sums the rows gathered
+    from each of the n_rows rows in index order, and so to the same bits as
+    ``np.add.at``. It is the transpose of the (index.size, n_rows) matrix
+    with one entry per row, whose conversion to CSC is a counting sort that
+    keeps each column's entries in index order.
+    """
+    flat = np.asarray(index, dtype=np.int64).ravel()
+    picks = sp.csr_matrix((np.ones(flat.size), flat, np.arange(flat.size + 1)), shape=(flat.size, n_rows))
+    return picks.tocsc().T
+
+
 class Tape:
-    """Wengert list: entries are recorded in execution order and replayed
+    """Wengert list: entries are recorded in execution order and consumed
     in reverse by backward().  Every operand of an entry was produced by an
-    earlier entry or is a leaf, so one reverse sweep suffices.
+    earlier entry or is a leaf, so one reverse sweep suffices, and the sweep
+    frees each entry once its rule has run; a swept tape records nothing
+    more and cannot be swept again.
     """
 
     def __init__(self):
-        self._entries: list[tuple[Node, tuple[Node, ...], Callable]] = []
+        self._entries: list[tuple[Node, tuple[Node, ...], Callable]] | None = []
 
     def leaf(self, value, requires_grad: bool = False) -> Node:
         return Node(_as_f64(value), requires_grad)
@@ -74,6 +90,8 @@ class Tape:
         return Node(_as_f64(value), False)
 
     def _record(self, value: np.ndarray, parents: Sequence[Node], backward: Callable) -> Node:
+        if self._entries is None:
+            raise ParameterError("tape already swept")
         needs = any(p.requires_grad for p in parents)
         out = Node(value, needs)
         if needs:
@@ -176,14 +194,14 @@ class Tape:
         value = np.broadcast_to(a.value, (count,) + a.value.shape).copy()
         return self._record(value, (a,), backward)
 
-    def gather_rows(self, a: Node, index: np.ndarray) -> Node:
+    def gather_rows(self, a: Node, index: np.ndarray, scatter: sp.csr_matrix | None = None) -> Node:
         """Rows ``a[index]`` of a matrix, shaped ``index.shape + (columns,)``;
         an index of any shape may repeat or leave rows out.
 
         Backward multiplies the gradient, flattened to one row per index
-        entry, by the (rows of a) x index.size matrix of ones at
-        (index.flat[k], k), which sums repeated rows in the same order, and so
-        to the same bits, as ``np.add.at``.
+        entry, by ``row_scatter(index, rows of a)``. A caller that gathers by
+        one index many times passes that scatter, built once, as ``scatter``;
+        otherwise each backward builds its own.
         """
         index = np.asarray(index, dtype=np.int64)
         if a.value.ndim != 2:
@@ -191,14 +209,12 @@ class Tape:
         if index.size and (index.min() < 0 or index.max() >= a.value.shape[0]):
             raise ParameterError("gather_rows index out of range")
         n_rows, n_cols = a.value.shape
+        if scatter is not None and scatter.shape != (n_rows, index.size):
+            raise ShapeError(f"scatter shape {scatter.shape} does not match {n_rows} rows and {index.size} picks")
 
         def backward(g):
-            flat = index.ravel()
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=n_rows))))
-            scatter = sp.csr_matrix(
-                (np.ones(flat.size), np.argsort(flat, kind="stable"), indptr), shape=(n_rows, flat.size)
-            )
-            return (scatter @ g.reshape(flat.size, n_cols),)
+            s = row_scatter(index, n_rows) if scatter is None else scatter
+            return (s @ g.reshape(index.size, n_cols),)
 
         return self._record(a.value.take(index, axis=0), (a,), backward)
 
@@ -321,30 +337,41 @@ class Tape:
 
     def backward(self, loss: Node) -> None:
         """Reverse sweep from a scalar loss, filling ``grad`` on every node
-        that needs one.
+        that needs one; the sweep consumes the tape.
+
+        Each entry is dropped as soon as its rule has run, so its closure,
+        the arrays the closure captured, and every node that only the tape
+        held (its value and its ``grad``) are freed while the sweep goes on.
+        Nodes the caller still holds, leaves among them, keep their ``grad``.
+        A second sweep, or a new record, on a swept tape raises.
 
         The first gradient a node receives becomes its ``grad``; later ones
         are added out of place, never with ``+=``, because rules may hand
         back their input gradient or a view of it (``add``, ``reshape``,
         ``concat``), which other nodes hold too.
         """
+        if self._entries is None:
+            raise ParameterError("tape already swept")
         if loss.value.ndim != 0:
             raise ParameterError(f"backward needs a scalar loss, got shape {loss.value.shape}")
         if not np.isfinite(loss.value):
             raise NumericError("loss is not finite")
-        for out, parents, _ in self._entries:
+        entries, self._entries = self._entries, None
+        for out, parents, _ in entries:
             out.grad = None
             for p in parents:
                 p.grad = None
         loss.grad = np.ones(())
-        for out, parents, backward_fn in reversed(self._entries):
+        while entries:
+            out, parents, backward_fn = entries.pop()
             if out.grad is None:
                 continue
-            grads = backward_fn(out.grad)
-            for parent, grad in zip(parents, grads):
-                if grad is None or not parent.requires_grad:
-                    continue
-                parent.grad = grad if parent.grad is None else parent.grad + grad
+            for parent, grad in zip(parents, backward_fn(out.grad)):
+                if grad is not None and parent.requires_grad:
+                    parent.grad = grad if parent.grad is None else parent.grad + grad
+            # the last gradient handed out, once added into its parent's or
+            # dropped, would otherwise stay alive through the next rule
+            parent = grad = None
 
 
 class ParamStore:

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import ingest_oracle as oracle
+import nohgnn.tape as tape_mod
 from nohgnn import structural, training
 from nohgnn.data import EdgeEvent, EdgeTable, bin_snapshots
 from nohgnn.errors import ParameterError
@@ -327,6 +328,22 @@ class TestPerClassGenerator:
                 assert np.abs(got[name] - want[name]).max() <= GEN_GRAD_RTOL * scale, name
             else:
                 assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_only_the_decoder_gathers_build_a_scatter_in_the_backward(self, monkeypatch):
+        # the feature gather multiplies by the scatter its context built once
+        config, prep, _ = oracle_case("heavy-tailed")
+        store = training.init_params(config, prep.n_nodes, prep.t_slots)
+        built = []
+        inner = tape_mod.row_scatter
+
+        def counted(index, n_rows):
+            built.append(np.shape(index))
+            return inner(index, n_rows)
+
+        monkeypatch.setattr(tape_mod, "row_scatter", counted)
+        step_gradients(config, prep, store)
+        pairs = training.labeled_split(prep, config, "train").pairs
+        assert built == [(len(pairs),), (len(pairs),)]
 
     def test_recorded_values_have_one_row_per_class(self):
         # apart from the gathered output, nothing the generator records is

@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -143,19 +144,21 @@ class TestStructuredRules:
 
     @pytest.mark.parametrize("n_rows,n_index", [(7, 0), (7, 1), (7, 40), (50, 30), (3, 200)])
     def test_gather_rows_backward_bit_equals_add_at(self, n_rows, n_index):
-        # repeated indices, and (with more rows than picks) rows never gathered
+        # repeated indices, and (with more rows than picks) rows never
+        # gathered; the backward builds its scatter, or is handed one
         rng = np.random.default_rng(n_rows * 1000 + n_index)
         idx = rng.integers(0, n_rows, size=n_index)
         g = rng.normal(size=(n_index, 5)) * 10.0 ** rng.integers(-8, 8, size=(n_index, 1))
         t = Tape()
         a = t.leaf(rng.normal(size=(n_rows, 5)), requires_grad=True)
         t.gather_rows(a, idx)
-        _, _, backward = t._entries[-1]
-        (got,) = backward(g)
+        t.gather_rows(a, idx, tape_mod.row_scatter(idx, n_rows))
         want = np.zeros((n_rows, 5))
         np.add.at(want, idx, g)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        for _, _, backward in t._entries:
+            (got,) = backward(g)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 4), (2, 0), (2, 3, 2)])
     def test_shaped_gather_equals_flat_gather_and_reshape(self, shape):
@@ -180,6 +183,8 @@ class TestStructuredRules:
         a = t.leaf(np.zeros((3, 2)), requires_grad=True)
         with pytest.raises(ParameterError):
             t.gather_rows(a, np.array([3]))
+        with pytest.raises(ShapeError):
+            t.gather_rows(a, np.array([2, 0]), tape_mod.row_scatter(np.array([2]), 3))
 
     def test_concat_splits_gradient(self):
         rng = np.random.default_rng(15)
@@ -514,16 +519,52 @@ class TestBackwardContract:
             t.backward(out)
 
     def test_repeat_backward_bit_identical(self):
+        # one sweep consumes a tape: the same leaves recorded on a second tape
+        # get bit-identical gradients, and the swept tape refuses more work
         rng = np.random.default_rng(23)
+        a = Tape().leaf(rng.normal(size=(4, 4)), requires_grad=True)
+        b = Tape().leaf(rng.normal(size=(4, 4)), requires_grad=True)
+        grads = []
+        for _ in range(2):
+            t = Tape()
+            loss = t.sum(t.sigmoid(t.matmul(a, b)))
+            t.backward(loss)
+            grads.append((a.grad.copy(), b.grad.copy()))
+        assert grads[0][0].tobytes() == grads[1][0].tobytes()
+        assert grads[0][1].tobytes() == grads[1][1].tobytes()
+        with pytest.raises(ParameterError, match="tape already swept"):
+            t.backward(loss)
+        with pytest.raises(ParameterError, match="tape already swept"):
+            t.relu(a)
+        assert a.grad.tobytes() == grads[1][0].tobytes()
+
+    def test_sweep_frees_entries_it_has_passed(self):
+        rng = np.random.default_rng(31)
         t = Tape()
-        a = t.leaf(rng.normal(size=(4, 4)), requires_grad=True)
-        b = t.leaf(rng.normal(size=(4, 4)), requires_grad=True)
-        loss = t.sum(t.sigmoid(t.matmul(a, b)))
+        x = t.leaf(rng.normal(size=(4, 3)), requires_grad=True)
+        y = t.scale(x, 2.0)
+        z = t.relu(y)
+        kept = t.mul(z, t.constant(rng.normal(size=(4, 3))))
+        loss = t.sum(kept)
+        # z is held by the tape alone once the test lets go of it
+        value_ref = weakref.ref(z.value)
+        del z
+        seen = []
+        out, parents, rule = t._entries[0]
+
+        def spy(g):
+            # the rule of y = scale(x) runs after every consumer of z
+            seen.append(value_ref() is None)
+            return rule(g)
+
+        t._entries[0] = (out, parents, spy)
+        del out, parents
         t.backward(loss)
-        first_a, first_b = a.grad.copy(), b.grad.copy()
-        t.backward(loss)
-        assert np.array_equal(a.grad, first_a)
-        assert np.array_equal(b.grad, first_b)
+        assert seen == [True]
+        # a node the caller holds keeps its gradient, and the leaf gets its own
+        assert kept.grad is not None and np.array_equal(kept.grad, np.ones((4, 3)))
+        assert y.grad is not None
+        assert np.array_equal(x.grad, 2.0 * y.grad)
 
     def test_shared_leaf_accumulates(self):
         t = Tape()

@@ -438,6 +438,28 @@ class TestSharedForward:
         if patience == 1:
             assert want.epochs_run < max_epochs
 
+    @pytest.mark.parametrize("transform", ["identity", "dct"])
+    def test_step_gradients_bit_equal_to_oracle_and_to_a_kept_tape(self, monkeypatch, transform):
+        # the sweep frees what it has passed; holding every entry alive to
+        # its end must not change one bit of the leaf gradients
+        prep, config = small_prep(seed=3, transform=transform, max_epochs=1)
+        got = train_loop(prep, config).store
+        want = train_loop_oracle.train_loop(prep, config).store
+        held = []
+        sweep = Tape.backward
+
+        def sweep_holding_entries(tape, loss):
+            held.append(list(tape._entries))
+            return sweep(tape, loss)
+
+        monkeypatch.setattr(Tape, "backward", sweep_holding_entries)
+        kept = train_loop_oracle.train_loop(prep, config).store
+        assert len(held) == 1
+        assert any(np.any(want.grad(name)) for name in want.names())
+        for name in want.names():
+            assert got.grad(name).tobytes() == want.grad(name).tobytes(), name
+            assert kept.grad(name).tobytes() == want.grad(name).tobytes(), name
+
     def test_bit_equal_with_eval_hook(self):
         prep, config = small_prep(seed=3, transform="dct", max_epochs=6, patience=2)
         scores = {1: 0.3, 2: 0.5, 3: 0.4}
