@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,15 +76,19 @@ class FeatureContext:
     row i of slot t. ``counts`` is a (classes, U) matrix holding each distinct
     histogram row once, in order of first occurrence, and ``row_class`` is the
     (T, N) index of each (t, i) row's class, so ``counts[row_class.ravel()]``
-    is the full (T*N, U) histogram. ``row_scatter`` is
-    ``row_scatter(row_class, classes)``, which every backward of the feature
-    gather multiplies by.
+    is the full (T*N, U) histogram.
     """
 
     unique_values: np.ndarray
     counts: sp.csr_matrix
     row_class: np.ndarray
-    row_scatter: sp.csr_matrix
+
+    @cached_property
+    def row_scatter(self) -> sp.csr_matrix:
+        """``row_scatter(row_class, classes)``, which every backward of the
+        feature gather multiplies by; built on the first recorded gather, so a
+        forward without gradients never pays for it."""
+        return row_scatter(self.row_class, self.counts.shape[0])
 
 
 def build_feature_context(b: SliceSparse3) -> FeatureContext:
@@ -103,7 +108,7 @@ def build_feature_context(b: SliceSparse3) -> FeatureContext:
     is_first = rep == np.arange(len(rep))
     firsts = np.flatnonzero(is_first)
     row_class = (np.cumsum(is_first) - 1)[rep].reshape(t_slots, n)
-    return FeatureContext(unique, counts[firsts], row_class, row_scatter(row_class, len(firsts)))
+    return FeatureContext(unique, counts[firsts], row_class)
 
 
 def _row_representatives(m: sp.csr_matrix) -> np.ndarray:
@@ -165,4 +170,4 @@ def generate_features(tape: Tape, ctx: FeatureContext, leaves: dict[str, Node]) 
     edge_out = _perceptron(tape, col, leaves, "gen.edge")
     summed = tape.csr_const_matmul(ctx.counts, edge_out)
     node_out = _perceptron(tape, summed, leaves, "gen.theta")
-    return tape.gather_rows(node_out, ctx.row_class, ctx.row_scatter)
+    return tape.gather_rows(node_out, ctx.row_class, ctx.row_scatter if node_out.requires_grad else None)

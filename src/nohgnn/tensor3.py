@@ -288,8 +288,8 @@ def _block_diagonal(x: SliceSparse3) -> sp.csr_matrix:
 # 0.30 s at 4096 and 0.39 s unblocked; over an M-shape union (32 slices)
 # 0.38, 0.46 and 1.10 s
 SDDMM_BLOCK = 1024
-# float64 values per (T, chunk) stack of the sparse M-product backward,
-# which holds two such stacks instead of two (T, union nnz) ones. A chunk
+# float64 values per (T, chunk) stack of the sparse M-product's P-hat build
+# and value gradient, which hold such stacks instead of (T, union nnz) ones. A chunk
 # is a multiple of 8 union entries wide and the last one takes the
 # remainder, so that every chunk's M^T product is one OpenBLAS runs with
 # the kernels, column for column, of a single product over the whole union,
@@ -393,12 +393,11 @@ class SlicePattern:
             self._union = (u_indptr, u_keys % self.n_cols, flat_to_union.astype(np.int64, copy=False))
         return self._union
 
-    def union_chunks(self, width: int) -> list[UnionChunk]:
-        """The union entries in chunks of ``width``, the last of which takes
-        the remainder, each with the flat entries that map into it; built
-        once per pattern and width."""
-        if width < 1:
-            raise ParameterError(f"union chunk width must be >= 1, got {width}")
+    def union_chunks(self) -> list[UnionChunk]:
+        """The union entries in chunks of ``_union_chunk_width(T)``, the last
+        of which takes the remainder, each with the flat entries that map
+        into it; built once per pattern and width."""
+        width = _union_chunk_width(self.t_slots)
         if self._chunks is None or self._chunks[0] != width:
             u_indptr, _, flat_to_union = self.union
             n_union = int(u_indptr[-1])
@@ -434,10 +433,10 @@ class FacewiseOperator:
     slice t of the stack, a CSR matrix without the values' exact zeros
     (``nonzero_csr``), times slice t of y.
 
-    The value gradient covers every pattern entry, since at a zero value it
-    is g·y, not 0. Built with ``live_only`` and some value exactly 0, it
-    covers only the live entries, those with a nonzero value, and is +0 at
-    the others (``sparse_operator``)."""
+    The value gradient is computed on the live entries and is +0 at the
+    others. Every entry is live, since at a zero value the gradient is g·y,
+    not 0; built with ``live_only``, only the entries with a nonzero value
+    are (``sparse_operator``)."""
 
     def __init__(self, pattern: SlicePattern, values: np.ndarray, live_only: bool = False):
         self.pattern = pattern
@@ -446,9 +445,7 @@ class FacewiseOperator:
             nonzero_csr(values[pattern.offsets[t] : pattern.offsets[t + 1]], pattern.indices[t], pattern.indptrs[t], shape)
             for t in range(pattern.t_slots)
         ]
-        live = values != 0 if live_only else None
-        # None when every entry is live: grads then takes the full path
-        self.live = None if live is None or live.all() else live
+        self.live = values != 0 if live_only else np.ones(pattern.nnz, dtype=bool)
 
     def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The product with a dense (T, d2, F) array, and y for ``grads``."""
@@ -460,38 +457,32 @@ class FacewiseOperator:
     def grads(self, g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The gradients of the flat values and of y, given the product's."""
         pattern = self.pattern
-        dvals = np.empty(pattern.nnz) if self.live is None else np.zeros(pattern.nnz)
+        dvals = np.zeros(pattern.nnz)
         dy = np.empty_like(y)
         for t, s in enumerate(self.slices):
             lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
-            if self.live is None:
-                _sddmm(g[t], pattern.rows[t], y[t], pattern.indices[t], dvals[lo:hi])
-            else:
-                # the live entries are those of s, in the same order
-                keep = self.live[lo:hi]
-                live_vals = np.empty(s.nnz)
-                _sddmm(g[t], pattern.rows[t][keep], y[t], s.indices, live_vals)
-                dvals[lo:hi][keep] = live_vals
+            keep = self.live[lo:hi]
+            live_vals = np.empty(np.count_nonzero(keep))
+            _sddmm(g[t], pattern.rows[t][keep], y[t], pattern.indices[t][keep], live_vals)
+            dvals[lo:hi][keep] = live_vals
             dy[t] = s.T @ g[t]
         return dvals, dy
 
 
 class UnionOperator:
     """The sparse M-product of flat values over a pattern under a mixing
-    transform, which acts on a (T, union nnz) stack and never on the full
-    d1 x d2 x T tensor. The values are scattered onto the union of the
-    slices' supports and M mixes every tube; slice t of the result P-hat is
-    a CSR matrix over the union, and all of them share one set of structure
-    arrays. The value gradient runs over the union in chunks (see
-    ``UNION_CHUNK``), so no (T, union nnz) gradient stack is ever held.
+    transform, which acts on union tubes and never on the full d1 x d2 x T
+    tensor. The values are scattered onto the union of the slices' supports
+    and M mixes every live tube; slice t of the result P-hat is a CSR matrix
+    over the live tubes, and all of them share one set of structure arrays.
 
-    Built with ``live_only`` and some union tube dead, its values all
-    exactly 0, the operator keeps only the live tubes: P-hat is built chunk
-    by chunk and its CSR slices, the transposed products and the value
-    gradient's sampled products cover the live tubes alone. A dead tube's
-    P-hat column is M times 0, so dropping it changes no product. Both
-    mode-3 products keep their full chunk widths, so they round as over the
-    whole union, and the dead tubes' entries get a value gradient of +0."""
+    Every union tube is live; built with ``live_only``, only the tubes
+    holding a nonzero value are. A dead tube's P-hat column is M times 0, so
+    leaving it out changes no product, and its entries get a value gradient
+    of +0. P-hat is built, and the value gradient computed, one union chunk
+    at a time (see ``UNION_CHUNK``): each mode-3 product runs over the
+    chunk's full width, dead columns at 0, so it rounds as over the whole
+    union, and no (T, union nnz) stack is ever held."""
 
     def __init__(self, pattern: SlicePattern, values: np.ndarray, tf: Transform, live_only: bool = False):
         if tf.size != pattern.t_slots:
@@ -499,37 +490,34 @@ class UnionOperator:
         self.pattern = pattern
         self.tf = tf
         u_indptr, u_indices, flat_to_union = pattern.union
-        live = None
-        if live_only:
-            live = np.zeros(len(u_indices), dtype=bool)
-            live[flat_to_union[values != 0]] = True
-        # each chunk's live columns, and the chunk cut down to its live
-        # tubes; None when every tube is live: the full-union path
-        self.live_chunks: list[tuple[np.ndarray, UnionChunk]] | None = None
-        if live is None or live.all():
-            p_stack = np.zeros((pattern.t_slots, len(u_indices)))
-            p_stack[pattern.entry_slots, flat_to_union] = values
-            p_hat = _apply_mode3(p_stack, tf.m)
-        else:
-            self.live_chunks = []
-            p_hat = np.empty((pattern.t_slots, int(np.count_nonzero(live))))
-            done = 0
-            for chunk in pattern.union_chunks(_union_chunk_width(pattern.t_slots)):
-                cols = np.flatnonzero(live[chunk.lo : chunk.hi])
-                keep = live[chunk.lo + chunk.positions]
-                self.live_chunks.append((cols, UnionChunk(
-                    chunk.lo, chunk.hi, chunk.rows[cols],
-                    chunk.entries[keep], chunk.slots[keep], chunk.positions[keep],
-                )))
-                if len(cols):
-                    p_stack = np.zeros((pattern.t_slots, chunk.hi - chunk.lo))
-                    p_stack[chunk.slots, chunk.positions] = values[chunk.entries]
-                    p_hat[:, done : done + len(cols)] = _apply_mode3(p_stack, tf.m).take(cols, axis=1)
-                    done += len(cols)
-            u_indptr = np.concatenate(([0], np.cumsum(live)))[u_indptr]
-            u_indices = u_indices[live]
+        live = np.zeros(len(u_indices), dtype=bool)
+        live[flat_to_union[values != 0] if live_only else flat_to_union] = True
+        # each chunk's live columns, their column indices, and the chunk cut
+        # down to its live tubes
+        self.live_chunks: list[tuple[np.ndarray, np.ndarray, UnionChunk]] = []
+        # one array per slice, not rows of one stack, which scipy would copy
+        n_live = int(np.count_nonzero(live))
+        p_hat = [np.empty(n_live) for _ in range(pattern.t_slots)]
+        done = 0
+        for chunk in pattern.union_chunks():
+            cols = np.flatnonzero(live[chunk.lo : chunk.hi])
+            if not len(cols):
+                continue
+            keep = live[chunk.lo + chunk.positions]
+            self.live_chunks.append((cols, u_indices[chunk.lo + cols], UnionChunk(
+                chunk.lo, chunk.hi, chunk.rows[cols],
+                chunk.entries[keep], chunk.slots[keep], chunk.positions[keep],
+            )))
+            p_chunk = np.zeros((pattern.t_slots, chunk.hi - chunk.lo))
+            p_chunk[chunk.slots, chunk.positions] = values[chunk.entries]
+            p_chunk = _apply_mode3(p_chunk, tf.m)
+            for t, p_row in enumerate(p_hat):
+                # "clip" takes without a buffer; cols are in range
+                p_chunk[t].take(cols, out=p_row[done : done + len(cols)], mode="clip")
+            done += len(cols)
         shape = (pattern.n_rows, pattern.n_cols)
-        first = sp.csr_matrix((p_hat[0], u_indices, u_indptr), shape=shape, copy=False)
+        u_indptr = np.concatenate(([0], np.cumsum(live)))[u_indptr]
+        first = sp.csr_matrix((p_hat[0], u_indices[live], u_indptr), shape=shape, copy=False)
         # later slices reuse the index arrays scipy converted for the first
         self.slices = [first] + [
             sp.csr_matrix((p_hat[t], first.indices, first.indptr), shape=shape, copy=False)
@@ -547,35 +535,22 @@ class UnionOperator:
     def grads(self, g: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The gradients of the flat values and of y, given the product's:
         M^-T on g, the transposed slice products for y, and for the values
-        each chunk's sampled products, M^T, then the chunk's pattern entries."""
+        each chunk's sampled products on its live tubes, M^T over the chunk,
+        then the chunk's live entries."""
         pattern, tf = self.pattern, self.tf
-        u_indices = pattern.union[1]
         g_hat = _apply_mode3(g, tf.minv.T)
         dy_hat = np.empty_like(y_hat)
         for t, p_t in enumerate(self.slices):
             dy_hat[t] = p_t.T @ g_hat[t]
-        if self.live_chunks is None:
-            dvals = np.empty(pattern.nnz)
-            for chunk in pattern.union_chunks(_union_chunk_width(pattern.t_slots)):
-                dp_hat = np.empty((pattern.t_slots, chunk.hi - chunk.lo))
-                for t in range(pattern.t_slots):
-                    _sddmm(g_hat[t], chunk.rows, y_hat[t], u_indices[chunk.lo : chunk.hi], dp_hat[t])
-                dp = _apply_mode3(dp_hat, tf.m.T)
-                dvals[chunk.entries] = dp[chunk.slots, chunk.positions]
-        else:
-            dvals = np.zeros(pattern.nnz)
-            for cols, live in self.live_chunks:
-                if not len(cols):
-                    continue
-                # M^T runs over the chunk's full width, dead columns at 0
-                dp_hat = np.zeros((pattern.t_slots, live.hi - live.lo))
-                dp_live = np.empty(len(cols))
-                live_cols = u_indices[live.lo + cols]
-                for t in range(pattern.t_slots):
-                    _sddmm(g_hat[t], live.rows, y_hat[t], live_cols, dp_live)
-                    dp_hat[t, cols] = dp_live
-                dp = _apply_mode3(dp_hat, tf.m.T)
-                dvals[live.entries] = dp[live.slots, live.positions]
+        dvals = np.zeros(pattern.nnz)
+        for cols, live_cols, live in self.live_chunks:
+            dp_hat = np.zeros((pattern.t_slots, live.hi - live.lo))
+            dp_live = np.empty(len(cols))
+            for t in range(pattern.t_slots):
+                _sddmm(g_hat[t], live.rows, y_hat[t], live_cols, dp_live)
+                dp_hat[t, cols] = dp_live
+            dp = _apply_mode3(dp_hat, tf.m.T)
+            dvals[live.entries] = dp[live.slots, live.positions]
         return dvals, _apply_mode3(dy_hat, tf.m.T)
 
 

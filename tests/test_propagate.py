@@ -97,8 +97,8 @@ def check_chunks(pattern: SlicePattern, case: str, seed: int):
     want = run_op(OracleTape(), "sparse_m_product", pattern, w0, h0, r, tf)
     assert_bit_equal(got, want)
     n_union = len(pattern.union[1])
-    width = tensor3_mod._union_chunk_width(pattern.t_slots)
-    chunks = pattern.union_chunks(width)
+    chunks = pattern.union_chunks()
+    width = chunks[0].hi - chunks[0].lo if len(chunks) > 1 else tensor3_mod._union_chunk_width(pattern.t_slots)
     assert width % 8 == 0
     assert len(chunks) == max(1, n_union // width)
     assert [c.lo for c in chunks[1:]] == [c.hi for c in chunks[:-1]]
@@ -221,7 +221,7 @@ def scale_pattern() -> SlicePattern:
 
 def live_weights(case: str, pattern: SlicePattern, rng: np.random.Generator) -> np.ndarray:
     flat_to_union = pattern.union[2]
-    chunks = pattern.union_chunks(tensor3_mod._union_chunk_width(pattern.t_slots))
+    chunks = pattern.union_chunks()
     assert len(chunks) >= 4
     if case in ("no_zeros", "mixed"):
         return make_weights(case, pattern, rng)
@@ -259,19 +259,47 @@ def test_live_operator_bit_equals_oracle(monkeypatch, kind, case):
     r = rng.normal(size=(pattern.t_slots, pattern.n_rows, F))
     tf = make_transform(kind, pattern.t_slots)
     op = sparse_operator(pattern, w0, tf, live_only=True)
-    full = getattr(op, "live", None) is None and getattr(op, "live_chunks", None) is None
-    assert full == (case == "no_zeros")
+    live = live_entries(kind, pattern, w0)
+    if kind == "identity":
+        assert sum(s.nnz for s in op.slices) == np.count_nonzero(w0)
+    else:
+        # every P-hat slice holds exactly the live tubes
+        assert {s.nnz for s in op.slices} == {len(np.unique(pattern.union[2][live]))}
     tape = Tape()
     w, h = tape.leaf(w0, requires_grad=True), tape.leaf(h0, requires_grad=True)
     out = tape.sparse_m_product(w, h, op)
     tape.backward(tape.sum(tape.mul(out, tape.constant(r))))
     want = run_op(OracleTape(), "spmm" if kind == "identity" else "sparse_m_product", pattern, w0, h0, r, tf)
     assert_bit_equal((out.value, h.grad), (want[0], want[2]))
-    live = live_entries(kind, pattern, w0)
     assert live.all() == (case == "no_zeros")
     assert w.grad[live].tobytes() == want[1][live].tobytes()
     dead = w.grad[~live]
     assert np.all(dead == 0) and not np.any(np.signbit(dead))
+
+
+@pytest.mark.parametrize("case", ["no_zeros", "mixed"])
+def test_no_mode3_product_wider_than_a_union_chunk(monkeypatch, case):
+    """The dct operator builds P-hat and takes its value gradient one union
+    chunk at a time, also when every tube is live: every mode-3 product over
+    union tubes is exactly one chunk wide."""
+    monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", 32 * 1001)
+    pattern = scale_pattern()
+    w0, h0, r = inputs(22, pattern, case)
+    widths = []
+    inner = tensor3_mod._apply_mode3
+
+    def recorded(arr, m):
+        # P-hat and dP-hat stacks are (T, columns); y and g are (T, N, F)
+        if arr.ndim == 2:
+            widths.append(arr.shape[1])
+        return inner(arr, m)
+
+    monkeypatch.setattr(tensor3_mod, "_apply_mode3", recorded)
+    op = sparse_operator(pattern, w0, make_transform("dct", pattern.t_slots), live_only=True)
+    op.grads(r, op.apply(h0)[1])
+    chunk_widths = [c.hi - c.lo for c in pattern.union_chunks()]
+    assert len(chunk_widths) >= 4
+    assert widths == chunk_widths * 2
 
 
 @pytest.mark.parametrize("case", ["no_zeros", "mixed", "diagonal_only"])

@@ -345,6 +345,25 @@ class TestPerClassGenerator:
         pairs = training.labeled_split(prep, config, "train").pairs
         assert built == [(len(pairs),), (len(pairs),)]
 
+    def test_the_feature_scatter_is_built_on_the_first_training_step(self, monkeypatch):
+        # an assemble and a forward without gradients, as in eval, never
+        # build it; training steps build it once and then reuse it
+        built = []
+        inner = structural.row_scatter
+
+        def counted(index, n_rows):
+            built.append(np.shape(index))
+            return inner(index, n_rows)
+
+        monkeypatch.setattr(structural, "row_scatter", counted)
+        config, prep, _ = oracle_case("heavy-tailed")
+        store = training.init_params(config, prep.n_nodes, prep.t_slots)
+        training.predict(store, prep, config, prep.val_set.pairs)
+        assert built == []
+        step_gradients(config, prep, store)
+        step_gradients(config, prep, store)
+        assert built == [prep.ctx.row_class.shape]
+
     def test_recorded_values_have_one_row_per_class(self):
         # apart from the gathered output, nothing the generator records is
         # as tall as the T*N rows of the histogram
