@@ -8,10 +8,19 @@ in isolation.
 
 The sparse M-product is one op under every transform, over the operator
 ``tensor3.sparse_operator`` builds; ``sumsq`` takes every parameter at once.
+
+A tape entry keeps its nodes' gradient cells and its backward rule, never
+the nodes themselves: a value lives only while the caller holds its node or
+a rule has captured the array, and each rule captures only what it reads.
+``relu`` keeps its input's boolean mask; ``mul``, ``matmul`` and
+``pair_dot`` their operands; ``sigmoid`` and ``segment_softmax`` their
+outputs; ``sparse_m_product`` its operator and its operand as the operator
+transformed it.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,9 +38,10 @@ def _as_f64(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
-def _relu_grad(x: np.ndarray) -> np.ndarray:
-    """Subgradient mask for ReLU; module-level so tests can swap it out."""
-    return (x > 0).astype(np.float64)
+def _relu_grad(mask: np.ndarray) -> np.ndarray:
+    """Subgradient of ReLU from its input's positive mask; module-level so
+    tests can swap it out."""
+    return mask.astype(np.float64)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -43,15 +53,56 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-class Node:
-    """A value recorded on a tape, with a gradient buffer filled by backward."""
+_DROPPED = np.empty(0)
 
-    __slots__ = ("value", "grad", "requires_grad")
+
+class GradCell:
+    """What a tape entry keeps of a node: the gradient buffer backward
+    fills, whether the node needs one, and a weak reference to its value.
+
+    ``value`` is the node's array while something else holds it, and an
+    empty array once it is freed.
+    """
+
+    __slots__ = ("grad", "requires_grad", "_ref")
+
+    def __init__(self, value: np.ndarray, requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        try:
+            self._ref = weakref.ref(value)
+        except TypeError:
+            # numpy scalars take no weak reference; they are a few bytes
+            held = np.asarray(value)
+            self._ref = lambda: held
+
+    @property
+    def value(self) -> np.ndarray:
+        value = self._ref()
+        return _DROPPED if value is None else value
+
+
+class Node:
+    """A value recorded on a tape, and its gradient cell: ``grad`` and
+    ``requires_grad`` read the cell, which is all the tape holds."""
+
+    __slots__ = ("value", "cell")
 
     def __init__(self, value: np.ndarray, requires_grad: bool):
         self.value = value
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
+        self.cell = GradCell(value, requires_grad)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.cell.grad
+
+    @grad.setter
+    def grad(self, grad: np.ndarray | None) -> None:
+        self.cell.grad = grad
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.cell.requires_grad
 
     @property
     def shape(self) -> tuple:
@@ -78,10 +129,13 @@ class Tape:
     earlier entry or is a leaf, so one reverse sweep suffices, and the sweep
     frees each entry once its rule has run; a swept tape records nothing
     more and cannot be swept again.
+
+    An entry is ``(out, parents, rule)`` over gradient cells, not nodes, so
+    the tape holds no value itself: only the arrays the rules captured.
     """
 
     def __init__(self):
-        self._entries: list[tuple[Node, tuple[Node, ...], Callable]] | None = []
+        self._entries: list[tuple[GradCell, tuple[GradCell, ...], Callable]] | None = []
 
     def leaf(self, value, requires_grad: bool = False) -> Node:
         return Node(_as_f64(value), requires_grad)
@@ -92,10 +146,11 @@ class Tape:
     def _record(self, value: np.ndarray, parents: Sequence[Node], backward: Callable) -> Node:
         if self._entries is None:
             raise ParameterError("tape already swept")
-        needs = any(p.requires_grad for p in parents)
+        cells = tuple(p.cell for p in parents)
+        needs = any(c.requires_grad for c in cells)
         out = Node(value, needs)
         if needs:
-            self._entries.append((out, tuple(parents), backward))
+            self._entries.append((out.cell, cells, backward))
         return out
 
     # ----- elementwise and linear primitives -----
@@ -113,13 +168,14 @@ class Tape:
         return self._record(va + vb, (a, b), backward)
 
     def mul(self, a: Node, b: Node) -> Node:
-        if a.value.shape != b.value.shape:
-            raise ShapeError(f"mul operands {a.value.shape} and {b.value.shape} differ")
+        va, vb = a.value, b.value
+        if va.shape != vb.shape:
+            raise ShapeError(f"mul operands {va.shape} and {vb.shape} differ")
 
         def backward(g):
-            return g * b.value, g * a.value
+            return g * vb, g * va
 
-        return self._record(a.value * b.value, (a, b), backward)
+        return self._record(va * vb, (a, b), backward)
 
     def scale(self, a: Node, c: float) -> Node:
         c = float(c)
@@ -149,8 +205,10 @@ class Tape:
         return self._record(np.tensordot(m, a.value, axes=(1, 0)), (a,), backward)
 
     def relu(self, a: Node) -> Node:
+        mask = a.value > 0 if a.requires_grad else None
+
         def backward(g):
-            return (g * _relu_grad(a.value),)
+            return (g * _relu_grad(mask),)
 
         return self._record(np.maximum(a.value, 0.0), (a,), backward)
 
@@ -175,10 +233,11 @@ class Tape:
     def sumsq(self, *nodes: Node) -> Node:
         """Sum of every node's squared entries, the nodes' sums added in the
         order given."""
-        total = sum((a.value * a.value).sum() for a in nodes)
+        values = tuple(a.value for a in nodes)
+        total = sum((v * v).sum() for v in values)
 
         def backward(g):
-            return tuple(2.0 * float(g) * a.value for a in nodes)
+            return tuple(2.0 * float(g) * v for v in values)
 
         return self._record(np.asarray(total, dtype=np.float64), nodes, backward)
 
@@ -244,21 +303,21 @@ class Tape:
         Backward leaves out the entries whose incoming gradient is exactly 0
         (``tensor3.nonzero_csr``), such as those of every zero softmax weight.
         """
-        if o.value.ndim != 3 or o.value.shape[0] != pattern.t_slots:
-            raise ShapeError(f"feature tensor shape {o.value.shape} does not match pattern slices")
-        n = o.value.shape[1]
-        t_count = o.value.shape[0]
+        vo = o.value
+        if vo.ndim != 3 or vo.shape[0] != pattern.t_slots:
+            raise ShapeError(f"feature tensor shape {vo.shape} does not match pattern slices")
+        t_count, n = vo.shape[:2]
         out = np.empty(pattern.nnz)
         for t in range(t_count):
             lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
-            tensor3._sddmm(o.value[t], pattern.rows[t], o.value[t], pattern.indices[t], out[lo:hi])
+            tensor3._sddmm(vo[t], pattern.rows[t], vo[t], pattern.indices[t], out[lo:hi])
 
         def backward(g):
-            do = np.empty_like(o.value)
+            do = np.empty_like(vo)
             for t in range(t_count):
                 lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
                 s_g = tensor3.nonzero_csr(g[lo:hi], pattern.indices[t], pattern.indptrs[t], (n, n))
-                do[t] = s_g @ o.value[t] + s_g.T @ o.value[t]
+                do[t] = s_g @ vo[t] + s_g.T @ vo[t]
             return (do,)
 
         return self._record(out, (o,), backward)
@@ -340,9 +399,9 @@ class Tape:
         that needs one; the sweep consumes the tape.
 
         Each entry is dropped as soon as its rule has run, so its closure,
-        the arrays the closure captured, and every node that only the tape
-        held (its value and its ``grad``) are freed while the sweep goes on.
-        Nodes the caller still holds, leaves among them, keep their ``grad``.
+        the arrays the closure captured, and every cell that only the tape
+        held (with its ``grad``) are freed while the sweep goes on. Nodes
+        the caller still holds, leaves among them, keep their ``grad``.
         A second sweep, or a new record, on a swept tape raises.
 
         The first gradient a node receives becomes its ``grad``; later ones

@@ -492,9 +492,8 @@ class UnionOperator:
         u_indptr, u_indices, flat_to_union = pattern.union
         live = np.zeros(len(u_indices), dtype=bool)
         live[flat_to_union[values != 0] if live_only else flat_to_union] = True
-        # each chunk's live columns, their column indices, and the chunk cut
-        # down to its live tubes
-        self.live_chunks: list[tuple[np.ndarray, np.ndarray, UnionChunk]] = []
+        self.live = live
+        self._live_chunks: list[tuple[np.ndarray, np.ndarray, UnionChunk]] | None = None
         # one array per slice, not rows of one stack, which scipy would copy
         n_live = int(np.count_nonzero(live))
         p_hat = [np.empty(n_live) for _ in range(pattern.t_slots)]
@@ -503,11 +502,6 @@ class UnionOperator:
             cols = np.flatnonzero(live[chunk.lo : chunk.hi])
             if not len(cols):
                 continue
-            keep = live[chunk.lo + chunk.positions]
-            self.live_chunks.append((cols, u_indices[chunk.lo + cols], UnionChunk(
-                chunk.lo, chunk.hi, chunk.rows[cols],
-                chunk.entries[keep], chunk.slots[keep], chunk.positions[keep],
-            )))
             p_chunk = np.zeros((pattern.t_slots, chunk.hi - chunk.lo))
             p_chunk[chunk.slots, chunk.positions] = values[chunk.entries]
             p_chunk = _apply_mode3(p_chunk, tf.m)
@@ -532,6 +526,24 @@ class UnionOperator:
             prod[t] = p_t @ y_hat[t]
         return _apply_mode3(prod, self.tf.minv), y_hat
 
+    def live_chunks(self) -> list[tuple[np.ndarray, np.ndarray, UnionChunk]]:
+        """Each chunk with a live tube: its live columns, their column
+        indices, and the chunk cut down to its live tubes; built on the
+        first call, so a forward that runs no backward never builds it."""
+        if self._live_chunks is None:
+            live, u_indices = self.live, self.pattern.union[1]
+            self._live_chunks = []
+            for chunk in self.pattern.union_chunks():
+                cols = np.flatnonzero(live[chunk.lo : chunk.hi])
+                if not len(cols):
+                    continue
+                keep = live[chunk.lo + chunk.positions]
+                self._live_chunks.append((cols, u_indices[chunk.lo + cols], UnionChunk(
+                    chunk.lo, chunk.hi, chunk.rows[cols],
+                    chunk.entries[keep], chunk.slots[keep], chunk.positions[keep],
+                )))
+        return self._live_chunks
+
     def grads(self, g: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The gradients of the flat values and of y, given the product's:
         M^-T on g, the transposed slice products for y, and for the values
@@ -543,7 +555,7 @@ class UnionOperator:
         for t, p_t in enumerate(self.slices):
             dy_hat[t] = p_t.T @ g_hat[t]
         dvals = np.zeros(pattern.nnz)
-        for cols, live_cols, live in self.live_chunks:
+        for cols, live_cols, live in self.live_chunks():
             dp_hat = np.zeros((pattern.t_slots, live.hi - live.lo))
             dp_live = np.empty(len(cols))
             for t in range(pattern.t_slots):

@@ -339,9 +339,11 @@ def train_loop(
     recorded on a fresh tape. The validation pairs are decoded from its
     values on a separate tape without gradients, and epoch e + 1 decodes its
     training pairs on the recorded tape and runs the backward through it. The
-    finished tape, with every gradient on it, is released before the next one
-    is recorded. An epoch with no recorded embedding records its own when it
-    starts: the first one, and every one when ``eval_hook`` is given.
+    tape holds only the arrays its backward rules read, so the embedding is
+    let go as soon as it is decoded. The finished tape, with every gradient
+    on it, is released before the next one is recorded. An epoch with no
+    recorded embedding records its own when it starts: the first one, and
+    every one when ``eval_hook`` is given.
 
     ``eval_hook(epoch, store) -> float`` replaces the validation metric when
     given (protocol tests drive stopping behavior through it). Raises a
@@ -365,6 +367,8 @@ def train_loop(
         tape, leaves, h = recorded or _record_embedding(store, prep, tf, config)
         recorded = None
         probs = decode(tape, leaves, h, train_set.pairs)
+        # no rule reads the embedding, so it goes before the backward runs
+        del h
         loss = compute_loss(tape, probs, train_set.labels, leaves, config.beta_reg)
         if not np.isfinite(loss.value):
             raise NumericError(f"training diverged at epoch {epoch}: loss is not finite")
@@ -374,7 +378,7 @@ def train_loop(
         adam.step()
         loss_value = float(loss.value)
         # the finished tape and its gradients go before the next forward is recorded
-        del tape, leaves, h, probs, loss
+        del tape, leaves, probs, loss
 
         if eval_hook is not None:
             val_f1 = float(eval_hook(epoch, store))

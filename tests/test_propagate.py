@@ -302,6 +302,38 @@ def test_no_mode3_product_wider_than_a_union_chunk(monkeypatch, case):
     assert widths == chunk_widths * 2
 
 
+@pytest.mark.parametrize("case", ["no_zeros", "dead_chunks"])
+def test_live_plan_is_built_by_the_first_backward(monkeypatch, case):
+    """The dct operator cuts its chunks down to their live tubes on the
+    first ``grads`` call and keeps the result, so a forward that runs no
+    backward, such as an eval, never builds that plan."""
+    monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", 32 * 1001)
+    pattern = scale_pattern()
+    rng = np.random.default_rng(23)
+    w0 = live_weights(case, pattern, rng)
+    h0 = rng.normal(size=(pattern.t_slots, pattern.n_cols, F))
+    r = rng.normal(size=(pattern.t_slots, pattern.n_rows, F))
+    chunks = pattern.union_chunks()
+    built = []
+    inner = tensor3_mod.UnionChunk
+
+    def counted(*fields):
+        built.append(fields[:2])
+        return inner(*fields)
+
+    monkeypatch.setattr(tensor3_mod, "UnionChunk", counted)
+    op = sparse_operator(pattern, w0, make_transform("dct", pattern.t_slots), live_only=True)
+    y_hat = op.apply(h0)[1]
+    assert built == []
+    first = op.grads(r, y_hat)
+    plan = [(c.lo, c.hi) for c in chunks if op.live[c.lo : c.hi].any()]
+    assert built == plan
+    assert len(plan) < len(chunks) if case == "dead_chunks" else len(plan) == len(chunks)
+    second = op.grads(r, y_hat)
+    assert built == plan
+    assert_bit_equal(first, second)
+
+
 @pytest.mark.parametrize("case", ["no_zeros", "mixed", "diagonal_only"])
 @pytest.mark.parametrize("kind", ["identity", "dct"])
 def test_live_forward_gradients_bit_equal_full(monkeypatch, kind, case):

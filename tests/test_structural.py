@@ -374,7 +374,7 @@ class TestPerClassGenerator:
         n_classes = prep.ctx.counts.shape[0]
         assert len(prep.ctx.unique_values) <= n_classes < prep.t_slots * prep.n_nodes
         *inner, (last, _, _) = tape._entries
-        assert last is out and out.value.shape == (prep.t_slots, prep.n_nodes, config.dim)
+        assert last is out.cell and out.value.shape == (prep.t_slots, prep.n_nodes, config.dim)
         assert max(node.value.shape[0] for node, _, _ in inner) == n_classes
 
 

@@ -566,6 +566,34 @@ class TestBackwardContract:
         assert y.grad is not None
         assert np.array_equal(x.grad, 2.0 * y.grad)
 
+    def test_entries_show_every_value_to_a_tracer(self):
+        # a tracer sums ``.value.nbytes`` (through ``.base``) over every
+        # element of every entry: each reads an ndarray, the array while it
+        # lives and an empty one once no rule or caller holds it
+        rng = np.random.default_rng(37)
+        t = Tape()
+        x = t.leaf(rng.normal(size=(4, 3)), requires_grad=True)
+        pre = t.scale(x, 2.0)
+        z = t.relu(pre)
+        kept = t.mul(z, t.constant(rng.normal(size=(4, 3))))
+        loss = t.add(t.sum(kept), t.scale(t.sumsq(x), 0.5))
+        # a sum of 0-d arrays is a numpy scalar, which takes no weak reference
+        assert not isinstance(loss.value, np.ndarray)
+        cells = {"pre": pre.cell, "z": z.cell, "kept": kept.cell}
+        del pre, z, kept
+        for out, parents, _ in t._entries:
+            for cell in (out, *parents):
+                assert isinstance(cell.value, np.ndarray)
+        assert t._entries[-1][0] is loss.cell and loss.cell.value == loss.value
+        # relu keeps its mask, not its input; mul keeps both operands
+        assert cells["pre"].value.nbytes == 0
+        assert cells["z"].value.nbytes == 4 * 3 * 8
+        assert cells["kept"].value.nbytes == 0
+        t.backward(loss)
+        assert cells["z"].value.nbytes == 0
+        # the caller's leaf keeps its value, and its gradient
+        assert x.cell.value is x.value and x.grad is not None
+
     def test_shared_leaf_accumulates(self):
         t = Tape()
         x = t.leaf(np.asarray(3.0), requires_grad=True)

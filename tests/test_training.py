@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -459,6 +460,76 @@ class TestSharedForward:
         for name in want.names():
             assert got.grad(name).tobytes() == want.grad(name).tobytes(), name
             assert kept.grad(name).tobytes() == want.grad(name).tobytes(), name
+
+    @pytest.mark.parametrize("transform", ["identity", "dct"])
+    def test_values_no_rule_reads_are_freed_before_the_backward(self, monkeypatch, transform):
+        # the tape holds gradient cells, not nodes: once the caller lets go,
+        # a value lives on only if a backward rule captured it
+        prep, config = small_prep(seed=3, transform=transform, max_epochs=1)
+        assert config.layers >= 2
+        refs = {"pre_relu": [], "scores": [], "rows": []}
+        relu, pair_dot, gather_rows = Tape.relu, Tape.pair_dot, Tape.gather_rows
+
+        def watched_relu(tape, a):
+            refs["pre_relu"].append(weakref.ref(a.value))
+            return relu(tape, a)
+
+        def watched_pair_dot(tape, o, pattern):
+            out = pair_dot(tape, o, pattern)
+            refs["scores"].append(weakref.ref(out.value))
+            return out
+
+        def watched_gather_rows(tape, a, index, scatter=None):
+            out = gather_rows(tape, a, index, scatter)
+            refs["rows"].append(weakref.ref(out.value))
+            return out
+
+        monkeypatch.setattr(Tape, "relu", watched_relu)
+        monkeypatch.setattr(Tape, "pair_dot", watched_pair_dot)
+        store = training.init_params(config, prep.n_nodes, prep.t_slots)
+        # the pairs of train_loop's first step
+        neg = training.negative_sample(prep.full_graph, prep.train_pos, config.neg_ratio, seed=[config.seed, 1])
+        pairs = training.merge_pair_sets(prep.train_pos, neg)
+        tape = Tape()
+        leaves = store.leaves(tape)
+        h = training.embed(tape, leaves, prep, training.make_transform(transform, prep.t_slots), config)
+        # every relu of the generator's two perceptrons and of the hidden layers
+        assert len(refs["pre_relu"]) == 2 + config.layers - 1
+        monkeypatch.setattr(Tape, "gather_rows", watched_gather_rows)
+        probs = training.decode(tape, leaves, h, pairs.pairs)
+        loss = compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg)
+        embedding = weakref.ref(h.value)
+        del h, probs
+        assert [len(refs[k]) for k in ("pre_relu", "scores", "rows")] == [2 + config.layers, 1, 2]
+        assert embedding() is None
+        for name, held in refs.items():
+            assert all(ref() is None for ref in held), name
+        for out, parents, _ in tape._entries:
+            assert all(isinstance(cell.value, np.ndarray) for cell in (out, *parents))
+        tape.backward(loss)
+        store.harvest(leaves)
+        want = train_loop_oracle.train_loop(prep, config).store
+        for name in want.names():
+            assert store.grad(name).tobytes() == want.grad(name).tobytes(), name
+
+    def test_train_loop_lets_the_embedding_go_before_the_backward(self, monkeypatch):
+        prep, config = small_prep(seed=3, max_epochs=3, patience=10)
+        embeddings, held_in_sweep = [], []
+        record, sweep = training._record_embedding, Tape.backward
+
+        def watched_record(*args):
+            recorded = record(*args)
+            embeddings.append(weakref.ref(recorded[2].value))
+            return recorded
+
+        def watched_sweep(tape, loss):
+            held_in_sweep.append(embeddings[-1]() is not None)
+            return sweep(tape, loss)
+
+        monkeypatch.setattr(training, "_record_embedding", watched_record)
+        monkeypatch.setattr(Tape, "backward", watched_sweep)
+        assert train_loop(prep, config).epochs_run == 3
+        assert held_in_sweep == [False] * 3
 
     def test_bit_equal_with_eval_hook(self):
         prep, config = small_prep(seed=3, transform="dct", max_epochs=6, patience=2)
