@@ -65,6 +65,8 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     run = _load_config(args)
     config = run.to_train_config()
+    if run.data is not None and run.edges is not None:
+        raise ParameterError("config names two dataset sources, data= and edges=; set exactly one")
     os.makedirs(run.out, exist_ok=True)
     if run.data is not None:
         graph, masked, splits, _ = load_dataset(run.data)

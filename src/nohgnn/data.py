@@ -240,12 +240,8 @@ class LabeledPairSet:
         return len(self.labels)
 
 
-def merge_pair_sets(a: LabeledPairSet, b: LabeledPairSet, role: str | None = None) -> LabeledPairSet:
-    return LabeledPairSet(
-        np.concatenate([a.pairs, b.pairs]),
-        np.concatenate([a.labels, b.labels]),
-        role or a.role,
-    )
+def merge_pair_sets(a: LabeledPairSet, b: LabeledPairSet) -> LabeledPairSet:
+    return LabeledPairSet(np.concatenate([a.pairs, b.pairs]), np.concatenate([a.labels, b.labels]), a.role)
 
 
 def bin_snapshots(

@@ -1,8 +1,10 @@
 """Stacked high-order message-passing layers and the link decoder.
 
 Each layer multiplies the sparse aggregation tensor into the node tensor and
-then into a per-layer weight tensor, both under the configured mode-3
-transform; hidden layers apply ReLU and the final layer stays linear. The
+then into a per-layer weight tensor: two M-products under the configured
+mode-3 transform, each one ``Tape.m_product`` entry over an operator from
+``tensor3``, which alone applies the transform. Hidden layers apply ReLU
+and the final layer stays linear. The
 decoder concatenates the two endpoint rows and maps 2F -> F -> 1 with a ReLU
 hidden layer and a sigmoid output.
 """
@@ -15,7 +17,7 @@ import numpy as np
 
 from nohgnn.errors import NumericError, ParameterError
 from nohgnn.tape import Node, ParamStore, Tape, init_dense, xavier_uniform
-from nohgnn.tensor3 import SlicePattern, SparseOperator, Transform, sparse_operator
+from nohgnn.tensor3 import DenseOperator, SlicePattern, SparseOperator, Transform, sparse_operator
 
 LAYER_NOISE_SCALE = 0.05
 
@@ -65,20 +67,17 @@ def propagate(tape: Tape, weights: Node, h: Node, op: SparseOperator) -> Node:
     """Aggregation tensor times node tensor under the transform.
 
     ``op`` is the operator of the flat ``weights`` (``sparse_operator``),
-    which ``forward`` builds once for all layers. One ``sparse_m_product``
-    tape op applies it, so the full dense N x N x T tensor is never
+    which ``forward`` builds once for all layers. One ``m_product`` tape
+    op applies it, so the full dense N x N x T tensor is never
     materialized, and hands the gradient of the flat weights to ``weights``.
     """
-    return tape.sparse_m_product(weights, h, op)
+    return tape.m_product(weights, h, op)
 
 
 def weight_product(tape: Tape, h: Node, w: Node, tf: Transform) -> Node:
-    """Node tensor times a (T, F, F) weight stack under the transform."""
-    if tf.is_identity:
-        return tape.matmul(h, w)
-    h_hat = tape.mode3(h, tf.m)
-    w_hat = tape.mode3(w, tf.m)
-    return tape.mode3(tape.matmul(h_hat, w_hat), tf.minv)
+    """Node tensor times a (T, F, F) weight stack under the transform: one
+    ``m_product`` tape op over the ``DenseOperator`` of ``h``."""
+    return tape.m_product(h, w, DenseOperator(h.value, tf))
 
 
 def forward(
@@ -94,8 +93,10 @@ def forward(
     The aggregation operator (``sparse_operator`` of ``p_weights``) is
     built once, before the first layer, and every layer's product and
     backward uses it; it is not a tape node, so each layer still hands its
-    own weight gradient to ``p_weights``. Hidden layers apply ReLU; the last
-    layer stays linear.
+    own weight gradient to ``p_weights``. Each layer records two
+    ``m_product`` entries, ``propagate`` and ``weight_product``, under
+    either transform. Hidden layers apply ReLU; the last layer stays
+    linear.
 
     ``p_weights`` is a softmax output, so the operator is built
     ``live_only``: the weight gradient is +0 at the dead entries, the exact

@@ -1,21 +1,21 @@
 """Reverse-mode automatic differentiation over a fixed primitive set.
 
 The op set is closed on purpose: every primitive the model needs (slice
-matrix multiplies, the mode-3 product, the sparse M-product, segment
-softmax, activations, gathers, reductions, the BCE expression) has its own
-backward rule here, so each rule can be tested against central differences
-in isolation.
+matrix multiplies, the M-product, segment softmax, activations, gathers,
+reductions, the BCE expression) has its own backward rule here, so each
+rule can be tested against central differences in isolation.
 
-The sparse M-product is one op under every transform, over the operator
-``tensor3.sparse_operator`` builds; ``sumsq`` takes every parameter at once.
+The M-product is one op, ``m_product``, for a sparse or a dense left
+operand: it records the operator ``tensor3`` builds for that operand, and
+never applies a transform itself. ``sumsq`` takes every parameter at once.
 
 A tape entry keeps its nodes' gradient cells and its backward rule, never
 the nodes themselves: a value lives only while the caller holds its node or
 a rule has captured the array, and each rule captures only what it reads.
 ``relu`` keeps its input's boolean mask; ``mul``, ``matmul`` and
 ``pair_dot`` their operands; ``sigmoid`` and ``segment_softmax`` their
-outputs; ``sparse_m_product`` its operator and its operand as the operator
-transformed it.
+outputs; ``m_product`` its operator (which holds its left operand, or that
+operand times M) and its right operand as the operator transformed it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from nohgnn import tensor3
 from nohgnn.errors import NumericError, ParameterError, ShapeError
-from nohgnn.tensor3 import SlicePattern, SparseOperator
+from nohgnn.tensor3 import DenseOperator, SlicePattern, SparseOperator
 
 PROB_FLOOR = 1e-12
 FD_DENOM_FLOOR = 1e-8
@@ -194,16 +194,6 @@ class Tape:
             return self._record(va @ vb, (a, b), backward)
         raise ShapeError(f"matmul expects matching 2-D or 3-D stacks, got {va.shape} @ {vb.shape}")
 
-    def mode3(self, a: Node, m: np.ndarray) -> Node:
-        m = _as_f64(m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[1] != a.value.shape[0]:
-            raise ShapeError(f"mode-3 matrix {m.shape} does not match leading dim {a.value.shape}")
-
-        def backward(g):
-            return (np.tensordot(m.T, g, axes=(1, 0)),)
-
-        return self._record(np.tensordot(m, a.value, axes=(1, 0)), (a,), backward)
-
     def relu(self, a: Node) -> Node:
         mask = a.value > 0 if a.requires_grad else None
 
@@ -345,21 +335,18 @@ class Tape:
 
         return self._record(w, (scores,), backward)
 
-    def sparse_m_product(self, values: Node, h: Node, op: SparseOperator) -> Node:
-        """Sparse M-product of flat pattern values with a (T, N, F) node
-        tensor: ``op`` is their operator (``tensor3.sparse_operator``), which
-        a forward builds once for every layer."""
-        pattern = op.pattern
-        if values.value.shape != (pattern.nnz,):
-            raise ShapeError(f"values shape {values.value.shape} does not match pattern nnz {pattern.nnz}")
-        if h.value.ndim != 3 or h.value.shape[:2] != (pattern.t_slots, pattern.n_cols):
-            raise ShapeError(f"node tensor shape {h.value.shape} does not match pattern {pattern.t_slots}x{pattern.n_cols}")
-        out, h_hat = op.apply(h.value)
+    def m_product(self, a: Node, b: Node, op: SparseOperator | DenseOperator) -> Node:
+        """M-product of ``a`` with a dense (T, k, F) stack ``b``: ``op`` is
+        the operator of ``a``'s value, ``tensor3.sparse_operator`` of flat
+        pattern values (which a forward builds once for every layer) or
+        ``tensor3.DenseOperator`` of a dense stack, and checks both shapes."""
+        op.check(a.value, b.value)
+        out, b_hat = op.apply(b.value)
 
         def backward(g):
-            return op.grads(g, h_hat)
+            return op.grads(g, b_hat)
 
-        return self._record(out, (values, h), backward)
+        return self._record(out, (a, b), backward)
 
     def csr_const_matmul(self, c: sp.csr_matrix, g_node: Node) -> Node:
         """Constant sparse matrix times a dense parameterized matrix."""
@@ -447,9 +434,6 @@ class ParamStore:
         arr = _as_f64(value).copy()
         self._values[name] = arr
         self._grads[name] = np.zeros_like(arr)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
 
     def names(self) -> list[str]:
         return sorted(self._values)

@@ -1,12 +1,15 @@
 """Third-order tensor algebra: dense tensors, per-slice sparse stacks, and
 the invertible-transform tensor product (M-product).
 
-The one sparse M-product kernel is the operator ``sparse_operator`` builds
-from flat values over a ``SlicePattern``: per-slice CSR matrices under the
-identity, P-hat on the union support under a mixing transform. Both forms
-have ``apply`` and ``grads``. ``facewise_product`` and ``m_product`` use
-it for a sparse left operand, and the model builds one per forward, from
-its softmax weights and live only, for the tape op ``Tape.sparse_m_product``.
+The M-product is applied only through an operator of its left operand,
+so no other module applies a transform. ``sparse_operator`` builds one from
+flat values over a ``SlicePattern``: per-slice CSR matrices under the
+identity, P-hat on the union support under a mixing transform.
+``DenseOperator`` holds a dense stack times M. Each has ``check``, ``apply``
+and ``grads``; ``m_product`` and ``facewise_product`` use them for either
+kind of left operand, and the model records them with the one tape op
+``Tape.m_product``: the aggregation operator, built once per forward from
+its softmax weights and live only, and a dense one per weight product.
 
 Storage convention: a tensor with dims (d1, d2, d3) lives in a float64 array
 of shape (d3, d1, d2), so ``data[t]`` is the t-th frontal slice and
@@ -34,13 +37,13 @@ class Tensor3:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, copy: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 3:
             raise ShapeError(f"Tensor3 expects a 3-d array, got ndim={arr.ndim}")
         if not np.all(np.isfinite(arr)):
             raise NumericError("Tensor3 values must be finite")
-        self.data = arr.copy() if copy else arr
+        self.data = arr
 
     @classmethod
     def zeros(cls, d1: int, d2: int, d3: int) -> "Tensor3":
@@ -50,17 +53,6 @@ class Tensor3:
     def dims(self) -> tuple[int, int, int]:
         d3, d1, d2 = self.data.shape
         return (d1, d2, d3)
-
-    def slice(self, t: int) -> np.ndarray:
-        return self.data[t]
-
-    def copy(self) -> "Tensor3":
-        return Tensor3(self.data, copy=True)
-
-    def allclose(self, other: "Tensor3", atol: float = 0.0, rtol: float = 1e-12) -> bool:
-        return self.dims == other.dims and np.allclose(
-            self.data, other.data, atol=atol, rtol=rtol
-        )
 
     def __repr__(self) -> str:
         return f"Tensor3(dims={self.dims})"
@@ -187,27 +179,10 @@ def mode3_product(x: Tensor3, m) -> Tensor3:
     return Tensor3(_apply_mode3(x.data, m))
 
 
-def _check_facewise(x, y: Tensor3) -> None:
-    if x.dims[1] != y.dims[0] or x.dims[2] != y.dims[2]:
-        raise ShapeError(
-            f"facewise product needs (d1,k,T)x(k,d2,T), got {x.dims} and {y.dims}"
-        )
-
-
-def _sparse_stack_product(x: SliceSparse3, y: Tensor3, tf: Transform) -> Tensor3:
-    """``x`` times ``y`` under ``tf`` through the stack's ``sparse_operator``."""
-    values = np.concatenate([s.data for s in x.slices])
-    return Tensor3(sparse_operator(SlicePattern.from_sparse(x), values, tf).apply(y.data)[0])
-
-
 def facewise_product(x, y: Tensor3) -> Tensor3:
-    """Slice-by-slice matrix product: result slice t is x_t @ y_t."""
-    _check_facewise(x, y)
-    if isinstance(x, SliceSparse3):
-        return _sparse_stack_product(x, y, make_transform("identity", x.dims[2]))
-    if not isinstance(x, Tensor3):
-        raise ShapeError(f"unsupported left operand type {type(x).__name__}")
-    return Tensor3(np.matmul(x.data, y.data))
+    """Slice-by-slice matrix product: result slice t is x_t @ y_t, the
+    M-product under the identity."""
+    return m_product(x, y, make_transform("identity", y.dims[2]))
 
 
 def nonzero_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
@@ -226,22 +201,20 @@ def nonzero_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape
 def m_product(x, y: Tensor3, tf: Transform) -> Tensor3:
     """Tensor product under an invertible mode-3 transform.
 
-    Computes ((x mode3 M) facewise (y mode3 M)) mode3 M^-1. With the
-    identity transform this reduces to the plain face-wise product. A
-    sparse left operand goes through its ``sparse_operator`` and is never
-    densified to full d1 x d2 x T.
+    Computes ((x mode3 M) facewise (y mode3 M)) mode3 M^-1 through the
+    operator of ``x``: ``DenseOperator`` for a ``Tensor3``, which reduces to
+    the plain face-wise product under the identity, and ``sparse_operator``
+    for a ``SliceSparse3``, which is never densified to full d1 x d2 x T.
     """
-    xd3 = x.dims[2]
-    if tf.size != xd3:
-        raise ShapeError(f"transform size {tf.size} does not match d3={xd3}")
     if isinstance(x, SliceSparse3):
-        _check_facewise(x, y)
-        return _sparse_stack_product(x, y, tf)
-    if tf.is_identity:
-        return facewise_product(x, y)
-    x_hat = mode3_product(x, tf.m)
-    y_hat = mode3_product(y, tf.m)
-    return mode3_product(facewise_product(x_hat, y_hat), tf.minv)
+        a = np.concatenate([s.data for s in x.slices])
+        op = sparse_operator(SlicePattern.from_sparse(x), a, tf)
+    elif isinstance(x, Tensor3):
+        a, op = x.data, DenseOperator(x.data, tf)
+    else:
+        raise ShapeError(f"unsupported left operand type {type(x).__name__}")
+    op.check(a, y.data)
+    return Tensor3(op.apply(y.data)[0])
 
 
 def sparse_matpower_sum(a: SliceSparse3, k_hops: int) -> SliceSparse3:
@@ -428,7 +401,21 @@ class UnionChunk(NamedTuple):
     positions: np.ndarray
 
 
-class FacewiseOperator:
+class SparseOperator:
+    """An M-product operator whose left operand is flat values over a
+    pattern; ``sparse_operator`` builds one of its two forms."""
+
+    def check(self, values: np.ndarray, y: np.ndarray) -> None:
+        """Raise ``ShapeError`` unless ``values`` fit the pattern and ``y``
+        is a (T, d2, F) array it can multiply."""
+        pattern = self.pattern
+        if values.shape != (pattern.nnz,):
+            raise ShapeError(f"values shape {values.shape} does not match pattern nnz {pattern.nnz}")
+        if y.ndim != 3 or y.shape[:2] != (pattern.t_slots, pattern.n_cols):
+            raise ShapeError(f"node tensor shape {y.shape} does not match pattern {pattern.t_slots}x{pattern.n_cols}")
+
+
+class FacewiseOperator(SparseOperator):
     """The sparse M-product of flat values over a pattern under the identity:
     slice t of the stack, a CSR matrix without the values' exact zeros
     (``nonzero_csr``), times slice t of y.
@@ -469,7 +456,7 @@ class FacewiseOperator:
         return dvals, dy
 
 
-class UnionOperator:
+class UnionOperator(SparseOperator):
     """The sparse M-product of flat values over a pattern under a mixing
     transform, which acts on union tubes and never on the full d1 x d2 x T
     tensor. The values are scattered onto the union of the slices' supports
@@ -485,8 +472,6 @@ class UnionOperator:
     union, and no (T, union nnz) stack is ever held."""
 
     def __init__(self, pattern: SlicePattern, values: np.ndarray, tf: Transform, live_only: bool = False):
-        if tf.size != pattern.t_slots:
-            raise ShapeError(f"transform size {tf.size} does not match {pattern.t_slots} slices")
         self.pattern = pattern
         self.tf = tf
         u_indptr, u_indices, flat_to_union = pattern.union
@@ -566,7 +551,44 @@ class UnionOperator:
         return dvals, _apply_mode3(dy_hat, tf.m.T)
 
 
-SparseOperator = FacewiseOperator | UnionOperator
+class DenseOperator:
+    """The M-product of a dense (T, d1, k) stack ``a`` with (T, k, d2)
+    arrays: ((a mode3 M) facewise (y mode3 M)) mode3 M^-1. It holds a mode3
+    M, or under the identity ``a`` itself, whose product is the plain
+    stacked matmul."""
+
+    def __init__(self, a: np.ndarray, tf: Transform):
+        if a.ndim != 3 or tf.size != a.shape[0]:
+            raise ShapeError(f"dense operand shape {a.shape} is not a stack of {tf.size} slices, the transform size")
+        self.shape = a.shape
+        self.tf = None if tf.is_identity else tf
+        self.a_hat = a if self.tf is None else _apply_mode3(a, tf.m)
+
+    def check(self, a: np.ndarray, y: np.ndarray) -> None:
+        """Raise ``ShapeError`` unless ``a`` has the operand's shape and
+        ``y`` is a (T, k, d2) array it can multiply."""
+        if a.shape != self.shape:
+            raise ShapeError(f"dense operand shape {a.shape} does not match the operator's {self.shape}")
+        if y.ndim != 3 or y.shape[:2] != (self.shape[0], self.shape[2]):
+            raise ShapeError(f"right operand shape {y.shape} does not match {self.shape[0]}x{self.shape[2]}")
+
+    def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The product with y, and y mode3 M for ``grads``."""
+        if self.tf is None:
+            return self.a_hat @ y, y
+        y_hat = _apply_mode3(y, self.tf.m)
+        return _apply_mode3(self.a_hat @ y_hat, self.tf.minv), y_hat
+
+    def grads(self, g: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The gradients of a and y, given the product's: the matmul rule
+        on g mode3 M^-T, then M^T on both."""
+        tf = self.tf
+        g_hat = g if tf is None else _apply_mode3(g, tf.minv.T)
+        da_hat, dy_hat = g_hat @ np.swapaxes(y_hat, -1, -2), np.swapaxes(self.a_hat, -1, -2) @ g_hat
+        if tf is None:
+            return da_hat, dy_hat
+        del g_hat
+        return _apply_mode3(da_hat, tf.m.T), _apply_mode3(dy_hat, tf.m.T)
 
 
 def sparse_operator(pattern: SlicePattern, values: np.ndarray, tf: Transform, *, live_only: bool = False) -> SparseOperator:
@@ -580,6 +602,8 @@ def sparse_operator(pattern: SlicePattern, values: np.ndarray, tf: Transform, *,
     transform, when some value of its union tube is not 0. With every entry
     live the operator is the full one.
     """
+    if tf.size != pattern.t_slots:
+        raise ShapeError(f"transform size {tf.size} does not match {pattern.t_slots} slices")
     if tf.is_identity:
         return FacewiseOperator(pattern, values, live_only)
     return UnionOperator(pattern, values, tf, live_only)

@@ -44,6 +44,7 @@ from nohgnn.tensor3 import SlicePattern, Transform, make_transform
 LR_GRID = (0.1, 0.01, 0.02, 0.05, 0.001, 0.002)
 BETA_GRID = (0.01, 0.005, 0.001, 0.0005)
 TRANSFORM_KINDS = ("identity", "dct")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # seed tags for the frozen negative sets; epoch tags start at 1 and stay far below
 VAL_SEED_TAG = 1 << 20
@@ -93,7 +94,6 @@ class Metrics:
     fn: int
     f1: float
     accuracy: float
-    loss: float = float("nan")
 
 
 def evaluate(probs: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> Metrics:
@@ -133,21 +133,11 @@ def compute_loss(
 class Adam:
     """Bias-corrected Adam over a ParamStore, visiting parameters in name order."""
 
-    def __init__(
-        self,
-        store: ParamStore,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, store: ParamStore, lr: float):
         if lr <= 0:
             raise ParameterError(f"learning rate must be > 0, got {lr}")
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {name: np.zeros_like(store.value(name)) for name in store.names()}
         self._v = {name: np.zeros_like(store.value(name)) for name in store.names()}
@@ -161,14 +151,14 @@ class Adam:
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
             self.store.set_value(
-                name, self.store.value(name) - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                name, self.store.value(name) - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             )
 
 

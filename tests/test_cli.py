@@ -109,6 +109,22 @@ class TestTrain:
         assert main(["train", "--dim", "4"]) == 1
         assert "no dataset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edges_by_flag", [False, True])
+    def test_two_dataset_sources_rejected(self, tmp_path, edge_file, capsys, edges_by_flag):
+        path, _ = edge_file
+        main(["ingest", "--edges", str(path), "--slots", "3", "--out", str(tmp_path / "ingested")])
+        capsys.readouterr()
+        cfg = tmp_path / "run.cfg"
+        lines = f"data = {tmp_path / 'ingested' / 'dataset.nohg'}\nslots = 3\ndim = 4\nmax_epochs = 2\n"
+        cfg.write_text(lines + ("" if edges_by_flag else f"edges = {path}\n"))
+        flags = ["--edges", str(path)] if edges_by_flag else []
+        assert main(["train", str(cfg), *flags, "--out", str(tmp_path / "run")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "data=" in line and "edges=" in line
+        assert not (tmp_path / "run").exists()
+
 
 class TestEval:
     def test_replays_train_metrics(self, tmp_path, edge_file, capsys):

@@ -6,6 +6,8 @@ from nohgnn.model import LAYER_NOISE_SCALE, decode, forward, init_model_params, 
 from nohgnn.tape import ParamStore, Tape
 from nohgnn.tensor3 import SlicePattern, SliceSparse3, make_transform, sparse_operator
 from pattern_helpers import to_sparse
+from weight_product_oracle import OracleTape
+from weight_product_oracle import weight_product as oracle_weight_product
 
 
 def loop_mode3(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -186,6 +188,28 @@ class TestForward:
         tape = Tape()
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="layer 1"):
             forward(tape, store.leaves(tape), pattern, tape.constant(weights), make_transform("identity", 2), 2)
+
+
+@pytest.mark.parametrize("kind", ["identity", "dct", "custom"])
+def test_weight_product_bit_equals_composite_oracle(kind):
+    """One ``m_product`` entry gives the output and both gradients of the
+    old ``mode3``/``matmul``/``mode3`` composite, bit for bit."""
+    rng = np.random.default_rng(61)
+    t_slots, n, dim = 8, 60, 32
+    if kind == "custom":
+        tf = make_transform("custom", t_slots, np.eye(t_slots) + 0.3 * rng.normal(size=(t_slots, t_slots)))
+    else:
+        tf = make_transform(kind, t_slots)
+    h0 = rng.normal(size=(t_slots, n, dim))
+    w0 = rng.normal(size=(t_slots, dim, dim))
+    r = rng.normal(size=(t_slots, n, dim))
+    runs = []
+    for tape, product in ((Tape(), weight_product), (OracleTape(), oracle_weight_product)):
+        h, w = tape.leaf(h0, requires_grad=True), tape.leaf(w0, requires_grad=True)
+        out = product(tape, h, w, tf)
+        tape.backward(tape.sum(tape.mul(out, tape.constant(r))))
+        runs.append([out.value.tobytes(), h.grad.tobytes(), w.grad.tobytes()])
+    assert runs[0] == runs[1]
 
 
 class TestDecode:

@@ -40,7 +40,7 @@ def product(tape: Tape, op: str, pattern: SlicePattern, w, h, tf):
     """The one sparse M-product op on a ``Tape``, or the earlier ``op`` on an
     ``OracleTape``, which built its operator itself."""
     if not isinstance(tape, OracleTape):
-        return tape.sparse_m_product(w, h, sparse_operator(pattern, w.value, tf))
+        return tape.m_product(w, h, sparse_operator(pattern, w.value, tf))
     if op == "spmm":
         return tape.spmm(pattern, w, h)
     return tape.sparse_m_product(pattern, w, h, tf)
@@ -267,7 +267,7 @@ def test_live_operator_bit_equals_oracle(monkeypatch, kind, case):
         assert {s.nnz for s in op.slices} == {len(np.unique(pattern.union[2][live]))}
     tape = Tape()
     w, h = tape.leaf(w0, requires_grad=True), tape.leaf(h0, requires_grad=True)
-    out = tape.sparse_m_product(w, h, op)
+    out = tape.m_product(w, h, op)
     tape.backward(tape.sum(tape.mul(out, tape.constant(r))))
     want = run_op(OracleTape(), "spmm" if kind == "identity" else "sparse_m_product", pattern, w0, h0, r, tf)
     assert_bit_equal((out.value, h.grad), (want[0], want[2]))

@@ -13,6 +13,7 @@ import nohgnn.tensor3 as tensor3_mod
 from nohgnn.errors import ParameterError, ShapeError
 from nohgnn.tape import Node, ParamStore, Tape, grad_check
 from nohgnn.tensor3 import (
+    DenseOperator,
     SlicePattern,
     SliceSparse3,
     Tensor3,
@@ -100,15 +101,23 @@ class TestScalarRules:
 
 class TestStructuredRules:
     def test_mode3_grad_matches_transpose_rule(self):
+        # the dense operator's gradients are the matmul rule between the
+        # transpose rules of its mode-3 products: M^-T on the way in, M^T out
         rng = np.random.default_rng(12)
         m = rng.normal(size=(4, 4))
+        tf = make_transform("custom", 4, m)
+        a0, y0 = rng.normal(size=(4, 3, 5)), rng.normal(size=(4, 5, 2))
         r = rng.normal(size=(4, 3, 2))
         t = Tape()
-        x = t.leaf(rng.normal(size=(4, 3, 2)), requires_grad=True)
-        loss = t.sum(t.mul(t.mode3(x, m), t.constant(r)))
+        a, y = t.leaf(a0, requires_grad=True), t.leaf(y0, requires_grad=True)
+        loss = t.sum(t.mul(t.m_product(a, y, DenseOperator(a0, tf)), t.constant(r)))
         t.backward(loss)
-        oracle = np.einsum("kt,kij->tij", m, r)
-        np.testing.assert_allclose(x.grad, oracle, atol=1e-12)
+        r_hat = np.einsum("tk,tij->kij", tf.minv, r)
+        a_hat, y_hat = np.einsum("kt,tij->kij", m, a0), np.einsum("kt,tij->kij", m, y0)
+        oracle_a = np.einsum("kt,kij->tij", m, r_hat @ np.swapaxes(y_hat, 1, 2))
+        oracle_y = np.einsum("kt,kij->tij", m, np.swapaxes(a_hat, 1, 2) @ r_hat)
+        np.testing.assert_allclose(a.grad, oracle_a, atol=1e-12)
+        np.testing.assert_allclose(y.grad, oracle_y, atol=1e-12)
 
     def test_batched_matmul_grads(self):
         rng = np.random.default_rng(13)
@@ -223,7 +232,7 @@ class TestSparseRules:
         t = Tape()
         vals = t.leaf(vals0, requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
-        out = t.sparse_m_product(vals, h, sparse_operator(pat, vals0, make_transform("identity", 3)))
+        out = t.m_product(vals, h, sparse_operator(pat, vals0, make_transform("identity", 3)))
         loss = t.sum(t.mul(out, t.constant(r)))
         t.backward(loss)
 
@@ -266,7 +275,7 @@ class TestSparseRules:
         vals = t.leaf(vals0.reshape(-1), requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
         tf = make_transform("identity", t_slots)
-        out = t.sparse_m_product(vals, h, sparse_operator(pat, vals.value, tf))
+        out = t.m_product(vals, h, sparse_operator(pat, vals.value, tf))
         loss = t.sum(t.mul(out, t.constant(r)))
         t.backward(loss)
 
@@ -303,7 +312,7 @@ class TestSparseRules:
         t = Tape()
         vals = t.leaf(vals0, requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
-        out = t.sparse_m_product(vals, h, sparse_operator(pat, vals0, tf))
+        out = t.m_product(vals, h, sparse_operator(pat, vals0, tf))
         t.backward(t.sum(t.mul(out, t.constant(r))))
 
         # dense route: densify the stack and take the library's dense M-product
@@ -325,9 +334,49 @@ class TestSparseRules:
         op = sparse_operator(pat, np.ones(pat.nnz), make_transform("dct", 3))
         h = t.leaf(np.ones((3, 4, 2)), requires_grad=True)
         with pytest.raises(ShapeError, match="values shape"):
-            t.sparse_m_product(t.leaf(np.ones(pat.nnz + 1), requires_grad=True), h, op)
+            t.m_product(t.leaf(np.ones(pat.nnz + 1), requires_grad=True), h, op)
         with pytest.raises(ShapeError, match="node tensor shape"):
-            t.sparse_m_product(t.leaf(np.ones(pat.nnz), requires_grad=True), t.leaf(np.ones((3, 5, 2))), op)
+            t.m_product(t.leaf(np.ones(pat.nnz), requires_grad=True), t.leaf(np.ones((3, 5, 2))), op)
+
+    @pytest.mark.parametrize("kind", ["identity", "dct", "custom"])
+    def test_dense_m_product_matches_library_route(self, kind):
+        rng = np.random.default_rng(21)
+        t_slots = 3
+        if kind == "custom":
+            tf = make_transform("custom", t_slots, np.eye(t_slots) + 0.4 * rng.normal(size=(t_slots, t_slots)))
+        else:
+            tf = make_transform(kind, t_slots)
+        a0, y0 = rng.normal(size=(t_slots, 4, 3)), rng.normal(size=(t_slots, 3, 2))
+        r = rng.normal(size=(t_slots, 4, 2))
+
+        t = Tape()
+        a, y = t.leaf(a0, requires_grad=True), t.leaf(y0, requires_grad=True)
+        out = t.m_product(a, y, DenseOperator(a0, tf))
+        t.backward(t.sum(t.mul(out, t.constant(r))))
+
+        def library(a_arr, y_arr):
+            return m_product(Tensor3(a_arr), Tensor3(y_arr), tf).data
+
+        np.testing.assert_allclose(out.value, library(a0, y0), atol=1e-12)
+        fd_a = fd_probe(lambda a_arr: float((library(a_arr, y0) * r).sum()), a0.copy())
+        fd_y = fd_probe(lambda y_arr: float((library(a0, y_arr) * r).sum()), y0.copy())
+        assert max_rel_err(a.grad, fd_a) < 1e-6
+        assert max_rel_err(y.grad, fd_y) < 1e-6
+
+    def test_dense_m_product_shape_checks(self):
+        tf = make_transform("dct", 3)
+        for bad in ((4, 2, 2), (3, 2)):
+            with pytest.raises(ShapeError, match="stack of 3 slices"):
+                DenseOperator(np.ones(bad), tf)
+        t = Tape()
+        op = DenseOperator(np.ones((3, 4, 2)), tf)
+        y = t.leaf(np.ones((3, 2, 5)), requires_grad=True)
+        with pytest.raises(ShapeError, match="dense operand shape"):
+            t.m_product(t.leaf(np.ones((3, 4, 3)), requires_grad=True), y, op)
+        a = t.leaf(np.ones((3, 4, 2)), requires_grad=True)
+        for bad in ((3, 3, 5), (2, 2, 5), (3, 2)):
+            with pytest.raises(ShapeError, match="right operand shape"):
+                t.m_product(a, t.leaf(np.ones(bad)), op)
 
     def test_pair_dot_matches_masked_gram(self):
         rng = np.random.default_rng(18)
@@ -363,7 +412,7 @@ class TestSparseRules:
         v = t.leaf(np.array([10.0, 20.0, 30.0]), requires_grad=True)
         tf = make_transform("identity", 2)
         h = t.constant(np.stack([np.eye(2)] * 2))
-        out = t.sparse_m_product(v, h, sparse_operator(pat, v.value, tf))
+        out = t.m_product(v, h, sparse_operator(pat, v.value, tf))
         loss = t.sum(t.mul(out, t.constant(np.ones_like(out.value))))
         t.backward(loss)
         # union support is {(0,1), (1,0)}; slice 0 leaves (1,0) empty
@@ -756,9 +805,10 @@ def test_primitive_fd_property(op_name, seed):
         store.add("b", rng.uniform(-1, 1, size=(2, 4, 2)))
         build = lambda t, lv: t.sum(t.sigmoid(t.matmul(lv["a"], lv["b"])))
     elif op_name == "mode3":
-        m = rng.uniform(-1, 1, size=(3, 3))
+        tf = make_transform("custom", 3, np.eye(3) + 0.3 * rng.uniform(-1, 1, size=(3, 3)))
         store.add("x", rng.uniform(-1, 1, size=(3, 2, 2)))
-        build = lambda t, lv: t.sum(t.sigmoid(t.mode3(lv["x"], m)))
+        store.add("y", rng.uniform(-1, 1, size=(3, 2, 2)))
+        build = lambda t, lv: t.sum(t.sigmoid(t.m_product(lv["x"], lv["y"], DenseOperator(lv["x"].value, tf))))
     elif op_name == "softmax":
         splits = np.array([0, 2, 5, 6])
         store.add("v", rng.uniform(-1, 1, size=6))

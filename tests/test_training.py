@@ -596,11 +596,11 @@ class TestGradientCheck:
         assert run_gradient_check(transform) <= 1e-4
 
 
-@pytest.mark.parametrize("kind, entries", [("dct", 41), ("identity", 35)])
+@pytest.mark.parametrize("kind, entries", [("dct", 35), ("identity", 35)])
 def test_tape_entries_of_one_training_step(kind, entries):
-    """One training step on the criterion-6 instance: one sparse M-product
-    entry per layer under either transform, and one entry for the L2
-    penalty over every parameter."""
+    """One training step on the criterion-6 instance: two M-product entries
+    per layer under either transform, the aggregation and the weight
+    product, and one entry for the L2 penalty over every parameter."""
     config = TrainConfig(dim=32, transform=kind, seed=1)
     prep = prepare(planted_partition_graph(seed=9), config)
     store = training.init_params(config, prep.n_nodes, prep.t_slots)
@@ -612,7 +612,7 @@ def test_tape_entries_of_one_training_step(kind, entries):
     compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg)
     ops = [backward.__qualname__.split(".")[1] for _, _, backward in tape._entries]
     assert len(ops) == entries
-    assert ops.count("sparse_m_product") == config.layers
+    assert ops.count("m_product") == 2 * config.layers
     assert ops.count("sumsq") == 1
-    assert "spmm" not in ops
+    assert "spmm" not in ops and "mode3" not in ops
     assert ops[-4:] == ["bce_mean", "sumsq", "scale", "add"]
