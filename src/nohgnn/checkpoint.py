@@ -6,9 +6,9 @@ UTF-8 name, a dtype tag byte (0 float64, 1 int64, 2 uint8), a rank byte,
 64-bit dims, and the row-major little-endian payload. Records are written in
 sorted name order so identical contents produce identical bytes.
 
-Two artifact kinds share the format: a processed dataset (adjacency slices,
-split assignments, id map) and a trained model (parameters plus the training
-configuration).
+Two artifact kinds share the format: a processed dataset (graph structure,
+validation and test pairs, id map; nothing derivable) and a trained model
+(parameters plus the training configuration).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from nohgnn.data import DynamicGraph, LabeledPairSet, _contains
+from nohgnn.data import DynamicGraph, LabeledPairSet, hold_out
 from nohgnn.errors import CheckpointError, ParameterError, ShapeError
 from nohgnn.tape import ParamStore
 from nohgnn.tensor3 import SliceSparse3
@@ -129,7 +129,10 @@ def save_dataset(
     splits: dict[str, LabeledPairSet],
     split_seed: int,
 ) -> None:
-    """Store the full and masked adjacency stacks plus the role pair sets."""
+    """Store the graph's CSR structure (its values are all 1), the validation
+    and test pairs and the id map. ``hold_out`` derives the train pairs and
+    ``masked`` from them on load, so neither is read; ``masked`` stays a
+    parameter so that callers can pass ``split_edges``' result as it is."""
     records: dict[str, np.ndarray] = {
         "kind": _scalar(KIND_DATASET),
         "n_nodes": _scalar(graph.n_nodes),
@@ -137,12 +140,10 @@ def save_dataset(
         "undirected": _scalar(graph.undirected),
         "split_seed": _scalar(split_seed),
     }
-    for prefix, g in (("full", graph), ("masked", masked)):
-        for t, s in enumerate(g.adjacency.slices):
-            records[f"{prefix}.{t}.indptr"] = s.indptr.astype(np.int64)
-            records[f"{prefix}.{t}.indices"] = s.indices.astype(np.int64)
-            records[f"{prefix}.{t}.data"] = s.data.astype(np.float64)
-    for role in ("train", "val", "test"):
+    for t, s in enumerate(graph.adjacency.slices):
+        records[f"full.{t}.indptr"] = s.indptr.astype(np.int64)
+        records[f"full.{t}.indices"] = s.indices.astype(np.int64)
+    for role in ("val", "test"):
         records[f"split.{role}"] = splits[role].pairs
     tokens = [""] * len(graph.id_map)
     for token, idx in graph.id_map.items():
@@ -166,34 +167,22 @@ def _require_scalar(records: dict[str, np.ndarray], name: str, path: str, dtypes
     return _require_typed(records, name, path, dtypes, 0).item()
 
 
-def _load_slice(records: dict[str, np.ndarray], name: str, n: int, path: str) -> sp.csr_matrix:
-    """One CSR adjacency slice, checked before scipy reads it: scipy trusts
-    ``indptr`` and can read out of bounds on a corrupt one."""
+def _load_slice(records: dict[str, np.ndarray], t: int, n: int, path: str) -> sp.csr_matrix:
+    """Slot t's unit-valued CSR adjacency slice, checked before scipy reads
+    it: scipy trusts ``indptr`` and can read out of bounds on a corrupt one."""
+    name = f"full.{t}"
     indptr = _require_typed(records, f"{name}.indptr", path, np.int64, 1)
     indices = _require_typed(records, f"{name}.indices", path, np.int64, 1)
-    data = _require_typed(records, f"{name}.data", path, np.float64, 1)
     if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0):
         raise CheckpointError(
             f"{path}: record '{name}.indptr' is not a row-pointer array for {n} rows and {len(indices)} entries"
         )
     if len(indices) and (indices.min() < 0 or indices.max() >= n):
         raise CheckpointError(f"{path}: record '{name}.indices' holds a column outside [0, {n})")
-    if len(data) != len(indices):
-        raise CheckpointError(f"{path}: record '{name}.data' has {len(data)} entries, not {len(indices)}")
     # row-major keys rise strictly exactly when no row repeats or unsorts a column
     if np.any(np.diff(np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices) <= 0):
         raise CheckpointError(f"{path}: record '{name}.indices' repeats or unsorts a column within a row")
-    if not np.all(np.isfinite(data)):
-        raise CheckpointError(f"{path}: record '{name}.data' holds a non-finite value")
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
-def _load_graph(records: dict[str, np.ndarray], prefix: str, n: int, t_slots: int, undirected: bool, id_map: dict[str, int], path: str) -> DynamicGraph:
-    slices = [_load_slice(records, f"{prefix}.{t}", n, path) for t in range(t_slots)]
-    try:
-        return DynamicGraph(n, SliceSparse3(slices, shape=(n, n)), id_map, undirected)
-    except ShapeError as exc:
-        raise CheckpointError(f"{path}: {prefix} adjacency: {exc}") from None
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
 def _load_split(records: dict[str, np.ndarray], role: str, n: int, t_slots: int, path: str) -> LabeledPairSet:
@@ -208,17 +197,9 @@ def _load_split(records: dict[str, np.ndarray], role: str, n: int, t_slots: int,
     return LabeledPairSet(pairs, np.ones(len(pairs)), role)
 
 
-def _check_masked_inside_full(graph: DynamicGraph, masked: DynamicGraph, path: str) -> None:
-    """Every edge of the masked graph must be an edge of the full one."""
-    masked_keys = masked.slot_keys()
-    extra = masked_keys[~_contains(graph.slot_keys(), masked_keys)]
-    if len(extra):
-        t, key = divmod(int(extra[0]), graph.n_nodes * graph.n_nodes)
-        i, j = divmod(key, graph.n_nodes)
-        raise CheckpointError(f"{path}: masked adjacency slot {t} holds edge ({i}, {j}), which the full adjacency lacks")
-
-
 def load_dataset(path: str) -> tuple[DynamicGraph, DynamicGraph, dict[str, LabeledPairSet], int]:
+    """The graph, masked graph, pair sets and split seed that ``save_dataset``
+    stored, with the masked graph and train pairs rebuilt by ``hold_out``."""
     records = read_records(path)
     _check_kind(records, path, KIND_DATASET, "dataset")
     n = _require_scalar(records, "n_nodes", path)
@@ -233,11 +214,14 @@ def load_dataset(path: str) -> tuple[DynamicGraph, DynamicGraph, dict[str, Label
         raise CheckpointError(f"{path}: record 'idmap.tokens' is not valid UTF-8") from None
     if blob and (len(id_map) != n or blob.count(b"\n") != n - 1):
         raise CheckpointError(f"{path}: record 'idmap.tokens' does not hold {n} distinct tokens")
-    graph = _load_graph(records, "full", n, t_slots, undirected, id_map, path)
-    masked = _load_graph(records, "masked", n, t_slots, undirected, id_map, path)
-    _check_masked_inside_full(graph, masked, path)
-    splits = {role: _load_split(records, role, n, t_slots, path) for role in ("train", "val", "test")}
-    return graph, masked, splits, _require_scalar(records, "split_seed", path)
+    slices = [_load_slice(records, t, n, path) for t in range(t_slots)]
+    try:
+        graph = DynamicGraph(n, SliceSparse3(slices, shape=(n, n)), id_map, undirected)
+        val, test = (_load_split(records, role, n, t_slots, path) for role in ("val", "test"))
+        train, masked = hold_out(graph, val, test)
+    except (ShapeError, ParameterError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    return graph, masked, {"train": train, "val": val, "test": test}, _require_scalar(records, "split_seed", path)
 
 
 # every TrainConfig field but the transform, which is stored as a code, with

@@ -67,16 +67,21 @@ def cmd_train(args) -> int:
     config = run.to_train_config()
     if run.data is not None and run.edges is not None:
         raise ParameterError("config names two dataset sources, data= and edges=; set exactly one")
-    os.makedirs(run.out, exist_ok=True)
     if run.data is not None:
         graph, masked, splits, _ = load_dataset(run.data)
+        if run.slots is not None and run.slots != graph.t_slots:
+            raise ParameterError(f"slots = {run.slots}, but dataset {run.data} has {graph.t_slots} slots")
+        if not run.undirected and graph.undirected:
+            raise ParameterError(f"undirected = false, but dataset {run.data} is undirected")
     elif run.edges is not None:
         if run.slots is None:
             raise ParameterError("training from a raw edge list needs slots (--slots)")
         _, graph, masked, splits = _ingest(run.edges, run.slots, run.undirected, config.seed)
-        save_dataset(os.path.join(run.out, DATASET_FILE), graph, masked, splits, config.seed)
     else:
         raise ParameterError("config names no dataset: set data= or edges= and slots=")
+    os.makedirs(run.out, exist_ok=True)
+    if run.edges is not None:
+        save_dataset(os.path.join(run.out, DATASET_FILE), graph, masked, splits, config.seed)
     prep = assemble(graph, masked, splits, config)
     result = train_loop(prep, config, log_path=os.path.join(run.out, METRICS_FILE))
     save_model(os.path.join(run.out, CHECKPOINT_FILE), result.store, config, graph.n_nodes, graph.t_slots)

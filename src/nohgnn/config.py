@@ -31,7 +31,9 @@ class RunConfig(TrainConfig):
 
     ``data`` names an ingested dataset artifact; ``edges`` plus ``slots``
     name a raw edge list to ingest on the fly. Exactly one source is needed
-    for training.
+    for training. With ``data`` the dataset's own slot count and direction
+    apply: another ``slots`` or ``undirected = false`` on an undirected dataset
+    is refused, and ``undirected = true`` (the default) leaves one directed.
     """
 
     edges: str | None = None

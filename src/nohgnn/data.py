@@ -4,8 +4,9 @@ An edge list is plain text, one event per line: ``src dst timestamp [weight]``
 with whitespace or comma separators and ``#`` comments. Node ids are remapped
 to dense 0..N-1 in order of first appearance. Events are binned into T
 snapshots by uniform timestamp ranges, and per-slot edges are split into
-train/validation/test positives with the validation and test edges masked out
-of the adjacency used for message passing.
+train/validation/test positives. ``hold_out`` derives the train positives and
+the masked graph, the adjacency used for message passing, from the graph and
+its validation and test edges.
 """
 
 from __future__ import annotations
@@ -199,6 +200,12 @@ class DynamicGraph:
     def edge_count(self) -> int:
         return sum(len(e) for e in self.slot_edges)
 
+    def edge_rows(self) -> np.ndarray:
+        """Every slot edge as an (i, j, t) row, in (t, i, j) order."""
+        return np.concatenate(
+            [np.column_stack([edges, np.full(len(edges), t, dtype=np.int64)]) for t, edges in enumerate(self.slot_edges)]
+        )
+
     def neighbors(self, i: int, t: int) -> np.ndarray:
         s = self.adjacency.slices[t]
         return s.indices[s.indptr[i] : s.indptr[i + 1]]
@@ -286,17 +293,14 @@ def bin_snapshots(
     return DynamicGraph(n_nodes, adjacency, dict(id_map or {}), undirected)
 
 
-def _slices_from_keys(keys: np.ndarray, n_nodes: int, t_slots: int, values: np.ndarray | None = None) -> list[sp.csr_matrix]:
-    """The CSR slices of the entries whose ascending, distinct int64 keys are
-    t*N^2 + i*N + j, with ``values`` in key order, or 1 where it is None."""
-    bounds = np.searchsorted(
-        keys, np.arange(t_slots, dtype=np.int64)[:, None] * (n_nodes * n_nodes) + np.arange(n_nodes + 1) * n_nodes
-    )
-    cols = keys % n_nodes
-    values = np.ones(len(keys)) if values is None else values
+def _slices_from_keys(keys: np.ndarray, n_nodes: int, t_slots: int) -> list[sp.csr_matrix]:
+    """The unit-valued CSR slices of the entries whose ascending, distinct
+    int64 keys are t*N^2 + i*N + j."""
+    # row r = t*N + i of the stacked slices ends at ends[r + 1]
+    ends = np.concatenate([[0], np.cumsum(np.bincount(keys // n_nodes, minlength=t_slots * n_nodes))])
     return [
-        sp.csr_matrix((values[p[0] : p[-1]], cols[p[0] : p[-1]], p - p[0]), shape=(n_nodes, n_nodes))
-        for p in bounds
+        sp.csr_matrix((np.ones(p[-1] - p[0]), keys[p[0] : p[-1]] % n_nodes, p - p[0]), shape=(n_nodes, n_nodes))
+        for p in (ends[t * n_nodes : (t + 1) * n_nodes + 1] for t in range(t_slots))
     ]
 
 
@@ -317,9 +321,9 @@ def split_edges(
 ) -> tuple[LabeledPairSet, LabeledPairSet, LabeledPairSet, DynamicGraph]:
     """Partition each slot's edges into train/val/test positives.
 
-    Validation and test positives are removed from the returned masked graph
-    so message passing never sees them. Slots with fewer than three edges send
-    everything to train.
+    Slots with fewer than three edges send everything to train. The train
+    positives and the masked graph, without the validation and test edges,
+    come from ``hold_out``, as when a stored dataset is loaded.
     """
     if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ParameterError(f"fractions must be positive and sum to 1, got {fractions}")
@@ -327,36 +331,50 @@ def split_edges(
     roles = []
     for t, edges in enumerate(g.slot_edges):
         n_edges = len(edges)
-        if n_edges == 0:
-            roles.append(np.zeros(0, dtype=np.int8))
-            continue
-        if n_edges < MIN_SPLITTABLE_EDGES:
+        if 0 < n_edges < MIN_SPLITTABLE_EDGES:
             log.warning("slot %d has only %d edge(s); assigning all to train", t, n_edges)
-            counts = [n_edges, 0, 0]
-        else:
-            counts = _apportion(n_edges, fractions)
-        # the shuffled edges fall into train, val and test in that order
+        counts = [n_edges, 0, 0] if n_edges < MIN_SPLITTABLE_EDGES else _apportion(n_edges, fractions)
+        # an empty slot draws no permutation; the shuffled edges fall into train, val and test in that order
         role = np.empty(n_edges, dtype=np.int8)
         role[rng.permutation(n_edges)] = np.repeat(np.arange(3, dtype=np.int8), counts)
         roles.append(role)
     role = np.concatenate(roles)
-    # every slot's edges are sorted, so the stacked (i, j, t) rows are in (t, i, j) order
-    pairs = np.concatenate(
-        [np.column_stack([edges, np.full(len(edges), t, dtype=np.int64)]) for t, edges in enumerate(g.slot_edges)]
-    )
-    n = g.n_nodes
-    held_out = pairs[role > 0]
-    removed = held_out[:, 2] * (n * n) + held_out[:, 0] * n + held_out[:, 1]
-    if g.undirected:
-        removed = np.concatenate([removed, held_out[:, 2] * (n * n) + held_out[:, 1] * n + held_out[:, 0]])
+    pairs = g.edge_rows()
+    val, test = (LabeledPairSet(pairs[role == r], np.ones(int((role == r).sum())), name)
+                 for r, name in ((1, "val"), (2, "test")))
+    train, masked = hold_out(g, val, test)
+    return train, val, test, masked
+
+
+def hold_out(g: DynamicGraph, val: LabeledPairSet, test: LabeledPairSet) -> tuple[LabeledPairSet, DynamicGraph]:
+    """The train positives and the masked graph left when the validation
+    and test pairs are held out of ``g``: every other slot edge in (t, i, j)
+    order, and ``g`` with unit values, without the held-out entries and,
+    when undirected, their mirrors. A held-out pair that is not a slot edge
+    (i < j when undirected), or is held out twice, raises ``ParameterError``.
+    """
+    n, span = g.n_nodes, g.n_nodes * g.n_nodes
+    held = np.concatenate([val.pairs, test.pairs])
+    pairs = g.edge_rows()
+    held_keys, pair_keys = (rows[:, 2] * span + rows[:, 0] * n + rows[:, 1] for rows in (held, pairs))
+    # a pair outside the graph could alias the key of an edge
+    stray = ~_contains(pair_keys, held_keys) | np.any((held < 0) | (held >= [n, n, g.t_slots]), axis=1)
+    order = np.argsort(held_keys, kind="stable")
+    twice = np.zeros(len(held), dtype=bool)
+    twice[order[1:]] = np.diff(held_keys[order]) == 0
+    not_edge = "is not an edge of the graph" + (" with i < j" if g.undirected else "")
+    for bad, what in ((stray, not_edge), (twice, "is held out twice")):
+        if bad.any():
+            i, j, t = held[bad.argmax()].tolist()
+            raise ParameterError(f"held-out pair ({i}, {j}) at slot {t} {what}")
+    # every held-out key is now an edge key, and its mirror is one too when undirected
     keys = g.slot_keys()
-    values = np.concatenate([s.data for s in g.adjacency.slices])
-    keep = ~_contains(np.sort(removed), keys)
-    masked_slices = _slices_from_keys(keys[keep], n, g.t_slots, values[keep])
-    masked_graph = DynamicGraph(n, SliceSparse3(masked_slices, shape=(n, n)), g.id_map, g.undirected)
-    train, val, test = (LabeledPairSet(pairs[role == r], np.ones(int((role == r).sum())), name)
-                        for r, name in enumerate(("train", "val", "test")))
-    return train, val, test, masked_graph
+    train, kept = np.ones(len(pairs), dtype=bool), np.ones(len(keys), dtype=bool)
+    train[np.searchsorted(pair_keys, held_keys)] = kept[np.searchsorted(keys, held_keys)] = False
+    if g.undirected:
+        kept[np.searchsorted(keys, held[:, 2] * span + held[:, 1] * n + held[:, 0])] = False
+    masked = SliceSparse3(_slices_from_keys(keys[kept], n, g.t_slots), shape=(n, n))
+    return LabeledPairSet(pairs[train], np.ones(int(train.sum())), "train"), DynamicGraph(n, masked, g.id_map, g.undirected)
 
 
 def negative_sample(

@@ -415,16 +415,7 @@ def run_gradient_check(transform: str = "identity", eps: float = 1e-5, seed: int
     graph = dense_tiny_graph(6, 3, extra=1, seed=seed)
     empty = {role: LabeledPairSet(np.zeros((0, 3)), np.zeros(0), role) for role in ("train", "val", "test")}
     prep = assemble(graph, graph, empty, config)
-    positives = LabeledPairSet(
-        np.concatenate(
-            [
-                np.column_stack([edges, np.full(len(edges), t, dtype=np.int64)])
-                for t, edges in enumerate(graph.slot_edges)
-            ]
-        ),
-        np.ones(graph.edge_count),
-        "train",
-    )
+    positives = LabeledPairSet(graph.edge_rows(), np.ones(graph.edge_count), "train")
     negatives = negative_sample(graph, positives, 1, seed=[seed, 1])
     pairs_set = merge_pair_sets(positives, negatives)
     store = init_params(config, graph.n_nodes, graph.t_slots)

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nohgnn
 
@@ -171,27 +173,37 @@ def make_dataset(tmp_path, seed=3, undirected=True):
     return graph, masked, {"train": train, "val": val, "test": test}
 
 
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("datasets")
+
+
+def assert_loads_to(path, graph, masked, splits, seed):
+    """``load_dataset`` gives back bit-equal graphs and pair sets."""
+    g2, m2, s2, seed2 = load_dataset(path)
+    assert seed2 == seed
+    for before, after in ((graph, g2), (masked, m2)):
+        assert (after.n_nodes, after.t_slots, after.undirected) == (before.n_nodes, before.t_slots, before.undirected)
+        assert after.id_map == before.id_map
+        for s_old, s_new in zip(before.adjacency.slices, after.adjacency.slices, strict=True):
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(s_old, name), getattr(s_new, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        for e_old, e_new in zip(before.slot_edges, after.slot_edges, strict=True):
+            assert e_old.dtype == e_new.dtype and np.array_equal(e_old, e_new)
+    assert list(s2) == ["train", "val", "test"]
+    for role in s2:
+        assert s2[role].role == role
+        assert np.array_equal(s2[role].pairs, splits[role].pairs)
+        assert np.array_equal(s2[role].labels, splits[role].labels)
+
+
 class TestDatasetArtifact:
     def test_round_trip(self, tmp_path):
         graph, masked, splits = make_dataset(tmp_path)
         path = str(tmp_path / "d.nohg")
         save_dataset(path, graph, masked, splits, split_seed=3)
-        g2, m2, s2, seed = load_dataset(path)
-        assert seed == 3
-        assert g2.n_nodes == graph.n_nodes
-        assert g2.undirected == graph.undirected
-        assert g2.id_map == graph.id_map
-        for before, after in ((graph, g2), (masked, m2)):
-            for s_old, s_new in zip(before.adjacency.slices, after.adjacency.slices):
-                assert np.array_equal(s_old.indptr, s_new.indptr)
-                assert np.array_equal(s_old.indices, s_new.indices)
-                assert np.array_equal(s_old.data, s_new.data)
-            for e_old, e_new in zip(before.slot_edges, after.slot_edges):
-                assert np.array_equal(e_old, e_new)
-        for role in ("train", "val", "test"):
-            assert np.array_equal(s2[role].pairs, splits[role].pairs)
-            assert np.all(s2[role].labels == 1.0)
-            assert s2[role].role == role
+        assert_loads_to(path, graph, masked, splits, 3)
 
     def test_empty_id_map(self, tmp_path):
         graph = planted_partition_graph(8, 2, p_in=0.9, p_out=0.2, seed=0)
@@ -200,6 +212,46 @@ class TestDatasetArtifact:
         save_dataset(path, graph, masked, {"train": train, "val": val, "test": test}, 0)
         g2, _, _, _ = load_dataset(path)
         assert g2.id_map == {}
+
+    def test_saved_file_holds_no_derived_record(self, tmp_path):
+        graph, masked, splits = make_dataset(tmp_path)
+        path = str(tmp_path / "d.nohg")
+        save_dataset(path, graph, masked, splits, 0)
+        names = set(read_records(path))
+        assert names == {"kind", "n_nodes", "t_slots", "undirected", "split_seed", "idmap.tokens",
+                         "split.val", "split.test", *(f"full.{t}.{a}" for t in range(3) for a in ("indptr", "indices"))}
+
+    @pytest.mark.parametrize("undirected", [True, False])
+    def test_file_with_derived_records_loads_to_same_result(self, tmp_path, undirected):
+        # files written before the derived records were dropped also hold the
+        # masked graph, the adjacency values and the train pairs
+        graph, masked, splits = make_dataset(tmp_path, undirected=undirected)
+        path = str(tmp_path / "d.nohg")
+        save_dataset(path, graph, masked, splits, 3)
+        records = read_records(path)
+        for prefix, g in (("full", graph), ("masked", masked)):
+            for t, s in enumerate(g.adjacency.slices):
+                records[f"{prefix}.{t}.indptr"] = s.indptr.astype(np.int64)
+                records[f"{prefix}.{t}.indices"] = s.indices.astype(np.int64)
+                records[f"{prefix}.{t}.data"] = s.data
+        records["split.train"] = splits["train"].pairs
+        write_records(path, records)
+        assert_loads_to(path, graph, masked, splits, 3)
+
+    @pytest.mark.parametrize("undirected", [True, False])
+    @settings(max_examples=40)
+    @given(
+        events=st.lists(st.builds(EdgeEvent, st.integers(0, 7), st.integers(0, 7), st.integers(0, 9)), min_size=1, max_size=40),
+        t_slots=st.integers(1, 6),
+        seed=st.integers(0, 3),
+    )
+    def test_round_trip_of_random_graphs(self, scratch_dir, undirected, events, t_slots, seed):
+        # few events over up to 6 slots leave slots empty or under 3 edges
+        graph = bin_snapshots(events, t_slots, undirected=undirected)
+        train, val, test, masked = split_edges(graph, seed=seed)
+        path = str(scratch_dir / "d.nohg")
+        save_dataset(path, graph, masked, {"train": train, "val": val, "test": test}, seed)
+        assert_loads_to(path, graph, masked, {"train": train, "val": val, "test": test}, seed)
 
     def test_model_file_rejected(self, tmp_path):
         config = TrainConfig(dim=3)
@@ -235,15 +287,12 @@ class TestCorruptDataset:
         [
             ("full.0.indices", lambda a: a + 100),
             ("full.0.indices", lambda a: a - 100),
-            ("masked.1.indptr", lambda a: a[:-1]),
-            ("masked.1.indptr", lambda a: a + 1),
+            ("full.1.indptr", lambda a: a[:-1]),
+            ("full.1.indptr", lambda a: a + 1),
             ("full.2.indptr", lambda a: np.concatenate([a[:-1], [a[-1] - 1]])),
             ("full.0.indices", lambda a: a.astype(np.float64)),
-            ("full.0.data", lambda a: a[:-1]),
-            ("full.0.data", lambda a: a.astype(np.int64)),
         ],
-        ids=["index-high", "index-negative", "indptr-short", "indptr-offset", "indptr-end",
-             "float-indices", "data-short", "int-data"],
+        ids=["index-high", "index-negative", "indptr-short", "indptr-offset", "indptr-end", "float-indices"],
     )
     def test_bad_csr_record_named(self, tmp_path, name, value):
         path = corrupt_dataset(tmp_path, name, value)
@@ -296,25 +345,59 @@ class TestCorruptDataset:
         assert proc.stderr.startswith("error: ")
         assert "'full.0.indptr'" in proc.stderr
 
-    def test_non_finite_adjacency_value_named(self, tmp_path):
-        path = corrupt_dataset(tmp_path, "masked.1.data", lambda a: np.where(np.arange(len(a)) == 0, np.nan, a))
-        with pytest.raises(CheckpointError, match=rf"^{re.escape(path)}: record 'masked.1.data' holds a non-finite value"):
-            load_dataset(path)
-
     def test_masked_edge_missing_from_full_rejected(self, tmp_path):
-        # swapping the stacks leaves the held-out edges in the masked graph only
+        # swapping the stacks stores a graph without the held-out edges
         graph, masked, splits = make_dataset(tmp_path)
         path = str(tmp_path / "d.nohg")
         save_dataset(path, masked, graph, splits, 0)
-        held_out = [t for t in range(graph.t_slots) if masked.adjacency.slices[t].nnz < graph.adjacency.slices[t].nnz]
-        assert held_out
-        with pytest.raises(CheckpointError, match=rf"^{re.escape(path)}: masked adjacency slot {held_out[0]} holds edge \(\d+, \d+\)"):
+        i, j, t = splits["val"].pairs[0]
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(path)}: held-out pair \({i}, {j}\) at slot {t} is not an edge"):
             load_dataset(path)
 
     def test_asymmetric_undirected_adjacency_rejected(self, tmp_path):
         # an entry moved to another column breaks the symmetry of slot 0
-        path = corrupt_dataset(tmp_path, "masked.0.indices", lambda a: np.where(np.arange(len(a)) == 0, (a + 1) % 9, a))
-        with pytest.raises(CheckpointError, match="masked adjacency"):
+        path = corrupt_dataset(tmp_path, "full.0.indices", lambda a: np.where(np.arange(len(a)) == 0, (a + 1) % 9, a))
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(path)}: slot 0 adjacency is not symmetric"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ("not-edge", r"held-out pair \(1, 3\) at slot 0 is not an edge of the graph with i < j"),
+            ("reversed", r"held-out pair \(\d+, \d+\) at slot \d+ is not an edge of the graph with i < j"),
+            ("empty-slot", r"held-out pair \(0, 1\) at slot 1 is not an edge of the graph with i < j"),
+            ("val-and-test", r"held-out pair \(\d+, \d+\) at slot \d+ is held out twice"),
+            ("twice-in-val", r"held-out pair \(\d+, \d+\) at slot \d+ is held out twice"),
+        ],
+        ids=["not-edge", "reversed", "empty-slot", "val-and-test", "twice-in-val"],
+    )
+    def test_bad_held_out_pair_named(self, tmp_path, edit, message):
+        if edit == "empty-slot":
+            # stamps 0 and 2 over 3 slots leave slot 1 without an edge
+            graph = bin_snapshots([EdgeEvent(0, 1, 0), EdgeEvent(1, 2, 0), EdgeEvent(0, 2, 2)], 3)
+            assert graph.adjacency.slices[1].nnz == 0
+            train, val, test, masked = split_edges(graph, seed=0)
+            splits = {"train": train, "val": val, "test": test}
+        else:
+            graph, masked, splits = make_dataset(tmp_path)
+        path = str(tmp_path / "d.nohg")
+        save_dataset(path, graph, masked, splits, 0)
+        records = read_records(path)
+        val, test = records["split.val"], records["split.test"]
+        if edit == "empty-slot":
+            records["split.val"] = np.array([[0, 1, 1]], dtype=np.int64)
+        elif edit == "not-edge":
+            # nodes 1 and 3 are tokens n1 and n2, which no slot links
+            assert not graph.adjacency.slices[0][1, 3]
+            val[0] = [1, 3, 0]
+        elif edit == "reversed":
+            val[0] = val[0][[1, 0, 2]]
+        elif edit == "val-and-test":
+            test[0] = val[0]
+        else:
+            val[1] = val[0]
+        write_records(path, records)
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(path)}: {message}"):
             load_dataset(path)
 
     @pytest.mark.parametrize(
@@ -322,7 +405,7 @@ class TestCorruptDataset:
         [
             ("split.test", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 0, 10**6, a), "node"),
             ("split.test", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 2, 99, a), "slot"),
-            ("split.train", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 1, -1, a), "node"),
+            ("split.val", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 1, -1, a), "node"),
             ("split.val", lambda a: a.reshape(-1), "int64 of rank 2"),
             ("split.val", lambda a: a.reshape(-1, 1), r"\(k, 3\)"),
             ("split.val", lambda a: a.astype(np.float64), "float64"),

@@ -126,6 +126,26 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
 
 
+    @pytest.mark.parametrize(
+        "setting,message",
+        [("slots = 7", r"slots = 7, but dataset \S+ has 3 slots"),
+         ("undirected = false", r"undirected = false, but dataset \S+ is undirected")],
+        ids=["slots", "undirected"],
+    )
+    def test_setting_that_contradicts_dataset_rejected(self, tmp_path, edge_file, capsys, setting, message):
+        path, _ = edge_file
+        main(["ingest", "--edges", str(path), "--slots", "3", "--out", str(tmp_path / "ingested")])
+        capsys.readouterr()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {tmp_path / 'ingested' / 'dataset.nohg'}\n{setting}\ndim = 4\nmax_epochs = 2\n")
+        assert main(["train", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert re.fullmatch(f"error: {message}", line)
+        assert not (tmp_path / "run").exists()
+
+
 class TestEval:
     def test_replays_train_metrics(self, tmp_path, edge_file, capsys):
         rc, out = run_train(tmp_path, edge_file[0], "run")

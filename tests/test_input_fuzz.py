@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from nohgnn.checkpoint import load_dataset, load_model, read_records, save_dataset, save_model, write_records
 from nohgnn.cli import main
 from nohgnn.config import load_run_config
-from nohgnn.data import load_edge_list, split_edges
+from nohgnn.data import EdgeEvent, bin_snapshots, load_edge_list, split_edges
 from nohgnn.errors import NohgnnError, ParseError
-from nohgnn.synth import planted_partition_graph
+from nohgnn.synth import planted_partition
 from nohgnn.training import TrainConfig, init_params
 
 NOT_UTF8 = b"\xff"
@@ -116,18 +116,23 @@ def test_load_run_config_fuzz(scratch_file, lines, raw):
 
 @pytest.fixture(scope="module")
 def saved_artifacts(tmp_path_factory) -> dict[str, tuple]:
-    """A real dataset and model container: their records and their bytes."""
+    """Real containers, their records and their bytes: an undirected dataset
+    ("d"), a directed one ("dd") and a model ("m")."""
     folder = tmp_path_factory.mktemp("artifacts")
-    graph = planted_partition_graph(8, 3, p_in=0.6, p_out=0.2, seed=1)
-    train, val, test, masked = split_edges(graph, seed=0)
-    save_dataset(str(folder / "d.nohg"), graph, masked, {"train": train, "val": val, "test": test}, 0)
+    events = planted_partition(8, 3, p_in=0.6, p_out=0.2, seed=1)
+    # the directed graph also links some pairs both ways
+    both_ways = events + [EdgeEvent(e.dst, e.src, e.timestamp) for e in events[::3]]
+    for kind, undirected, edges in (("d", True, events), ("dd", False, both_ways)):
+        graph = bin_snapshots(edges, 3, undirected=undirected)
+        train, val, test, masked = split_edges(graph, seed=0)
+        save_dataset(str(folder / f"{kind}.nohg"), graph, masked, {"train": train, "val": val, "test": test}, 0)
     config = TrainConfig(dim=2, layers=1)
     save_model(str(folder / "m.nohg"), init_params(config, 8, 3), config, 8, 3)
     return {kind: (read_records(str(folder / f"{kind}.nohg")), (folder / f"{kind}.nohg").read_bytes())
-            for kind in ("d", "m")}
+            for kind in LOADERS}
 
 
-LOADERS = {"d": load_dataset, "m": load_model}
+LOADERS = {"d": load_dataset, "dd": load_dataset, "m": load_model}
 EXTREMES = [-(2**63), -1, 0, 1, 2, 3, 8, 9, 2**31, 2**40, 2**63 - 1]
 record_edit = st.tuples(
     st.integers(0, 10_000),
@@ -163,7 +168,7 @@ def _edit_records(records: dict[str, np.ndarray], edits) -> dict[str, np.ndarray
     return out
 
 
-@pytest.mark.parametrize("kind", ["d", "m"])
+@pytest.mark.parametrize("kind", sorted(LOADERS))
 @settings(max_examples=150)
 @given(edits=st.lists(record_edit, min_size=1, max_size=4))
 def test_saved_container_record_fuzz(saved_artifacts, scratch_file, kind, edits):
@@ -174,7 +179,7 @@ def test_saved_container_record_fuzz(saved_artifacts, scratch_file, kind, edits)
         pass
 
 
-@pytest.mark.parametrize("kind", ["d", "m"])
+@pytest.mark.parametrize("kind", sorted(LOADERS))
 @settings(max_examples=150)
 @given(edits=st.lists(edit, max_size=6), cut=st.integers(0, 100_000))
 def test_saved_container_byte_fuzz(saved_artifacts, scratch_file, kind, edits, cut):
