@@ -273,6 +273,12 @@ def bin_snapshots(
     span = ts_max - ts_min + 1
     if ts_min == ts_max and t_slots > 1:
         log.warning("all %d events share one timestamp; every event lands in slot 0", len(table))
+    negative = np.flatnonzero((table.src < 0) | (table.dst < 0))
+    if len(negative):
+        k = int(negative[0])
+        raise ParameterError(
+            f"event {k} ({table.src[k]}, {table.dst[k]}, {table.ts[k]}) has a negative endpoint id"
+        )
     n_nodes = 1 + max(int(table.src.max()), int(table.dst.max()))
     if t_slots * n_nodes * n_nodes > INT64_MAX:
         raise ParameterError(f"{t_slots} slots of {n_nodes} nodes overflow the int64 edge keys")

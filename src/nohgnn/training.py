@@ -1,13 +1,14 @@
 """Full-batch training of the link predictor.
 
 The pipeline splits into ``embed`` (feature generation, aggregation weights,
-layer stack) and the decoder. One epoch resamples the training negatives,
-decodes them from an embedding recorded on the current parameters, applies
-one Adam update, and records the embedding of the updated parameters. That
-one forward both scores the frozen validation set and serves as the next
-epoch's training forward, so each parameter state is embedded once. Training
-stops at the epoch cap or after ``patience`` epochs without a new best
-validation F1; the best epoch's parameters are returned.
+layer stack) and the decoder. The embedding of the initial parameters is
+recorded once before the first epoch. Each epoch then resamples the training
+negatives, decodes them from the recorded embedding, applies one Adam update,
+and records the embedding of the updated parameters. That one forward both
+scores the frozen validation set and serves as the next epoch's training
+forward, so each parameter state is embedded once. Training stops at the
+epoch cap or after ``patience`` epochs without a new best validation F1; the
+best epoch's parameters are returned.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ class TrainConfig:
             raise ParameterError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.k_hops < 1 or self.layers < 1 or self.dim < 1 or self.neg_ratio < 1:
             raise ParameterError("k_hops, layers, dim, neg_ratio must all be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.transform not in TRANSFORM_KINDS:
             raise ParameterError(f"transform must be one of {TRANSFORM_KINDS}, got {self.transform!r}")
         if not 0.0 < self.threshold < 1.0:
@@ -167,7 +170,6 @@ class PreparedData:
     """Everything derivable from the graph and the split, fixed before training."""
 
     full_graph: DynamicGraph
-    masked_graph: DynamicGraph
     train_pos: LabeledPairSet
     val_set: LabeledPairSet
     test_set: LabeledPairSet
@@ -196,14 +198,11 @@ def assemble(
     ctx = build_feature_context(b)
 
     def frozen(pos: LabeledPairSet, tag: int) -> LabeledPairSet:
-        if pos.size == 0:
-            return pos
         neg = negative_sample(graph, pos, config.neg_ratio, seed=[config.seed, tag])
         return merge_pair_sets(pos, neg)
 
     return PreparedData(
         full_graph=graph,
-        masked_graph=masked,
         train_pos=splits["train"],
         val_set=frozen(splits["val"], VAL_SEED_TAG),
         test_set=frozen(splits["test"], TEST_SEED_TAG),
@@ -259,22 +258,12 @@ def embed(
     return forward(tape, leaves, prep.pattern, weights, tf, config.layers)
 
 
-def model_probs(
-    tape: Tape,
-    leaves: dict[str, Node],
-    prep: PreparedData,
-    tf: Transform,
-    config: TrainConfig,
-    pairs: np.ndarray,
-) -> Node:
-    """The whole pipeline: features, aggregation weights, layers, decoder."""
-    return decode(tape, leaves, embed(tape, leaves, prep, tf, config), pairs)
-
-
 def predict(store: ParamStore, prep: PreparedData, config: TrainConfig, pairs: np.ndarray) -> np.ndarray:
     """Probabilities from the current parameters, without recording gradients."""
     tape = Tape()
-    return model_probs(tape, store.constants(tape), prep, make_transform(config.transform, prep.t_slots), config, pairs).value
+    leaves = store.constants(tape)
+    tf = make_transform(config.transform, prep.t_slots)
+    return decode(tape, leaves, embed(tape, leaves, prep, tf, config), pairs).value
 
 
 def evaluate_model(store: ParamStore, prep: PreparedData, config: TrainConfig, pair_set: LabeledPairSet) -> Metrics:
@@ -316,46 +305,36 @@ def _record_embedding(
     return tape, leaves, embed(tape, leaves, prep, tf, config)
 
 
-def train_loop(
-    prep: PreparedData,
-    config: TrainConfig,
-    log_path: str | None = None,
-    eval_hook=None,
-) -> TrainResult:
+def train_loop(prep: PreparedData, config: TrainConfig, log_path: str | None = None) -> TrainResult:
     """Optimize and early-stop on validation F1, embedding each parameter
     state once.
 
-    After the Adam step of epoch e the embedding of the updated parameters is
-    recorded on a fresh tape. The validation pairs are decoded from its
-    values on a separate tape without gradients, and epoch e + 1 decodes its
-    training pairs on the recorded tape and runs the backward through it. The
-    tape holds only the arrays its backward rules read, so the embedding is
-    let go as soon as it is decoded. The finished tape, with every gradient
-    on it, is released before the next one is recorded. An epoch with no
-    recorded embedding records its own when it starts: the first one, and
-    every one when ``eval_hook`` is given.
-
-    ``eval_hook(epoch, store) -> float`` replaces the validation metric when
-    given (protocol tests drive stopping behavior through it). Raises a
-    numeric error naming the epoch if the loss diverges.
+    The embedding of the initial parameters is recorded on a fresh tape
+    before the first epoch, and after the Adam step of every epoch the
+    embedding of the updated parameters is recorded on another. The
+    validation pairs are decoded from its values on a separate tape without
+    gradients, and the next epoch decodes its training pairs on the recorded
+    tape and runs the backward through it. The tape holds only the arrays its
+    backward rules read, so the embedding is let go as soon as it is decoded.
+    The finished tape, with every gradient on it, is released before the next
+    one is recorded. Raises a numeric error naming the epoch if the loss
+    diverges.
     """
     if prep.train_pos.size == 0:
         raise ParameterError("training set has no positive pairs")
-    if eval_hook is None and prep.val_set.size == 0:
+    if prep.val_set.size == 0:
         raise ParameterError("validation set is empty; cannot early-stop")
     tf = make_transform(config.transform, prep.t_slots)
     store = init_params(config, prep.n_nodes, prep.t_slots)
     adam = Adam(store, config.learning_rate)
     result = TrainResult(store=store.clone())
     stall = 0
-    recorded = None
+    tape, leaves, h = _record_embedding(store, prep, tf, config)
     for epoch in range(1, config.max_epochs + 1):
         neg = negative_sample(
             prep.full_graph, prep.train_pos, config.neg_ratio, seed=[config.seed, epoch]
         )
         train_set = merge_pair_sets(prep.train_pos, neg)
-        tape, leaves, h = recorded or _record_embedding(store, prep, tf, config)
-        recorded = None
         probs = decode(tape, leaves, h, train_set.pairs)
         # no rule reads the embedding, so it goes before the backward runs
         del h
@@ -370,22 +349,16 @@ def train_loop(
         # the finished tape and its gradients go before the next forward is recorded
         del tape, leaves, probs, loss
 
-        if eval_hook is not None:
-            val_f1 = float(eval_hook(epoch, store))
-            val_acc = val_f1
-        else:
-            recorded = _record_embedding(store, prep, tf, config)
-            vt = Tape()
-            val_probs = decode(vt, store.constants(vt), vt.constant(recorded[2].value), prep.val_set.pairs)
-            metrics = evaluate(val_probs.value, prep.val_set.labels, config.threshold)
-            val_f1 = metrics.f1
-            val_acc = metrics.accuracy
+        tape, leaves, h = _record_embedding(store, prep, tf, config)
+        vt = Tape()
+        val_probs = decode(vt, store.constants(vt), vt.constant(h.value), prep.val_set.pairs)
+        metrics = evaluate(val_probs.value, prep.val_set.labels, config.threshold)
         result.history.append(
-            {"epoch": epoch, "loss": loss_value, "val_f1": val_f1, "val_acc": val_acc}
+            {"epoch": epoch, "loss": loss_value, "val_f1": metrics.f1, "val_acc": metrics.accuracy}
         )
         result.epochs_run = epoch
-        if val_f1 > result.best_val_f1:
-            result.best_val_f1 = val_f1
+        if metrics.f1 > result.best_val_f1:
+            result.best_val_f1 = metrics.f1
             result.best_epoch = epoch
             result.store = store.clone()
             stall = 0
@@ -426,7 +399,7 @@ def run_gradient_check(transform: str = "identity", eps: float = 1e-5, seed: int
     tf = make_transform(config.transform, graph.t_slots)
 
     def build(tape: Tape, leaves: dict[str, Node]) -> Node:
-        probs = model_probs(tape, leaves, prep, tf, config, pairs_set.pairs)
+        probs = decode(tape, leaves, embed(tape, leaves, prep, tf, config), pairs_set.pairs)
         return compute_loss(tape, probs, pairs_set.labels, leaves, config.beta_reg)
 
     return grad_check(build, store, eps)

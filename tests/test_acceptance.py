@@ -36,7 +36,7 @@ from nohgnn.tensor3 import (
     mode3_product,
     sparse_matpower_sum,
 )
-from nohgnn.training import TrainConfig, evaluate_model, prepare, train_loop
+from nohgnn.training import BETA_GRID, LR_GRID, TrainConfig, evaluate_model, prepare, train_loop
 from pattern_helpers import entry_table
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -232,7 +232,7 @@ def test_criterion_6_learning_sanity():
     )
 
 
-def test_criterion_7_split_counts_and_stopping():
+def test_criterion_7_split_counts_and_stopping(script_val_f1):
     graph = planted_partition_graph(seed=3)
     train, val, test, _ = split_edges(graph, seed=0)
     for t in range(graph.t_slots):
@@ -244,10 +244,12 @@ def test_criterion_7_split_counts_and_stopping():
     small = planted_partition_graph(16, 3, p_in=0.6, p_out=0.05, retention=0.9, seed=2)
     config = TrainConfig(dim=8, max_epochs=300, patience=10)
     prep = prepare(small, config)
-    frozen = train_loop(prep, config, eval_hook=lambda epoch, store: 0.5)
+    script_val_f1(lambda epoch: 0.5)
+    frozen = train_loop(prep, config)
     assert frozen.epochs_run == 11
     assert frozen.best_epoch == 1
-    monotone = train_loop(prep, config, eval_hook=lambda epoch, store: epoch / 1000.0)
+    script_val_f1(lambda epoch: epoch / 1000.0)
+    monotone = train_loop(prep, config)
     assert monotone.epochs_run == 300
     assert monotone.best_epoch == 300
     print("criterion 7: per-slot split counts within ±1 of 70/20/10; stopping at 11 frozen / 300 monotone")
@@ -288,8 +290,8 @@ def test_criterion_8_stretch_reproduction():
     events, id_map = load_edge_list(str(BITCOIN_ALPHA))
     graph = bin_snapshots(events, 32, id_map=id_map)
     best = None
-    for lr in (0.1, 0.01, 0.02, 0.05, 0.001, 0.002):
-        for beta in (0.01, 0.005, 0.001, 0.0005):
+    for lr in LR_GRID:
+        for beta in BETA_GRID:
             config = TrainConfig(learning_rate=lr, beta_reg=beta, seed=0)
             prep = prepare(graph, config)
             result = train_loop(prep, config)

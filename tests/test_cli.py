@@ -290,3 +290,14 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["train", "--momentum", "0.9"])
         assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["train", "ingest", "gradcheck"])
+def test_negative_seed_reports_one_error_line(tmp_path, edge_file, capsys, command):
+    source = ["--edges", str(edge_file[0]), "--slots", "3", "--out", str(tmp_path / "run")]
+    argv = {"train": ["train", *source, "--dim", "4"], "ingest": ["ingest", *source], "gradcheck": ["gradcheck"]}
+    assert main([*argv[command], "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert "Traceback" not in captured.err

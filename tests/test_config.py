@@ -102,6 +102,12 @@ class TestLoadRunConfig:
             load_run_config(path)
         assert str(info.value).startswith(path)
 
+    def test_negative_seed_named(self, tmp_path):
+        path = write(tmp_path, "seed = -1\n")
+        with pytest.raises(ParameterError, match=r"seed must be >= 0, got -1$") as info:
+            load_run_config(path)
+        assert str(info.value).startswith(path)
+
 
 # a value other than the default for every field a run file can set
 NON_DEFAULT = {

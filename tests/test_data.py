@@ -11,6 +11,7 @@ from graph_helpers import has_edge
 from nohgnn.data import (
     DynamicGraph,
     EdgeEvent,
+    EdgeTable,
     LabeledPairSet,
     _apportion,
     bin_snapshots,
@@ -141,6 +142,18 @@ class TestBinSnapshots:
             bin_snapshots([EdgeEvent(0, 1, 0)], 0)
         with pytest.raises(ParameterError):
             bin_snapshots([], 3)
+
+    @pytest.mark.parametrize("as_table", [False, True], ids=["events", "table"])
+    @pytest.mark.parametrize(
+        "events, named",
+        [([EdgeEvent(-1, 0, 0)], r"event 0 \(-1, 0, 0\)"),
+         ([EdgeEvent(0, 1, 0), EdgeEvent(2, -1, 5), EdgeEvent(-3, 0, 6)], r"event 1 \(2, -1, 5\)")],
+        ids=["only", "second"],
+    )
+    def test_negative_endpoint_named(self, events, named, as_table):
+        given = EdgeTable.from_events(events) if as_table else events
+        with pytest.raises(ParameterError, match=f"^{named} has a negative endpoint id$"):
+            bin_snapshots(given, 2)
 
     def test_rerun_is_bit_identical(self):
         rng = np.random.default_rng(30)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import ingest_oracle as oracle
 import nohgnn.tape as tape_mod
 from nohgnn import structural, training
-from nohgnn.data import EdgeEvent, EdgeTable, bin_snapshots
+from nohgnn.data import EdgeEvent, EdgeTable, bin_snapshots, split_edges
 from nohgnn.errors import ParameterError
 from nohgnn.structural import (
     build_feature_context,
@@ -284,7 +284,7 @@ def oracle_case(case):
     make_graph, kwargs = ORACLE_CASES[case]
     config = training.TrainConfig(**kwargs)
     prep = training.prepare(make_graph(), config)
-    b = compute_overlap_tensor(prep.masked_graph, config.k_hops)
+    b = compute_overlap_tensor(split_edges(prep.full_graph, seed=config.seed)[3], config.k_hops)
     return config, prep, dataclasses.replace(prep, ctx=oracle.build_feature_context(b))
 
 
@@ -294,7 +294,7 @@ def step_gradients(config, prep, store):
     tape = Tape()
     leaves = store.leaves(tape)
     tf = make_transform(config.transform, prep.t_slots)
-    probs = training.model_probs(tape, leaves, prep, tf, config, pairs.pairs)
+    probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, tf, config), pairs.pairs)
     tape.backward(training.compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg))
     return {name: node.grad for name, node in leaves.items()}
 

@@ -10,7 +10,7 @@ import pytest
 import train_loop_oracle
 from graph_helpers import has_edge
 from nohgnn import training
-from nohgnn.data import LabeledPairSet
+from nohgnn.data import LabeledPairSet, split_edges
 from nohgnn.errors import NumericError, ParameterError
 from nohgnn.synth import planted_partition_graph
 from nohgnn.tape import ParamStore, Tape
@@ -67,6 +67,7 @@ class TestTrainConfig:
             {"learning_rate": math.inf},
             {"beta_reg": math.nan},
             {"beta_reg": math.inf},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -288,10 +289,11 @@ class TestPrepare:
                 assert not has_edge(prep.full_graph, int(i), int(j), int(t))
 
     def test_val_positives_absent_from_masked_graph(self):
-        prep, _ = small_prep()
+        prep, config = small_prep()
+        masked = split_edges(prep.full_graph, seed=config.seed)[3]
         for i, j, t in prep.val_set.pairs[prep.val_set.labels == 1.0]:
             assert has_edge(prep.full_graph, int(i), int(j), int(t))
-            assert not has_edge(prep.masked_graph, int(i), int(j), int(t))
+            assert not has_edge(masked, int(i), int(j), int(t))
 
     def test_deterministic(self):
         prep_a, _ = small_prep(seed=5)
@@ -301,40 +303,46 @@ class TestPrepare:
 
     def test_support_built_on_masked_graph(self):
         prep, config = small_prep()
-        assert prep.pattern.nnz >= prep.masked_graph.edge_count
+        assert prep.pattern.nnz >= split_edges(prep.full_graph, seed=config.seed)[3].edge_count
         assert prep.ctx.row_class.shape == (prep.full_graph.t_slots, prep.n_nodes)
 
 
 class TestTrainLoop:
-    def test_frozen_metric_stops_after_patience(self, tmp_path):
+    def test_frozen_metric_stops_after_patience(self, script_val_f1):
         prep, config = small_prep(max_epochs=50, patience=10)
-        result = train_loop(prep, config, eval_hook=lambda epoch, store: 0.5)
+        script_val_f1(lambda epoch: 0.5)
+        result = train_loop(prep, config)
         assert result.epochs_run == 11
         assert result.best_epoch == 1
         assert len(result.history) == 11
 
-    def test_improving_metric_runs_to_cap(self):
+    def test_improving_metric_runs_to_cap(self, script_val_f1):
         prep, config = small_prep(max_epochs=7)
-        result = train_loop(prep, config, eval_hook=lambda epoch, store: epoch / 100.0)
+        script_val_f1(lambda epoch: epoch / 100.0)
+        result = train_loop(prep, config)
         assert result.epochs_run == 7
         assert result.best_epoch == 7
 
-    def test_ties_do_not_count_as_improvement(self):
+    def test_ties_do_not_count_as_improvement(self, script_val_f1):
         prep, config = small_prep(max_epochs=50, patience=3)
         scores = {1: 0.4, 2: 0.6, 3: 0.6, 4: 0.6, 5: 0.6}
-        result = train_loop(prep, config, eval_hook=lambda epoch, store: scores[epoch])
+        script_val_f1(scores.__getitem__)
+        result = train_loop(prep, config)
         assert result.best_epoch == 2
         assert result.epochs_run == 5
 
-    def test_best_parameters_restored(self):
+    def test_best_parameters_restored(self, monkeypatch, script_val_f1):
         prep, config = small_prep(max_epochs=20, patience=5)
         snapshots = {}
+        inner = Adam.step
 
-        def hook(epoch, store):
-            snapshots[epoch] = store.clone()
-            return {1: 0.2, 2: 0.9}.get(epoch, 0.1)
+        def step_then_snapshot(self):
+            inner(self)
+            snapshots[self.step_count] = self.store.clone()
 
-        result = train_loop(prep, config, eval_hook=hook)
+        monkeypatch.setattr(Adam, "step", step_then_snapshot)
+        script_val_f1(lambda epoch: {1: 0.2, 2: 0.9}.get(epoch, 0.1))
+        result = train_loop(prep, config)
         assert result.best_epoch == 2
         assert result.epochs_run == 7
         best = snapshots[2]
@@ -412,16 +420,15 @@ def assert_same_run(got, want):
         assert got.store.value(name).tobytes() == want.store.value(name).tobytes()
 
 
-def count_calls(monkeypatch, module, attr):
-    calls = []
+def log_calls(monkeypatch, module, attr, calls):
+    """Append ``attr`` to ``calls`` at each call of ``module.attr``."""
     inner = getattr(module, attr)
 
-    def counted(*args, **kwargs):
-        calls.append(None)
+    def logged(*args, **kwargs):
+        calls.append(attr)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(module, attr, counted)
-    return calls
+    monkeypatch.setattr(module, attr, logged)
 
 
 class TestSharedForward:
@@ -531,29 +538,35 @@ class TestSharedForward:
         assert train_loop(prep, config).epochs_run == 3
         assert held_in_sweep == [False] * 3
 
-    def test_bit_equal_with_eval_hook(self):
+    def test_bit_equal_under_scripted_val_f1(self, script_val_f1):
         prep, config = small_prep(seed=3, transform="dct", max_epochs=6, patience=2)
         scores = {1: 0.3, 2: 0.5, 3: 0.4}
-        hook = lambda epoch, store: scores.get(epoch, 0.1)  # noqa: E731
-        assert_same_run(train_loop(prep, config, eval_hook=hook), train_loop_oracle.train_loop(prep, config, eval_hook=hook))
+        runs = []
+        for loop in (train_loop, train_loop_oracle.train_loop):
+            script_val_f1(lambda epoch: scores.get(epoch, 0.1))
+            runs.append(loop(prep, config))
+        assert_same_run(*runs)
+        assert (runs[0].best_epoch, runs[0].epochs_run) == (2, 4)
 
-    @pytest.mark.parametrize("hook", [False, True], ids=["validate", "eval-hook"])
-    def test_one_embedding_per_parameter_state(self, monkeypatch, hook):
+    @pytest.mark.parametrize("scoring", ["validate"])
+    def test_one_embedding_per_parameter_state(self, monkeypatch, scoring):
         prep, config = small_prep(max_epochs=4, patience=10)
-        calls = count_calls(monkeypatch, training, "generate_features")
-        samples = count_calls(monkeypatch, training, "negative_sample")
-        result = train_loop(prep, config, eval_hook=(lambda epoch, store: epoch / 10.0) if hook else None)
+        order = []
+        for module, attr in ((training, "generate_features"), (training, "negative_sample"), (Adam, "step")):
+            log_calls(monkeypatch, module, attr, order)
+        result = train_loop(prep, config)
         assert result.epochs_run == 4
-        assert len(calls) == (4 if hook else 5)
-        assert len(samples) == 4
+        assert order.count("generate_features") == 5
+        assert order.count("negative_sample") == 4
+        # the initial parameters are embedded before the first epoch's negatives are drawn
+        assert order == ["generate_features"] + ["negative_sample", "step", "generate_features"] * 4
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("hook", [False, True], ids=["validate", "eval-hook"])
     @pytest.mark.parametrize(
         "param, message",
         [("embed.e", "layer 1 produced non-finite activations"), ("dec.w2", "training diverged at epoch 3: loss is not finite")],
     )
-    def test_divergence_raises_at_the_same_step(self, monkeypatch, hook, param, message):
+    def test_divergence_raises_at_the_same_step(self, monkeypatch, param, message):
         prep, config = small_prep(max_epochs=6, patience=10)
         steps = []
         inner = training.Adam.step
@@ -565,12 +578,11 @@ class TestSharedForward:
                 self.store.set_value(param, np.full_like(self.store.value(param), np.inf))
 
         monkeypatch.setattr(training.Adam, "step", step_then_poison)
-        eval_hook = (lambda epoch, store: 0.5) if hook else None
         outcomes = []
         for loop in (train_loop_oracle.train_loop, train_loop):
             steps.clear()
             with pytest.raises(NumericError) as excinfo:
-                loop(prep, config, eval_hook=eval_hook)
+                loop(prep, config)
             outcomes.append((str(excinfo.value), len(steps)))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0] == (message, 2)
@@ -608,7 +620,7 @@ def test_tape_entries_of_one_training_step(kind, entries):
     tape = Tape()
     leaves = store.leaves(tape)
     tf = training.make_transform(kind, prep.t_slots)
-    probs = training.model_probs(tape, leaves, prep, tf, config, pairs.pairs)
+    probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, tf, config), pairs.pairs)
     compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg)
     ops = [backward.__qualname__.split(".")[1] for _, _, backward in tape._entries]
     assert len(ops) == entries

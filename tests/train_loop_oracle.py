@@ -1,6 +1,7 @@
 """The ``train_loop`` that ran two forwards per epoch (a recorded training
 forward, then a gradient-free validation forward after the Adam step), kept
-verbatim as the reference the differential tests compare against."""
+as the reference the differential tests compare against, with the pipeline
+composite ``model_probs`` it called."""
 
 from __future__ import annotations
 
@@ -8,36 +9,45 @@ import numpy as np
 
 from nohgnn.data import merge_pair_sets, negative_sample
 from nohgnn.errors import NumericError, ParameterError
-from nohgnn.tape import Tape
-from nohgnn.tensor3 import make_transform
+from nohgnn.model import decode
+from nohgnn.tape import Node, Tape
+from nohgnn.tensor3 import Transform, make_transform
 from nohgnn.training import (
     Adam,
     PreparedData,
     TrainConfig,
     TrainResult,
     compute_loss,
+    embed,
     evaluate_model,
     init_params,
-    model_probs,
     write_metric_log,
 )
+
+
+def model_probs(
+    tape: Tape,
+    leaves: dict[str, Node],
+    prep: PreparedData,
+    tf: Transform,
+    config: TrainConfig,
+    pairs: np.ndarray,
+) -> Node:
+    """The whole pipeline: features, aggregation weights, layers, decoder."""
+    return decode(tape, leaves, embed(tape, leaves, prep, tf, config), pairs)
 
 
 def train_loop(
     prep: PreparedData,
     config: TrainConfig,
     log_path: str | None = None,
-    eval_hook=None,
 ) -> TrainResult:
-    """Optimize and early-stop on validation F1.
-
-    ``eval_hook(epoch, store) -> float`` replaces the validation metric when
-    given (protocol tests drive stopping behavior through it). Raises a
-    numeric error naming the epoch if the loss diverges.
+    """Optimize and early-stop on validation F1. Raises a numeric error
+    naming the epoch if the loss diverges.
     """
     if prep.train_pos.size == 0:
         raise ParameterError("training set has no positive pairs")
-    if eval_hook is None and prep.val_set.size == 0:
+    if prep.val_set.size == 0:
         raise ParameterError("validation set is empty; cannot early-stop")
     tf = make_transform(config.transform, prep.t_slots)
     store = init_params(config, prep.n_nodes, prep.t_slots)
@@ -60,13 +70,9 @@ def train_loop(
         store.harvest(leaves)
         adam.step()
 
-        if eval_hook is not None:
-            val_f1 = float(eval_hook(epoch, store))
-            val_acc = val_f1
-        else:
-            metrics = evaluate_model(store, prep, config, prep.val_set)
-            val_f1 = metrics.f1
-            val_acc = metrics.accuracy
+        metrics = evaluate_model(store, prep, config, prep.val_set)
+        val_f1 = metrics.f1
+        val_acc = metrics.accuracy
         result.history.append(
             {"epoch": epoch, "loss": float(loss.value), "val_f1": val_f1, "val_acc": val_acc}
         )
