@@ -167,6 +167,23 @@ class DynamicGraph:
         if undirected:
             self._check_symmetric()
 
+    @classmethod
+    def from_slot_keys(cls, g: "DynamicGraph", keys: np.ndarray) -> "DynamicGraph":
+        """The unit-valued graph on ``g``'s nodes and slots of the entries
+        whose ascending slot keys are ``keys``, a subset of ``g.slot_keys()``
+        that holds every kept entry's mirror when ``g`` is undirected.
+
+        Such a graph is symmetric because ``g`` was checked to be, so the
+        check is not run again, and ``slot_keys()`` is seeded from ``keys``.
+        """
+        n, t_slots, span = g.n_nodes, g.t_slots, g.n_nodes * g.n_nodes
+        # built as directed, which runs no check, then given g's direction
+        graph = cls(n, SliceSparse3(_slices_from_keys(keys, n, t_slots), shape=(n, n)), g.id_map, undirected=False)
+        graph.undirected = g.undirected
+        cuts = np.searchsorted(keys, np.arange(t_slots + 1) * span)
+        graph._edge_keys = [keys[cuts[t] : cuts[t + 1]] - t * span for t in range(t_slots)]
+        return graph
+
     def _check_symmetric(self) -> None:
         """Raise ``ShapeError`` naming the first slot whose adjacency differs
         from its transpose, in an entry or a value."""
@@ -379,8 +396,7 @@ def hold_out(g: DynamicGraph, val: LabeledPairSet, test: LabeledPairSet) -> tupl
     train[np.searchsorted(pair_keys, held_keys)] = kept[np.searchsorted(keys, held_keys)] = False
     if g.undirected:
         kept[np.searchsorted(keys, held[:, 2] * span + held[:, 1] * n + held[:, 0])] = False
-    masked = SliceSparse3(_slices_from_keys(keys[kept], n, g.t_slots), shape=(n, n))
-    return LabeledPairSet(pairs[train], np.ones(int(train.sum())), "train"), DynamicGraph(n, masked, g.id_map, g.undirected)
+    return LabeledPairSet(pairs[train], np.ones(int(train.sum())), "train"), DynamicGraph.from_slot_keys(g, keys[kept])
 
 
 def negative_sample(

@@ -5,8 +5,9 @@ then into a per-layer weight tensor: two M-products under the configured
 mode-3 transform, each one ``Tape.m_product`` entry over an operator from
 ``tensor3``, which alone applies the transform. Hidden layers apply ReLU
 and the final layer stays linear. The
-decoder concatenates the two endpoint rows and maps 2F -> F -> 1 with a ReLU
-hidden layer and a sigmoid output.
+decoder gathers both endpoint rows of every pair at once, views them as one
+2F row, and maps 2F -> F -> 1 with two ``Tape.affine`` layers, a ReLU hidden
+layer and a sigmoid output.
 """
 
 from __future__ import annotations
@@ -130,10 +131,9 @@ def decode(
         raise ParameterError("decode needs at least one pair")
     if pairs.min() < 0 or pairs[:, :2].max() >= n_nodes or pairs[:, 2].max() >= t_slots:
         raise ParameterError("pair indices out of range")
-    flat = tape.reshape(h, (t_slots * n_nodes, dim))
-    rows_i = tape.gather_rows(flat, pairs[:, 2] * n_nodes + pairs[:, 0])
-    rows_j = tape.gather_rows(flat, pairs[:, 2] * n_nodes + pairs[:, 1])
-    both = tape.concat(rows_i, rows_j)
-    hidden = tape.relu(tape.add(tape.matmul(both, leaves["dec.w1"]), leaves["dec.b1"]))
-    logits = tape.add(tape.matmul(hidden, leaves["dec.w2"]), leaves["dec.b2"])
+    # row t*N + i of the embedding viewed as a (T*N, F) matrix, per endpoint
+    ends = tape.gather_rows(h, pairs[:, 2:] * n_nodes + pairs[:, :2])
+    rows = tape.reshape(ends, (len(pairs), 2 * dim))
+    hidden = tape.relu(tape.affine(rows, leaves["dec.w1"], leaves["dec.b1"]))
+    logits = tape.affine(hidden, leaves["dec.w2"], leaves["dec.b2"])
     return tape.sigmoid(tape.reshape(logits, (len(pairs),)))

@@ -7,6 +7,7 @@ aggregation tensor that drives message passing.
 
 from __future__ import annotations
 
+from nohgnn.structural import ClassFeatures
 from nohgnn.tape import Node, Tape
 from nohgnn.tensor3 import SlicePattern, SliceSparse3
 
@@ -20,9 +21,10 @@ def build_aggregation_pattern(b: SliceSparse3) -> SlicePattern:
     return SlicePattern.with_diagonal(b)
 
 
-def overlap_scores(tape: Tape, features: Node, pattern: SlicePattern) -> Node:
-    """Raw scores p̂ = o_it · o_jt for every (i, j, t) in the pattern, flat."""
-    return tape.pair_dot(features, pattern)
+def overlap_scores(tape: Tape, features: ClassFeatures, pattern: SlicePattern) -> Node:
+    """Raw scores p̂ = o_it · o_jt for every (i, j, t) in the pattern, flat,
+    from the per-class feature rows."""
+    return tape.pair_dot(features.rows, features.ctx, pattern)
 
 
 def normalize_scores(tape: Tape, scores: Node, pattern: SlicePattern) -> Node:
@@ -30,5 +32,5 @@ def normalize_scores(tape: Tape, scores: Node, pattern: SlicePattern) -> Node:
     return tape.segment_softmax(scores, pattern.row_splits)
 
 
-def aggregation_weights(tape: Tape, features: Node, pattern: SlicePattern) -> Node:
+def aggregation_weights(tape: Tape, features: ClassFeatures, pattern: SlicePattern) -> Node:
     return normalize_scores(tape, overlap_scores(tape, features, pattern), pattern)

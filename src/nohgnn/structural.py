@@ -11,10 +11,12 @@ the per-row summation; this is arithmetic-identical to mapping every entry
 separately and keeps node-relabeling equivariance bit-exact. A feature row
 depends only on its row of that histogram, and few of the T*N rows are
 distinct (7,199 of 273,604 on an ask-ubuntu-sized input), so the counts
-matrix keeps one row per class of identical rows, the node perceptron runs
-once per class, and a row gather spreads the result to (T, N, F). Both
-perceptrons work row by row, so every feature row keeps its bits; only the
-summation order of the generator's own gradients changes.
+matrix keeps one row per class of identical rows and the node perceptron runs
+once per class. The features stay per class: the score op
+(``Tape.pair_dot``) takes each slot's rows from the class rows, and no
+(T, N, F) feature tensor is built. Both perceptrons work row by row, so every
+feature row keeps its bits; only the summation order of the generator's own
+gradients changes.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,8 +89,8 @@ class FeatureContext:
     @cached_property
     def row_scatter(self) -> sp.csr_matrix:
         """``row_scatter(row_class, classes)``, which every backward of the
-        feature gather multiplies by; built on the first recorded gather, so a
-        forward without gradients never pays for it."""
+        score op multiplies by; built on the first backward, so a forward
+        without gradients never pays for it."""
         return row_scatter(self.row_class, self.counts.shape[0])
 
 
@@ -153,21 +156,28 @@ def _row_representatives(m: sp.csr_matrix) -> np.ndarray:
     return rep
 
 
+class ClassFeatures(NamedTuple):
+    """Structural features stored once per class of identical walk-count
+    rows: the feature row of node i at slot t is row ``ctx.row_class[t, i]``
+    of the (classes, F) node ``rows``."""
+
+    rows: Node
+    ctx: FeatureContext
+
+
 def _perceptron(tape: Tape, x: Node, leaves: dict[str, Node], prefix: str) -> Node:
-    h = tape.relu(tape.add(tape.matmul(x, leaves[f"{prefix}.w1"]), leaves[f"{prefix}.b1"]))
-    return tape.add(tape.matmul(h, leaves[f"{prefix}.w2"]), leaves[f"{prefix}.b2"])
+    h = tape.relu(tape.affine(x, leaves[f"{prefix}.w1"], leaves[f"{prefix}.b1"]))
+    return tape.affine(h, leaves[f"{prefix}.w2"], leaves[f"{prefix}.b2"])
 
 
-def generate_features(tape: Tape, ctx: FeatureContext, leaves: dict[str, Node]) -> Node:
-    """Structural features as a (T, N, F) node.
+def generate_features(tape: Tape, ctx: FeatureContext, leaves: dict[str, Node]) -> ClassFeatures:
+    """Structural features, one row per class of ``ctx``.
 
     Row (t, i) is g_theta applied to the support-sum of g_edge over row i of
     the overlap slice t; empty rows feed the zero vector into g_theta. Both
-    perceptrons run on the distinct rows only, and the row gather's backward
-    sums the gradients of the rows of one class.
+    perceptrons run on the distinct rows only.
     """
     col = tape.constant(ctx.unique_values.reshape(-1, 1))
     edge_out = _perceptron(tape, col, leaves, "gen.edge")
     summed = tape.csr_const_matmul(ctx.counts, edge_out)
-    node_out = _perceptron(tape, summed, leaves, "gen.theta")
-    return tape.gather_rows(node_out, ctx.row_class, ctx.row_scatter if node_out.requires_grad else None)
+    return ClassFeatures(_perceptron(tape, summed, leaves, "gen.theta"), ctx)

@@ -12,16 +12,18 @@ never applies a transform itself. ``sumsq`` takes every parameter at once.
 A tape entry keeps its nodes' gradient cells and its backward rule, never
 the nodes themselves: a value lives only while the caller holds its node or
 a rule has captured the array, and each rule captures only what it reads.
-``relu`` keeps its input's boolean mask; ``mul``, ``matmul`` and
-``pair_dot`` their operands; ``sigmoid`` and ``segment_softmax`` their
-outputs; ``m_product`` its operator (which holds its left operand, or that
-operand times M) and its right operand as the operator transformed it.
+``relu`` keeps its input's boolean mask; ``mul`` and ``matmul`` their
+operands; ``affine`` its weight, and its input until the weight gradient is
+computed; ``pair_dot`` its per-class feature rows; ``sigmoid`` and
+``segment_softmax`` their outputs; ``m_product`` its operator (which holds
+its left operand, or that operand times M) and its right operand as the
+operator transformed it. ``replicate`` records a broadcast view, not copies.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +31,9 @@ import scipy.sparse as sp
 from nohgnn import tensor3
 from nohgnn.errors import NumericError, ParameterError, ShapeError
 from nohgnn.tensor3 import DenseOperator, SlicePattern, SparseOperator
+
+if TYPE_CHECKING:
+    from nohgnn.structural import FeatureContext
 
 PROB_FLOOR = 1e-12
 FD_DENOM_FLOOR = 1e-8
@@ -109,17 +114,22 @@ class Node:
         return self.value.shape
 
 
-def row_scatter(index: np.ndarray, n_rows: int) -> sp.csr_matrix:
-    """The (n_rows, index.size) CSR matrix of ones at (index.flat[k], k).
+def row_scatter(index: np.ndarray, n_rows: int, column: int | None = None) -> sp.csr_matrix:
+    """The (n_rows, index.size) CSR matrix of ones at (index.flat[k], k);
+    with ``column``, only at the k in that column of the index's last axis.
 
     Times a matrix with one row per index entry, it sums the rows gathered
     from each of the n_rows rows in index order, and so to the same bits as
     ``np.add.at``. It is the transpose of the (index.size, n_rows) matrix
-    with one entry per row, whose conversion to CSC is a counting sort that
-    keeps each column's entries in index order.
+    with at most one entry per row, whose conversion to CSC is a counting
+    sort that keeps each column's entries in index order.
     """
-    flat = np.asarray(index, dtype=np.int64).ravel()
-    picks = sp.csr_matrix((np.ones(flat.size), flat, np.arange(flat.size + 1)), shape=(flat.size, n_rows))
+    index = np.asarray(index, dtype=np.int64)
+    width, column = (1, 0) if column is None else (index.shape[-1], column)
+    picked = index.reshape(-1, width)[:, column]
+    # row k of the picks holds an entry when k % width == column
+    indptr = (np.arange(index.size + 1) + width - 1 - column) // width
+    picks = sp.csr_matrix((np.ones(picked.size), picked, indptr), shape=(index.size, n_rows))
     return picks.tocsc().T
 
 
@@ -194,6 +204,28 @@ class Tape:
             return self._record(va @ vb, (a, b), backward)
         raise ShapeError(f"matmul expects matching 2-D or 3-D stacks, got {va.shape} @ {vb.shape}")
 
+    def affine(self, x: Node, w: Node, b: Node) -> Node:
+        """``x @ w + b`` for matrices x and w and a bias vector b, the bias
+        added into the product in place.
+
+        Backward reads ``x`` only for the gradient of ``w`` and lets it go as
+        soon as that is computed, so a value that only this rule held is
+        freed before the gradient of ``x`` is allocated.
+        """
+        vx, vw, vb = x.value, w.value, b.value
+        if vx.ndim != 2 or vw.ndim != 2 or vx.shape[1] != vw.shape[0] or vb.shape != vw.shape[1:]:
+            raise ShapeError(f"affine operands {vx.shape} @ {vw.shape} + {vb.shape} do not align")
+        out = vx @ vw
+        out += vb
+
+        def backward(g):
+            nonlocal vx
+            dw = vx.T @ g
+            vx = None
+            return g @ vw.T, dw, g.sum(axis=0)
+
+        return self._record(out, (x, w, b), backward)
+
     def relu(self, a: Node) -> Node:
         mask = a.value > 0 if a.requires_grad else None
 
@@ -234,48 +266,45 @@ class Tape:
     # ----- shape plumbing -----
 
     def replicate(self, a: Node, count: int) -> Node:
+        """``count`` copies of ``a`` stacked on a new first axis, as a
+        read-only broadcast view of its value: nothing is copied."""
         if count < 1:
             raise ParameterError(f"replicate count must be >= 1, got {count}")
 
         def backward(g):
             return (g.sum(axis=0),)
 
-        value = np.broadcast_to(a.value, (count,) + a.value.shape).copy()
-        return self._record(value, (a,), backward)
+        return self._record(np.broadcast_to(a.value, (count,) + a.value.shape), (a,), backward)
 
-    def gather_rows(self, a: Node, index: np.ndarray, scatter: sp.csr_matrix | None = None) -> Node:
-        """Rows ``a[index]`` of a matrix, shaped ``index.shape + (columns,)``;
-        an index of any shape may repeat or leave rows out.
+    def gather_rows(self, a: Node, index: np.ndarray) -> Node:
+        """Rows of ``a`` viewed as a matrix over its last axis, shaped
+        ``index.shape + (columns,)``; an index of any shape may repeat or
+        leave rows out.
 
-        Backward multiplies the gradient, flattened to one row per index
-        entry, by ``row_scatter(index, rows of a)``. A caller that gathers by
-        one index many times passes that scatter, built once, as ``scatter``;
-        otherwise each backward builds its own.
+        Backward views the gradient with one row per index entry and
+        multiplies it by ``row_scatter`` of each column of the index's last
+        axis (of the whole index, if it is 1-D), then adds the products in
+        column order: each column's rows are summed as a gather of that
+        column alone would sum them, without a strided copy.
         """
         index = np.asarray(index, dtype=np.int64)
-        if a.value.ndim != 2:
-            raise ShapeError(f"gather_rows expects a matrix, got {a.value.shape}")
-        if index.size and (index.min() < 0 or index.max() >= a.value.shape[0]):
+        shape = a.value.shape
+        if a.value.ndim < 2:
+            raise ShapeError(f"gather_rows expects a matrix or a stack, got {shape}")
+        rows = a.value.reshape(-1, shape[-1])
+        n_rows, n_cols = rows.shape
+        if index.size and (index.min() < 0 or index.max() >= n_rows):
             raise ParameterError("gather_rows index out of range")
-        n_rows, n_cols = a.value.shape
-        if scatter is not None and scatter.shape != (n_rows, index.size):
-            raise ShapeError(f"scatter shape {scatter.shape} does not match {n_rows} rows and {index.size} picks")
+        columns = list(range(index.shape[-1])) if index.ndim > 1 and index.size else [None]
 
         def backward(g):
-            s = row_scatter(index, n_rows) if scatter is None else scatter
-            return (s @ g.reshape(index.size, n_cols),)
+            flat = g.reshape(index.size, n_cols)
+            total = row_scatter(index, n_rows, columns[0]) @ flat
+            for column in columns[1:]:
+                total += row_scatter(index, n_rows, column) @ flat
+            return (total.reshape(shape),)
 
-        return self._record(a.value.take(index, axis=0), (a,), backward)
-
-    def concat(self, a: Node, b: Node) -> Node:
-        if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[0] != b.value.shape[0]:
-            raise ShapeError(f"concat expects matrices with equal rows, got {a.value.shape}, {b.value.shape}")
-        split = a.value.shape[1]
-
-        def backward(g):
-            return g[:, :split], g[:, split:]
-
-        return self._record(np.concatenate([a.value, b.value], axis=1), (a, b), backward)
+        return self._record(rows.take(index, axis=0), (a,), backward)
 
     def reshape(self, a: Node, shape: tuple) -> Node:
         old = a.value.shape
@@ -287,28 +316,36 @@ class Tape:
 
     # ----- sparse-structured primitives -----
 
-    def pair_dot(self, o: Node, pattern: SlicePattern) -> Node:
-        """Dot products o[t,i]·o[t,j] for every (t,i,j) in the pattern, flat.
+    def pair_dot(self, o: Node, classes: FeatureContext, pattern: SlicePattern) -> Node:
+        """Dot products o_ti · o_tj for every (t, i, j) in the pattern, flat,
+        where the feature row of node i at slot t is row
+        ``classes.row_class[t, i]`` of ``o``, a matrix with one row per class.
 
-        Backward leaves out the entries whose incoming gradient is exactly 0
-        (``tensor3.nonzero_csr``), such as those of every zero softmax weight.
+        Each slot's (N, F) rows are taken with one ``take``, in the forward
+        and again in the backward, so no (T, N, F) value is recorded or
+        captured. Backward leaves out the entries whose incoming gradient is
+        exactly 0 (``tensor3.nonzero_csr``), such as those of every zero
+        softmax weight, and sums the row gradients of each class with
+        ``classes.row_scatter``.
         """
-        vo = o.value
-        if vo.ndim != 3 or vo.shape[0] != pattern.t_slots:
-            raise ShapeError(f"feature tensor shape {vo.shape} does not match pattern slices")
-        t_count, n = vo.shape[:2]
+        vo, row_class = o.value, classes.row_class
+        t_count, n = pattern.t_slots, pattern.n_rows
+        if vo.ndim != 2 or row_class.shape != (t_count, n):
+            raise ShapeError(f"class rows {vo.shape} and classes {row_class.shape} do not match the pattern's {t_count}x{n}")
         out = np.empty(pattern.nnz)
         for t in range(t_count):
             lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
-            tensor3._sddmm(vo[t], pattern.rows[t], vo[t], pattern.indices[t], out[lo:hi])
+            rows_t = vo.take(row_class[t], axis=0)
+            tensor3._sddmm(rows_t, pattern.rows[t], rows_t, pattern.indices[t], out[lo:hi])
 
         def backward(g):
-            do = np.empty_like(vo)
+            do = np.empty((t_count, n, vo.shape[1]))
             for t in range(t_count):
                 lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
+                rows_t = vo.take(row_class[t], axis=0)
                 s_g = tensor3.nonzero_csr(g[lo:hi], pattern.indices[t], pattern.indptrs[t], (n, n))
-                do[t] = s_g @ vo[t] + s_g.T @ vo[t]
-            return (do,)
+                do[t] = s_g @ rows_t + s_g.T @ rows_t
+            return (classes.row_scatter @ do.reshape(t_count * n, -1),)
 
         return self._record(out, (o,), backward)
 
@@ -393,8 +430,8 @@ class Tape:
 
         The first gradient a node receives becomes its ``grad``; later ones
         are added out of place, never with ``+=``, because rules may hand
-        back their input gradient or a view of it (``add``, ``reshape``,
-        ``concat``), which other nodes hold too.
+        back their input gradient or a view of it (``add``, ``reshape``),
+        which other nodes hold too.
         """
         if self._entries is None:
             raise ParameterError("tape already swept")

@@ -445,7 +445,9 @@ class FacewiseOperator(SparseOperator):
         """The gradients of the flat values and of y, given the product's."""
         pattern = self.pattern
         dvals = np.zeros(pattern.nnz)
-        dy = np.empty_like(y)
+        # C order even for a broadcast y, whose empty_like would put the
+        # slots innermost and change how the gradient's consumers sum it
+        dy = np.empty(y.shape)
         for t, s in enumerate(self.slices):
             lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
             keep = self.live[lo:hi]

@@ -37,6 +37,7 @@ from nohgnn.tensor3 import (
     sparse_matpower_sum,
 )
 from nohgnn.training import BETA_GRID, LR_GRID, TrainConfig, evaluate_model, prepare, train_loop
+from feature_helpers import row_features
 from pattern_helpers import entry_table
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -128,11 +129,11 @@ def test_criterion_3_normalization_suite():
         feats = rng.normal(size=(t_slots, n, dim))
 
         tape = Tape()
-        weights = aggregation_weights(tape, tape.constant(feats), pat).value
+        weights = aggregation_weights(tape, row_features(tape, tape.constant(feats)), pat).value
         sums = np.add.reduceat(weights, pat.row_splits[:-1])
         assert np.max(np.abs(sums - 1.0)) <= 1e-9
 
-        scores = overlap_scores(tape, tape.constant(feats), pat).value
+        scores = overlap_scores(tape, row_features(tape, tape.constant(feats)), pat).value
         row_of = np.repeat(
             np.arange(len(pat.row_splits) - 1), np.diff(pat.row_splits)
         )
@@ -148,7 +149,7 @@ def test_criterion_3_normalization_suite():
     lonely = np.zeros((1, 4, 4))
     pat = build_aggregation_pattern(SliceSparse3.from_dense(lonely))
     tape = Tape()
-    weights = aggregation_weights(tape, tape.constant(np.ones((1, 4, 2))), pat).value
+    weights = aggregation_weights(tape, row_features(tape, tape.constant(np.ones((1, 4, 2)))), pat).value
     assert np.all(weights == 1.0)
     print("criterion 3: row sums 1±1e-9, shift invariance 1e-10, singleton rows exactly 1.0")
 

@@ -301,3 +301,26 @@ def test_negative_seed_reports_one_error_line(tmp_path, edge_file, capsys, comma
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: seed must be >= 0, got -1"]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,) and data type float64"),
+         "error: out of memory: Unable to allocate 72.8 TiB for an array with shape (10000000000000,) and data type float64"),
+        (MemoryError(), "error: out of memory: an allocation failed"),
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_out_of_memory_reports_one_error_line(tmp_path, edge_file, capsys, monkeypatch, exc, message):
+    from nohgnn import cli
+
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "train_loop", exhausted)
+    rc, _ = run_train(tmp_path, edge_file[0], "run")
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]

@@ -235,6 +235,34 @@ class TestSplitEdges:
         # slot 1 (3 edges) apportions to (2, 1, 0); slot 0 stays whole
         assert val.size + test.size == 1
 
+    @pytest.mark.parametrize("undirected", [True, False])
+    def test_masked_graph_equals_the_constructors_without_a_symmetry_check(self, monkeypatch, undirected):
+        rng = np.random.default_rng(35)
+        events = [EdgeEvent(int(i), int(j), int(t)) for i, j, t in rng.integers(0, [12, 12, 4], size=(120, 3)) if i != j]
+        g = bin_snapshots(events, 4, undirected=undirected)
+        checked = []
+        check = DynamicGraph._check_symmetric
+        monkeypatch.setattr(DynamicGraph, "_check_symmetric", lambda graph: checked.append(graph) or check(graph))
+        _, val, test, masked = split_edges(g, seed=5)
+        assert checked == []
+        # the same graph through the constructor: the full adjacency without
+        # the held-out entries and, when undirected, their mirrors
+        dense = g.adjacency.densify().data.copy()
+        for i, j, t in np.concatenate([val.pairs, test.pairs]):
+            dense[t, i, j] = 0.0
+            if undirected:
+                dense[t, j, i] = 0.0
+        want = DynamicGraph(g.n_nodes, SliceSparse3.from_dense(dense), g.id_map, undirected)
+        assert checked == ([want] if undirected else [])
+        assert (masked.n_nodes, masked.t_slots, masked.undirected, masked.id_map) == (want.n_nodes, want.t_slots, undirected, g.id_map)
+        for got_slice, want_slice in zip(masked.adjacency.slices, want.adjacency.slices):
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got_slice, name), getattr(want_slice, name)), name
+        assert masked.slot_keys().dtype == np.int64
+        assert np.array_equal(masked.slot_keys(), want.slot_keys())
+        for t in range(g.t_slots):
+            assert np.array_equal(masked.slot_edges[t], want.slot_edges[t])
+
     def test_bad_fractions(self):
         g = random_graph(34)
         with pytest.raises(ParameterError):

@@ -13,6 +13,7 @@ from nohgnn.overlap import (
 from nohgnn.structural import build_feature_context, compute_overlap_tensor
 from nohgnn.tape import Tape
 from nohgnn.tensor3 import SliceSparse3
+from feature_helpers import row_features
 from pattern_helpers import entry_table
 from softmax_reference import masked_softmax
 
@@ -44,7 +45,7 @@ class TestScores:
         pat = pattern_for(b)
         o = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         t = Tape()
-        scores = overlap_scores(t, t.constant(o), pat)
+        scores = overlap_scores(t, row_features(t, t.constant(o)), pat)
         table = entry_table(pat)
         for (slot, i, j), s in zip(table, scores.value):
             if i != j:
@@ -56,7 +57,7 @@ class TestScores:
         pat = pattern_for(b)
         o = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         t = Tape()
-        scores = overlap_scores(t, t.constant(o), pat)
+        scores = overlap_scores(t, row_features(t, t.constant(o)), pat)
         table = entry_table(pat).tolist()
         idx = table.index([0, 0, 1])
         assert scores.value[idx] == pytest.approx(11.0)
@@ -70,7 +71,7 @@ class TestScores:
         pat = pattern_for(b)
         o = rng.normal(size=(2, 6, 3))
         t = Tape()
-        scores = overlap_scores(t, t.constant(o), pat)
+        scores = overlap_scores(t, row_features(t, t.constant(o)), pat)
         lookup = {
             (int(tt), int(i), int(j)): float(v)
             for (tt, i, j), v in zip(entry_table(pat), scores.value)
@@ -87,7 +88,7 @@ class TestNormalization:
         rng = np.random.default_rng(42)
         o = rng.normal(size=(1, 3, 2))
         t = Tape()
-        w = aggregation_weights(t, t.constant(o), pat)
+        w = aggregation_weights(t, row_features(t, t.constant(o)), pat)
         table = entry_table(pat).tolist()
         assert w.value[table.index([0, 2, 2])] == pytest.approx(1.0, abs=0)
 
@@ -98,7 +99,7 @@ class TestNormalization:
         pat = pattern_for(b)
         o = np.array([[[1.0, 1.0], [1.0, 1.0]]])
         t = Tape()
-        w = aggregation_weights(t, t.constant(o), pat)
+        w = aggregation_weights(t, row_features(t, t.constant(o)), pat)
         np.testing.assert_allclose(w.value, [0.5, 0.5, 0.5, 0.5], atol=1e-15)
 
     def test_log_two_gap(self):
@@ -124,7 +125,7 @@ class TestNormalization:
         pat = pattern_for(b)
         o = rng.normal(size=(t_slots, n, 4))
         t = Tape()
-        w = aggregation_weights(t, t.constant(o), pat)
+        w = aggregation_weights(t, row_features(t, t.constant(o)), pat)
         sums = np.add.reduceat(w.value, pat.row_splits[:-1])
         np.testing.assert_allclose(sums, np.ones(t_slots * n), atol=1e-9)
         assert np.all(w.value > 0.0)
@@ -149,8 +150,8 @@ class TestNormalization:
         pat = pattern_for(b)
         o = rng.normal(size=(2, 6, 3))
         t = Tape()
-        w1 = aggregation_weights(t, t.constant(o), pat)
-        w2 = aggregation_weights(t, t.constant(o * 2.0), pat)
+        w1 = aggregation_weights(t, row_features(t, t.constant(o)), pat)
+        w2 = aggregation_weights(t, row_features(t, t.constant(o * 2.0)), pat)
         for lo, hi in zip(pat.row_splits[:-1], pat.row_splits[1:]):
             assert np.argmax(w1.value[lo:hi]) == np.argmax(w2.value[lo:hi])
 
@@ -161,7 +162,7 @@ class TestNormalization:
         rng = np.random.default_rng(45)
         o = rng.normal(size=(2, 4, 3))
         t = Tape()
-        w = aggregation_weights(t, t.constant(o), pat)
+        w = aggregation_weights(t, row_features(t, t.constant(o)), pat)
         dense_w = np.zeros((2, 4, 4))
         for (tt, i, j), v in zip(entry_table(pat), w.value):
             dense_w[tt, i, j] = v

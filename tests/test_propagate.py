@@ -7,8 +7,10 @@ import pytest
 import nohgnn.model as model_mod
 import nohgnn.tensor3 as tensor3_mod
 from nohgnn.model import forward, init_model_params
+from nohgnn.overlap import overlap_scores
 from nohgnn.tape import ParamStore, Tape
 from nohgnn.tensor3 import SlicePattern, SliceSparse3, make_transform, sparse_operator
+from feature_helpers import row_features
 from pattern_helpers import entry_table
 from propagate_oracle import OracleTape
 
@@ -145,9 +147,13 @@ def test_pair_dot_bit_equals_oracle(case):
     elif case == "zero_slices":
         r[: pattern.offsets[2]] = 0.0
     results = []
-    for tape in (Tape(), OracleTape()):
+    # the score op reads one class per (slot, node) row; the oracle, the rows
+    for tape, scores in (
+        (Tape(), lambda tape, o: overlap_scores(tape, row_features(tape, o), pattern)),
+        (OracleTape(), lambda tape, o: tape.pair_dot(o, pattern)),
+    ):
         o = tape.leaf(o0, requires_grad=True)
-        out = tape.pair_dot(o, pattern)
+        out = scores(tape, o)
         tape.backward(tape.sum(tape.mul(out, tape.constant(r))))
         results.append((out.value, o.grad))
     assert_bit_equal(*results)
@@ -338,7 +344,7 @@ def test_live_plan_is_built_by_the_first_backward(monkeypatch, case):
 @pytest.mark.parametrize("kind", ["identity", "dct"])
 def test_live_forward_gradients_bit_equal_full(monkeypatch, kind, case):
     """Every parameter gradient of a loss that reaches ``forward`` through
-    ``pair_dot`` and ``segment_softmax`` is the same, bit for bit, with the
+    the score op and ``segment_softmax`` is the same, bit for bit, with the
     live operator ``forward`` builds and with the full one."""
     monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", 32 * 1001)
     pattern = scale_pattern()
@@ -364,7 +370,7 @@ def test_live_forward_gradients_bit_equal_full(monkeypatch, kind, case):
         tape = Tape()
         leaves = store.leaves(tape)
         o = tape.leaf(o0, requires_grad=True)
-        scores = tape.add(tape.pair_dot(o, pattern), tape.constant(offset))
+        scores = tape.add(overlap_scores(tape, row_features(tape, o), pattern), tape.constant(offset))
         weights = tape.segment_softmax(scores, pattern.row_splits)
         assert np.any(weights.value == 0) == (case != "no_zeros")
         h = forward(tape, leaves, pattern, weights, tf, 2)

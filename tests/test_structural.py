@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import ingest_oracle as oracle
+from feature_helpers import expand, row_features
 import nohgnn.tape as tape_mod
 from nohgnn import structural, training
 from nohgnn.data import EdgeEvent, EdgeTable, bin_snapshots, split_edges
@@ -163,9 +164,9 @@ class TestFeatureContext:
         store = ParamStore()
         init_generator_params(store, 5, np.random.default_rng(1))
         t = Tape()
-        out = generate_features(t, ctx, store.leaves(t))
-        assert out.value.shape == (3, 4, 5)
-        assert np.array_equal(out.value, np.broadcast_to(theta_of_zero(store), (3, 4, 5)))
+        out = expand(generate_features(t, ctx, store.leaves(t)))
+        assert out.shape == (3, 4, 5)
+        assert np.array_equal(out, np.broadcast_to(theta_of_zero(store), (3, 4, 5)))
 
     def test_all_distinct_rows(self):
         # slot t, row i holds i + 1 entries of value t + 1: no two rows agree
@@ -178,7 +179,7 @@ class TestFeatureContext:
         store = ParamStore()
         init_generator_params(store, 4, np.random.default_rng(2))
         t1, t2 = Tape(), Tape()
-        got = generate_features(t1, ctx, store.leaves(t1)).value
+        got = expand(generate_features(t1, ctx, store.leaves(t1)))
         want = oracle.generate_features(t2, old, store.leaves(t2)).value
         assert got.tobytes() == want.tobytes()
 
@@ -209,8 +210,8 @@ class TestGenerateFeatures:
         g = triangle_graph()
         ctx = build_feature_context(compute_overlap_tensor(g, 2))
         t = Tape()
-        out = generate_features(t, ctx, store.leaves(t))
-        assert np.all(out.value == 0.0)
+        out = expand(generate_features(t, ctx, store.leaves(t)))
+        assert np.all(out == 0.0)
 
     def test_matches_naive_oracle(self):
         store = self.make_store()
@@ -218,8 +219,8 @@ class TestGenerateFeatures:
         b = compute_overlap_tensor(g, 2)
         ctx = build_feature_context(b)
         t = Tape()
-        out = generate_features(t, ctx, store.leaves(t))
-        np.testing.assert_allclose(out.value, naive_features(b.densify().data, store), atol=1e-12)
+        out = expand(generate_features(t, ctx, store.leaves(t)))
+        np.testing.assert_allclose(out, naive_features(b.densify().data, store), atol=1e-12)
 
     def test_linear_identity_maps_pass_value_through(self):
         dim = 3
@@ -235,9 +236,9 @@ class TestGenerateFeatures:
         g = bin_snapshots([EdgeEvent(0, 1, 0)], 1)
         ctx = build_feature_context(compute_overlap_tensor(g, 1))
         t = Tape()
-        out = generate_features(t, ctx, store.leaves(t))
-        np.testing.assert_allclose(out.value[0, 0], np.ones(dim), atol=1e-12)
-        np.testing.assert_allclose(out.value[0, 1], np.ones(dim), atol=1e-12)
+        out = expand(generate_features(t, ctx, store.leaves(t)))
+        np.testing.assert_allclose(out[0, 0], np.ones(dim), atol=1e-12)
+        np.testing.assert_allclose(out[0, 1], np.ones(dim), atol=1e-12)
 
     def test_empty_support_rows_get_theta_of_zero(self):
         store = self.make_store()
@@ -246,11 +247,11 @@ class TestGenerateFeatures:
         b = compute_overlap_tensor(g, 1)
         ctx = build_feature_context(b)
         t = Tape()
-        out = generate_features(t, ctx, store.leaves(t))
+        out = expand(generate_features(t, ctx, store.leaves(t)))
         expect = theta_of_zero(store)
         # slot 1 leaves nodes 0..3 without edges
-        np.testing.assert_allclose(out.value[1, 0], expect, atol=1e-12)
-        np.testing.assert_allclose(out.value[1, 2], expect, atol=1e-12)
+        np.testing.assert_allclose(out[1, 0], expect, atol=1e-12)
+        np.testing.assert_allclose(out[1, 2], expect, atol=1e-12)
 
     def test_node_permutation_equivariance(self):
         store = self.make_store(seed=5)
@@ -263,9 +264,9 @@ class TestGenerateFeatures:
         ctx1 = build_feature_context(compute_overlap_tensor(g1, 2))
         ctx2 = build_feature_context(compute_overlap_tensor(g2, 2))
         t1, t2 = Tape(), Tape()
-        o1 = generate_features(t1, ctx1, store.leaves(t1))
-        o2 = generate_features(t2, ctx2, store.leaves(t2))
-        np.testing.assert_array_equal(o2.value[:, perm, :], o1.value)
+        o1 = expand(generate_features(t1, ctx1, store.leaves(t1)))
+        o2 = expand(generate_features(t2, ctx2, store.leaves(t2)))
+        np.testing.assert_array_equal(o2[:, perm, :], o1)
 
     def test_gradients_match_central_differences(self):
         store = self.make_store(dim=3, seed=8)
@@ -275,7 +276,9 @@ class TestGenerateFeatures:
         r = rng.normal(size=(2, 5, 3))
 
         def build(t, leaves):
-            return t.sum(t.mul(generate_features(t, ctx, leaves), t.constant(r)))
+            features = generate_features(t, ctx, leaves)
+            rows = t.gather_rows(features.rows, ctx.row_class)
+            return t.sum(t.mul(rows, t.constant(r)))
 
         assert grad_check(build, store) <= 1e-4
 
@@ -308,7 +311,7 @@ class TestPerClassGenerator:
         config, prep, old = oracle_case(case)
         store = training.init_params(config, prep.n_nodes, prep.t_slots)
         t1, t2 = Tape(), Tape()
-        got = generate_features(t1, prep.ctx, store.leaves(t1)).value
+        got = expand(generate_features(t1, prep.ctx, store.leaves(t1)))
         want = oracle.generate_features(t2, old.ctx, store.leaves(t2)).value
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -318,7 +321,10 @@ class TestPerClassGenerator:
         config, prep, old = oracle_case(case)
         store = training.init_params(config, prep.n_nodes, prep.t_slots)
         got = step_gradients(config, prep, store)
-        monkeypatch.setattr(training, "generate_features", oracle.generate_features)
+        # the oracle's (T, N, F) rows, scored with one class per row
+        monkeypatch.setattr(
+            training, "generate_features", lambda tape, ctx, leaves: row_features(tape, oracle.generate_features(tape, ctx, leaves))
+        )
         want = step_gradients(config, old, store)
         assert got.keys() == want.keys()
         for name in got:
@@ -330,20 +336,21 @@ class TestPerClassGenerator:
                 assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_only_the_decoder_gathers_build_a_scatter_in_the_backward(self, monkeypatch):
-        # the feature gather multiplies by the scatter its context built once
+        # the score op multiplies by the scatter its context built once; the
+        # decoder's one gather builds one per endpoint column
         config, prep, _ = oracle_case("heavy-tailed")
         store = training.init_params(config, prep.n_nodes, prep.t_slots)
         built = []
         inner = tape_mod.row_scatter
 
-        def counted(index, n_rows):
-            built.append(np.shape(index))
-            return inner(index, n_rows)
+        def counted(index, n_rows, column=None):
+            built.append((np.shape(index), column))
+            return inner(index, n_rows, column)
 
         monkeypatch.setattr(tape_mod, "row_scatter", counted)
         step_gradients(config, prep, store)
         pairs = training.labeled_split(prep, config, "train").pairs
-        assert built == [(len(pairs),), (len(pairs),)]
+        assert built == [((len(pairs), 2), 0), ((len(pairs), 2), 1)]
 
     def test_the_feature_scatter_is_built_on_the_first_training_step(self, monkeypatch):
         # an assemble and a forward without gradients, as in eval, never
@@ -365,17 +372,17 @@ class TestPerClassGenerator:
         assert built == [prep.ctx.row_class.shape]
 
     def test_recorded_values_have_one_row_per_class(self):
-        # apart from the gathered output, nothing the generator records is
-        # as tall as the T*N rows of the histogram
+        # nothing the generator records is as tall as the T*N rows of the
+        # histogram: its output is the class rows themselves
         config, prep, _ = oracle_case("heavy-tailed")
         store = training.init_params(config, prep.n_nodes, prep.t_slots)
         tape = Tape()
         out = generate_features(tape, prep.ctx, store.leaves(tape))
         n_classes = prep.ctx.counts.shape[0]
         assert len(prep.ctx.unique_values) <= n_classes < prep.t_slots * prep.n_nodes
-        *inner, (last, _, _) = tape._entries
-        assert last is out.cell and out.value.shape == (prep.t_slots, prep.n_nodes, config.dim)
-        assert max(node.value.shape[0] for node, _, _ in inner) == n_classes
+        assert out.ctx is prep.ctx
+        assert tape._entries[-1][0] is out.rows.cell and out.rows.value.shape == (n_classes, config.dim)
+        assert max(node.value.shape[0] for node, _, _ in tape._entries) == n_classes
 
 
 class TestInit:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import nohgnn.tape as tape_mod
 import nohgnn.tensor3 as tensor3_mod
 from nohgnn.errors import ParameterError, ShapeError
+from nohgnn.structural import FeatureContext
 from nohgnn.tape import Node, ParamStore, Tape, grad_check
 from nohgnn.tensor3 import (
     DenseOperator,
@@ -153,39 +154,58 @@ class TestStructuredRules:
 
     @pytest.mark.parametrize("n_rows,n_index", [(7, 0), (7, 1), (7, 40), (50, 30), (3, 200)])
     def test_gather_rows_backward_bit_equals_add_at(self, n_rows, n_index):
-        # repeated indices, and (with more rows than picks) rows never
-        # gathered; the backward builds its scatter, or is handed one
+        # repeated indices, and (with more rows than picks) rows never gathered
         rng = np.random.default_rng(n_rows * 1000 + n_index)
         idx = rng.integers(0, n_rows, size=n_index)
         g = rng.normal(size=(n_index, 5)) * 10.0 ** rng.integers(-8, 8, size=(n_index, 1))
         t = Tape()
         a = t.leaf(rng.normal(size=(n_rows, 5)), requires_grad=True)
         t.gather_rows(a, idx)
-        t.gather_rows(a, idx, tape_mod.row_scatter(idx, n_rows))
         want = np.zeros((n_rows, 5))
         np.add.at(want, idx, g)
-        for _, _, backward in t._entries:
-            (got,) = backward(g)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        ((_, _, backward),) = t._entries
+        (got,) = backward(g)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 4), (2, 0), (2, 3, 2)])
     def test_shaped_gather_equals_flat_gather_and_reshape(self, shape):
+        # the value is the flat gather's, reshaped; the gradient sums each
+        # column of the index's last axis as a flat gather of that column
+        # alone does, and adds the column sums in order
         rng = np.random.default_rng(sum(shape))
         idx = rng.integers(0, 5, size=shape)
         a0 = rng.normal(size=(5, 3))
-        r = rng.normal(size=shape + (3,))
-        grads, values = [], []
-        for shaped in (True, False):
-            t = Tape()
-            a = t.leaf(a0, requires_grad=True)
-            out = t.gather_rows(a, idx) if shaped else t.reshape(t.gather_rows(a, idx.ravel()), shape + (3,))
-            t.backward(t.sum(t.mul(out, t.constant(r))))
-            values.append(out.value)
-            grads.append(a.grad)
-        assert values[0].shape == shape + (3,)
-        assert values[0].tobytes() == values[1].tobytes()
-        assert grads[0].tobytes() == grads[1].tobytes()
+        r = rng.normal(size=shape + (3,)) * 10.0 ** rng.integers(-8, 8, size=shape + (1,))
+        t = Tape()
+        a = t.leaf(a0, requires_grad=True)
+        out = t.gather_rows(a, idx)
+        t.backward(t.sum(t.mul(out, t.constant(r))))
+        flat = Tape().gather_rows(Tape().leaf(a0), idx.ravel())
+        assert out.value.shape == shape + (3,)
+        assert out.value.tobytes() == flat.value.tobytes()
+        want = np.zeros_like(a0)
+        for c in range(shape[-1]):
+            part = Tape()
+            b = part.leaf(a0, requires_grad=True)
+            column = part.gather_rows(b, idx[..., c].ravel())
+            part.backward(part.sum(part.mul(column, part.constant(r[..., c, :].reshape(-1, 3)))))
+            want = b.grad if c == 0 else want + b.grad
+        assert a.grad.tobytes() == want.tobytes()
+
+    def test_gather_rows_reads_a_stack_as_the_matrix_of_its_rows(self):
+        rng = np.random.default_rng(16)
+        h0 = rng.normal(size=(3, 4, 2))
+        idx = np.array([[5, 0], [11, 5], [7, 7]])
+        t = Tape()
+        h = t.leaf(h0, requires_grad=True)
+        out = t.gather_rows(h, idx)
+        t.backward(t.sum(out))
+        assert out.value.tobytes() == h0.reshape(12, 2)[idx].tobytes()
+        want = np.zeros((12, 2))
+        np.add.at(want, idx.ravel(), 1.0)
+        assert h.grad.shape == (3, 4, 2)
+        np.testing.assert_array_equal(h.grad.reshape(12, 2), want)
 
     def test_gather_rows_range_check(self):
         t = Tape()
@@ -193,18 +213,22 @@ class TestStructuredRules:
         with pytest.raises(ParameterError):
             t.gather_rows(a, np.array([3]))
         with pytest.raises(ShapeError):
-            t.gather_rows(a, np.array([2, 0]), tape_mod.row_scatter(np.array([2]), 3))
+            t.gather_rows(t.leaf(np.zeros(3), requires_grad=True), np.array([0]))
 
-    def test_concat_splits_gradient(self):
-        rng = np.random.default_rng(15)
-        r = rng.normal(size=(2, 5))
-        t = Tape()
-        a = t.leaf(rng.normal(size=(2, 2)), requires_grad=True)
-        b = t.leaf(rng.normal(size=(2, 3)), requires_grad=True)
-        loss = t.sum(t.mul(t.concat(a, b), t.constant(r)))
-        t.backward(loss)
-        np.testing.assert_allclose(a.grad, r[:, :2], atol=0)
-        np.testing.assert_allclose(b.grad, r[:, 2:], atol=0)
+    def test_affine_equals_matmul_then_bias_add(self):
+        # the ops the decoder and the perceptrons recorded before affine
+        rng = np.random.default_rng(17)
+        x0, w0, b0 = rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+        r = rng.normal(size=(6, 3))
+        results = []
+        for fused in (True, False):
+            t = Tape()
+            x, w, b = (t.leaf(v, requires_grad=True) for v in (x0, w0, b0))
+            out = t.affine(x, w, b) if fused else t.add(t.matmul(x, w), b)
+            t.backward(t.sum(t.mul(out, t.constant(r))))
+            results.append([out.value, x.grad, w.grad, b.grad])
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
 
     def test_shape_errors(self):
         t = Tape()
@@ -212,8 +236,9 @@ class TestStructuredRules:
             t.matmul(t.constant(np.zeros((2, 3))), t.constant(np.zeros((2, 3, 4))))
         with pytest.raises(ShapeError):
             t.mul(t.constant(np.zeros(2)), t.constant(np.zeros(3)))
-        with pytest.raises(ShapeError):
-            t.concat(t.constant(np.zeros((2, 2))), t.constant(np.zeros((3, 2))))
+        for x, w, b in (((2, 3), (4, 2), (2,)), ((2, 3), (3, 2), (3,)), ((2, 3, 1), (3, 2), (2,))):
+            with pytest.raises(ShapeError, match="affine operands"):
+                t.affine(t.constant(np.zeros(x)), t.constant(np.zeros(w)), t.constant(np.zeros(b)))
 
 
 def random_pattern(rng, t_slots, n, density=0.4):
@@ -379,28 +404,41 @@ class TestSparseRules:
                 t.m_product(a, t.leaf(np.ones(bad)), op)
 
     def test_pair_dot_matches_masked_gram(self):
+        # 4 class rows spread over 2 slots of 5 nodes, so rows repeat within
+        # and across slots; the gradient of a class row sums over its rows
         rng = np.random.default_rng(18)
         pat = random_pattern(rng, 2, 5)
-        o0 = rng.normal(size=(2, 5, 3))
+        o0 = rng.normal(size=(4, 3))
+        row_class = rng.integers(0, 4, size=(2, 5))
+        classes = FeatureContext(np.zeros(0), sp.csr_matrix((4, 0)), row_class)
         r = rng.normal(size=pat.nnz)
 
         t = Tape()
         o = t.leaf(o0, requires_grad=True)
-        v = t.pair_dot(o, pat)
+        v = t.pair_dot(o, classes, pat)
         loss = t.sum(t.mul(v, t.constant(r)))
         t.backward(loss)
 
         table = entry_table(pat)
-        gram = np.einsum("tif,tjf->tij", o0, o0)
-        expect = gram[table[:, 0], table[:, 1], table[:, 2]]
-        np.testing.assert_allclose(v.value, expect, atol=1e-12)
 
         def f(o_arr):
-            g = np.einsum("tif,tjf->tij", o_arr, o_arr)
+            rows = o_arr[row_class]
+            g = np.einsum("tif,tjf->tij", rows, rows)
             return float((g[table[:, 0], table[:, 1], table[:, 2]] * r).sum())
 
+        rows = o0[row_class]
+        gram = np.einsum("tif,tjf->tij", rows, rows)
+        np.testing.assert_allclose(v.value, gram[table[:, 0], table[:, 1], table[:, 2]], atol=1e-12)
         fd = fd_probe(f, o0.copy())
         assert max_rel_err(o.grad, fd) < 1e-6
+
+    def test_pair_dot_shape_check(self):
+        pat = random_pattern(np.random.default_rng(19), 2, 5)
+        t = Tape()
+        o = t.leaf(np.ones((4, 3)), requires_grad=True)
+        for row_class in (np.zeros((2, 4), dtype=np.int64), np.zeros((3, 5), dtype=np.int64)):
+            with pytest.raises(ShapeError, match="do not match the pattern"):
+                t.pair_dot(o, FeatureContext(np.zeros(0), sp.csr_matrix((4, 0)), row_class), pat)
 
     def test_scatter_to_union_round_trip(self):
         # against identity slices of H the product returns the slices, and
@@ -650,25 +688,25 @@ class TestBackwardContract:
         t.backward(loss)
         assert float(x.grad) == pytest.approx(7.0)
 
-    @pytest.mark.parametrize("order", list(itertools.permutations(("add", "concat", "scale"))))
+    @pytest.mark.parametrize("order", list(itertools.permutations(("add", "reshape", "scale"))))
     def test_aliased_gradients_accumulate_out_of_place(self, order):
-        # y feeds add(y, y), both halves of a concat, and a scale: three
-        # consumers, two of whose rules hand back their incoming gradient or
-        # views of it; the one recorded last hands y its first gradient
+        # y feeds add(y, y), a reshape and a scale: three consumers, two of
+        # whose rules hand back their incoming gradient or a view of it; the
+        # one recorded last hands y its first gradient
         rng = np.random.default_rng(29)
         c = rng.normal(size=(3, 4))
-        r1, r2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 8))
+        r1, r2 = rng.normal(size=(3, 4)), rng.normal(size=(4, 3))
 
         def build(t, x):
             y = t.mul(x, t.constant(c))
             make = {
                 "add": lambda: t.add(y, y),
-                "concat": lambda: t.concat(y, y),
+                "reshape": lambda: t.reshape(y, (4, 3)),
                 "scale": lambda: t.scale(y, 0.5),
             }
             out = {name: make[name]() for name in order}
             loss = t.add(
-                t.add(t.sum(t.mul(out["add"], t.constant(r1))), t.sum(t.mul(out["concat"], t.constant(r2)))),
+                t.add(t.sum(t.mul(out["add"], t.constant(r1))), t.sum(t.mul(out["reshape"], t.constant(r2)))),
                 t.sumsq(out["scale"]),
             )
             return loss, y, out
@@ -682,9 +720,9 @@ class TestBackwardContract:
         assert max_rel_err(x.grad, numeric) < 1e-6
         # each consumer's own gradient is untouched by the sums taken into y
         assert np.array_equal(out["add"].grad, r1)
-        assert np.array_equal(out["concat"].grad, r2)
+        assert np.array_equal(out["reshape"].grad, r2)
         assert np.array_equal(out["scale"].grad, 2.0 * out["scale"].value)
-        np.testing.assert_allclose(y.grad, 2.0 * r1 + r2[:, :4] + r2[:, 4:] + out["scale"].value, rtol=1e-12)
+        np.testing.assert_allclose(y.grad, 2.0 * r1 + r2.reshape(3, 4) + out["scale"].value, rtol=1e-12)
         assert np.array_equal(x.grad, y.grad * c)
 
     def test_constant_subgraph_not_recorded(self):

@@ -481,13 +481,13 @@ class TestSharedForward:
             refs["pre_relu"].append(weakref.ref(a.value))
             return relu(tape, a)
 
-        def watched_pair_dot(tape, o, pattern):
-            out = pair_dot(tape, o, pattern)
+        def watched_pair_dot(tape, o, classes, pattern):
+            out = pair_dot(tape, o, classes, pattern)
             refs["scores"].append(weakref.ref(out.value))
             return out
 
-        def watched_gather_rows(tape, a, index, scatter=None):
-            out = gather_rows(tape, a, index, scatter)
+        def watched_gather_rows(tape, a, index):
+            out = gather_rows(tape, a, index)
             refs["rows"].append(weakref.ref(out.value))
             return out
 
@@ -507,13 +507,17 @@ class TestSharedForward:
         loss = compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg)
         embedding = weakref.ref(h.value)
         del h, probs
-        assert [len(refs[k]) for k in ("pre_relu", "scores", "rows")] == [2 + config.layers, 1, 2]
+        assert [len(refs[k]) for k in ("pre_relu", "scores", "rows")] == [2 + config.layers, 1, 1]
         assert embedding() is None
-        for name, held in refs.items():
-            assert all(ref() is None for ref in held), name
+        for name in ("pre_relu", "scores"):
+            assert all(ref() is None for ref in refs[name]), name
+        # the decoder's first affine reads the gathered pair rows
+        (rows,) = refs["rows"]
+        assert rows() is not None
         for out, parents, _ in tape._entries:
             assert all(isinstance(cell.value, np.ndarray) for cell in (out, *parents))
         tape.backward(loss)
+        assert rows() is None
         store.harvest(leaves)
         want = train_loop_oracle.train_loop(prep, config).store
         for name in want.names():
@@ -608,11 +612,13 @@ class TestGradientCheck:
         assert run_gradient_check(transform) <= 1e-4
 
 
-@pytest.mark.parametrize("kind, entries", [("dct", 35), ("identity", 35)])
+@pytest.mark.parametrize("kind, entries", [("dct", 26), ("identity", 26)])
 def test_tape_entries_of_one_training_step(kind, entries):
     """One training step on the criterion-6 instance: two M-product entries
     per layer under either transform, the aggregation and the weight
-    product, and one entry for the L2 penalty over every parameter."""
+    product; one affine entry per perceptron layer, two in each feature
+    perceptron and two in the decoder; one gather of both endpoints; and one
+    entry for the L2 penalty over every parameter."""
     config = TrainConfig(dim=32, transform=kind, seed=1)
     prep = prepare(planted_partition_graph(seed=9), config)
     store = training.init_params(config, prep.n_nodes, prep.t_slots)
@@ -627,4 +633,5 @@ def test_tape_entries_of_one_training_step(kind, entries):
     assert ops.count("m_product") == 2 * config.layers
     assert ops.count("sumsq") == 1
     assert "spmm" not in ops and "mode3" not in ops
+    assert ops.count("affine") == 6 and ops.count("gather_rows") == 1 and "matmul" not in ops
     assert ops[-4:] == ["bce_mean", "sumsq", "scale", "add"]
