@@ -4,10 +4,13 @@ Each layer multiplies the sparse aggregation tensor into the node tensor and
 then into a per-layer weight tensor: two M-products under the configured
 mode-3 transform, each one ``Tape.m_product`` entry over an operator from
 ``tensor3``, which alone applies the transform. Hidden layers apply ReLU
-and the final layer stays linear. The
-decoder gathers both endpoint rows of every pair at once, views them as one
-2F row, and maps 2F -> F -> 1 with two ``Tape.affine`` layers, a ReLU hidden
-layer and a sigmoid output.
+and the final layer stays linear. Under the orthonormal DCT the replicated
+embedding E is slot-constant and stays so (``tensor3``): the stack is
+h = P-bar relu(P-bar E W-bar_1) W-bar_2 on (N, F) rows, with P-bar = sum_t P_t
+and W-bar a layer's slot-mean weights, one sparse product per layer, not T.
+The decoder gathers both endpoint rows of every pair at once, views them as
+one 2F row, and maps 2F -> F -> 1 with two ``Tape.affine`` layers, a ReLU
+hidden layer and a sigmoid output.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from nohgnn.errors import NumericError, ParameterError
+from nohgnn.errors import NumericError, ParameterError, ShapeError
 from nohgnn.tape import Node, ParamStore, Tape, init_dense, xavier_uniform
-from nohgnn.tensor3 import DenseOperator, SlicePattern, SparseOperator, Transform, sparse_operator
+from nohgnn.tensor3 import DenseOperator, FacewiseOperator, SlicePattern, SlotMeanOperator, SlotSumOperator, SparseOperator, Transform
 
 LAYER_NOISE_SCALE = 0.05
 
@@ -65,20 +68,18 @@ def init_model_params(
 
 
 def propagate(tape: Tape, weights: Node, h: Node, op: SparseOperator) -> Node:
-    """Aggregation tensor times node tensor under the transform.
-
-    ``op`` is the operator of the flat ``weights`` (``sparse_operator``),
-    which ``forward`` builds once for all layers. One ``m_product`` tape
-    op applies it, so the full dense N x N x T tensor is never
-    materialized, and hands the gradient of the flat weights to ``weights``.
-    """
+    """Aggregation tensor times node tensor: one ``m_product`` tape op over
+    ``op``, the operator of the flat ``weights`` that ``forward`` builds once
+    for all layers, so the dense N x N x T tensor is never materialized."""
     return tape.m_product(weights, h, op)
 
 
 def weight_product(tape: Tape, h: Node, w: Node, tf: Transform) -> Node:
-    """Node tensor times a (T, F, F) weight stack under the transform: one
-    ``m_product`` tape op over the ``DenseOperator`` of ``h``."""
-    return tape.m_product(h, w, DenseOperator(h.value, tf))
+    """Node tensor times a (T, F, F) weight stack: one ``m_product`` tape op
+    over the ``DenseOperator`` of a (T, N, F) ``h``, or over the
+    ``SlotMeanOperator`` of the dct's slot-constant (N, F) rows."""
+    op = DenseOperator(h.value, tf) if h.value.ndim == 3 else SlotMeanOperator(h.value, tf.size)
+    return tape.m_product(h, w, op)
 
 
 def forward(
@@ -89,25 +90,28 @@ def forward(
     tf: Transform,
     n_layers: int,
 ) -> Node:
-    """Run the layer stack and return the (T, N, F) embedding node.
+    """Run the layer stack and return the embedding node: (T, N, F) under
+    the identity, the (N, F) rows every slot shares under the dct.
 
-    The aggregation operator (``sparse_operator`` of ``p_weights``) is
-    built once, before the first layer, and every layer's product and
-    backward uses it; it is not a tape node, so each layer still hands its
-    own weight gradient to ``p_weights``. Each layer records two
-    ``m_product`` entries, ``propagate`` and ``weight_product``, under
-    either transform. Hidden layers apply ReLU; the last layer stays
-    linear.
-
-    ``p_weights`` is a softmax output, so the operator is built
-    ``live_only``: the weight gradient is +0 at the dead entries, the exact
-    zeros (on dct, the tubes of exact zeros), where the full one would be
-    multiplied by 0 in the softmax backward anyway.
-    """
+    The aggregation operator is built once, not as a tape node, so each
+    layer hands its own weight gradient to ``p_weights``: face-wise on T
+    copies of the embedding under the identity, P-bar on the embedding under
+    the dct. Both are live only, as ``p_weights`` is a softmax output: the
+    weight gradient is +0 at the exact zeros (the tubes of them), which the
+    softmax backward multiplies by 0 anyway. Each layer records two
+    ``m_product`` entries; hidden layers apply ReLU. Other transforms raise
+    ``ParameterError``, as the reduction holds for the DCT alone."""
     if n_layers < 1:
         raise ParameterError(f"layer count must be >= 1, got {n_layers}")
-    op = sparse_operator(pattern, p_weights.value, tf, live_only=True)
-    h = tape.replicate(leaves["embed.e"], pattern.t_slots)
+    if tf.size != pattern.t_slots:
+        raise ShapeError(f"transform size {tf.size} does not match {pattern.t_slots} slices")
+    if tf.is_identity:
+        op = FacewiseOperator(pattern, p_weights.value, live_only=True)
+        h = tape.replicate(leaves["embed.e"], pattern.t_slots)
+    elif tf.kind == "dct2-orthonormal":
+        op, h = SlotSumOperator(pattern, p_weights.value), leaves["embed.e"]
+    else:
+        raise ParameterError(f"forward runs the identity or dct2-orthonormal transform, not {tf.kind!r}")
     for layer in range(1, n_layers + 1):
         spread = propagate(tape, p_weights, h, op)
         h = weight_product(tape, spread, leaves[f"layer{layer}.w"], tf)
@@ -124,15 +128,16 @@ def decode(
     h: Node,
     pairs: np.ndarray,
 ) -> Node:
-    """Link probabilities for (i, j, t) rows from the final embeddings."""
+    """Link probabilities for (i, j, t) rows: row (t, i) of a (T, N, F)
+    embedding, or row i of a slot-constant (N, F) one, whatever t is."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 3)
-    t_slots, n_nodes, dim = h.value.shape
+    *slots, n_nodes, dim = h.value.shape
     if len(pairs) == 0:
         raise ParameterError("decode needs at least one pair")
-    if pairs.min() < 0 or pairs[:, :2].max() >= n_nodes or pairs[:, 2].max() >= t_slots:
+    if pairs.min() < 0 or pairs[:, :2].max() >= n_nodes or pairs[:, 2].max() >= (slots[0] if slots else np.inf):
         raise ParameterError("pair indices out of range")
     # row t*N + i of the embedding viewed as a (T*N, F) matrix, per endpoint
-    ends = tape.gather_rows(h, pairs[:, 2:] * n_nodes + pairs[:, :2])
+    ends = tape.gather_rows(h, pairs[:, 2:] * n_nodes + pairs[:, :2] if slots else pairs[:, :2])
     rows = tape.reshape(ends, (len(pairs), 2 * dim))
     hidden = tape.relu(tape.affine(rows, leaves["dec.w1"], leaves["dec.b1"]))
     logits = tape.affine(hidden, leaves["dec.w2"], leaves["dec.b2"])

@@ -1,9 +1,9 @@
 """Reverse-mode automatic differentiation over a fixed primitive set.
 
-The op set is closed on purpose: every primitive the model needs (slice
-matrix multiplies, the M-product, segment softmax, activations, gathers,
-reductions, the BCE expression) has its own backward rule here, so each
-rule can be tested against central differences in isolation.
+The op set is closed on purpose: every primitive the model records (the
+M-product, affine layers, segment softmax, activations, gathers, reductions,
+the BCE expression) has its own backward rule here, so each rule can be
+tested against central differences in isolation.
 
 The M-product is one op, ``m_product``, for a sparse or a dense left
 operand: it records the operator ``tensor3`` builds for that operand, and
@@ -12,12 +12,12 @@ never applies a transform itself. ``sumsq`` takes every parameter at once.
 A tape entry keeps its nodes' gradient cells and its backward rule, never
 the nodes themselves: a value lives only while the caller holds its node or
 a rule has captured the array, and each rule captures only what it reads.
-``relu`` keeps its input's boolean mask; ``mul`` and ``matmul`` their
-operands; ``affine`` its weight, and its input until the weight gradient is
-computed; ``pair_dot`` its per-class feature rows; ``sigmoid`` and
-``segment_softmax`` their outputs; ``m_product`` its operator (which holds
-its left operand, or that operand times M) and its right operand as the
-operator transformed it. ``replicate`` records a broadcast view, not copies.
+``relu`` keeps its input's boolean mask; ``affine`` its weight, and its
+input until the weight gradient is computed; ``pair_dot`` its per-class
+feature rows; ``sigmoid`` and ``segment_softmax`` their outputs;
+``m_product`` its operator (which holds its left operand, or that operand
+times M) and its right operand as the operator transformed it.
+``replicate`` records a broadcast view, not copies.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from nohgnn import tensor3
 from nohgnn.errors import NumericError, ParameterError, ShapeError
-from nohgnn.tensor3 import DenseOperator, SlicePattern, SparseOperator
+from nohgnn.tensor3 import DenseOperator, SlicePattern, SlotMeanOperator, SparseOperator
 
 if TYPE_CHECKING:
     from nohgnn.structural import FeatureContext
@@ -167,25 +167,13 @@ class Tape:
 
     def add(self, a: Node, b: Node) -> Node:
         va, vb = a.value, b.value
-        if va.shape != vb.shape and vb.shape != va.shape[va.ndim - vb.ndim :]:
-            raise ShapeError(f"add operands {va.shape} and {vb.shape} do not align")
-        lead = tuple(range(va.ndim - vb.ndim))
+        if va.shape != vb.shape:
+            raise ShapeError(f"add operands {va.shape} and {vb.shape} differ")
 
         def backward(g):
-            gb = g.sum(axis=lead) if lead else g
-            return g, gb
+            return g, g
 
         return self._record(va + vb, (a, b), backward)
-
-    def mul(self, a: Node, b: Node) -> Node:
-        va, vb = a.value, b.value
-        if va.shape != vb.shape:
-            raise ShapeError(f"mul operands {va.shape} and {vb.shape} differ")
-
-        def backward(g):
-            return g * vb, g * va
-
-        return self._record(va * vb, (a, b), backward)
 
     def scale(self, a: Node, c: float) -> Node:
         c = float(c)
@@ -194,15 +182,6 @@ class Tape:
             return (g * c,)
 
         return self._record(a.value * c, (a,), backward)
-
-    def matmul(self, a: Node, b: Node) -> Node:
-        va, vb = a.value, b.value
-        if va.ndim == vb.ndim and va.ndim in (2, 3):
-            def backward(g):
-                return g @ np.swapaxes(vb, -1, -2), np.swapaxes(va, -1, -2) @ g
-
-            return self._record(va @ vb, (a, b), backward)
-        raise ShapeError(f"matmul expects matching 2-D or 3-D stacks, got {va.shape} @ {vb.shape}")
 
     def affine(self, x: Node, w: Node, b: Node) -> Node:
         """``x @ w + b`` for matrices x and w and a bias vector b, the bias
@@ -372,11 +351,10 @@ class Tape:
 
         return self._record(w, (scores,), backward)
 
-    def m_product(self, a: Node, b: Node, op: SparseOperator | DenseOperator) -> Node:
-        """M-product of ``a`` with a dense (T, k, F) stack ``b``: ``op`` is
-        the operator of ``a``'s value, ``tensor3.sparse_operator`` of flat
-        pattern values (which a forward builds once for every layer) or
-        ``tensor3.DenseOperator`` of a dense stack, and checks both shapes."""
+    def m_product(self, a: Node, b: Node, op: SparseOperator | DenseOperator | SlotMeanOperator) -> Node:
+        """M-product of ``a`` with a dense ``b``: ``op`` is the operator of
+        ``a``'s value (flat pattern values, a dense stack, or the dct's
+        slot-constant rows; see ``tensor3``), and checks both shapes."""
         op.check(a.value, b.value)
         out, b_hat = op.apply(b.value)
 

@@ -7,9 +7,13 @@ flat values over a ``SlicePattern``: per-slice CSR matrices under the
 identity, P-hat on the union support under a mixing transform.
 ``DenseOperator`` holds a dense stack times M. Each has ``check``, ``apply``
 and ``grads``; ``m_product`` and ``facewise_product`` use them for either
-kind of left operand, and the model records them with the one tape op
-``Tape.m_product``: the aggregation operator, built once per forward from
-its softmax weights and live only, and a dense one per weight product.
+kind of left operand, and the model records them with ``Tape.m_product``.
+
+The orthonormal DCT-II maps a constant tube onto its first (DC) slice alone
+and back, so a product with a slot-constant operand is slot-constant: P
+times constant rows y is (sum_t P_t) y / sqrt(T), and constant rows a times
+W is sqrt(T) a mean_t(W_t). ``SlotSumOperator`` and ``SlotMeanOperator``
+compute them on the shared rows without the factors, which cancel in a layer.
 
 Storage convention: a tensor with dims (d1, d2, d3) lives in a float64 array
 of shape (d3, d1, d2), so ``data[t]`` is the t-th frontal slice and
@@ -403,16 +407,19 @@ class UnionChunk(NamedTuple):
 
 class SparseOperator:
     """An M-product operator whose left operand is flat values over a
-    pattern; ``sparse_operator`` builds one of its two forms."""
+    pattern, times (T, d2, F) arrays, or (d2, F) ones if ``node_axes`` is 2."""
+
+    node_axes = 3
 
     def check(self, values: np.ndarray, y: np.ndarray) -> None:
         """Raise ``ShapeError`` unless ``values`` fit the pattern and ``y``
-        is a (T, d2, F) array it can multiply."""
+        is an array it can multiply."""
         pattern = self.pattern
         if values.shape != (pattern.nnz,):
             raise ShapeError(f"values shape {values.shape} does not match pattern nnz {pattern.nnz}")
-        if y.ndim != 3 or y.shape[:2] != (pattern.t_slots, pattern.n_cols):
-            raise ShapeError(f"node tensor shape {y.shape} does not match pattern {pattern.t_slots}x{pattern.n_cols}")
+        lead = (pattern.t_slots, pattern.n_cols)[3 - self.node_axes :]
+        if y.ndim != self.node_axes or y.shape[:-1] != lead:
+            raise ShapeError(f"node tensor shape {y.shape} does not match pattern {'x'.join(map(str, lead))}")
 
 
 class FacewiseOperator(SparseOperator):
@@ -422,8 +429,8 @@ class FacewiseOperator(SparseOperator):
 
     The value gradient is computed on the live entries and is +0 at the
     others. Every entry is live, since at a zero value the gradient is g·y,
-    not 0; built with ``live_only``, only the entries with a nonzero value
-    are (``sparse_operator``)."""
+    not 0; built with ``live_only``, as the model builds it from softmax
+    weights, only the entries with a nonzero value are."""
 
     def __init__(self, pattern: SlicePattern, values: np.ndarray, live_only: bool = False):
         self.pattern = pattern
@@ -462,43 +469,25 @@ class UnionOperator(SparseOperator):
     """The sparse M-product of flat values over a pattern under a mixing
     transform, which acts on union tubes and never on the full d1 x d2 x T
     tensor. The values are scattered onto the union of the slices' supports
-    and M mixes every live tube; slice t of the result P-hat is a CSR matrix
-    over the live tubes, and all of them share one set of structure arrays.
+    and M mixes every tube; slice t of the result P-hat is a CSR matrix over
+    the union, and all of them share one set of structure arrays. P-hat is
+    built, and the value gradient computed, one union chunk at a time (see
+    ``UNION_CHUNK``), so no (T, union nnz) stack is ever held."""
 
-    Every union tube is live; built with ``live_only``, only the tubes
-    holding a nonzero value are. A dead tube's P-hat column is M times 0, so
-    leaving it out changes no product, and its entries get a value gradient
-    of +0. P-hat is built, and the value gradient computed, one union chunk
-    at a time (see ``UNION_CHUNK``): each mode-3 product runs over the
-    chunk's full width, dead columns at 0, so it rounds as over the whole
-    union, and no (T, union nnz) stack is ever held."""
-
-    def __init__(self, pattern: SlicePattern, values: np.ndarray, tf: Transform, live_only: bool = False):
+    def __init__(self, pattern: SlicePattern, values: np.ndarray, tf: Transform):
         self.pattern = pattern
         self.tf = tf
-        u_indptr, u_indices, flat_to_union = pattern.union
-        live = np.zeros(len(u_indices), dtype=bool)
-        live[flat_to_union[values != 0] if live_only else flat_to_union] = True
-        self.live = live
-        self._live_chunks: list[tuple[np.ndarray, np.ndarray, UnionChunk]] | None = None
+        u_indptr, u_indices, _ = pattern.union
         # one array per slice, not rows of one stack, which scipy would copy
-        n_live = int(np.count_nonzero(live))
-        p_hat = [np.empty(n_live) for _ in range(pattern.t_slots)]
-        done = 0
+        p_hat = [np.empty(len(u_indices)) for _ in range(pattern.t_slots)]
         for chunk in pattern.union_chunks():
-            cols = np.flatnonzero(live[chunk.lo : chunk.hi])
-            if not len(cols):
-                continue
             p_chunk = np.zeros((pattern.t_slots, chunk.hi - chunk.lo))
             p_chunk[chunk.slots, chunk.positions] = values[chunk.entries]
             p_chunk = _apply_mode3(p_chunk, tf.m)
             for t, p_row in enumerate(p_hat):
-                # "clip" takes without a buffer; cols are in range
-                p_chunk[t].take(cols, out=p_row[done : done + len(cols)], mode="clip")
-            done += len(cols)
+                p_row[chunk.lo : chunk.hi] = p_chunk[t]
         shape = (pattern.n_rows, pattern.n_cols)
-        u_indptr = np.concatenate(([0], np.cumsum(live)))[u_indptr]
-        first = sp.csr_matrix((p_hat[0], u_indices[live], u_indptr), shape=shape, copy=False)
+        first = sp.csr_matrix((p_hat[0], u_indices, u_indptr), shape=shape, copy=False)
         # later slices reuse the index arrays scipy converted for the first
         self.slices = [first] + [
             sp.csr_matrix((p_hat[t], first.indices, first.indptr), shape=shape, copy=False)
@@ -513,44 +502,78 @@ class UnionOperator(SparseOperator):
             prod[t] = p_t @ y_hat[t]
         return _apply_mode3(prod, self.tf.minv), y_hat
 
-    def live_chunks(self) -> list[tuple[np.ndarray, np.ndarray, UnionChunk]]:
-        """Each chunk with a live tube: its live columns, their column
-        indices, and the chunk cut down to its live tubes; built on the
-        first call, so a forward that runs no backward never builds it."""
-        if self._live_chunks is None:
-            live, u_indices = self.live, self.pattern.union[1]
-            self._live_chunks = []
-            for chunk in self.pattern.union_chunks():
-                cols = np.flatnonzero(live[chunk.lo : chunk.hi])
-                if not len(cols):
-                    continue
-                keep = live[chunk.lo + chunk.positions]
-                self._live_chunks.append((cols, u_indices[chunk.lo + cols], UnionChunk(
-                    chunk.lo, chunk.hi, chunk.rows[cols],
-                    chunk.entries[keep], chunk.slots[keep], chunk.positions[keep],
-                )))
-        return self._live_chunks
-
     def grads(self, g: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The gradients of the flat values and of y, given the product's:
         M^-T on g, the transposed slice products for y, and for the values
-        each chunk's sampled products on its live tubes, M^T over the chunk,
-        then the chunk's live entries."""
+        each chunk's sampled products, M^T over the chunk, then the flat
+        entries of the chunk."""
         pattern, tf = self.pattern, self.tf
         g_hat = _apply_mode3(g, tf.minv.T)
         dy_hat = np.empty_like(y_hat)
         for t, p_t in enumerate(self.slices):
             dy_hat[t] = p_t.T @ g_hat[t]
-        dvals = np.zeros(pattern.nnz)
-        for cols, live_cols, live in self.live_chunks():
-            dp_hat = np.zeros((pattern.t_slots, live.hi - live.lo))
-            dp_live = np.empty(len(cols))
+        u_indices = pattern.union[1]
+        dvals = np.empty(pattern.nnz)
+        for chunk in pattern.union_chunks():
+            dp_hat = np.empty((pattern.t_slots, chunk.hi - chunk.lo))
             for t in range(pattern.t_slots):
-                _sddmm(g_hat[t], live.rows, y_hat[t], live_cols, dp_live)
-                dp_hat[t, cols] = dp_live
+                _sddmm(g_hat[t], chunk.rows, y_hat[t], u_indices[chunk.lo : chunk.hi], dp_hat[t])
             dp = _apply_mode3(dp_hat, tf.m.T)
-            dvals[live.entries] = dp[live.slots, live.positions]
+            dvals[chunk.entries] = dp[chunk.slots, chunk.positions]
         return dvals, _apply_mode3(dy_hat, tf.m.T)
+
+
+class SlotSumOperator(SparseOperator):
+    """P-bar = sum_t P_t of flat values, summed in slot order into one CSR
+    matrix on the union support, times (d2, F) rows: the DCT M-product with
+    a slot-constant right operand (see the module docstring). Each flat
+    entry gets its tube's value gradient, which is computed on the live
+    tubes, those holding a nonzero value, and is +0 at the others."""
+
+    node_axes = 2
+
+    def __init__(self, pattern: SlicePattern, values: np.ndarray):
+        self.pattern = pattern
+        u_indptr, u_indices, flat_to_union = pattern.union
+        self.live = np.zeros(len(u_indices), dtype=bool)
+        self.live[flat_to_union[values != 0]] = True
+        sums = np.bincount(flat_to_union, weights=values, minlength=len(u_indices))
+        self.matrix = nonzero_csr(sums, u_indices, u_indptr, (pattern.n_rows, pattern.n_cols))
+
+    def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.matrix @ y, y
+
+    def grads(self, g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The value gradient, the sampled products on the live tubes sent to
+        their flat entries, and P-bar^T g."""
+        u_indptr, u_indices, flat_to_union = self.pattern.union
+        live = np.flatnonzero(self.live)
+        rows = np.repeat(np.arange(self.pattern.n_rows), np.diff(u_indptr))
+        d_sums, live_sums = np.zeros(len(u_indices)), np.empty(len(live))
+        _sddmm(g, rows[live], y, u_indices[live], live_sums)
+        d_sums[live] = live_sums
+        return d_sums[flat_to_union], self.matrix.T @ g
+
+
+class SlotMeanOperator:
+    """(d1, k) rows ``a`` times the slot mean of (T, k, d2) stacks: the DCT
+    M-product of a slot-constant left operand (see the module docstring)."""
+
+    def __init__(self, a: np.ndarray, t_slots: int):
+        self.a, self.t_slots = a, t_slots
+
+    def check(self, a: np.ndarray, y: np.ndarray) -> None:
+        if a.shape != self.a.shape or y.ndim != 3 or y.shape[:2] != (self.t_slots, a.shape[1]):
+            raise ShapeError(f"operands {a.shape} and {y.shape} do not fit rows {self.a.shape} over {self.t_slots} slots")
+
+    def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y_mean = y.mean(axis=0)
+        return self.a @ y_mean, y_mean
+
+    def grads(self, g: np.ndarray, y_mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The matmul rule on the mean, whose gradient each slice of y gets / T."""
+        dy = np.broadcast_to((self.a.T @ g) / self.t_slots, (self.t_slots,) + y_mean.shape)
+        return g @ y_mean.T, dy.copy()
 
 
 class DenseOperator:
@@ -593,19 +616,11 @@ class DenseOperator:
         return _apply_mode3(da_hat, tf.m.T), _apply_mode3(dy_hat, tf.m.T)
 
 
-def sparse_operator(pattern: SlicePattern, values: np.ndarray, tf: Transform, *, live_only: bool = False) -> SparseOperator:
+def sparse_operator(pattern: SlicePattern, values: np.ndarray, tf: Transform) -> SparseOperator:
     """The sparse M-product operator of flat ``values`` over ``pattern``
-    under ``tf``: face-wise under the identity, over the union otherwise.
-
-    ``live_only`` is for values that are a softmax output, whose backward
-    multiplies their gradient by the values: the value gradient is then
-    computed on the live entries only and is +0 elsewhere. Under the
-    identity an entry is live when its value is not 0; under a mixing
-    transform, when some value of its union tube is not 0. With every entry
-    live the operator is the full one.
-    """
+    under ``tf``: face-wise under the identity, over the union otherwise."""
     if tf.size != pattern.t_slots:
         raise ShapeError(f"transform size {tf.size} does not match {pattern.t_slots} slices")
     if tf.is_identity:
-        return FacewiseOperator(pattern, values, live_only)
-    return UnionOperator(pattern, values, tf, live_only)
+        return FacewiseOperator(pattern, values)
+    return UnionOperator(pattern, values, tf)

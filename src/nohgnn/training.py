@@ -251,8 +251,8 @@ def init_params(config: TrainConfig, n_nodes: int, t_slots: int) -> ParamStore:
 def embed(
     tape: Tape, leaves: dict[str, Node], prep: PreparedData, tf: Transform, config: TrainConfig
 ) -> Node:
-    """Features, aggregation weights and the layer stack: the (T, N, F)
-    embedding node that the decoder reads pairs from."""
+    """Features, aggregation weights and the layer stack: the embedding node,
+    (T, N, F) or the dct's (N, F), that the decoder reads pairs from."""
     feats = generate_features(tape, prep.ctx, leaves)
     weights = aggregation_weights(tape, feats, prep.pattern)
     return forward(tape, leaves, prep.pattern, weights, tf, config.layers)
@@ -260,6 +260,8 @@ def embed(
 
 def predict(store: ParamStore, prep: PreparedData, config: TrainConfig, pairs: np.ndarray) -> np.ndarray:
     """Probabilities from the current parameters, without recording gradients."""
+    if np.asarray(pairs).reshape(-1, 3)[:, 2].max(initial=0) >= prep.t_slots:
+        raise ParameterError("pair slot out of range")  # a dct embedding has no slot axis
     tape = Tape()
     leaves = store.constants(tape)
     tf = make_transform(config.transform, prep.t_slots)

@@ -34,6 +34,7 @@ from nohgnn.data import (
 from nohgnn.errors import ParameterError, ParseError, ShapeError
 from nohgnn.tape import Node, Tape
 from nohgnn.tensor3 import SliceSparse3
+from tape_helpers import add, matmul
 
 log = logging.getLogger("nohgnn.data")
 
@@ -261,8 +262,8 @@ def build_feature_context(b: SliceSparse3) -> FeatureContext:
 
 
 def _perceptron(tape: Tape, x: Node, leaves: dict[str, Node], prefix: str) -> Node:
-    h = tape.relu(tape.add(tape.matmul(x, leaves[f"{prefix}.w1"]), leaves[f"{prefix}.b1"]))
-    return tape.add(tape.matmul(h, leaves[f"{prefix}.w2"]), leaves[f"{prefix}.b2"])
+    h = tape.relu(add(tape, matmul(tape, x, leaves[f"{prefix}.w1"]), leaves[f"{prefix}.b1"]))
+    return add(tape, matmul(tape, h, leaves[f"{prefix}.w2"]), leaves[f"{prefix}.b2"])
 
 
 def generate_features(tape: Tape, ctx: FeatureContext, leaves: dict[str, Node]) -> Node:

@@ -1,6 +1,9 @@
 """Differential tests of the propagation ops against the earlier ops in
 ``propagate_oracle.py``: values and gradients must agree bit for bit."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -9,10 +12,18 @@ import nohgnn.tensor3 as tensor3_mod
 from nohgnn.model import forward, init_model_params
 from nohgnn.overlap import overlap_scores
 from nohgnn.tape import ParamStore, Tape
-from nohgnn.tensor3 import SlicePattern, SliceSparse3, make_transform, sparse_operator
+from nohgnn.tensor3 import (
+    FacewiseOperator,
+    SlicePattern,
+    SliceSparse3,
+    SlotSumOperator,
+    make_transform,
+    sparse_operator,
+)
 from feature_helpers import row_features
-from pattern_helpers import entry_table
+from pattern_helpers import entry_table, to_sparse
 from propagate_oracle import OracleTape
+from tape_helpers import mul
 
 T_SLOTS, N, F = 4, 60, 5
 WEIGHT_CASES = ("no_zeros", "diagonal_only", "zero_slices", "mixed")
@@ -52,7 +63,7 @@ def run_op(tape: Tape, op: str, pattern: SlicePattern, w0, h0, r, tf):
     w = tape.leaf(w0, requires_grad=True)
     h = tape.leaf(h0, requires_grad=True)
     out = product(tape, op, pattern, w, h, tf)
-    tape.backward(tape.sum(tape.mul(out, tape.constant(r))))
+    tape.backward(tape.sum(mul(tape, out, tape.constant(r))))
     return out.value, w.grad, h.grad
 
 
@@ -154,7 +165,7 @@ def test_pair_dot_bit_equals_oracle(case):
     ):
         o = tape.leaf(o0, requires_grad=True)
         out = scores(tape, o)
-        tape.backward(tape.sum(tape.mul(out, tape.constant(r))))
+        tape.backward(tape.sum(mul(tape, out, tape.constant(r))))
         results.append((out.value, o.grad))
     assert_bit_equal(*results)
 
@@ -162,12 +173,14 @@ def test_pair_dot_bit_equals_oracle(case):
 @pytest.mark.parametrize("kind", ["identity", "dct"])
 def test_one_operator_per_forward(monkeypatch, kind):
     calls = []
+    name = "FacewiseOperator" if kind == "identity" else "SlotSumOperator"
+    build = getattr(model_mod, name)
 
     def counted(*args, **kwargs):
         calls.append((args[0], kwargs))
-        return sparse_operator(*args, **kwargs)
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(model_mod, "sparse_operator", counted)
+    monkeypatch.setattr(model_mod, name, counted)
     pattern = make_pattern(10, n=12)
     store = ParamStore()
     init_model_params(store, 12, F, T_SLOTS, 2, np.random.default_rng(11))
@@ -176,7 +189,7 @@ def test_one_operator_per_forward(monkeypatch, kind):
     weights = tape.leaf(np.random.default_rng(12).random(pattern.nnz), requires_grad=True)
     h = forward(tape, leaves, pattern, weights, make_transform(kind, T_SLOTS), 2)
     tape.backward(tape.sum(h))
-    assert calls == [(pattern, {"live_only": True})]
+    assert calls == [(pattern, {"live_only": True} if kind == "identity" else {})]
     assert weights.grad is not None
 
 
@@ -251,12 +264,24 @@ def live_entries(kind: str, pattern: SlicePattern, w: np.ndarray) -> np.ndarray:
     return tubes[flat_to_union]
 
 
+def slot_sum_oracle(pattern: SlicePattern, w0, h0, r):
+    """The product P-bar h0 with P-bar the slices of ``to_sparse`` added in
+    slot order, its node gradient P-bar^T r, and every flat entry's value
+    gradient r_i · h0_j."""
+    p_bar = functools.reduce(operator.add, to_sparse(pattern, w0).slices)
+    table = entry_table(pattern)
+    dw = np.einsum("ef,ef->e", r[table[:, 1]], h0[table[:, 2]])
+    return p_bar @ h0, dw, p_bar.T @ r
+
+
 @pytest.mark.parametrize("case", LIVE_CASES)
 @pytest.mark.parametrize("kind", ["identity", "dct"])
 def test_live_operator_bit_equals_oracle(monkeypatch, kind, case):
     """The live operator's product and node gradient equal the oracle's bit
     for bit, and so does its value gradient on the live entries; on the
-    dead ones it is +0."""
+    dead ones it is +0. Under the identity the oracle is the earlier spmm;
+    under the dct the operator is P-bar on slot-constant rows, and the
+    oracle the slices summed by scipy."""
     monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", 32 * 1001)
     pattern = scale_pattern()
     rng = np.random.default_rng(19)
@@ -264,18 +289,21 @@ def test_live_operator_bit_equals_oracle(monkeypatch, kind, case):
     h0 = rng.normal(size=(pattern.t_slots, pattern.n_cols, F))
     r = rng.normal(size=(pattern.t_slots, pattern.n_rows, F))
     tf = make_transform(kind, pattern.t_slots)
-    op = sparse_operator(pattern, w0, tf, live_only=True)
     live = live_entries(kind, pattern, w0)
     if kind == "identity":
+        op = FacewiseOperator(pattern, w0, live_only=True)
         assert sum(s.nnz for s in op.slices) == np.count_nonzero(w0)
+        want = run_op(OracleTape(), "spmm", pattern, w0, h0, r, tf)
     else:
-        # every P-hat slice holds exactly the live tubes
-        assert {s.nnz for s in op.slices} == {len(np.unique(pattern.union[2][live]))}
+        h0, r = h0[0], r[0]
+        op = SlotSumOperator(pattern, w0)
+        # P-bar holds exactly the live tubes: the weights are not negative
+        assert op.matrix.nnz == len(np.unique(pattern.union[2][live]))
+        want = slot_sum_oracle(pattern, w0, h0, r)
     tape = Tape()
     w, h = tape.leaf(w0, requires_grad=True), tape.leaf(h0, requires_grad=True)
     out = tape.m_product(w, h, op)
-    tape.backward(tape.sum(tape.mul(out, tape.constant(r))))
-    want = run_op(OracleTape(), "spmm" if kind == "identity" else "sparse_m_product", pattern, w0, h0, r, tf)
+    tape.backward(tape.sum(mul(tape, out, tape.constant(r))))
     assert_bit_equal((out.value, h.grad), (want[0], want[2]))
     assert live.all() == (case == "no_zeros")
     assert w.grad[live].tobytes() == want[1][live].tobytes()
@@ -286,8 +314,8 @@ def test_live_operator_bit_equals_oracle(monkeypatch, kind, case):
 @pytest.mark.parametrize("case", ["no_zeros", "mixed"])
 def test_no_mode3_product_wider_than_a_union_chunk(monkeypatch, case):
     """The dct operator builds P-hat and takes its value gradient one union
-    chunk at a time, also when every tube is live: every mode-3 product over
-    union tubes is exactly one chunk wide."""
+    chunk at a time: every mode-3 product over union tubes is exactly one
+    chunk wide."""
     monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", 32 * 1001)
     pattern = scale_pattern()
     w0, h0, r = inputs(22, pattern, case)
@@ -301,43 +329,11 @@ def test_no_mode3_product_wider_than_a_union_chunk(monkeypatch, case):
         return inner(arr, m)
 
     monkeypatch.setattr(tensor3_mod, "_apply_mode3", recorded)
-    op = sparse_operator(pattern, w0, make_transform("dct", pattern.t_slots), live_only=True)
+    op = sparse_operator(pattern, w0, make_transform("dct", pattern.t_slots))
     op.grads(r, op.apply(h0)[1])
     chunk_widths = [c.hi - c.lo for c in pattern.union_chunks()]
     assert len(chunk_widths) >= 4
     assert widths == chunk_widths * 2
-
-
-@pytest.mark.parametrize("case", ["no_zeros", "dead_chunks"])
-def test_live_plan_is_built_by_the_first_backward(monkeypatch, case):
-    """The dct operator cuts its chunks down to their live tubes on the
-    first ``grads`` call and keeps the result, so a forward that runs no
-    backward, such as an eval, never builds that plan."""
-    monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", 32 * 1001)
-    pattern = scale_pattern()
-    rng = np.random.default_rng(23)
-    w0 = live_weights(case, pattern, rng)
-    h0 = rng.normal(size=(pattern.t_slots, pattern.n_cols, F))
-    r = rng.normal(size=(pattern.t_slots, pattern.n_rows, F))
-    chunks = pattern.union_chunks()
-    built = []
-    inner = tensor3_mod.UnionChunk
-
-    def counted(*fields):
-        built.append(fields[:2])
-        return inner(*fields)
-
-    monkeypatch.setattr(tensor3_mod, "UnionChunk", counted)
-    op = sparse_operator(pattern, w0, make_transform("dct", pattern.t_slots), live_only=True)
-    y_hat = op.apply(h0)[1]
-    assert built == []
-    first = op.grads(r, y_hat)
-    plan = [(c.lo, c.hi) for c in chunks if op.live[c.lo : c.hi].any()]
-    assert built == plan
-    assert len(plan) < len(chunks) if case == "dead_chunks" else len(plan) == len(chunks)
-    second = op.grads(r, y_hat)
-    assert built == plan
-    assert_bit_equal(first, second)
 
 
 @pytest.mark.parametrize("case", ["no_zeros", "mixed", "diagonal_only"])
@@ -345,7 +341,8 @@ def test_live_plan_is_built_by_the_first_backward(monkeypatch, case):
 def test_live_forward_gradients_bit_equal_full(monkeypatch, kind, case):
     """Every parameter gradient of a loss that reaches ``forward`` through
     the score op and ``segment_softmax`` is the same, bit for bit, with the
-    live operator ``forward`` builds and with the full one."""
+    live operator ``forward`` builds and with the full one: under the dct,
+    the same P-bar with its value gradient taken on every tube."""
     monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", 32 * 1001)
     pattern = scale_pattern()
     rng = np.random.default_rng(20)
@@ -362,11 +359,17 @@ def test_live_forward_gradients_bit_equal_full(monkeypatch, kind, case):
     init_model_params(store, pattern.n_rows, F, pattern.t_slots, 2, np.random.default_rng(21))
     tf = make_transform(kind, pattern.t_slots)
 
-    def grads(**op_kwargs):
-        def build(pattern, values, tf, **_):
-            return sparse_operator(pattern, values, tf, **op_kwargs)
+    def grads(full=False):
+        def facewise(pattern, values, live_only):
+            return FacewiseOperator(pattern, values, live_only and not full)
 
-        monkeypatch.setattr(model_mod, "sparse_operator", build)
+        def slot_sum(pattern, values):
+            op = SlotSumOperator(pattern, values)
+            op.live[:] |= full
+            return op
+
+        monkeypatch.setattr(model_mod, "FacewiseOperator", facewise)
+        monkeypatch.setattr(model_mod, "SlotSumOperator", slot_sum)
         tape = Tape()
         leaves = store.leaves(tape)
         o = tape.leaf(o0, requires_grad=True)
@@ -377,6 +380,6 @@ def test_live_forward_gradients_bit_equal_full(monkeypatch, kind, case):
         tape.backward(tape.sum(h))
         return [h.value, o.grad] + [leaves[name].grad for name in sorted(leaves) if leaves[name].grad is not None]
 
-    live, full = grads(live_only=True), grads()
+    live, full = grads(), grads(full=True)
     assert len(live) == len(full) == 5
     assert_bit_equal(live, full)

@@ -1,6 +1,7 @@
 """What one training step holds, and that holding less changed no bit.
 
-The memory contracts: scoring keeps its features per class, the decoder
+The memory contracts: scoring keeps its features per class, the dct layer
+stack keeps no array with a row per slot and node, the decoder
 keeps only the pair rows and hidden activations its affine layers read, an
 affine layer lets its input go once the weight gradient is computed, and
 the replicated embedding is a view. The differential tests compare the
@@ -19,6 +20,7 @@ from nohgnn.structural import generate_features
 from nohgnn.synth import planted_partition_graph
 from nohgnn.tape import Tape
 from nohgnn.tensor3 import FacewiseOperator, SlicePattern, SliceSparse3, make_transform
+from tape_helpers import mul
 
 
 def criterion_6(transform="identity"):
@@ -64,7 +66,7 @@ class TestAgainstOracle:
             leaves = decoder_leaves(tape, 3, seed=7)
             h = tape.leaf(h0, requires_grad=True)
             probs = decode(tape, leaves, h, pairs)
-            tape.backward(tape.sum(tape.mul(probs, tape.constant(r))))
+            tape.backward(tape.sum(mul(tape, probs, tape.constant(r))))
             results.append([probs.value, h.grad] + [leaves[name].grad for name in sorted(leaves)])
         for got, want in zip(*results):
             assert got.tobytes() == want.tobytes()
@@ -85,7 +87,7 @@ class TestAgainstOracle:
                 scores = tape.pair_dot(tape.gather_rows(o, ctx.row_class, ctx.row_scatter), pattern)
             else:
                 scores = tape.pair_dot(o, ctx, pattern)
-            tape.backward(tape.sum(tape.mul(scores, tape.constant(r))))
+            tape.backward(tape.sum(mul(tape, scores, tape.constant(r))))
             results.append((scores.value, o.grad))
         for got, want in zip(*results):
             assert got.tobytes() == want.tobytes()
@@ -102,7 +104,12 @@ class TestAgainstOracle:
                 feats = oracle.generate_features(tape, prep.ctx, leaves)
                 weights = tape.segment_softmax(tape.pair_dot(feats, prep.pattern), prep.pattern.row_splits)
                 h = model.forward(tape, leaves, prep.pattern, weights, tf, config.layers)
-                probs = oracle.decode(tape, leaves, h, pairs.pairs)
+                rows = pairs.pairs
+                if h.value.ndim == 2:
+                    # the dct's slot-constant rows, read as the one slot of a stack
+                    h = tape.reshape(h, (1,) + h.value.shape)
+                    rows = rows * [1, 1, 0]
+                probs = oracle.decode(tape, leaves, h, rows)
             else:
                 probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, tf, config), pairs.pairs)
             loss = training.compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg)
@@ -153,6 +160,44 @@ class TestMemoryContract:
         leaves = store.leaves(tape)
         aggregation_weights(tape, generate_features(tape, prep.ctx, leaves), prep.pattern)
         assert "pair_dot" in {op for op, _, _ in seen}
+        assert [item for item in seen if item[2] == tall] == []
+
+    def test_no_layer_value_capture_or_gradient_has_a_row_per_slot_and_node(self, monkeypatch):
+        # the dct stack runs on the (N, F) rows every slot shares
+        config, prep, store = criterion_6("dct")
+        tall = prep.t_slots * prep.n_nodes
+        seen = []
+
+        def note(op, arrays):
+            seen.extend((op, arr.shape, rows_over_last_axis(arr)) for arr in arrays if isinstance(arr, np.ndarray))
+
+        record = Tape._record
+
+        def watched(tape, value, parents, backward):
+            op = backward.__qualname__.split(".")[1]
+            held = captured_arrays(backward)
+            for cell in backward.__closure__ or ():
+                if hasattr(cell.cell_contents, "check"):
+                    held += list(vars(cell.cell_contents).values())
+            note(op, [value] + held)
+
+            def rule(g):
+                grads = backward(g)
+                note(op, grads)
+                return grads
+
+            rule.__qualname__ = backward.__qualname__
+            return record(tape, value, parents, rule)
+
+        tape = Tape()
+        leaves = store.leaves(tape)
+        weights = aggregation_weights(tape, generate_features(tape, prep.ctx, leaves), prep.pattern)
+        monkeypatch.setattr(Tape, "_record", watched)
+        h = model.forward(tape, leaves, prep.pattern, weights, make_transform("dct", prep.t_slots), config.layers)
+        assert h.value.shape == (prep.n_nodes, config.dim)
+        tape.backward(tape.sum(h))
+        assert {op for op, _, _ in seen} == {"m_product", "relu", "sum"}
+        assert len(seen) > 4 * config.layers
         assert [item for item in seen if item[2] == tall] == []
 
     def test_after_decode_only_the_affine_inputs_of_pair_rows_are_alive(self, monkeypatch):

@@ -19,6 +19,7 @@ from nohgnn.structural import (
 from nohgnn.tape import ParamStore, Tape, grad_check, xavier_uniform
 from nohgnn.synth import dense_tiny_graph, planted_partition, planted_partition_graph
 from nohgnn.tensor3 import SliceSparse3, make_transform
+from tape_helpers import mul
 
 # A gen.* gradient of the per-class generator may differ from the per-row
 # oracle's by this much, relative to its largest entry. Measured worst on the
@@ -278,7 +279,7 @@ class TestGenerateFeatures:
         def build(t, leaves):
             features = generate_features(t, ctx, leaves)
             rows = t.gather_rows(features.rows, ctx.row_class)
-            return t.sum(t.mul(rows, t.constant(r)))
+            return t.sum(mul(t, rows, t.constant(r)))
 
         assert grad_check(build, store) <= 1e-4
 

@@ -24,6 +24,7 @@ from nohgnn.tensor3 import (
 )
 from pattern_helpers import csr, entry_table, to_sparse
 from softmax_reference import masked_softmax
+from tape_helpers import add, matmul, mul
 
 
 def fd_probe(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -69,7 +70,7 @@ class TestScalarRules:
         m = rng.normal(size=(4, 3))
         t = Tape()
         v = t.leaf(rng.normal(size=(3, 1)), requires_grad=True)
-        loss = t.sum(t.matmul(t.constant(m), v))
+        loss = t.sum(matmul(t, t.constant(m), v))
         t.backward(loss)
         np.testing.assert_allclose(v.grad[:, 0], m.sum(axis=0), atol=1e-12)
 
@@ -79,7 +80,7 @@ class TestScalarRules:
         r = rng.normal(size=(3, 5, 2))
         t = Tape()
         b = t.leaf(rng.normal(size=(2,)), requires_grad=True)
-        loss = t.sum(t.mul(t.add(t.constant(x), b), t.constant(r)))
+        loss = t.sum(mul(t, add(t, t.constant(x), b), t.constant(r)))
         t.backward(loss)
         np.testing.assert_allclose(b.grad, r.sum(axis=(0, 1)), atol=1e-12)
 
@@ -111,7 +112,7 @@ class TestStructuredRules:
         r = rng.normal(size=(4, 3, 2))
         t = Tape()
         a, y = t.leaf(a0, requires_grad=True), t.leaf(y0, requires_grad=True)
-        loss = t.sum(t.mul(t.m_product(a, y, DenseOperator(a0, tf)), t.constant(r)))
+        loss = t.sum(mul(t, t.m_product(a, y, DenseOperator(a0, tf)), t.constant(r)))
         t.backward(loss)
         r_hat = np.einsum("tk,tij->kij", tf.minv, r)
         a_hat, y_hat = np.einsum("kt,tij->kij", m, a0), np.einsum("kt,tij->kij", m, y0)
@@ -128,7 +129,7 @@ class TestStructuredRules:
         t = Tape()
         a = t.leaf(a0, requires_grad=True)
         b = t.leaf(b0, requires_grad=True)
-        loss = t.sum(t.mul(t.matmul(a, b), t.constant(r)))
+        loss = t.sum(mul(t, matmul(t, a, b), t.constant(r)))
         t.backward(loss)
         np.testing.assert_allclose(a.grad, r @ np.swapaxes(b0, 1, 2), atol=1e-12)
         np.testing.assert_allclose(b.grad, np.swapaxes(a0, 1, 2) @ r, atol=1e-12)
@@ -138,7 +139,7 @@ class TestStructuredRules:
         r = rng.normal(size=(5, 2, 3))
         t = Tape()
         e = t.leaf(rng.normal(size=(2, 3)), requires_grad=True)
-        loss = t.sum(t.mul(t.replicate(e, 5), t.constant(r)))
+        loss = t.sum(mul(t, t.replicate(e, 5), t.constant(r)))
         t.backward(loss)
         np.testing.assert_allclose(e.grad, r.sum(axis=0), atol=1e-12)
 
@@ -180,7 +181,7 @@ class TestStructuredRules:
         t = Tape()
         a = t.leaf(a0, requires_grad=True)
         out = t.gather_rows(a, idx)
-        t.backward(t.sum(t.mul(out, t.constant(r))))
+        t.backward(t.sum(mul(t, out, t.constant(r))))
         flat = Tape().gather_rows(Tape().leaf(a0), idx.ravel())
         assert out.value.shape == shape + (3,)
         assert out.value.tobytes() == flat.value.tobytes()
@@ -189,7 +190,7 @@ class TestStructuredRules:
             part = Tape()
             b = part.leaf(a0, requires_grad=True)
             column = part.gather_rows(b, idx[..., c].ravel())
-            part.backward(part.sum(part.mul(column, part.constant(r[..., c, :].reshape(-1, 3)))))
+            part.backward(part.sum(mul(part, column, part.constant(r[..., c, :].reshape(-1, 3)))))
             want = b.grad if c == 0 else want + b.grad
         assert a.grad.tobytes() == want.tobytes()
 
@@ -224,8 +225,8 @@ class TestStructuredRules:
         for fused in (True, False):
             t = Tape()
             x, w, b = (t.leaf(v, requires_grad=True) for v in (x0, w0, b0))
-            out = t.affine(x, w, b) if fused else t.add(t.matmul(x, w), b)
-            t.backward(t.sum(t.mul(out, t.constant(r))))
+            out = t.affine(x, w, b) if fused else add(t, matmul(t, x, w), b)
+            t.backward(t.sum(mul(t, out, t.constant(r))))
             results.append([out.value, x.grad, w.grad, b.grad])
         for got, want in zip(*results):
             assert got.tobytes() == want.tobytes()
@@ -233,9 +234,11 @@ class TestStructuredRules:
     def test_shape_errors(self):
         t = Tape()
         with pytest.raises(ShapeError):
-            t.matmul(t.constant(np.zeros((2, 3))), t.constant(np.zeros((2, 3, 4))))
+            matmul(t, t.constant(np.zeros((2, 3))), t.constant(np.zeros((2, 3, 4))))
         with pytest.raises(ShapeError):
-            t.mul(t.constant(np.zeros(2)), t.constant(np.zeros(3)))
+            mul(t, t.constant(np.zeros(2)), t.constant(np.zeros(3)))
+        with pytest.raises(ShapeError, match="add operands"):
+            t.add(t.constant(np.zeros((2, 3))), t.constant(np.zeros(3)))
         for x, w, b in (((2, 3), (4, 2), (2,)), ((2, 3), (3, 2), (3,)), ((2, 3, 1), (3, 2), (2,))):
             with pytest.raises(ShapeError, match="affine operands"):
                 t.affine(t.constant(np.zeros(x)), t.constant(np.zeros(w)), t.constant(np.zeros(b)))
@@ -258,7 +261,7 @@ class TestSparseRules:
         vals = t.leaf(vals0, requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
         out = t.m_product(vals, h, sparse_operator(pat, vals0, make_transform("identity", 3)))
-        loss = t.sum(t.mul(out, t.constant(r)))
+        loss = t.sum(mul(t, out, t.constant(r)))
         t.backward(loss)
 
         # dense dual route: scatter values into full slices and use matmul
@@ -266,8 +269,8 @@ class TestSparseRules:
         vals2 = t2.leaf(vals0, requires_grad=True)
         h2 = t2.leaf(h0, requires_grad=True)
         dense_p = np.stack([csr(pat, vals0, k).toarray() for k in range(3)])
-        out2 = t2.matmul(t2.constant(dense_p), h2)
-        loss2 = t2.sum(t2.mul(out2, t2.constant(r)))
+        out2 = matmul(t2, t2.constant(dense_p), h2)
+        loss2 = t2.sum(mul(t2, out2, t2.constant(r)))
         t2.backward(loss2)
 
         np.testing.assert_allclose(out.value, out2.value, atol=1e-12)
@@ -301,7 +304,7 @@ class TestSparseRules:
         h = t.leaf(h0, requires_grad=True)
         tf = make_transform("identity", t_slots)
         out = t.m_product(vals, h, sparse_operator(pat, vals.value, tf))
-        loss = t.sum(t.mul(out, t.constant(r)))
+        loss = t.sum(mul(t, out, t.constant(r)))
         t.backward(loss)
 
         dense = np.stack(
@@ -338,7 +341,7 @@ class TestSparseRules:
         vals = t.leaf(vals0, requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
         out = t.m_product(vals, h, sparse_operator(pat, vals0, tf))
-        t.backward(t.sum(t.mul(out, t.constant(r))))
+        t.backward(t.sum(mul(t, out, t.constant(r))))
 
         # dense route: densify the stack and take the library's dense M-product
         def dense_route(v, h_arr):
@@ -377,7 +380,7 @@ class TestSparseRules:
         t = Tape()
         a, y = t.leaf(a0, requires_grad=True), t.leaf(y0, requires_grad=True)
         out = t.m_product(a, y, DenseOperator(a0, tf))
-        t.backward(t.sum(t.mul(out, t.constant(r))))
+        t.backward(t.sum(mul(t, out, t.constant(r))))
 
         def library(a_arr, y_arr):
             return m_product(Tensor3(a_arr), Tensor3(y_arr), tf).data
@@ -416,7 +419,7 @@ class TestSparseRules:
         t = Tape()
         o = t.leaf(o0, requires_grad=True)
         v = t.pair_dot(o, classes, pat)
-        loss = t.sum(t.mul(v, t.constant(r)))
+        loss = t.sum(mul(t, v, t.constant(r)))
         t.backward(loss)
 
         table = entry_table(pat)
@@ -451,7 +454,7 @@ class TestSparseRules:
         tf = make_transform("identity", 2)
         h = t.constant(np.stack([np.eye(2)] * 2))
         out = t.m_product(v, h, sparse_operator(pat, v.value, tf))
-        loss = t.sum(t.mul(out, t.constant(np.ones_like(out.value))))
+        loss = t.sum(mul(t, out, t.constant(np.ones_like(out.value))))
         t.backward(loss)
         # union support is {(0,1), (1,0)}; slice 0 leaves (1,0) empty
         u_indptr, u_indices, flat_to_union = pat.union
@@ -470,7 +473,7 @@ class TestSparseRules:
         r = rng.normal(size=(4, 2))
         t = Tape()
         g = t.leaf(g0, requires_grad=True)
-        loss = t.sum(t.mul(t.csr_const_matmul(c, g), t.constant(r)))
+        loss = t.sum(mul(t, t.csr_const_matmul(c, g), t.constant(r)))
         t.backward(loss)
         np.testing.assert_allclose(g.grad, c.toarray().T @ r, atol=1e-12)
 
@@ -538,7 +541,7 @@ class TestSoftmax:
         r = rng.normal(size=7)
         t = Tape()
         v = t.leaf(v0, requires_grad=True)
-        loss = t.sum(t.mul(t.segment_softmax(v, splits), t.constant(r)))
+        loss = t.sum(mul(t, t.segment_softmax(v, splits), t.constant(r)))
         t.backward(loss)
 
         def f(arr):
@@ -614,7 +617,7 @@ class TestBackwardContract:
         grads = []
         for _ in range(2):
             t = Tape()
-            loss = t.sum(t.sigmoid(t.matmul(a, b)))
+            loss = t.sum(t.sigmoid(matmul(t, a, b)))
             t.backward(loss)
             grads.append((a.grad.copy(), b.grad.copy()))
         assert grads[0][0].tobytes() == grads[1][0].tobytes()
@@ -631,7 +634,7 @@ class TestBackwardContract:
         x = t.leaf(rng.normal(size=(4, 3)), requires_grad=True)
         y = t.scale(x, 2.0)
         z = t.relu(y)
-        kept = t.mul(z, t.constant(rng.normal(size=(4, 3))))
+        kept = mul(t, z, t.constant(rng.normal(size=(4, 3))))
         loss = t.sum(kept)
         # z is held by the tape alone once the test lets go of it
         value_ref = weakref.ref(z.value)
@@ -662,7 +665,7 @@ class TestBackwardContract:
         x = t.leaf(rng.normal(size=(4, 3)), requires_grad=True)
         pre = t.scale(x, 2.0)
         z = t.relu(pre)
-        kept = t.mul(z, t.constant(rng.normal(size=(4, 3))))
+        kept = mul(t, z, t.constant(rng.normal(size=(4, 3))))
         loss = t.add(t.sum(kept), t.scale(t.sumsq(x), 0.5))
         # a sum of 0-d arrays is a numpy scalar, which takes no weak reference
         assert not isinstance(loss.value, np.ndarray)
@@ -684,7 +687,7 @@ class TestBackwardContract:
     def test_shared_leaf_accumulates(self):
         t = Tape()
         x = t.leaf(np.asarray(3.0), requires_grad=True)
-        loss = t.add(t.mul(x, x), x)  # x^2 + x
+        loss = t.add(mul(t, x, x), x)  # x^2 + x
         t.backward(loss)
         assert float(x.grad) == pytest.approx(7.0)
 
@@ -698,7 +701,7 @@ class TestBackwardContract:
         r1, r2 = rng.normal(size=(3, 4)), rng.normal(size=(4, 3))
 
         def build(t, x):
-            y = t.mul(x, t.constant(c))
+            y = mul(t, x, t.constant(c))
             make = {
                 "add": lambda: t.add(y, y),
                 "reshape": lambda: t.reshape(y, (4, 3)),
@@ -706,7 +709,7 @@ class TestBackwardContract:
             }
             out = {name: make[name]() for name in order}
             loss = t.add(
-                t.add(t.sum(t.mul(out["add"], t.constant(r1))), t.sum(t.mul(out["reshape"], t.constant(r2)))),
+                t.add(t.sum(mul(t, out["add"], t.constant(r1))), t.sum(mul(t, out["reshape"], t.constant(r2)))),
                 t.sumsq(out["scale"]),
             )
             return loss, y, out
@@ -728,7 +731,7 @@ class TestBackwardContract:
     def test_constant_subgraph_not_recorded(self):
         t = Tape()
         c = t.constant(np.ones((2, 2)))
-        out = t.matmul(c, c)
+        out = matmul(t, c, c)
         assert not out.requires_grad
         assert len(t._entries) == 0
 
@@ -799,8 +802,8 @@ class TestGradCheck:
         x = rng.uniform(-1, 1, size=(5, 3))
 
         def build(t, leaves):
-            h = t.relu(t.add(t.matmul(t.constant(x), leaves["w1"]), leaves["b1"]))
-            out = t.sigmoid(t.matmul(h, leaves["w2"]))
+            h = t.relu(add(t, matmul(t, t.constant(x), leaves["w1"]), leaves["b1"]))
+            out = t.sigmoid(matmul(t, h, leaves["w2"]))
             return t.scale(t.sum(out), 1 / out.value.size)
 
         assert grad_check(build, store) <= 1e-4
@@ -841,7 +844,7 @@ def test_primitive_fd_property(op_name, seed):
     elif op_name == "matmul":
         store.add("a", rng.uniform(-1, 1, size=(2, 3, 4)))
         store.add("b", rng.uniform(-1, 1, size=(2, 4, 2)))
-        build = lambda t, lv: t.sum(t.sigmoid(t.matmul(lv["a"], lv["b"])))
+        build = lambda t, lv: t.sum(t.sigmoid(matmul(t, lv["a"], lv["b"])))
     elif op_name == "mode3":
         tf = make_transform("custom", 3, np.eye(3) + 0.3 * rng.uniform(-1, 1, size=(3, 3)))
         store.add("x", rng.uniform(-1, 1, size=(3, 2, 2)))
@@ -851,9 +854,9 @@ def test_primitive_fd_property(op_name, seed):
         splits = np.array([0, 2, 5, 6])
         store.add("v", rng.uniform(-1, 1, size=6))
         r = rng.uniform(-1, 1, size=6)
-        build = lambda t, lv: t.sum(t.mul(t.segment_softmax(lv["v"], splits), t.constant(r)))
+        build = lambda t, lv: t.sum(mul(t, t.segment_softmax(lv["v"], splits), t.constant(r)))
     else:
         store.add("a", rng.uniform(-1, 1, size=(3, 3)))
         store.add("b", rng.uniform(-1, 1, size=(3, 3)))
-        build = lambda t, lv: t.scale(t.sum(t.mul(t.add(lv["a"], lv["b"]), lv["b"])), 1 / 9)
+        build = lambda t, lv: t.scale(t.sum(mul(t, t.add(lv["a"], lv["b"]), lv["b"])), 1 / 9)
     assert grad_check(build, store) <= 1e-4

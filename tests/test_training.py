@@ -403,6 +403,14 @@ class TestTrainLoop:
         assert probs.shape == (prep.test_set.size,)
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
+    @pytest.mark.parametrize("transform", ["identity", "dct"])
+    def test_predict_refuses_a_slot_out_of_range(self, transform):
+        # the dct embedding has no slot axis for decode to check t against
+        prep, config = small_prep(transform=transform)
+        store = training.init_params(config, prep.n_nodes, prep.t_slots)
+        with pytest.raises(ParameterError, match="out of range"):
+            predict(store, prep, config, np.array([[0, 1, prep.t_slots]]))
+
     def test_evaluate_model_matches_manual_evaluate(self):
         prep, config = small_prep(max_epochs=2)
         result = train_loop(prep, config)
@@ -612,13 +620,15 @@ class TestGradientCheck:
         assert run_gradient_check(transform) <= 1e-4
 
 
-@pytest.mark.parametrize("kind, entries", [("dct", 26), ("identity", 26)])
+@pytest.mark.parametrize("kind, entries", [("dct", 25), ("identity", 26)])
 def test_tape_entries_of_one_training_step(kind, entries):
     """One training step on the criterion-6 instance: two M-product entries
     per layer under either transform, the aggregation and the weight
     product; one affine entry per perceptron layer, two in each feature
     perceptron and two in the decoder; one gather of both endpoints; and one
-    entry for the L2 penalty over every parameter."""
+    entry for the L2 penalty over every parameter. The identity replicates
+    the embedding over the slots; the dct runs on the (N, F) rows every slot
+    shares and records no replicate."""
     config = TrainConfig(dim=32, transform=kind, seed=1)
     prep = prepare(planted_partition_graph(seed=9), config)
     store = training.init_params(config, prep.n_nodes, prep.t_slots)
@@ -634,4 +644,5 @@ def test_tape_entries_of_one_training_step(kind, entries):
     assert ops.count("sumsq") == 1
     assert "spmm" not in ops and "mode3" not in ops
     assert ops.count("affine") == 6 and ops.count("gather_rows") == 1 and "matmul" not in ops
+    assert ops.count("replicate") == (kind == "identity")
     assert ops[-4:] == ["bce_mean", "sumsq", "scale", "add"]

@@ -4,7 +4,8 @@ the reference ``test_model.py`` compares ``model.weight_product`` against.
 ``model.weight_product`` tested the transform itself: one ``Tape.matmul``
 under the identity, otherwise three ``Tape.mode3`` entries around a
 ``matmul``. Both are copied verbatim, ``mode3`` as a method of
-``OracleTape``.
+``OracleTape``, which takes the matmul that left the program's tape from
+``tape_helpers``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ import numpy as np
 from nohgnn.errors import ShapeError
 from nohgnn.tape import Node, Tape, _as_f64
 from nohgnn.tensor3 import Transform
+import tape_helpers
 
 
 class OracleTape(Tape):
+    matmul = tape_helpers.matmul
+
     def mode3(self, a: Node, m: np.ndarray) -> Node:
         m = _as_f64(m)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[1] != a.value.shape[0]:
