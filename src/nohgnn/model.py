@@ -19,9 +19,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from nohgnn.errors import NumericError, ParameterError, ShapeError
+from nohgnn.errors import NumericError, ParameterError
 from nohgnn.tape import Node, ParamStore, Tape, init_dense, xavier_uniform
-from nohgnn.tensor3 import DenseOperator, FacewiseOperator, SlicePattern, SlotMeanOperator, SlotSumOperator, SparseOperator, Transform
+from nohgnn.tensor3 import DenseOperator, FacewiseOperator, SlicePattern, SlotMeanOperator, SlotSumOperator, SparseOperator
 
 LAYER_NOISE_SCALE = 0.05
 
@@ -74,11 +74,12 @@ def propagate(tape: Tape, weights: Node, h: Node, op: SparseOperator) -> Node:
     return tape.m_product(weights, h, op)
 
 
-def weight_product(tape: Tape, h: Node, w: Node, tf: Transform) -> Node:
+def weight_product(tape: Tape, h: Node, w: Node, t_slots: int) -> Node:
     """Node tensor times a (T, F, F) weight stack: one ``m_product`` tape op
-    over the ``DenseOperator`` of a (T, N, F) ``h``, or over the
-    ``SlotMeanOperator`` of the dct's slot-constant (N, F) rows."""
-    op = DenseOperator(h.value, tf) if h.value.ndim == 3 else SlotMeanOperator(h.value, tf.size)
+    over the ``DenseOperator`` of a (T, N, F) ``h``, the identity's stacked
+    matmul, or over the ``SlotMeanOperator`` of the dct's slot-constant
+    (N, F) rows, which takes the mean over the ``t_slots`` slices of w."""
+    op = DenseOperator(h.value) if h.value.ndim == 3 else SlotMeanOperator(h.value, t_slots)
     return tape.m_product(h, w, op)
 
 
@@ -87,11 +88,12 @@ def forward(
     leaves: dict[str, Node],
     pattern: SlicePattern,
     p_weights: Node,
-    tf: Transform,
+    kind: str,
     n_layers: int,
 ) -> Node:
-    """Run the layer stack and return the embedding node: (T, N, F) under
-    the identity, the (N, F) rows every slot shares under the dct.
+    """Run the layer stack under the transform ``kind`` over the pattern's
+    T slots and return the embedding node: (T, N, F) under the identity,
+    the (N, F) rows every slot shares under the dct.
 
     The aggregation operator is built once, not as a tape node, so each
     layer hands its own weight gradient to ``p_weights``: face-wise on T
@@ -99,22 +101,21 @@ def forward(
     the dct. Both are live only, as ``p_weights`` is a softmax output: the
     weight gradient is +0 at the exact zeros (the tubes of them), which the
     softmax backward multiplies by 0 anyway. Each layer records two
-    ``m_product`` entries; hidden layers apply ReLU. Other transforms raise
+    ``m_product`` entries; hidden layers apply ReLU. Neither runs a mode-3
+    product, so no transform matrix is built. Other kinds raise
     ``ParameterError``, as the reduction holds for the DCT alone."""
     if n_layers < 1:
         raise ParameterError(f"layer count must be >= 1, got {n_layers}")
-    if tf.size != pattern.t_slots:
-        raise ShapeError(f"transform size {tf.size} does not match {pattern.t_slots} slices")
-    if tf.is_identity:
+    if kind == "identity":
         op = FacewiseOperator(pattern, p_weights.value, live_only=True)
         h = tape.replicate(leaves["embed.e"], pattern.t_slots)
-    elif tf.kind == "dct2-orthonormal":
+    elif kind == "dct":
         op, h = SlotSumOperator(pattern, p_weights.value), leaves["embed.e"]
     else:
-        raise ParameterError(f"forward runs the identity or dct2-orthonormal transform, not {tf.kind!r}")
+        raise ParameterError(f"forward runs the identity or dct transform, not {kind!r}")
     for layer in range(1, n_layers + 1):
         spread = propagate(tape, p_weights, h, op)
-        h = weight_product(tape, spread, leaves[f"layer{layer}.w"], tf)
+        h = weight_product(tape, spread, leaves[f"layer{layer}.w"], pattern.t_slots)
         if layer < n_layers:
             h = tape.relu(h)
         if not np.all(np.isfinite(h.value)):

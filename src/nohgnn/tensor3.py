@@ -1,13 +1,15 @@
 """Third-order tensor algebra: dense tensors, per-slice sparse stacks, and
 the invertible-transform tensor product (M-product).
 
-The M-product is applied only through an operator of its left operand,
-so no other module applies a transform. ``sparse_operator`` builds one from
-flat values over a ``SlicePattern``: per-slice CSR matrices under the
-identity, P-hat on the union support under a mixing transform.
-``DenseOperator`` holds a dense stack times M. Each has ``check``, ``apply``
-and ``grads``; ``m_product`` and ``facewise_product`` use them for either
-kind of left operand, and the model records them with ``Tape.m_product``.
+No other module applies a transform. The model's products run through
+operators of their left operand, each with ``check``, ``apply`` and
+``grads``, which it records with ``Tape.m_product``: ``FacewiseOperator``
+(flat values over a ``SlicePattern`` as per-slice CSR matrices, the
+identity), ``DenseOperator`` (a dense stack, times M under a mixing
+transform) and the DCT's two below. The library ``m_product`` uses the
+first two, and for a sparse left operand under a mixing transform scatters
+its values onto the union of the slices' supports, which M mixes tube by
+tube, so the product is never densified to d1 x d2 x T.
 
 The orthonormal DCT-II maps a constant tube onto its first (DC) slice alone
 and back, so a product with a slot-constant operand is slot-constant: P
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -205,20 +206,37 @@ def nonzero_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape
 def m_product(x, y: Tensor3, tf: Transform) -> Tensor3:
     """Tensor product under an invertible mode-3 transform.
 
-    Computes ((x mode3 M) facewise (y mode3 M)) mode3 M^-1 through the
-    operator of ``x``: ``DenseOperator`` for a ``Tensor3``, which reduces to
-    the plain face-wise product under the identity, and ``sparse_operator``
-    for a ``SliceSparse3``, which is never densified to full d1 x d2 x T.
+    Computes ((x mode3 M) facewise (y mode3 M)) mode3 M^-1. A ``Tensor3``
+    ``x`` goes through its ``DenseOperator``, which reduces to the plain
+    face-wise product under the identity. A ``SliceSparse3`` ``x`` goes
+    through its ``FacewiseOperator`` under the identity; under a mixing
+    transform its values are scattered onto a (T, union nnz) stack, M mixes
+    the stack, and each of its slices multiplies the matching slice of y M
+    as a CSR matrix over the union support.
     """
-    if isinstance(x, SliceSparse3):
-        a = np.concatenate([s.data for s in x.slices])
-        op = sparse_operator(SlicePattern.from_sparse(x), a, tf)
-    elif isinstance(x, Tensor3):
-        a, op = x.data, DenseOperator(x.data, tf)
-    else:
+    if isinstance(x, Tensor3):
+        op = DenseOperator(x.data, tf)
+        op.check(x.data, y.data)
+        return Tensor3(op.apply(y.data)[0])
+    if not isinstance(x, SliceSparse3):
         raise ShapeError(f"unsupported left operand type {type(x).__name__}")
-    op.check(a, y.data)
-    return Tensor3(op.apply(y.data)[0])
+    pattern = SlicePattern.from_sparse(x)
+    values = np.concatenate([s.data for s in x.slices])
+    if tf.size != pattern.t_slots:
+        raise ShapeError(f"transform size {tf.size} does not match {pattern.t_slots} slices")
+    if y.data.shape[:2] != (pattern.t_slots, pattern.n_cols):
+        raise ShapeError(f"node tensor shape {y.data.shape} does not match pattern {pattern.t_slots}x{pattern.n_cols}")
+    if tf.is_identity:
+        return Tensor3(FacewiseOperator(pattern, values).apply(y.data)[0])
+    u_indptr, u_indices, flat_to_union = pattern.union
+    p_hat = np.zeros((pattern.t_slots, len(u_indices)))
+    p_hat[np.repeat(np.arange(pattern.t_slots), np.diff(pattern.offsets)), flat_to_union] = values
+    p_hat = _apply_mode3(p_hat, tf.m)
+    y_hat = _apply_mode3(y.data, tf.m)
+    prod = np.empty((pattern.t_slots, pattern.n_rows, y.data.shape[2]))
+    for t in range(pattern.t_slots):
+        prod[t] = sp.csr_matrix((p_hat[t], u_indices, u_indptr), shape=(pattern.n_rows, pattern.n_cols)) @ y_hat[t]
+    return Tensor3(_apply_mode3(prod, tf.minv))
 
 
 def sparse_matpower_sum(a: SliceSparse3, k_hops: int) -> SliceSparse3:
@@ -265,15 +283,6 @@ def _block_diagonal(x: SliceSparse3) -> sp.csr_matrix:
 # 0.30 s at 4096 and 0.39 s unblocked; over an M-shape union (32 slices)
 # 0.38, 0.46 and 1.10 s
 SDDMM_BLOCK = 1024
-# float64 values per (T, chunk) stack of the sparse M-product's P-hat build
-# and value gradient, which hold such stacks instead of (T, union nnz) ones. A chunk
-# is a multiple of 8 union entries wide and the last one takes the
-# remainder, so that every chunk's M^T product is one OpenBLAS runs with
-# the kernels, column for column, of a single product over the whole union,
-# and rounds the same. Narrower products can round differently: a
-# one-column one runs a matrix-vector kernel, and at 32 slices one under
-# about 1,000 columns takes a small-matrix path whose last columns differ
-UNION_CHUNK = 2**20
 
 
 def _sddmm(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
@@ -282,13 +291,6 @@ def _sddmm(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray, out
     for lo in range(0, len(rows), SDDMM_BLOCK):
         hi = lo + SDDMM_BLOCK
         np.einsum("ef,ef->e", a.take(rows[lo:hi], axis=0), b.take(cols[lo:hi], axis=0), out=out[lo:hi])
-
-
-def _union_chunk_width(t_slots: int) -> int:
-    """Union entries per chunk: ``UNION_CHUNK`` values over T slices,
-    rounded up to a multiple of 8."""
-    cols = -(-UNION_CHUNK // t_slots)
-    return (cols + 7) // 8 * 8
 
 
 class SlicePattern:
@@ -317,11 +319,7 @@ class SlicePattern:
         ]
         starts = [self.indptrs[t][:-1] + self.offsets[t] for t in range(self.t_slots)]
         self.row_splits = np.concatenate(starts + [[self.nnz]]).astype(np.int64)
-        self.entry_slots = np.repeat(
-            np.arange(self.t_slots, dtype=np.int64), np.diff(self.offsets)
-        )
         self._union: tuple | None = None
-        self._chunks: tuple[int, list[UnionChunk]] | None = None
 
     @classmethod
     def from_sparse(cls, x: SliceSparse3) -> "SlicePattern":
@@ -369,40 +367,6 @@ class SlicePattern:
             u_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
             self._union = (u_indptr, u_keys % self.n_cols, flat_to_union.astype(np.int64, copy=False))
         return self._union
-
-    def union_chunks(self) -> list[UnionChunk]:
-        """The union entries in chunks of ``_union_chunk_width(T)``, the last
-        of which takes the remainder, each with the flat entries that map
-        into it; built once per pattern and width."""
-        width = _union_chunk_width(self.t_slots)
-        if self._chunks is None or self._chunks[0] != width:
-            u_indptr, _, flat_to_union = self.union
-            n_union = int(u_indptr[-1])
-            rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(u_indptr))
-            order = np.argsort(flat_to_union, kind="stable")
-            bounds = np.append(np.arange(0, n_union, width)[: max(1, n_union // width)], n_union)
-            cuts = np.searchsorted(flat_to_union[order], bounds)
-            chunks = []
-            for k in range(len(bounds) - 1):
-                lo, hi = int(bounds[k]), int(bounds[k + 1])
-                entries = order[cuts[k] : cuts[k + 1]]
-                chunks.append(
-                    UnionChunk(lo, hi, rows[lo:hi], entries, self.entry_slots[entries], flat_to_union[entries] - lo)
-                )
-            self._chunks = (width, chunks)
-        return self._chunks[1]
-
-
-class UnionChunk(NamedTuple):
-    """Union entries ``[lo, hi)`` with their rows, and the flat pattern
-    entries that map into them with their slices and positions in the chunk."""
-
-    lo: int
-    hi: int
-    rows: np.ndarray
-    entries: np.ndarray
-    slots: np.ndarray
-    positions: np.ndarray
 
 
 class SparseOperator:
@@ -465,64 +429,6 @@ class FacewiseOperator(SparseOperator):
         return dvals, dy
 
 
-class UnionOperator(SparseOperator):
-    """The sparse M-product of flat values over a pattern under a mixing
-    transform, which acts on union tubes and never on the full d1 x d2 x T
-    tensor. The values are scattered onto the union of the slices' supports
-    and M mixes every tube; slice t of the result P-hat is a CSR matrix over
-    the union, and all of them share one set of structure arrays. P-hat is
-    built, and the value gradient computed, one union chunk at a time (see
-    ``UNION_CHUNK``), so no (T, union nnz) stack is ever held."""
-
-    def __init__(self, pattern: SlicePattern, values: np.ndarray, tf: Transform):
-        self.pattern = pattern
-        self.tf = tf
-        u_indptr, u_indices, _ = pattern.union
-        # one array per slice, not rows of one stack, which scipy would copy
-        p_hat = [np.empty(len(u_indices)) for _ in range(pattern.t_slots)]
-        for chunk in pattern.union_chunks():
-            p_chunk = np.zeros((pattern.t_slots, chunk.hi - chunk.lo))
-            p_chunk[chunk.slots, chunk.positions] = values[chunk.entries]
-            p_chunk = _apply_mode3(p_chunk, tf.m)
-            for t, p_row in enumerate(p_hat):
-                p_row[chunk.lo : chunk.hi] = p_chunk[t]
-        shape = (pattern.n_rows, pattern.n_cols)
-        first = sp.csr_matrix((p_hat[0], u_indices, u_indptr), shape=shape, copy=False)
-        # later slices reuse the index arrays scipy converted for the first
-        self.slices = [first] + [
-            sp.csr_matrix((p_hat[t], first.indices, first.indptr), shape=shape, copy=False)
-            for t in range(1, pattern.t_slots)
-        ]
-
-    def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The product with a dense (T, d2, F) array, and y M for ``grads``."""
-        y_hat = _apply_mode3(y, self.tf.m)
-        prod = np.empty((len(self.slices), self.pattern.n_rows, y.shape[2]))
-        for t, p_t in enumerate(self.slices):
-            prod[t] = p_t @ y_hat[t]
-        return _apply_mode3(prod, self.tf.minv), y_hat
-
-    def grads(self, g: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The gradients of the flat values and of y, given the product's:
-        M^-T on g, the transposed slice products for y, and for the values
-        each chunk's sampled products, M^T over the chunk, then the flat
-        entries of the chunk."""
-        pattern, tf = self.pattern, self.tf
-        g_hat = _apply_mode3(g, tf.minv.T)
-        dy_hat = np.empty_like(y_hat)
-        for t, p_t in enumerate(self.slices):
-            dy_hat[t] = p_t.T @ g_hat[t]
-        u_indices = pattern.union[1]
-        dvals = np.empty(pattern.nnz)
-        for chunk in pattern.union_chunks():
-            dp_hat = np.empty((pattern.t_slots, chunk.hi - chunk.lo))
-            for t in range(pattern.t_slots):
-                _sddmm(g_hat[t], chunk.rows, y_hat[t], u_indices[chunk.lo : chunk.hi], dp_hat[t])
-            dp = _apply_mode3(dp_hat, tf.m.T)
-            dvals[chunk.entries] = dp[chunk.slots, chunk.positions]
-        return dvals, _apply_mode3(dy_hat, tf.m.T)
-
-
 class SlotSumOperator(SparseOperator):
     """P-bar = sum_t P_t of flat values, summed in slot order into one CSR
     matrix on the union support, times (d2, F) rows: the DCT M-product with
@@ -579,14 +485,14 @@ class SlotMeanOperator:
 class DenseOperator:
     """The M-product of a dense (T, d1, k) stack ``a`` with (T, k, d2)
     arrays: ((a mode3 M) facewise (y mode3 M)) mode3 M^-1. It holds a mode3
-    M, or under the identity ``a`` itself, whose product is the plain
-    stacked matmul."""
+    M, or under the identity, which ``tf`` None stands for, ``a`` itself,
+    whose product is the plain stacked matmul."""
 
-    def __init__(self, a: np.ndarray, tf: Transform):
-        if a.ndim != 3 or tf.size != a.shape[0]:
-            raise ShapeError(f"dense operand shape {a.shape} is not a stack of {tf.size} slices, the transform size")
+    def __init__(self, a: np.ndarray, tf: Transform | None = None):
+        if a.ndim != 3 or (tf is not None and tf.size != a.shape[0]):
+            raise ShapeError(f"dense operand shape {a.shape} is not a stack of {tf.size if tf else 'T'} slices, the transform size")
         self.shape = a.shape
-        self.tf = None if tf.is_identity else tf
+        self.tf = None if tf is None or tf.is_identity else tf
         self.a_hat = a if self.tf is None else _apply_mode3(a, tf.m)
 
     def check(self, a: np.ndarray, y: np.ndarray) -> None:
@@ -615,12 +521,3 @@ class DenseOperator:
         del g_hat
         return _apply_mode3(da_hat, tf.m.T), _apply_mode3(dy_hat, tf.m.T)
 
-
-def sparse_operator(pattern: SlicePattern, values: np.ndarray, tf: Transform) -> SparseOperator:
-    """The sparse M-product operator of flat ``values`` over ``pattern``
-    under ``tf``: face-wise under the identity, over the union otherwise."""
-    if tf.size != pattern.t_slots:
-        raise ShapeError(f"transform size {tf.size} does not match {pattern.t_slots} slices")
-    if tf.is_identity:
-        return FacewiseOperator(pattern, values)
-    return UnionOperator(pattern, values, tf)

@@ -40,7 +40,7 @@ from nohgnn.structural import (
 )
 from nohgnn.synth import dense_tiny_graph
 from nohgnn.tape import Node, ParamStore, Tape, grad_check
-from nohgnn.tensor3 import SlicePattern, Transform, make_transform
+from nohgnn.tensor3 import SlicePattern
 
 LR_GRID = (0.1, 0.01, 0.02, 0.05, 0.001, 0.002)
 BETA_GRID = (0.01, 0.005, 0.001, 0.0005)
@@ -248,14 +248,12 @@ def init_params(config: TrainConfig, n_nodes: int, t_slots: int) -> ParamStore:
     return store
 
 
-def embed(
-    tape: Tape, leaves: dict[str, Node], prep: PreparedData, tf: Transform, config: TrainConfig
-) -> Node:
+def embed(tape: Tape, leaves: dict[str, Node], prep: PreparedData, config: TrainConfig) -> Node:
     """Features, aggregation weights and the layer stack: the embedding node,
     (T, N, F) or the dct's (N, F), that the decoder reads pairs from."""
     feats = generate_features(tape, prep.ctx, leaves)
     weights = aggregation_weights(tape, feats, prep.pattern)
-    return forward(tape, leaves, prep.pattern, weights, tf, config.layers)
+    return forward(tape, leaves, prep.pattern, weights, config.transform, config.layers)
 
 
 def predict(store: ParamStore, prep: PreparedData, config: TrainConfig, pairs: np.ndarray) -> np.ndarray:
@@ -264,8 +262,7 @@ def predict(store: ParamStore, prep: PreparedData, config: TrainConfig, pairs: n
         raise ParameterError("pair slot out of range")  # a dct embedding has no slot axis
     tape = Tape()
     leaves = store.constants(tape)
-    tf = make_transform(config.transform, prep.t_slots)
-    return decode(tape, leaves, embed(tape, leaves, prep, tf, config), pairs).value
+    return decode(tape, leaves, embed(tape, leaves, prep, config), pairs).value
 
 
 def evaluate_model(store: ParamStore, prep: PreparedData, config: TrainConfig, pair_set: LabeledPairSet) -> Metrics:
@@ -297,14 +294,12 @@ def write_metric_log(path: str, history: list[dict]) -> None:
             )
 
 
-def _record_embedding(
-    store: ParamStore, prep: PreparedData, tf: Transform, config: TrainConfig
-) -> tuple[Tape, dict[str, Node], Node]:
+def _record_embedding(store: ParamStore, prep: PreparedData, config: TrainConfig) -> tuple[Tape, dict[str, Node], Node]:
     """A fresh tape holding the embedding of the store's current parameters,
     recorded for the backward."""
     tape = Tape()
     leaves = store.leaves(tape)
-    return tape, leaves, embed(tape, leaves, prep, tf, config)
+    return tape, leaves, embed(tape, leaves, prep, config)
 
 
 def train_loop(prep: PreparedData, config: TrainConfig, log_path: str | None = None) -> TrainResult:
@@ -326,12 +321,11 @@ def train_loop(prep: PreparedData, config: TrainConfig, log_path: str | None = N
         raise ParameterError("training set has no positive pairs")
     if prep.val_set.size == 0:
         raise ParameterError("validation set is empty; cannot early-stop")
-    tf = make_transform(config.transform, prep.t_slots)
     store = init_params(config, prep.n_nodes, prep.t_slots)
     adam = Adam(store, config.learning_rate)
     result = TrainResult(store=store.clone())
     stall = 0
-    tape, leaves, h = _record_embedding(store, prep, tf, config)
+    tape, leaves, h = _record_embedding(store, prep, config)
     for epoch in range(1, config.max_epochs + 1):
         neg = negative_sample(
             prep.full_graph, prep.train_pos, config.neg_ratio, seed=[config.seed, epoch]
@@ -351,7 +345,7 @@ def train_loop(prep: PreparedData, config: TrainConfig, log_path: str | None = N
         # the finished tape and its gradients go before the next forward is recorded
         del tape, leaves, probs, loss
 
-        tape, leaves, h = _record_embedding(store, prep, tf, config)
+        tape, leaves, h = _record_embedding(store, prep, config)
         vt = Tape()
         val_probs = decode(vt, store.constants(vt), vt.constant(h.value), prep.val_set.pairs)
         metrics = evaluate(val_probs.value, prep.val_set.labels, config.threshold)
@@ -398,10 +392,9 @@ def run_gradient_check(transform: str = "identity", eps: float = 1e-5, seed: int
     for name in store.names():
         v = store.value(name)
         store.set_value(name, v + rng.uniform(-0.3, 0.3, size=v.shape))
-    tf = make_transform(config.transform, graph.t_slots)
 
     def build(tape: Tape, leaves: dict[str, Node]) -> Node:
-        probs = decode(tape, leaves, embed(tape, leaves, prep, tf, config), pairs_set.pairs)
+        probs = decode(tape, leaves, embed(tape, leaves, prep, config), pairs_set.pairs)
         return compute_loss(tape, probs, pairs_set.labels, leaves, config.beta_reg)
 
     return grad_check(build, store, eps)

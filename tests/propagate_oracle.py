@@ -6,8 +6,10 @@ built once per forward, kept as the reference the differential tests in
 operator from the flat values on every call, walked every pattern entry,
 zero or not, and the sparse M-product backward held full (T, union nnz)
 stacks. They are copied verbatim, with the SDDMM helper and
-``tensor3.sparse_m_product`` they called; the one edit is that the slice
-CSR view, which has left ``SlicePattern``, comes from ``pattern_helpers``.
+``tensor3.sparse_m_product`` they called. The edits: the slice CSR view,
+which has left ``SlicePattern``, comes from ``pattern_helpers``, and the
+slot of every flat entry, which has left it too, is derived here by
+``entry_slots``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ def _sddmm(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray, out
         np.einsum("ef,ef->e", a[rows[lo:hi]], b[cols[lo:hi]], out=out[lo:hi])
 
 
+def entry_slots(pattern: SlicePattern) -> np.ndarray:
+    """The slice of every flat entry of the pattern."""
+    return np.repeat(np.arange(pattern.t_slots), np.diff(pattern.offsets))
+
+
 def sparse_m_product(
     pattern: SlicePattern, values: np.ndarray, y: np.ndarray, tf: Transform
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -46,7 +53,7 @@ def sparse_m_product(
     """
     u_indptr, u_indices, flat_to_union = pattern.union
     p_stack = np.zeros((pattern.t_slots, len(u_indices)))
-    p_stack[pattern.entry_slots, flat_to_union] = values
+    p_stack[entry_slots(pattern), flat_to_union] = values
     p_hat = _apply_mode3(p_stack, tf.m)
     y_hat = _apply_mode3(y, tf.m)
     shape = (pattern.n_rows, pattern.n_cols)
@@ -132,6 +139,6 @@ class OracleTape(Tape):
                 dh_hat[t] = p_t.T @ g_hat[t]
             dp = np.tensordot(tf.m.T, dp_hat, axes=(1, 0))
             dh = np.tensordot(tf.m.T, dh_hat, axes=(1, 0))
-            return dp[pattern.entry_slots, flat_to_union], dh
+            return dp[entry_slots(pattern), flat_to_union], dh
 
         return self._record(out, (values, h), backward)

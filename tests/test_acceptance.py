@@ -173,7 +173,8 @@ def test_criterion_5_forward_oracle():
         n = int(rng.integers(2, 7))
         dim = int(rng.integers(1, 5))
         n_layers = int(rng.integers(1, 3))
-        tf = make_transform("identity" if case % 2 == 0 else "dct", t_slots)
+        kind = "identity" if case % 2 == 0 else "dct"
+        tf = make_transform(kind, t_slots)
         dense = (rng.random((t_slots, n, n)) < 0.4).astype(float)
         pat = build_aggregation_pattern(SliceSparse3.from_dense(dense))
         p_flat = rng.random(pat.nnz) + 0.1
@@ -183,7 +184,7 @@ def test_criterion_5_forward_oracle():
         tape = Tape()
         leaves = store.leaves(tape)
         batched = forward(
-            tape, leaves, pat, tape.constant(p_flat), tf, n_layers
+            tape, leaves, pat, tape.constant(p_flat), kind, n_layers
         ).value
 
         p_dense = np.zeros((t_slots, n, n))

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from nohgnn import training
-from nohgnn.errors import NumericError, ParameterError
-from nohgnn.model import LAYER_NOISE_SCALE, decode, forward, init_model_params, propagate, weight_product
+from nohgnn.errors import NumericError, ParameterError, ShapeError
+from nohgnn.model import LAYER_NOISE_SCALE, decode, forward, init_model_params
 from nohgnn.overlap import aggregation_weights
 from nohgnn.structural import generate_features
 from nohgnn.synth import planted_partition_graph
 from nohgnn.tape import ParamStore, Tape
-from nohgnn.tensor3 import SlicePattern, SliceSparse3, make_transform, sparse_operator
+from nohgnn.tensor3 import DenseOperator, SlicePattern, SliceSparse3, make_transform
 from pattern_helpers import to_sparse
+import propagate_oracle
 from tape_helpers import mul
 from weight_product_oracle import OracleTape
 from weight_product_oracle import weight_product as oracle_weight_product
@@ -63,15 +64,21 @@ def random_sparse_p(rng, t_slots, n):
     return pattern, weights, dense
 
 
-def union_stack(tape, leaves, pattern, p_weights, tf, n_layers, relu=True):
+class UnionTape(Tape):
+    """A tape with the oracle's sparse M-product over the union support."""
+
+    sparse_m_product = propagate_oracle.OracleTape.sparse_m_product
+
+
+def union_stack(tape: UnionTape, leaves, pattern, p_weights, tf, n_layers, relu=True):
     """The layer stack composed from its layer ops on T copies of the
-    embedding, under any transform: the full sparse operator, then the dense
-    weight product of each (T, N, F) result; with ``relu=False``, without
-    the hidden ReLUs."""
-    op = sparse_operator(pattern, p_weights.value, tf)
+    embedding, under any transform: the oracle's sparse M-product over the
+    union support, then the dense weight product of each (T, N, F) result;
+    with ``relu=False``, without the hidden ReLUs."""
     h = tape.replicate(leaves["embed.e"], pattern.t_slots)
     for layer in range(1, n_layers + 1):
-        h = weight_product(tape, propagate(tape, p_weights, h, op), leaves[f"layer{layer}.w"], tf)
+        spread = tape.sparse_m_product(pattern, p_weights, h, tf)
+        h = tape.m_product(spread, leaves[f"layer{layer}.w"], DenseOperator(spread.value, tf))
         if relu and layer < n_layers:
             h = tape.relu(h)
     return h
@@ -92,7 +99,7 @@ class TestForward:
             store.set_value(f"layer{layer}.w", np.stack([np.eye(dim)] * t_slots))
         pattern = diag_pattern(t_slots, n)
         tf = make_transform("identity", t_slots)
-        tape = Tape()
+        tape = UnionTape()
         leaves = store.leaves(tape)
         p_w = tape.constant(np.ones(pattern.nnz))
         h = union_stack(tape, leaves, pattern, p_w, tf, 2, relu=False)
@@ -101,7 +108,7 @@ class TestForward:
         # on a nonnegative embedding the hidden ReLU passes everything through
         store.set_value("embed.e", np.abs(store.value("embed.e")))
         tape = Tape()
-        h = forward(tape, store.leaves(tape), pattern, tape.constant(np.ones(pattern.nnz)), tf, 2)
+        h = forward(tape, store.leaves(tape), pattern, tape.constant(np.ones(pattern.nnz)), "identity", 2)
         np.testing.assert_allclose(h.value, np.stack([store.value("embed.e")] * t_slots), atol=1e-12)
 
     def test_zero_weights_zero_output(self):
@@ -111,7 +118,7 @@ class TestForward:
         store.set_value("layer1.w", np.zeros((2, 2, 2)))
         pattern, weights, _ = random_sparse_p(rng, 2, 4)
         tape = Tape()
-        h = forward(tape, store.leaves(tape), pattern, tape.constant(weights), make_transform("identity", 2), 2)
+        h = forward(tape, store.leaves(tape), pattern, tape.constant(weights), "identity", 2)
         assert np.all(h.value == 0.0)
 
     @pytest.mark.parametrize("kind", ["identity", "dct"])
@@ -124,7 +131,7 @@ class TestForward:
             pattern, weights, p_dense = random_sparse_p(rng, t_slots, n)
             tf = make_transform(kind, t_slots)
             tape = Tape()
-            h = forward(tape, store.leaves(tape), pattern, tape.constant(weights), tf, n_layers)
+            h = forward(tape, store.leaves(tape), pattern, tape.constant(weights), kind, n_layers)
             oracle = loop_forward(
                 p_dense,
                 store.value("embed.e"),
@@ -142,9 +149,8 @@ class TestForward:
         store = ParamStore()
         init_model_params(store, n, dim, t_slots, 2, rng)
         pattern, weights, p_dense = random_sparse_p(rng, t_slots, n)
-        tf = make_transform("identity", t_slots)
         tape = Tape()
-        h = forward(tape, store.leaves(tape), pattern, tape.constant(weights), tf, 2)
+        h = forward(tape, store.leaves(tape), pattern, tape.constant(weights), "identity", 2)
         for t in range(t_slots):
             sub = ParamStore()
             sub.add("embed.e", store.value("embed.e"))
@@ -161,7 +167,7 @@ class TestForward:
                 sub.leaves(tape_t),
                 sub_pattern,
                 tape_t.constant(sub_weights),
-                make_transform("identity", 1),
+                "identity",
                 2,
             )
             np.testing.assert_allclose(h_t.value[0], h.value[t], atol=1e-12)
@@ -172,9 +178,8 @@ class TestForward:
         store = ParamStore()
         init_model_params(store, n, dim, t_slots, 2, rng)
         pattern, weights, p_dense = random_sparse_p(rng, t_slots, n)
-        tf = make_transform("dct", t_slots)
         tape = Tape()
-        h = forward(tape, store.leaves(tape), pattern, tape.constant(weights), tf, 2)
+        h = forward(tape, store.leaves(tape), pattern, tape.constant(weights), "dct", 2)
 
         perm = rng.permutation(n)
         q = np.argsort(perm)
@@ -185,7 +190,7 @@ class TestForward:
         store2 = store.clone()
         store2.set_value("embed.e", store.value("embed.e")[q])
         tape2 = Tape()
-        h2 = forward(tape2, store2.leaves(tape2), pattern2, tape2.constant(weights2), tf, 2)
+        h2 = forward(tape2, store2.leaves(tape2), pattern2, tape2.constant(weights2), "dct", 2)
         np.testing.assert_allclose(h2.value[..., perm, :], h.value, atol=1e-10)
 
     def test_nonfinite_reports_layer(self):
@@ -197,7 +202,7 @@ class TestForward:
         pattern, weights, _ = random_sparse_p(rng, 2, 4)
         tape = Tape()
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="layer 1"):
-            forward(tape, store.leaves(tape), pattern, tape.constant(weights), make_transform("identity", 2), 2)
+            forward(tape, store.leaves(tape), pattern, tape.constant(weights), "identity", 2)
 
 
 class TestSlotConstantDct:
@@ -213,7 +218,7 @@ class TestSlotConstantDct:
         pattern, weights, p_dense = random_sparse_p(rng, t_slots, n)
         tf = make_transform("dct", t_slots)
         tape = Tape()
-        h = forward(tape, store.leaves(tape), pattern, tape.constant(weights), tf, n_layers)
+        h = forward(tape, store.leaves(tape), pattern, tape.constant(weights), "dct", n_layers)
         oracle = loop_forward(
             p_dense, store.value("embed.e"),
             [store.value(f"layer{k}.w") for k in range(1, n_layers + 1)], tf.m, tf.minv, n_layers,
@@ -230,7 +235,7 @@ class TestSlotConstantDct:
         init_model_params(store, n, dim, t_slots, n_layers, rng)
         pattern, weights, _ = random_sparse_p(rng, t_slots, n)
         tf = make_transform("dct", t_slots)
-        tape = Tape()
+        tape = UnionTape()
         full = union_stack(tape, store.leaves(tape), pattern, tape.constant(weights), tf, n_layers).value
         assert full.shape == (t_slots, n, dim)
         # over 200 random instances (T 1-9, 1-3 layers) the slots differed
@@ -238,7 +243,7 @@ class TestSlotConstantDct:
         scale = np.max(np.abs(full))
         assert np.max(np.abs(full - full[0])) <= 1e-15 * scale
         tape = Tape()
-        h = forward(tape, store.leaves(tape), pattern, tape.constant(weights), tf, n_layers)
+        h = forward(tape, store.leaves(tape), pattern, tape.constant(weights), "dct", n_layers)
         assert np.max(np.abs(h.value - full)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -259,13 +264,13 @@ class TestSlotConstantDct:
         tf = make_transform("dct", prep.t_slots)
         grads = []
         for union in (False, True):
-            tape = Tape()
+            tape = UnionTape() if union else Tape()
             leaves = store.leaves(tape)
             if union:
                 weights = aggregation_weights(tape, generate_features(tape, prep.ctx, leaves), prep.pattern)
                 h = union_stack(tape, leaves, prep.pattern, weights, tf, config.layers)
             else:
-                h = training.embed(tape, leaves, prep, tf, config)
+                h = training.embed(tape, leaves, prep, config)
             probs = training.decode(tape, leaves, h, pairs.pairs)
             tape.backward(training.compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg))
             grads.append({name: leaves[name].grad for name in store.names()})
@@ -278,16 +283,28 @@ class TestSlotConstantDct:
         store = ParamStore()
         init_model_params(store, 4, 2, 3, 2, rng)
         pattern, weights, _ = random_sparse_p(rng, 3, 4)
-        tf = make_transform("custom", 3, np.eye(3) + 0.3 * rng.normal(size=(3, 3)))
         tape = Tape()
         with pytest.raises(ParameterError, match="'custom'"):
-            forward(tape, store.leaves(tape), pattern, tape.constant(weights), tf, 2)
+            forward(tape, store.leaves(tape), pattern, tape.constant(weights), "custom", 2)
+
+    @pytest.mark.parametrize("kind", ["identity", "dct"])
+    def test_forward_refuses_weights_over_other_slots(self, kind):
+        # the slot count comes from the pattern, so a layer stack over 4
+        # slots cannot meet a 3-slot pattern unnoticed
+        rng = np.random.default_rng(82)
+        store = ParamStore()
+        init_model_params(store, 4, 2, 4, 2, rng)
+        pattern, weights, _ = random_sparse_p(rng, 3, 4)
+        tape = Tape()
+        with pytest.raises(ShapeError):
+            forward(tape, store.leaves(tape), pattern, tape.constant(weights), kind, 2)
 
 
 @pytest.mark.parametrize("kind", ["identity", "dct", "custom"])
 def test_weight_product_bit_equals_composite_oracle(kind):
-    """One ``m_product`` entry gives the output and both gradients of the
-    old ``mode3``/``matmul``/``mode3`` composite, bit for bit."""
+    """One ``m_product`` entry over the ``DenseOperator`` gives the output
+    and both gradients of the old ``mode3``/``matmul``/``mode3`` composite,
+    bit for bit."""
     rng = np.random.default_rng(61)
     t_slots, n, dim = 8, 60, 32
     if kind == "custom":
@@ -298,6 +315,9 @@ def test_weight_product_bit_equals_composite_oracle(kind):
     w0 = rng.normal(size=(t_slots, dim, dim))
     r = rng.normal(size=(t_slots, n, dim))
     runs = []
+    def weight_product(tape, h, w, tf):
+        return tape.m_product(h, w, DenseOperator(h.value, tf))
+
     for tape, product in ((Tape(), weight_product), (OracleTape(), oracle_weight_product)):
         h, w = tape.leaf(h0, requires_grad=True), tape.leaf(w0, requires_grad=True)
         out = product(tape, h, w, tf)

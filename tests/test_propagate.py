@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import nohgnn.model as model_mod
-import nohgnn.tensor3 as tensor3_mod
 from nohgnn.model import forward, init_model_params
 from nohgnn.overlap import overlap_scores
 from nohgnn.tape import ParamStore, Tape
@@ -17,12 +16,13 @@ from nohgnn.tensor3 import (
     SlicePattern,
     SliceSparse3,
     SlotSumOperator,
+    Tensor3,
+    m_product,
     make_transform,
-    sparse_operator,
 )
 from feature_helpers import row_features
 from pattern_helpers import entry_table, to_sparse
-from propagate_oracle import OracleTape
+from propagate_oracle import OracleTape, sparse_m_product
 from tape_helpers import mul
 
 T_SLOTS, N, F = 4, 60, 5
@@ -49,20 +49,16 @@ def make_weights(case: str, pattern: SlicePattern, rng: np.random.Generator) -> 
     return w
 
 
-def product(tape: Tape, op: str, pattern: SlicePattern, w, h, tf):
-    """The one sparse M-product op on a ``Tape``, or the earlier ``op`` on an
+def run_op(tape: Tape, pattern: SlicePattern, w0, h0, r):
+    """The face-wise product of ``w0`` over the pattern with ``h0`` and its
+    gradients: the operator on a ``Tape``, the earlier spmm on an
     ``OracleTape``, which built its operator itself."""
-    if not isinstance(tape, OracleTape):
-        return tape.m_product(w, h, sparse_operator(pattern, w.value, tf))
-    if op == "spmm":
-        return tape.spmm(pattern, w, h)
-    return tape.sparse_m_product(pattern, w, h, tf)
-
-
-def run_op(tape: Tape, op: str, pattern: SlicePattern, w0, h0, r, tf):
     w = tape.leaf(w0, requires_grad=True)
     h = tape.leaf(h0, requires_grad=True)
-    out = product(tape, op, pattern, w, h, tf)
+    if isinstance(tape, OracleTape):
+        out = tape.spmm(pattern, w, h)
+    else:
+        out = tape.m_product(w, h, FacewiseOperator(pattern, w0))
     tape.backward(tape.sum(mul(tape, out, tape.constant(r))))
     return out.value, w.grad, h.grad
 
@@ -85,65 +81,38 @@ def inputs(seed: int, pattern: SlicePattern, case: str):
 def test_spmm_bit_equals_oracle(case):
     pattern = make_pattern(1)
     w0, h0, r = inputs(2, pattern, case)
-    tf = make_transform("identity", T_SLOTS)
-    got = run_op(Tape(), "spmm", pattern, w0, h0, r, tf)
-    want = run_op(OracleTape(), "spmm", pattern, w0, h0, r, tf)
-    assert_bit_equal(got, want)
+    assert_bit_equal(run_op(Tape(), pattern, w0, h0, r), run_op(OracleTape(), pattern, w0, h0, r))
+
+
+def library_matches_oracle(x: SliceSparse3, h0: np.ndarray, tf) -> None:
+    """``tensor3.m_product`` of the sparse stack ``x`` equals the oracle's
+    product over the pattern of ``x`` bit for bit."""
+    got = m_product(x, Tensor3(h0), tf).data
+    want = sparse_m_product(SlicePattern.from_sparse(x), np.concatenate([s.data for s in x.slices]), h0, tf)[0]
+    assert_bit_equal([got], [want])
 
 
 @pytest.mark.parametrize("case", WEIGHT_CASES)
 @pytest.mark.parametrize("kind", ["dct", "identity", "custom"])
 def test_sparse_m_product_bit_equals_oracle(case, kind):
     pattern = make_pattern(3)
-    w0, h0, r = inputs(4, pattern, case)
+    w0, h0, _ = inputs(4, pattern, case)
     matrix = np.eye(T_SLOTS) + 0.3 * np.random.default_rng(5).normal(size=(T_SLOTS, T_SLOTS))
-    tf = make_transform(kind, T_SLOTS, matrix if kind == "custom" else None)
-    got = run_op(Tape(), "sparse_m_product", pattern, w0, h0, r, tf)
-    want = run_op(OracleTape(), "sparse_m_product", pattern, w0, h0, r, tf)
-    assert_bit_equal(got, want)
+    library_matches_oracle(to_sparse(pattern, w0), h0, make_transform(kind, T_SLOTS, matrix if kind == "custom" else None))
 
 
-def check_chunks(pattern: SlicePattern, case: str, seed: int):
-    w0, h0, r = inputs(seed, pattern, case)
-    tf = make_transform("dct", pattern.t_slots)
-    got = run_op(Tape(), "sparse_m_product", pattern, w0, h0, r, tf)
-    want = run_op(OracleTape(), "sparse_m_product", pattern, w0, h0, r, tf)
-    assert_bit_equal(got, want)
-    n_union = len(pattern.union[1])
-    chunks = pattern.union_chunks()
-    width = chunks[0].hi - chunks[0].lo if len(chunks) > 1 else tensor3_mod._union_chunk_width(pattern.t_slots)
-    assert width % 8 == 0
-    assert len(chunks) == max(1, n_union // width)
-    assert [c.lo for c in chunks[1:]] == [c.hi for c in chunks[:-1]]
-    assert (chunks[0].lo, chunks[-1].hi) == (0, n_union)
-    assert sorted(np.concatenate([c.entries for c in chunks]).tolist()) == list(range(pattern.nnz))
-    return chunks
-
-
-@pytest.mark.parametrize("width", ["one", "block", "union-1", "union", "union+1"])
-@pytest.mark.parametrize("case", ["no_zeros", "mixed"])
-def test_sparse_m_product_chunks_bit_equal_oracle(monkeypatch, width, case):
-    pattern = make_pattern(6)
-    n_union = len(pattern.union[1])
-    assert n_union > tensor3_mod.SDDMM_BLOCK + 1
-    target = {"one": 1, "block": tensor3_mod.SDDMM_BLOCK, "union-1": n_union - 1,
-              "union": n_union, "union+1": n_union + 1}[width]
-    monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", T_SLOTS * target)
-    chunks = check_chunks(pattern, case, 7)
-    assert chunks[0].hi - chunks[0].lo >= min(target, n_union)
-
-
-@pytest.mark.parametrize("values", [32 * 1001, 2**17, tensor3_mod.UNION_CHUNK])
-def test_sparse_m_product_chunks_at_scale(monkeypatch, values):
-    """32 slices over a union of several chunks whose width is not a
-    multiple of 8: the M^T products are large enough for OpenBLAS's blocked
-    kernels, whose last columns round unlike the others."""
-    monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", values)
-    pattern = make_pattern(18, t_slots=32, n=300, density=0.05)
-    n_union = len(pattern.union[1])
-    assert n_union % 8 != 0
-    chunks = check_chunks(pattern, "mixed", 16)
-    assert len(chunks) >= 2
+@pytest.mark.parametrize("kind", ["dct", "custom"])
+def test_library_sparse_m_product_at_scale_bit_equals_oracle(kind):
+    """32 slices over a union 72,687 entries wide, not a multiple of 8: the
+    mode-3 products run OpenBLAS's blocked kernels, whose last columns
+    round unlike the others, and still give the oracle's bits."""
+    pattern = scale_pattern()
+    rng = np.random.default_rng(23)
+    w0 = make_weights("no_zeros", pattern, rng)
+    h0 = rng.normal(size=(pattern.t_slots, pattern.n_cols, F))
+    matrix = np.eye(pattern.t_slots) + 0.3 * rng.normal(size=(pattern.t_slots, pattern.t_slots)) / np.sqrt(pattern.t_slots)
+    tf = make_transform(kind, pattern.t_slots, matrix if kind == "custom" else None)
+    library_matches_oracle(to_sparse(pattern, w0), h0, tf)
 
 
 @pytest.mark.parametrize("case", ["no_zeros", "half_zero", "zero_slices"])
@@ -187,7 +156,7 @@ def test_one_operator_per_forward(monkeypatch, kind):
     tape = Tape()
     leaves = store.leaves(tape)
     weights = tape.leaf(np.random.default_rng(12).random(pattern.nnz), requires_grad=True)
-    h = forward(tape, leaves, pattern, weights, make_transform(kind, T_SLOTS), 2)
+    h = forward(tape, leaves, pattern, weights, kind, 2)
     tape.backward(tape.sum(h))
     assert calls == [(pattern, {"live_only": True} if kind == "identity" else {})]
     assert weights.grad is not None
@@ -196,22 +165,26 @@ def test_one_operator_per_forward(monkeypatch, kind):
 @pytest.mark.parametrize("kind", ["identity", "dct"])
 def test_value_gradient_at_zero_weight(kind):
     """At an exactly-zero weight the op's value gradient is still g·h: the
-    products leave the entry out, the SDDMM must not."""
+    products leave the entry out, the SDDMM must not. Under the dct the op
+    is P-bar on (N, F) rows, and the zeros are taken in the tubes P-bar
+    holds, whose other slices carry a nonzero weight."""
     pattern = make_pattern(13, n=8, density=0.4)
     rng = np.random.default_rng(14)
     w0 = make_weights("mixed", pattern, rng)
-    zeros = np.flatnonzero(w0 == 0)[:6]
-    assert len(zeros) > 0
     h0 = rng.normal(size=(T_SLOTS, 8, F))
     r = rng.normal(size=(T_SLOTS, 8, F))
-    tf = make_transform(kind, T_SLOTS)
-    op = "spmm" if kind == "identity" else "sparse_m_product"
-    _, grad, _ = run_op(Tape(), op, pattern, w0, h0, r, tf)
+    if kind == "identity":
+        build, candidates = FacewiseOperator, w0 == 0
+    else:
+        h0, r = h0[0], r[0]
+        build, candidates = SlotSumOperator, (w0 == 0) & live_entries(kind, pattern, w0)
+    zeros = np.flatnonzero(candidates)[:6]
+    assert len(zeros) > 0
+    op = build(pattern, w0)
+    grad = op.grads(r, op.apply(h0)[1])[0]
 
     def loss(w):
-        t = Tape()
-        w_node, h_node = t.constant(w), t.constant(h0)
-        return float((product(t, op, pattern, w_node, h_node, tf).value * r).sum())
+        return float((build(pattern, w).apply(h0)[0] * r).sum())
 
     eps = 1e-6
     for e in zeros:
@@ -221,18 +194,16 @@ def test_value_gradient_at_zero_weight(kind):
         numeric = (loss(plus) - loss(minus)) / (2 * eps)
         assert abs(grad[e]) > 1e-3
         assert abs(grad[e] - numeric) <= 1e-6 * max(1.0, abs(numeric))
-    if kind == "identity":
-        table = entry_table(pattern)
-        t, i, j = table[zeros].T
-        np.testing.assert_allclose(grad[zeros], np.einsum("ef,ef->e", r[t, i], h0[t, j]), rtol=1e-12)
+    t, i, j = entry_table(pattern)[zeros].T
+    rows = (r[t, i], h0[t, j]) if kind == "identity" else (r[i], h0[j])
+    np.testing.assert_allclose(grad[zeros], np.einsum("ef,ef->e", *rows), rtol=1e-12)
 
 
 LIVE_CASES = ("no_zeros", "mixed", "dead_chunks", "single_tube")
 
 
 def scale_pattern() -> SlicePattern:
-    """32 slices over a union of several 1,008-wide chunks whose total width
-    is not a multiple of 8, once ``UNION_CHUNK`` is 32 * 1001 values."""
+    """32 slices over a union 72,687 entries wide, not a multiple of 8."""
     pattern = make_pattern(18, t_slots=32, n=300, density=0.05)
     assert len(pattern.union[1]) % 8 != 0
     return pattern
@@ -240,17 +211,16 @@ def scale_pattern() -> SlicePattern:
 
 def live_weights(case: str, pattern: SlicePattern, rng: np.random.Generator) -> np.ndarray:
     flat_to_union = pattern.union[2]
-    chunks = pattern.union_chunks()
-    assert len(chunks) >= 4
     if case in ("no_zeros", "mixed"):
         return make_weights(case, pattern, rng)
     w = rng.random(pattern.nnz) + 0.1
     if case == "dead_chunks":
-        # every tube of the second and third chunks dead, and zeros elsewhere
-        w[(flat_to_union >= chunks[1].lo) & (flat_to_union < chunks[2].hi)] = 0.0
+        # every tube of union positions [1008, 3024) dead, and zeros elsewhere
+        w[(flat_to_union >= 1008) & (flat_to_union < 3024)] = 0.0
         w[rng.random(pattern.nnz) < 0.3] = 0.0
     else:
-        w[flat_to_union != (chunks[-2].lo + chunks[-1].hi) // 2] = 0.0
+        # one live tube, near the end of the union
+        w[flat_to_union != len(pattern.union[1]) - 1064] = 0.0
     return w
 
 
@@ -276,24 +246,22 @@ def slot_sum_oracle(pattern: SlicePattern, w0, h0, r):
 
 @pytest.mark.parametrize("case", LIVE_CASES)
 @pytest.mark.parametrize("kind", ["identity", "dct"])
-def test_live_operator_bit_equals_oracle(monkeypatch, kind, case):
+def test_live_operator_bit_equals_oracle(kind, case):
     """The live operator's product and node gradient equal the oracle's bit
     for bit, and so does its value gradient on the live entries; on the
     dead ones it is +0. Under the identity the oracle is the earlier spmm;
     under the dct the operator is P-bar on slot-constant rows, and the
     oracle the slices summed by scipy."""
-    monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", 32 * 1001)
     pattern = scale_pattern()
     rng = np.random.default_rng(19)
     w0 = live_weights(case, pattern, rng)
     h0 = rng.normal(size=(pattern.t_slots, pattern.n_cols, F))
     r = rng.normal(size=(pattern.t_slots, pattern.n_rows, F))
-    tf = make_transform(kind, pattern.t_slots)
     live = live_entries(kind, pattern, w0)
     if kind == "identity":
         op = FacewiseOperator(pattern, w0, live_only=True)
         assert sum(s.nnz for s in op.slices) == np.count_nonzero(w0)
-        want = run_op(OracleTape(), "spmm", pattern, w0, h0, r, tf)
+        want = run_op(OracleTape(), pattern, w0, h0, r)
     else:
         h0, r = h0[0], r[0]
         op = SlotSumOperator(pattern, w0)
@@ -311,31 +279,6 @@ def test_live_operator_bit_equals_oracle(monkeypatch, kind, case):
     assert np.all(dead == 0) and not np.any(np.signbit(dead))
 
 
-@pytest.mark.parametrize("case", ["no_zeros", "mixed"])
-def test_no_mode3_product_wider_than_a_union_chunk(monkeypatch, case):
-    """The dct operator builds P-hat and takes its value gradient one union
-    chunk at a time: every mode-3 product over union tubes is exactly one
-    chunk wide."""
-    monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", 32 * 1001)
-    pattern = scale_pattern()
-    w0, h0, r = inputs(22, pattern, case)
-    widths = []
-    inner = tensor3_mod._apply_mode3
-
-    def recorded(arr, m):
-        # P-hat and dP-hat stacks are (T, columns); y and g are (T, N, F)
-        if arr.ndim == 2:
-            widths.append(arr.shape[1])
-        return inner(arr, m)
-
-    monkeypatch.setattr(tensor3_mod, "_apply_mode3", recorded)
-    op = sparse_operator(pattern, w0, make_transform("dct", pattern.t_slots))
-    op.grads(r, op.apply(h0)[1])
-    chunk_widths = [c.hi - c.lo for c in pattern.union_chunks()]
-    assert len(chunk_widths) >= 4
-    assert widths == chunk_widths * 2
-
-
 @pytest.mark.parametrize("case", ["no_zeros", "mixed", "diagonal_only"])
 @pytest.mark.parametrize("kind", ["identity", "dct"])
 def test_live_forward_gradients_bit_equal_full(monkeypatch, kind, case):
@@ -343,7 +286,6 @@ def test_live_forward_gradients_bit_equal_full(monkeypatch, kind, case):
     the score op and ``segment_softmax`` is the same, bit for bit, with the
     live operator ``forward`` builds and with the full one: under the dct,
     the same P-bar with its value gradient taken on every tube."""
-    monkeypatch.setattr(tensor3_mod, "UNION_CHUNK", 32 * 1001)
     pattern = scale_pattern()
     rng = np.random.default_rng(20)
     o0 = 0.3 * rng.normal(size=(pattern.t_slots, pattern.n_rows, F))
@@ -357,7 +299,6 @@ def test_live_forward_gradients_bit_equal_full(monkeypatch, kind, case):
         offset[off_diagonal] = -1e4
     store = ParamStore()
     init_model_params(store, pattern.n_rows, F, pattern.t_slots, 2, np.random.default_rng(21))
-    tf = make_transform(kind, pattern.t_slots)
 
     def grads(full=False):
         def facewise(pattern, values, live_only):
@@ -376,7 +317,7 @@ def test_live_forward_gradients_bit_equal_full(monkeypatch, kind, case):
         scores = tape.add(overlap_scores(tape, row_features(tape, o), pattern), tape.constant(offset))
         weights = tape.segment_softmax(scores, pattern.row_splits)
         assert np.any(weights.value == 0) == (case != "no_zeros")
-        h = forward(tape, leaves, pattern, weights, tf, 2)
+        h = forward(tape, leaves, pattern, weights, kind, 2)
         tape.backward(tape.sum(h))
         return [h.value, o.grad] + [leaves[name].grad for name in sorted(leaves) if leaves[name].grad is not None]
 

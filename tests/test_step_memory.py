@@ -19,7 +19,7 @@ from nohgnn.overlap import aggregation_weights
 from nohgnn.structural import generate_features
 from nohgnn.synth import planted_partition_graph
 from nohgnn.tape import Tape
-from nohgnn.tensor3 import FacewiseOperator, SlicePattern, SliceSparse3, make_transform
+from nohgnn.tensor3 import FacewiseOperator, SlicePattern, SliceSparse3
 from tape_helpers import mul
 
 
@@ -96,14 +96,13 @@ class TestAgainstOracle:
     def test_training_step_bit_equals_oracle(self, transform):
         config, prep, store = criterion_6(transform)
         pairs = train_pairs(prep, config)
-        tf = make_transform(transform, prep.t_slots)
         results = []
         for tape in (Tape(), oracle.OracleTape()):
             leaves = store.leaves(tape)
             if isinstance(tape, oracle.OracleTape):
                 feats = oracle.generate_features(tape, prep.ctx, leaves)
                 weights = tape.segment_softmax(tape.pair_dot(feats, prep.pattern), prep.pattern.row_splits)
-                h = model.forward(tape, leaves, prep.pattern, weights, tf, config.layers)
+                h = model.forward(tape, leaves, prep.pattern, weights, transform, config.layers)
                 rows = pairs.pairs
                 if h.value.ndim == 2:
                     # the dct's slot-constant rows, read as the one slot of a stack
@@ -111,7 +110,7 @@ class TestAgainstOracle:
                     rows = rows * [1, 1, 0]
                 probs = oracle.decode(tape, leaves, h, rows)
             else:
-                probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, tf, config), pairs.pairs)
+                probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, config), pairs.pairs)
             loss = training.compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg)
             tape.backward(loss)
             results.append([loss.value, probs.value] + [leaves[name].grad for name in store.names()])
@@ -193,7 +192,7 @@ class TestMemoryContract:
         leaves = store.leaves(tape)
         weights = aggregation_weights(tape, generate_features(tape, prep.ctx, leaves), prep.pattern)
         monkeypatch.setattr(Tape, "_record", watched)
-        h = model.forward(tape, leaves, prep.pattern, weights, make_transform("dct", prep.t_slots), config.layers)
+        h = model.forward(tape, leaves, prep.pattern, weights, "dct", config.layers)
         assert h.value.shape == (prep.n_nodes, config.dim)
         tape.backward(tape.sum(h))
         assert {op for op, _, _ in seen} == {"m_product", "relu", "sum"}
@@ -206,7 +205,7 @@ class TestMemoryContract:
         n_pairs = len(pairs)
         tape = Tape()
         leaves = store.leaves(tape)
-        h = training.embed(tape, leaves, prep, make_transform(config.transform, prep.t_slots), config)
+        h = training.embed(tape, leaves, prep, config)
         made = []
         record = Tape._record
 
@@ -255,8 +254,7 @@ class TestMemoryContract:
         monkeypatch.setattr(Tape, "affine", watched_affine)
         tape = Tape()
         leaves = store.leaves(tape)
-        tf = make_transform(config.transform, prep.t_slots)
-        probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, tf, config), pairs.pairs)
+        probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, config), pairs.pairs)
         loss = training.compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg)
         del probs
         tape.backward(loss)
@@ -278,7 +276,7 @@ class TestMemoryContract:
         monkeypatch.setattr(Tape, "replicate", watched)
         tape = Tape()
         leaves = store.leaves(tape)
-        training.embed(tape, leaves, prep, make_transform("identity", prep.t_slots), config)
+        training.embed(tape, leaves, prep, config)
         ((value, embedding),) = values
         assert embedding is store.value("embed.e")
         assert value.shape == (prep.t_slots,) + embedding.shape

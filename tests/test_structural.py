@@ -18,7 +18,7 @@ from nohgnn.structural import (
 )
 from nohgnn.tape import ParamStore, Tape, grad_check, xavier_uniform
 from nohgnn.synth import dense_tiny_graph, planted_partition, planted_partition_graph
-from nohgnn.tensor3 import SliceSparse3, make_transform
+from nohgnn.tensor3 import SliceSparse3
 from tape_helpers import mul
 
 # A gen.* gradient of the per-class generator may differ from the per-row
@@ -297,8 +297,7 @@ def step_gradients(config, prep, store):
     pairs = training.labeled_split(prep, config, "train")
     tape = Tape()
     leaves = store.leaves(tape)
-    tf = make_transform(config.transform, prep.t_slots)
-    probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, tf, config), pairs.pairs)
+    probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, config), pairs.pairs)
     tape.backward(training.compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg))
     return {name: node.grad for name, node in leaves.items()}
 

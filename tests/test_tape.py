@@ -15,14 +15,15 @@ from nohgnn.structural import FeatureContext
 from nohgnn.tape import Node, ParamStore, Tape, grad_check
 from nohgnn.tensor3 import (
     DenseOperator,
+    FacewiseOperator,
     SlicePattern,
     SliceSparse3,
     Tensor3,
     m_product,
     make_transform,
-    sparse_operator,
 )
 from pattern_helpers import csr, entry_table, to_sparse
+from propagate_oracle import OracleTape
 from softmax_reference import masked_softmax
 from tape_helpers import add, matmul, mul
 
@@ -260,7 +261,7 @@ class TestSparseRules:
         t = Tape()
         vals = t.leaf(vals0, requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
-        out = t.m_product(vals, h, sparse_operator(pat, vals0, make_transform("identity", 3)))
+        out = t.m_product(vals, h, FacewiseOperator(pat, vals0))
         loss = t.sum(mul(t, out, t.constant(r)))
         t.backward(loss)
 
@@ -302,8 +303,7 @@ class TestSparseRules:
         t = Tape()
         vals = t.leaf(vals0.reshape(-1), requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
-        tf = make_transform("identity", t_slots)
-        out = t.m_product(vals, h, sparse_operator(pat, vals.value, tf))
+        out = t.m_product(vals, h, FacewiseOperator(pat, vals.value))
         loss = t.sum(mul(t, out, t.constant(r)))
         t.backward(loss)
 
@@ -325,6 +325,9 @@ class TestSparseRules:
 
     @pytest.mark.parametrize("kind", ["dct", "custom"])
     def test_sparse_m_product_matches_dense_route(self, kind):
+        """The library product of a sparse stack under a mixing transform,
+        and the gradients of the oracle op the tests take it from, against
+        the dense M-product of the densified stack."""
         rng = np.random.default_rng(17)
         t_slots, n = 3, 5
         pat = random_pattern(rng, t_slots, n)
@@ -337,16 +340,17 @@ class TestSparseRules:
         h0 = rng.normal(size=(t_slots, n, 2))
         r = rng.normal(size=(t_slots, n, 2))
 
-        t = Tape()
+        t = OracleTape()
         vals = t.leaf(vals0, requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
-        out = t.m_product(vals, h, sparse_operator(pat, vals0, tf))
+        out = t.sparse_m_product(pat, vals, h, tf)
         t.backward(t.sum(mul(t, out, t.constant(r))))
 
         # dense route: densify the stack and take the library's dense M-product
         def dense_route(v, h_arr):
             return m_product(to_sparse(pat, v).densify(), Tensor3(h_arr), tf).data
 
+        np.testing.assert_allclose(m_product(to_sparse(pat, vals0), Tensor3(h0), tf).data, dense_route(vals0, h0), atol=1e-12)
         np.testing.assert_allclose(out.value, dense_route(vals0, h0), atol=1e-12)
         fd_vals = fd_probe(lambda v: float((dense_route(v, h0) * r).sum()), vals0.copy())
         fd_h = fd_probe(lambda h_arr: float((dense_route(vals0, h_arr) * r).sum()), h0.copy())
@@ -354,17 +358,17 @@ class TestSparseRules:
         assert max_rel_err(h.grad, fd_h) < 1e-6
 
     def test_sparse_m_product_shape_checks(self):
-        rng = np.random.default_rng(20)
-        pat = random_pattern(rng, 3, 4)
+        pat = random_pattern(np.random.default_rng(20), 3, 4)
+        x = to_sparse(pat, np.ones(pat.nnz))
         with pytest.raises(ShapeError, match="transform size 4"):
-            sparse_operator(pat, np.ones(pat.nnz), make_transform("dct", 4))
+            m_product(x, Tensor3(np.ones((3, 4, 2))), make_transform("dct", 4))
+        for kind in ("identity", "dct"):
+            with pytest.raises(ShapeError, match="node tensor shape"):
+                m_product(x, Tensor3(np.ones((3, 5, 2))), make_transform(kind, 3))
         t = Tape()
-        op = sparse_operator(pat, np.ones(pat.nnz), make_transform("dct", 3))
-        h = t.leaf(np.ones((3, 4, 2)), requires_grad=True)
+        op = FacewiseOperator(pat, np.ones(pat.nnz))
         with pytest.raises(ShapeError, match="values shape"):
-            t.m_product(t.leaf(np.ones(pat.nnz + 1), requires_grad=True), h, op)
-        with pytest.raises(ShapeError, match="node tensor shape"):
-            t.m_product(t.leaf(np.ones(pat.nnz), requires_grad=True), t.leaf(np.ones((3, 5, 2))), op)
+            t.m_product(t.leaf(np.ones(pat.nnz + 1), requires_grad=True), t.leaf(np.ones((3, 4, 2))), op)
 
     @pytest.mark.parametrize("kind", ["identity", "dct", "custom"])
     def test_dense_m_product_matches_library_route(self, kind):
@@ -451,9 +455,8 @@ class TestSparseRules:
         pat = SlicePattern.from_sparse(SliceSparse3.from_dense(np.stack([a0, a1])))
         t = Tape()
         v = t.leaf(np.array([10.0, 20.0, 30.0]), requires_grad=True)
-        tf = make_transform("identity", 2)
         h = t.constant(np.stack([np.eye(2)] * 2))
-        out = t.m_product(v, h, sparse_operator(pat, v.value, tf))
+        out = t.m_product(v, h, FacewiseOperator(pat, v.value))
         loss = t.sum(mul(t, out, t.constant(np.ones_like(out.value))))
         t.backward(loss)
         # union support is {(0,1), (1,0)}; slice 0 leaves (1,0) empty

@@ -9,7 +9,7 @@ import pytest
 
 import train_loop_oracle
 from graph_helpers import has_edge
-from nohgnn import training
+from nohgnn import tensor3, training
 from nohgnn.data import LabeledPairSet, split_edges
 from nohgnn.errors import NumericError, ParameterError
 from nohgnn.synth import planted_partition_graph
@@ -507,7 +507,7 @@ class TestSharedForward:
         pairs = training.merge_pair_sets(prep.train_pos, neg)
         tape = Tape()
         leaves = store.leaves(tape)
-        h = training.embed(tape, leaves, prep, training.make_transform(transform, prep.t_slots), config)
+        h = training.embed(tape, leaves, prep, config)
         # every relu of the generator's two perceptrons and of the hidden layers
         assert len(refs["pre_relu"]) == 2 + config.layers - 1
         monkeypatch.setattr(Tape, "gather_rows", watched_gather_rows)
@@ -620,6 +620,24 @@ class TestGradientCheck:
         assert run_gradient_check(transform) <= 1e-4
 
 
+@pytest.mark.parametrize("transform", ["identity", "dct"])
+def test_training_builds_no_transform(monkeypatch, transform):
+    """Training, prediction and the gradient check build no ``Transform``,
+    whose T x T matrices the model never reads: at 20,000 slots the two
+    would take 2.98 GiB."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Transform was built")
+
+    monkeypatch.setattr(tensor3.Transform, "__init__", refuse)
+    prep, config = small_prep(seed=4, transform=transform, max_epochs=2)
+    result = train_loop(prep, config)
+    assert result.epochs_run == 2
+    probs = training.predict(result.store, prep, config, prep.test_set.pairs)
+    assert probs.shape == (len(prep.test_set.pairs),)
+    assert run_gradient_check(transform) <= 1e-4
+
+
 @pytest.mark.parametrize("kind, entries", [("dct", 25), ("identity", 26)])
 def test_tape_entries_of_one_training_step(kind, entries):
     """One training step on the criterion-6 instance: two M-product entries
@@ -635,8 +653,7 @@ def test_tape_entries_of_one_training_step(kind, entries):
     pairs = training.labeled_split(prep, config, "train")
     tape = Tape()
     leaves = store.leaves(tape)
-    tf = training.make_transform(kind, prep.t_slots)
-    probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, tf, config), pairs.pairs)
+    probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, config), pairs.pairs)
     compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg)
     ops = [backward.__qualname__.split(".")[1] for _, _, backward in tape._entries]
     assert len(ops) == entries

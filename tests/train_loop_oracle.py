@@ -11,7 +11,6 @@ from nohgnn.data import merge_pair_sets, negative_sample
 from nohgnn.errors import NumericError, ParameterError
 from nohgnn.model import decode
 from nohgnn.tape import Node, Tape
-from nohgnn.tensor3 import Transform, make_transform
 from nohgnn.training import (
     Adam,
     PreparedData,
@@ -29,12 +28,11 @@ def model_probs(
     tape: Tape,
     leaves: dict[str, Node],
     prep: PreparedData,
-    tf: Transform,
     config: TrainConfig,
     pairs: np.ndarray,
 ) -> Node:
     """The whole pipeline: features, aggregation weights, layers, decoder."""
-    return decode(tape, leaves, embed(tape, leaves, prep, tf, config), pairs)
+    return decode(tape, leaves, embed(tape, leaves, prep, config), pairs)
 
 
 def train_loop(
@@ -49,7 +47,6 @@ def train_loop(
         raise ParameterError("training set has no positive pairs")
     if prep.val_set.size == 0:
         raise ParameterError("validation set is empty; cannot early-stop")
-    tf = make_transform(config.transform, prep.t_slots)
     store = init_params(config, prep.n_nodes, prep.t_slots)
     adam = Adam(store, config.learning_rate)
     result = TrainResult(store=store.clone())
@@ -61,7 +58,7 @@ def train_loop(
         train_set = merge_pair_sets(prep.train_pos, neg)
         tape = Tape()
         leaves = store.leaves(tape)
-        probs = model_probs(tape, leaves, prep, tf, config, train_set.pairs)
+        probs = model_probs(tape, leaves, prep, config, train_set.pairs)
         loss = compute_loss(tape, probs, train_set.labels, leaves, config.beta_reg)
         if not np.isfinite(loss.value):
             raise NumericError(f"training diverged at epoch {epoch}: loss is not finite")
