@@ -9,7 +9,9 @@ stacks. They are copied verbatim, with the SDDMM helper and
 ``tensor3.sparse_m_product`` they called. The edits: the slice CSR view,
 which has left ``SlicePattern``, comes from ``pattern_helpers``, and the
 slot of every flat entry, which has left it too, is derived here by
-``entry_slots``.
+``entry_slots``. ``chunked_m_product`` is the forward of the sparse
+M-product as it was built one union chunk at a time, before the library
+product took the whole union at once.
 """
 
 from __future__ import annotations
@@ -61,6 +63,29 @@ def sparse_m_product(
     for t in range(pattern.t_slots):
         prod[t] = sp.csr_matrix((p_hat[t], u_indices, u_indptr), shape=shape, copy=False) @ y_hat[t]
     return _apply_mode3(prod, tf.minv), p_hat, y_hat
+
+
+def chunked_m_product(pattern: SlicePattern, values: np.ndarray, y: np.ndarray, tf: Transform, chunk_values: int) -> np.ndarray:
+    """``sparse_m_product`` with P-hat built one union chunk at a time: each
+    chunk is ``chunk_values`` values over T slices wide, rounded up to a
+    multiple of 8 union entries, and the last one takes the remainder."""
+    u_indptr, u_indices, flat_to_union = pattern.union
+    n_union = len(u_indices)
+    width = (-(-chunk_values // pattern.t_slots) + 7) // 8 * 8
+    bounds = np.append(np.arange(0, n_union, width)[: max(1, n_union // width)], n_union)
+    slots = entry_slots(pattern)
+    p_hat = np.empty((pattern.t_slots, n_union))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        entries = np.flatnonzero((flat_to_union >= lo) & (flat_to_union < hi))
+        p_chunk = np.zeros((pattern.t_slots, hi - lo))
+        p_chunk[slots[entries], flat_to_union[entries] - lo] = values[entries]
+        p_hat[:, lo:hi] = _apply_mode3(p_chunk, tf.m)
+    y_hat = _apply_mode3(y, tf.m)
+    shape = (pattern.n_rows, pattern.n_cols)
+    prod = np.empty((pattern.t_slots, pattern.n_rows, y.shape[2]))
+    for t in range(pattern.t_slots):
+        prod[t] = sp.csr_matrix((p_hat[t], u_indices, u_indptr), shape=shape, copy=False) @ y_hat[t]
+    return _apply_mode3(prod, tf.minv)
 
 
 class OracleTape(Tape):

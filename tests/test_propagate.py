@@ -22,7 +22,7 @@ from nohgnn.tensor3 import (
 )
 from feature_helpers import row_features
 from pattern_helpers import entry_table, to_sparse
-from propagate_oracle import OracleTape, sparse_m_product
+from propagate_oracle import OracleTape, chunked_m_product, sparse_m_product
 from tape_helpers import mul
 
 T_SLOTS, N, F = 4, 60, 5
@@ -113,6 +113,25 @@ def test_library_sparse_m_product_at_scale_bit_equals_oracle(kind):
     matrix = np.eye(pattern.t_slots) + 0.3 * rng.normal(size=(pattern.t_slots, pattern.t_slots)) / np.sqrt(pattern.t_slots)
     tf = make_transform(kind, pattern.t_slots, matrix if kind == "custom" else None)
     library_matches_oracle(to_sparse(pattern, w0), h0, tf)
+
+
+@pytest.mark.parametrize("values", [32 * 1001, 2**17, 2**20])
+def test_sparse_m_product_chunks_at_scale(values):
+    """The library product over the whole union gives the bits of P-hat
+    built one chunk of ``values`` values at a time, on the scale pattern with
+    zero and negative-zero weights, where every chunk but the last is a
+    multiple of 8 union entries wide and the last is not."""
+    pattern = scale_pattern()
+    w0, h0, _ = inputs(16, pattern, "mixed")
+    tf = make_transform("dct", pattern.t_slots)
+    x = to_sparse(pattern, w0)
+    got = m_product(x, Tensor3(h0), tf).data
+    want = chunked_m_product(pattern, w0, h0, tf, values)
+    assert_bit_equal([got], [want])
+    library_matches_oracle(x, h0, tf)
+    # at least two chunks, as chunked_m_product cuts them
+    width = (-(-values // pattern.t_slots) + 7) // 8 * 8
+    assert len(pattern.union[1]) // width >= 2
 
 
 @pytest.mark.parametrize("case", ["no_zeros", "half_zero", "zero_slices"])
