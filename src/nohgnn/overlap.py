@@ -1,8 +1,9 @@
 """Aggregation weights from structural features.
 
 Raw scores are dot products of feature rows over the overlap support plus the
-diagonal; a per-row masked softmax turns them into a row-stochastic sparse
-aggregation tensor that drives message passing.
+diagonal, computed once per distinct pair of feature classes (see
+``structural``); a per-row masked softmax turns them into a row-stochastic
+sparse aggregation tensor that drives message passing.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ def build_aggregation_pattern(b: SliceSparse3) -> SlicePattern:
 
 def overlap_scores(tape: Tape, features: ClassFeatures, pattern: SlicePattern) -> Node:
     """Raw scores p̂ = o_it · o_jt for every (i, j, t) in the pattern, flat,
-    from the per-class feature rows."""
+    from the per-class feature rows: each distinct class pair is scored once,
+    with the pair plan the first call for the pattern builds."""
     return tape.pair_dot(features.rows, features.ctx, pattern)
 
 

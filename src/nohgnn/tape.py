@@ -14,7 +14,9 @@ the nodes themselves: a value lives only while the caller holds its node or
 a rule has captured the array, and each rule captures only what it reads.
 ``relu`` keeps its input's boolean mask; ``affine`` its weight, and its
 input until the weight gradient is computed; ``pair_dot`` its per-class
-feature rows; ``sigmoid`` and ``segment_softmax`` their outputs;
+feature rows and the context's plan of the distinct class pairs, whose
+scores it computes once each; ``sigmoid`` and ``segment_softmax`` their
+outputs;
 ``m_product`` its operator (which holds its left operand, or that operand
 times M) and its right operand as the operator transformed it.
 ``replicate`` records a broadcast view, not copies.
@@ -300,33 +302,34 @@ class Tape:
         where the feature row of node i at slot t is row
         ``classes.row_class[t, i]`` of ``o``, a matrix with one row per class.
 
-        Each slot's (N, F) rows are taken with one ``take``, in the forward
-        and again in the backward, so no (T, N, F) value is recorded or
-        captured. Backward leaves out the entries whose incoming gradient is
-        exactly 0 (``tensor3.nonzero_csr``), such as those of every zero
-        softmax weight, and sums the row gradients of each class with
-        ``classes.row_scatter``.
+        A score depends only on the pair of classes, so the forward scores
+        each distinct pair of ``classes.pair_plan(pattern)`` once and spreads
+        the scores to the entries with one gather. Backward sums the
+        entries' gradients per pair in entry order (``np.add.at``, which
+        gives ``bincount``'s bits without an int64 copy of the int32 pair
+        index), and multiplies the class rows by that (classes, classes)
+        CSR matrix and by its transpose.
         """
         vo, row_class = o.value, classes.row_class
-        t_count, n = pattern.t_slots, pattern.n_rows
-        if vo.ndim != 2 or row_class.shape != (t_count, n):
-            raise ShapeError(f"class rows {vo.shape} and classes {row_class.shape} do not match the pattern's {t_count}x{n}")
-        out = np.empty(pattern.nnz)
-        for t in range(t_count):
-            lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
-            rows_t = vo.take(row_class[t], axis=0)
-            tensor3._sddmm(rows_t, pattern.rows[t], rows_t, pattern.indices[t], out[lo:hi])
+        n_classes = classes.counts.shape[0]
+        if vo.ndim != 2 or vo.shape[0] != n_classes or row_class.shape != (pattern.t_slots, pattern.n_rows):
+            raise ShapeError(
+                f"class rows {vo.shape} and classes {row_class.shape} do not match the pattern's "
+                f"{pattern.t_slots}x{pattern.n_rows} and {n_classes} classes"
+            )
+        plan = classes.pair_plan(pattern)
+        scores = np.empty(len(plan.rows))
+        tensor3._sddmm(vo, plan.rows, vo, plan.cols, scores)
 
         def backward(g):
-            do = np.empty((t_count, n, vo.shape[1]))
-            for t in range(t_count):
-                lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
-                rows_t = vo.take(row_class[t], axis=0)
-                s_g = tensor3.nonzero_csr(g[lo:hi], pattern.indices[t], pattern.indptrs[t], (n, n))
-                do[t] = s_g @ rows_t + s_g.T @ rows_t
-            return (classes.row_scatter @ do.reshape(t_count * n, -1),)
+            sums = np.zeros(len(plan.rows))
+            np.add.at(sums, plan.pair_of, g)
+            m = sp.csr_matrix((sums, plan.cols, plan.indptr), shape=(n_classes, n_classes))
+            do = m @ vo
+            do += m.T @ vo
+            return (do,)
 
-        return self._record(out, (o,), backward)
+        return self._record(scores[plan.pair_of], (o,), backward)
 
     def segment_softmax(self, scores: Node, splits: np.ndarray) -> Node:
         """Softmax within each contiguous segment of a flat score vector."""

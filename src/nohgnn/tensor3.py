@@ -186,8 +186,17 @@ def mode3_product(x: Tensor3, m) -> Tensor3:
 
 def facewise_product(x, y: Tensor3) -> Tensor3:
     """Slice-by-slice matrix product: result slice t is x_t @ y_t, the
-    M-product under the identity."""
-    return m_product(x, y, make_transform("identity", y.dims[2]))
+    M-product under the identity, through the operator of ``x`` without the
+    identity's T x T matrices."""
+    if isinstance(x, Tensor3):
+        a, op = x.data, DenseOperator(x.data)
+    elif isinstance(x, SliceSparse3):
+        a = np.concatenate([np.zeros(0)] + [s.data for s in x.slices])
+        op = FacewiseOperator(SlicePattern.from_sparse(x), a)
+    else:
+        raise ShapeError(f"unsupported left operand type {type(x).__name__}")
+    op.check(a, y.data)
+    return Tensor3(op.apply(y.data)[0])
 
 
 def nonzero_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:

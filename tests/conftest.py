@@ -1,8 +1,14 @@
-import dataclasses
 import os
 
-import pytest
-from hypothesis import HealthCheck, settings
+# one BLAS thread, as CI runs the suite: some bit-equality tests compare
+# products whose rounding depends on how OpenBLAS splits them; set before
+# numpy loads, so it applies to every test
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import dataclasses  # noqa: E402
+
+import pytest  # noqa: E402
+from hypothesis import HealthCheck, settings  # noqa: E402
 
 settings.register_profile(
     "default",

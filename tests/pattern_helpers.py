@@ -1,5 +1,6 @@
 """Views of a ``SlicePattern`` and its flat values that only the tests use:
-per-slice CSR matrices, the ``SliceSparse3`` stack, and the entry table."""
+per-slice CSR matrices, the ``SliceSparse3`` stack (with or without the
+values' zeros), and the entry table."""
 
 from __future__ import annotations
 
@@ -22,6 +23,16 @@ def to_sparse(pattern: SlicePattern, values: np.ndarray) -> SliceSparse3:
         [csr(pattern, values, t).copy() for t in range(pattern.t_slots)],
         shape=(pattern.n_rows, pattern.n_cols),
     )
+
+
+def to_sparse_keeping_zeros(pattern: SlicePattern, values: np.ndarray) -> SliceSparse3:
+    """``to_sparse`` over the whole pattern: the stack's slices keep the
+    entries where ``values`` is ±0 as explicit zeros, which building it
+    from the values would prune, so its support is the pattern's."""
+    x = to_sparse(pattern, np.ones(pattern.nnz))
+    for t, s in enumerate(x.slices):
+        s.data[:] = values[pattern.offsets[t] : pattern.offsets[t + 1]]
+    return x
 
 
 def entry_table(pattern: SlicePattern) -> np.ndarray:

@@ -1,15 +1,19 @@
 """The feature, scoring and decoding code as it was before the training
-step kept only what its backward reads, kept as the reference the
-differential tests in ``test_step_memory.py`` compare against.
+step kept only what its backward reads, and the score op as it was before
+it scored each class pair once, kept as the references the differential
+tests in ``test_step_memory.py`` compare against.
 
 ``generate_features`` ran both perceptrons as matmul and bias-add pairs and
 gathered the per-class feature rows to a (T, N, F) node with
-``Tape.gather_rows`` and the context's prebuilt scatter; ``Tape.pair_dot``
-scored that tensor; ``Tape.replicate`` stacked T copies of the embedding;
+``Tape.gather_rows``; ``Tape.pair_dot`` scored that tensor;
+``Tape.replicate`` stacked T copies of the embedding;
 and ``decode`` gathered each endpoint on its own, concatenated the two, and
-ran its perceptron as matmul and bias-add pairs too. They are copied
-verbatim; the one edit is that the four ops are methods of ``OracleTape``
-and ``row_scatter`` is this module's copy.
+ran its perceptron as matmul and bias-add pairs too. ``slot_pair_dot`` is
+the score op that followed them: it scored the class rows slot by slot and
+summed each class's row gradients with ``row_scatter``. They are copied
+verbatim; the edits are that the ops are methods of ``OracleTape``, that
+``row_scatter`` is this module's copy, and that each backward builds the
+scatter the feature context used to keep.
 """
 
 from __future__ import annotations
@@ -115,6 +119,39 @@ class OracleTape(Tape):
 
         return self._record(out, (o,), backward)
 
+    def slot_pair_dot(self, o: Node, classes: FeatureContext, pattern: SlicePattern) -> Node:
+        """Dot products o_ti · o_tj for every (t, i, j) in the pattern, flat,
+        where the feature row of node i at slot t is row
+        ``classes.row_class[t, i]`` of ``o``, a matrix with one row per class.
+
+        Each slot's (N, F) rows are taken with one ``take``, in the forward
+        and again in the backward, so no (T, N, F) value is recorded or
+        captured. Backward leaves out the entries whose incoming gradient is
+        exactly 0 (``tensor3.nonzero_csr``), such as those of every zero
+        softmax weight, and sums the row gradients of each class with
+        ``row_scatter``.
+        """
+        vo, row_class = o.value, classes.row_class
+        t_count, n = pattern.t_slots, pattern.n_rows
+        if vo.ndim != 2 or row_class.shape != (t_count, n):
+            raise ShapeError(f"class rows {vo.shape} and classes {row_class.shape} do not match the pattern's {t_count}x{n}")
+        out = np.empty(pattern.nnz)
+        for t in range(t_count):
+            lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
+            rows_t = vo.take(row_class[t], axis=0)
+            tensor3._sddmm(rows_t, pattern.rows[t], rows_t, pattern.indices[t], out[lo:hi])
+
+        def backward(g):
+            do = np.empty((t_count, n, vo.shape[1]))
+            for t in range(t_count):
+                lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
+                rows_t = vo.take(row_class[t], axis=0)
+                s_g = tensor3.nonzero_csr(g[lo:hi], pattern.indices[t], pattern.indptrs[t], (n, n))
+                do[t] = s_g @ rows_t + s_g.T @ rows_t
+            return (row_scatter(row_class, vo.shape[0]) @ do.reshape(t_count * n, -1),)
+
+        return self._record(out, (o,), backward)
+
 
 def _perceptron(tape: Tape, x: Node, leaves: dict[str, Node], prefix: str) -> Node:
     h = tape.relu(tape.add(tape.matmul(x, leaves[f"{prefix}.w1"]), leaves[f"{prefix}.b1"]))
@@ -133,7 +170,7 @@ def generate_features(tape: OracleTape, ctx: FeatureContext, leaves: dict[str, N
     edge_out = _perceptron(tape, col, leaves, "gen.edge")
     summed = tape.csr_const_matmul(ctx.counts, edge_out)
     node_out = _perceptron(tape, summed, leaves, "gen.theta")
-    return tape.gather_rows(node_out, ctx.row_class, ctx.row_scatter if node_out.requires_grad else None)
+    return tape.gather_rows(node_out, ctx.row_class)
 
 
 def decode(

@@ -5,7 +5,9 @@ stack keeps no array with a row per slot and node, the decoder
 keeps only the pair rows and hidden activations its affine layers read, an
 affine layer lets its input go once the weight gradient is computed, and
 the replicated embedding is a view. The differential tests compare the
-step with the earlier code in ``score_decode_oracle.py``.
+step with the earlier code in ``score_decode_oracle.py``: every value and
+gradient keeps its bits, except the generator gradients, which the
+class-pair score backward sums in another order.
 """
 
 import weakref
@@ -15,12 +17,28 @@ import pytest
 
 import score_decode_oracle as oracle
 from nohgnn import model, training
-from nohgnn.overlap import aggregation_weights
-from nohgnn.structural import generate_features
+from nohgnn.overlap import aggregation_weights, normalize_scores, overlap_scores
+from nohgnn.structural import ClassFeatures, generate_features
 from nohgnn.synth import planted_partition_graph
 from nohgnn.tape import Tape
 from nohgnn.tensor3 import FacewiseOperator, SlicePattern, SliceSparse3
 from tape_helpers import mul
+
+
+# The class-pair score backward sums each class's terms in another order
+# than the per-slot oracle, so the class rows' gradient may differ from the
+# oracle's by ROW_GRAD_RTOL and a gen.* gradient by GEN_GRAD_RTOL, relative
+# to its largest entry. Measured worst on the fixtures below: 5.4e-16 on the
+# class rows; on gen.*, 2.5e-13 under the identity and 1.7e-11 under the dct
+# (gen.theta.b1, a sum over the rows' gradients that cancels).
+ROW_GRAD_RTOL = 1e-14
+GEN_GRAD_RTOL = 1e-10
+
+
+def assert_within(got, want, rtol):
+    assert got.shape == want.shape
+    scale = max(np.abs(want).max(), np.finfo(float).tiny)
+    assert np.abs(got - want).max() <= rtol * scale
 
 
 def criterion_6(transform="identity"):
@@ -73,7 +91,10 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("zeros", [0.0, 0.5, 1.0])
     def test_scores_bit_equal_oracle(self, zeros):
-        # class rows scored per slot against the rows gathered to (T, N, F)
+        # the class pairs scored once against the class rows scored per
+        # slot, and those against the rows gathered to (T, N, F): the scores
+        # and their softmax weights keep every bit, and only the class rows'
+        # gradient, summed per pair and not per slot, moves
         config, prep, _ = criterion_6()
         ctx, pattern = prep.ctx, prep.pattern
         rng = np.random.default_rng(int(zeros * 10))
@@ -81,19 +102,26 @@ class TestAgainstOracle:
         r = rng.normal(size=pattern.nnz)
         r[rng.random(pattern.nnz) < zeros] = 0.0
         results = []
-        for tape in (Tape(), oracle.OracleTape()):
+        for tape, score in (
+            (Tape(), lambda tape, o: overlap_scores(tape, ClassFeatures(o, ctx), pattern)),
+            (oracle.OracleTape(), lambda tape, o: tape.slot_pair_dot(o, ctx, pattern)),
+            (oracle.OracleTape(), lambda tape, o: tape.pair_dot(tape.gather_rows(o, ctx.row_class), pattern)),
+        ):
             o = tape.leaf(o0, requires_grad=True)
-            if isinstance(tape, oracle.OracleTape):
-                scores = tape.pair_dot(tape.gather_rows(o, ctx.row_class, ctx.row_scatter), pattern)
-            else:
-                scores = tape.pair_dot(o, ctx, pattern)
+            scores = score(tape, o)
+            weights = normalize_scores(tape, scores, pattern)
             tape.backward(tape.sum(mul(tape, scores, tape.constant(r))))
-            results.append((scores.value, o.grad))
-        for got, want in zip(*results):
-            assert got.tobytes() == want.tobytes()
+            results.append((scores.value, weights.value, o.grad))
+        (got, slot, gathered) = results
+        for a, b, c in zip(got[:2], slot[:2], gathered[:2]):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+        assert slot[2].tobytes() == gathered[2].tobytes()
+        assert_within(got[2], slot[2], ROW_GRAD_RTOL)
 
     @pytest.mark.parametrize("transform", ["identity", "dct"])
     def test_training_step_bit_equals_oracle(self, transform):
+        # every bit but the generator gradients', which the class-pair
+        # backward sums in another order
         config, prep, store = criterion_6(transform)
         pairs = train_pairs(prep, config)
         results = []
@@ -115,8 +143,13 @@ class TestAgainstOracle:
             tape.backward(loss)
             results.append([loss.value, probs.value] + [leaves[name].grad for name in store.names()])
         assert len(results[0]) == 2 + len(store.names())
-        for got, want in zip(*results):
-            assert got.tobytes() == want.tobytes()
+        names = ["loss", "probs"] + store.names()
+        assert sum(name.startswith("gen.") for name in names) == 8
+        for name, got, want in zip(names, *results):
+            if name.startswith("gen."):
+                assert_within(got, want, GEN_GRAD_RTOL)
+            else:
+                assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("live_only", [False, True])
     def test_facewise_grads_of_a_broadcast_y_equal_a_contiguous_one(self, live_only):

@@ -1,8 +1,11 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ingest_oracle as oracle
 from feature_helpers import expand, row_features
@@ -18,14 +21,16 @@ from nohgnn.structural import (
 )
 from nohgnn.tape import ParamStore, Tape, grad_check, xavier_uniform
 from nohgnn.synth import dense_tiny_graph, planted_partition, planted_partition_graph
-from nohgnn.tensor3 import SliceSparse3
+from nohgnn.tensor3 import SlicePattern, SliceSparse3
+from pattern_helpers import entry_table
 from tape_helpers import mul
 
-# A gen.* gradient of the per-class generator may differ from the per-row
-# oracle's by this much, relative to its largest entry. Measured worst on the
-# fixtures below: 8.8e-12 (criterion 6, gen.theta.b2, a sum over the feature
-# rows' gradients that cancels to about 6e-6 of the sum of their magnitudes),
-# and at most 2.5e-14 on the others.
+# A gen.* gradient of the per-class generator and class-pair score op may
+# differ from the per-row oracle's by this much, relative to its largest
+# entry. Measured worst on the fixtures below, with one BLAS thread: 2.0e-11
+# (criterion 6, gen.theta.b2, a sum over the feature rows' gradients that
+# cancels to about 6e-6 of the sum of their magnitudes), and at most 6.1e-14
+# on the others.
 GEN_GRAD_RTOL = 1e-10
 
 
@@ -336,8 +341,8 @@ class TestPerClassGenerator:
                 assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_only_the_decoder_gathers_build_a_scatter_in_the_backward(self, monkeypatch):
-        # the score op multiplies by the scatter its context built once; the
-        # decoder's one gather builds one per endpoint column
+        # the score op sums per class pair without a scatter; the decoder's
+        # one gather builds one per endpoint column
         config, prep, _ = oracle_case("heavy-tailed")
         store = training.init_params(config, prep.n_nodes, prep.t_slots)
         built = []
@@ -352,24 +357,27 @@ class TestPerClassGenerator:
         pairs = training.labeled_split(prep, config, "train").pairs
         assert built == [((len(pairs), 2), 0), ((len(pairs), 2), 1)]
 
-    def test_the_feature_scatter_is_built_on_the_first_training_step(self, monkeypatch):
-        # an assemble and a forward without gradients, as in eval, never
-        # build it; training steps build it once and then reuse it
+    def test_the_pair_plan_is_built_once_per_prepared_input(self, monkeypatch):
+        # an assemble never builds it; the first score forward of a prepared
+        # input does, with or without gradients, and later ones reuse it
         built = []
-        inner = structural.row_scatter
+        inner = structural.build_pair_plan
 
-        def counted(index, n_rows):
-            built.append(np.shape(index))
-            return inner(index, n_rows)
+        def counted(row_class, n_classes, pattern):
+            built.append(pattern)
+            return inner(row_class, n_classes, pattern)
 
-        monkeypatch.setattr(structural, "row_scatter", counted)
+        monkeypatch.setattr(structural, "build_pair_plan", counted)
         config, prep, _ = oracle_case("heavy-tailed")
         store = training.init_params(config, prep.n_nodes, prep.t_slots)
-        training.predict(store, prep, config, prep.val_set.pairs)
         assert built == []
+        training.predict(store, prep, config, prep.val_set.pairs)
         step_gradients(config, prep, store)
         step_gradients(config, prep, store)
-        assert built == [prep.ctx.row_class.shape]
+        assert built == [prep.pattern]
+        again = training.prepare(prep.full_graph, config)
+        step_gradients(config, again, store)
+        assert built == [prep.pattern, again.pattern]
 
     def test_recorded_values_have_one_row_per_class(self):
         # nothing the generator records is as tall as the T*N rows of the
@@ -383,6 +391,43 @@ class TestPerClassGenerator:
         assert out.ctx is prep.ctx
         assert tape._entries[-1][0] is out.rows.cell and out.rows.value.shape == (n_classes, config.dim)
         assert max(node.value.shape[0] for node, _, _ in tape._entries) == n_classes
+
+
+class TestPairPlan:
+    """``build_pair_plan`` against ``np.unique`` of the entries' class-pair
+    keys, through the packed sort and through the argsort it falls back to."""
+
+    @pytest.mark.parametrize("key_bits", [structural.PLAN_KEY_BITS, 0])
+    @pytest.mark.parametrize("empty_slot", [False, True])
+    @pytest.mark.parametrize("classes", ["drawn", "single", "distinct"])
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_plan_matches_unique(self, key_bits, empty_slot, classes, data):
+        t_slots = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 6))
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=t_slots * n * n, max_size=t_slots * n * n)))
+        dense = mask.reshape(t_slots, n, n).astype(float)
+        if empty_slot:
+            dense[0] = 0.0
+        pattern = SlicePattern.from_sparse(SliceSparse3.from_dense(dense))
+        if classes == "single":
+            n_classes, row_class = 1, np.zeros((t_slots, n), dtype=np.int64)
+        elif classes == "distinct":
+            n_classes, row_class = t_slots * n, np.arange(t_slots * n).reshape(t_slots, n)
+        else:
+            n_classes = data.draw(st.integers(1, t_slots * n))
+            row_class = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=t_slots * n, max_size=t_slots * n)))
+            row_class = row_class.reshape(t_slots, n)
+        with mock.patch.object(structural, "PLAN_KEY_BITS", key_bits):
+            plan = structural.build_pair_plan(row_class, n_classes, pattern)
+        table = entry_table(pattern)
+        keys = row_class[table[:, 0], table[:, 1]] * n_classes + row_class[table[:, 0], table[:, 2]]
+        pairs, pair_of = np.unique(keys, return_inverse=True)
+        assert all(a.dtype == np.int32 for a in plan)
+        np.testing.assert_array_equal(plan.rows, pairs // n_classes)
+        np.testing.assert_array_equal(plan.cols, pairs % n_classes)
+        np.testing.assert_array_equal(plan.pair_of, pair_of)
+        np.testing.assert_array_equal(plan.indptr, np.searchsorted(plan.rows, np.arange(n_classes + 1)))
 
 
 class TestInit:

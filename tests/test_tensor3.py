@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -106,6 +108,20 @@ class TestFacewiseProduct:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             facewise_product(Tensor3.zeros(2, 3, 4), Tensor3.zeros(2, 3, 4))
+
+    def test_builds_no_t_by_t_matrix(self):
+        # 4,000 slices of 2 x 2: the product and its inputs are 125 KiB
+        # each, the identity's two 4,000 x 4,000 matrices 122 MiB each
+        rng = np.random.default_rng(6)
+        x, y = rand_tensor(rng, 2, 2, 4000), rand_tensor(rng, 2, 2, 4000)
+        tracemalloc.start()
+        try:
+            out = facewise_product(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.tobytes() == (x.data @ y.data).tobytes()
+        assert peak < 2**20
 
 
 class TestMProduct:
