@@ -8,9 +8,9 @@ and the final layer stays linear. Under the orthonormal DCT the replicated
 embedding E is slot-constant and stays so (``tensor3``): the stack is
 h = P-bar relu(P-bar E W-bar_1) W-bar_2 on (N, F) rows, with P-bar = sum_t P_t
 and W-bar a layer's slot-mean weights, one sparse product per layer, not T.
-The decoder gathers both endpoint rows of every pair at once, views them as
-one 2F row, and maps 2F -> F -> 1 with two ``Tape.affine`` layers, a ReLU
-hidden layer and a sigmoid output.
+The decoder maps [h_i, h_j] -> F -> 1 with a ReLU hidden layer and a
+sigmoid output: its first layer is ``Tape.pair_affine``, h_i W1[:F] +
+h_j W1[F:] on the embedding rows, so no (P, 2F) array is built.
 """
 
 from __future__ import annotations
@@ -130,16 +130,16 @@ def decode(
     pairs: np.ndarray,
 ) -> Node:
     """Link probabilities for (i, j, t) rows: row (t, i) of a (T, N, F)
-    embedding, or row i of a slot-constant (N, F) one, whatever t is."""
+    embedding, or row i of a slot-constant (N, F) one, whatever t is, through
+    ``pair_affine``, ``relu``, ``affine`` and ``sigmoid``."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 3)
-    *slots, n_nodes, dim = h.value.shape
+    *slots, n_nodes, _ = h.value.shape
     if len(pairs) == 0:
         raise ParameterError("decode needs at least one pair")
     if pairs.min() < 0 or pairs[:, :2].max() >= n_nodes or pairs[:, 2].max() >= (slots[0] if slots else np.inf):
         raise ParameterError("pair indices out of range")
     # row t*N + i of the embedding viewed as a (T*N, F) matrix, per endpoint
-    ends = tape.gather_rows(h, pairs[:, 2:] * n_nodes + pairs[:, :2] if slots else pairs[:, :2])
-    rows = tape.reshape(ends, (len(pairs), 2 * dim))
-    hidden = tape.relu(tape.affine(rows, leaves["dec.w1"], leaves["dec.b1"]))
+    ends = pairs[:, 2:] * n_nodes + pairs[:, :2] if slots else pairs[:, :2]
+    hidden = tape.relu(tape.pair_affine(h, ends, leaves["dec.w1"], leaves["dec.b1"]))
     logits = tape.affine(hidden, leaves["dec.w2"], leaves["dec.b2"])
     return tape.sigmoid(tape.reshape(logits, (len(pairs),)))

@@ -1,9 +1,9 @@
 """Reverse-mode automatic differentiation over a fixed primitive set.
 
 The op set is closed on purpose: every primitive the model records (the
-M-product, affine layers, segment softmax, activations, gathers, reductions,
-the BCE expression) has its own backward rule here, so each rule can be
-tested against central differences in isolation.
+M-product, affine layers, the decoder's pair layer, segment softmax,
+activations, the penalty, the BCE expression) has its own backward rule
+here, so each rule can be tested against central differences in isolation.
 
 The M-product is one op, ``m_product``, for a sparse or a dense left
 operand: it records the operator ``tensor3`` builds for that operand, and
@@ -12,8 +12,10 @@ never applies a transform itself. ``sumsq`` takes every parameter at once.
 A tape entry keeps its nodes' gradient cells and its backward rule, never
 the nodes themselves: a value lives only while the caller holds its node or
 a rule has captured the array, and each rule captures only what it reads.
-``relu`` keeps its input's boolean mask; ``affine`` its weight, and its
-input until the weight gradient is computed; ``pair_dot`` its per-class
+``relu`` keeps its input's boolean mask; ``affine`` and ``pair_affine``
+their weight, and their input (for ``pair_affine`` the rows some pair
+reads, and the int index into them) until the weight gradient is computed;
+``pair_dot`` its per-class
 feature rows and the context's plan of the distinct class pairs, whose
 scores it computes once each; ``sigmoid`` and ``segment_softmax`` their
 outputs;
@@ -116,22 +118,17 @@ class Node:
         return self.value.shape
 
 
-def row_scatter(index: np.ndarray, n_rows: int, column: int | None = None) -> sp.csr_matrix:
-    """The (n_rows, index.size) CSR matrix of ones at (index.flat[k], k);
-    with ``column``, only at the k in that column of the index's last axis.
+def row_scatter(index: np.ndarray, n_rows: int) -> sp.csr_matrix:
+    """The (n_rows, index.size) CSR matrix of ones at (index.flat[k], k).
 
     Times a matrix with one row per index entry, it sums the rows gathered
     from each of the n_rows rows in index order, and so to the same bits as
     ``np.add.at``. It is the transpose of the (index.size, n_rows) matrix
-    with at most one entry per row, whose conversion to CSC is a counting
-    sort that keeps each column's entries in index order.
+    with one entry per row, whose conversion to CSC is a counting sort that
+    keeps each column's entries in index order.
     """
-    index = np.asarray(index, dtype=np.int64)
-    width, column = (1, 0) if column is None else (index.shape[-1], column)
-    picked = index.reshape(-1, width)[:, column]
-    # row k of the picks holds an entry when k % width == column
-    indptr = (np.arange(index.size + 1) + width - 1 - column) // width
-    picks = sp.csr_matrix((np.ones(picked.size), picked, indptr), shape=(index.size, n_rows))
+    flat = np.asarray(index, dtype=np.int64).ravel()
+    picks = sp.csr_matrix((np.ones(flat.size), flat, np.arange(flat.size + 1)), shape=(flat.size, n_rows))
     return picks.tocsc().T
 
 
@@ -207,6 +204,45 @@ class Tape:
 
         return self._record(out, (x, w, b), backward)
 
+    def pair_affine(self, a: Node, ends: np.ndarray, w: Node, b: Node) -> Node:
+        """``[a_i, a_j] @ w + b`` for every row (i, j) of ``ends``, with a_i
+        row i of ``a`` viewed as a matrix of F columns, as a_i @ w[:F] +
+        a_j @ w[F:] + b: the L rows some pair reads (a mask, remapped by its
+        ``cumsum``) are projected once by each half of w. Backward sums g
+        per live row with ``row_scatter``, once per endpoint, and gives the
+        rows no pair reads an exact 0; it lets the live rows go once the
+        gradient of w is computed."""
+        va, vw, vb = a.value, w.value, b.value
+        ends = np.asarray(ends, dtype=np.int64)
+        if va.ndim < 2 or ends.ndim != 2 or ends.shape[1] != 2:
+            raise ShapeError(f"pair_affine expects a matrix or a stack and (pairs, 2) ends, got {va.shape}, {ends.shape}")
+        shape, dim = va.shape, va.shape[-1]
+        if vw.ndim != 2 or vw.shape[0] != 2 * dim or vb.shape != vw.shape[1:]:
+            raise ShapeError(f"pair_affine weight {vw.shape} and bias {vb.shape} do not align with rows of {dim}")
+        rows = va.reshape(-1, dim)
+        if ends.size and (ends.min() < 0 or ends.max() >= rows.shape[0]):
+            raise ParameterError("pair_affine index out of range")
+        live = np.zeros(rows.shape[0], dtype=bool)
+        live[ends] = True
+        local = (np.cumsum(live) - 1)[ends]
+        picked = rows[live]
+        out = (picked @ vw[:dim]).take(local[:, 0], axis=0)
+        out += (picked @ vw[dim:]).take(local[:, 1], axis=0)
+        out += vb
+
+        def backward(g):
+            nonlocal picked
+            sums = [row_scatter(local[:, k], len(picked)) @ g for k in (0, 1)]
+            dw = np.concatenate([picked.T @ s for s in sums])
+            picked = None
+            da_live = sums[0] @ vw[:dim].T
+            da_live += sums[1] @ vw[dim:].T
+            da = np.zeros((len(live), dim))
+            da[live] = da_live
+            return da.reshape(shape), dw, g.sum(axis=0)
+
+        return self._record(out, (a, w, b), backward)
+
     def relu(self, a: Node) -> Node:
         mask = a.value > 0 if a.requires_grad else None
 
@@ -224,14 +260,6 @@ class Tape:
         return self._record(s, (a,), backward)
 
     # ----- reductions -----
-
-    def sum(self, a: Node) -> Node:
-        shape = a.value.shape
-
-        def backward(g):
-            return (np.full(shape, float(g)),)
-
-        return self._record(np.asarray(a.value.sum()), (a,), backward)
 
     def sumsq(self, *nodes: Node) -> Node:
         """Sum of every node's squared entries, the nodes' sums added in the
@@ -256,36 +284,6 @@ class Tape:
             return (g.sum(axis=0),)
 
         return self._record(np.broadcast_to(a.value, (count,) + a.value.shape), (a,), backward)
-
-    def gather_rows(self, a: Node, index: np.ndarray) -> Node:
-        """Rows of ``a`` viewed as a matrix over its last axis, shaped
-        ``index.shape + (columns,)``; an index of any shape may repeat or
-        leave rows out.
-
-        Backward views the gradient with one row per index entry and
-        multiplies it by ``row_scatter`` of each column of the index's last
-        axis (of the whole index, if it is 1-D), then adds the products in
-        column order: each column's rows are summed as a gather of that
-        column alone would sum them, without a strided copy.
-        """
-        index = np.asarray(index, dtype=np.int64)
-        shape = a.value.shape
-        if a.value.ndim < 2:
-            raise ShapeError(f"gather_rows expects a matrix or a stack, got {shape}")
-        rows = a.value.reshape(-1, shape[-1])
-        n_rows, n_cols = rows.shape
-        if index.size and (index.min() < 0 or index.max() >= n_rows):
-            raise ParameterError("gather_rows index out of range")
-        columns = list(range(index.shape[-1])) if index.ndim > 1 and index.size else [None]
-
-        def backward(g):
-            flat = g.reshape(index.size, n_cols)
-            total = row_scatter(index, n_rows, columns[0]) @ flat
-            for column in columns[1:]:
-                total += row_scatter(index, n_rows, column) @ flat
-            return (total.reshape(shape),)
-
-        return self._record(rows.take(index, axis=0), (a,), backward)
 
     def reshape(self, a: Node, shape: tuple) -> Node:
         old = a.value.shape

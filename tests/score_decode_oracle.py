@@ -1,19 +1,22 @@
 """The feature, scoring and decoding code as it was before the training
-step kept only what its backward reads, and the score op as it was before
-it scored each class pair once, kept as the references the differential
+step kept only what its backward reads, the score op as it was before it
+scored each class pair once, and the decoder as it was before its first
+layer ran on per-row projections, kept as the references the differential
 tests in ``test_step_memory.py`` compare against.
 
 ``generate_features`` ran both perceptrons as matmul and bias-add pairs and
 gathered the per-class feature rows to a (T, N, F) node with
-``Tape.gather_rows``; ``Tape.pair_dot`` scored that tensor;
-``Tape.replicate`` stacked T copies of the embedding;
-and ``decode`` gathered each endpoint on its own, concatenated the two, and
-ran its perceptron as matmul and bias-add pairs too. ``slot_pair_dot`` is
+``Tape.gather_rows``; ``Tape.pair_dot`` scored that tensor; and
+``Tape.replicate`` stacked T copies of the embedding. ``slot_pair_dot`` is
 the score op that followed them: it scored the class rows slot by slot and
-summed each class's row gradients with ``row_scatter``. They are copied
-verbatim; the edits are that the ops are methods of ``OracleTape``, that
-``row_scatter`` is this module's copy, and that each backward builds the
-scatter the feature context used to keep.
+summed each class's row gradients with ``row_scatter``. ``gather_decode``
+is the decoder before ``Tape.pair_affine``: it gathered both endpoint rows
+of every pair at once, viewed them as one (P, 2F) matrix and ran its first
+layer as one ``Tape.affine`` on it. They are copied verbatim; the edits are
+that the ops are methods of ``OracleTape``, that ``row_scatter`` is this
+module's copy, that each backward builds the scatter the feature context
+used to keep, and that ``gather_decode`` gathers with
+``tape_helpers.gather_rows``.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ def row_scatter(index: np.ndarray, n_rows: int) -> sp.csr_matrix:
 
 
 class OracleTape(Tape):
-    """A tape whose replicate, gather, concat and pair-dot ops are the
-    earlier ones, with the test-side matmul and bias add."""
+    """A tape whose replicate, gather and pair-dot ops are the earlier ones,
+    with the test-side matmul and bias add."""
 
     add = tape_helpers.add
     matmul = tape_helpers.matmul
@@ -83,16 +86,6 @@ class OracleTape(Tape):
             return (s @ g.reshape(index.size, n_cols),)
 
         return self._record(a.value.take(index, axis=0), (a,), backward)
-
-    def concat(self, a: Node, b: Node) -> Node:
-        if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[0] != b.value.shape[0]:
-            raise ShapeError(f"concat expects matrices with equal rows, got {a.value.shape}, {b.value.shape}")
-        split = a.value.shape[1]
-
-        def backward(g):
-            return g[:, :split], g[:, split:]
-
-        return self._record(np.concatenate([a.value, b.value], axis=1), (a, b), backward)
 
     def pair_dot(self, o: Node, pattern: SlicePattern) -> Node:
         """Dot products o[t,i]·o[t,j] for every (t,i,j) in the pattern, flat.
@@ -173,23 +166,23 @@ def generate_features(tape: OracleTape, ctx: FeatureContext, leaves: dict[str, N
     return tape.gather_rows(node_out, ctx.row_class)
 
 
-def decode(
-    tape: OracleTape,
+def gather_decode(
+    tape: Tape,
     leaves: dict[str, Node],
     h: Node,
     pairs: np.ndarray,
 ) -> Node:
-    """Link probabilities for (i, j, t) rows from the final embeddings."""
+    """Link probabilities for (i, j, t) rows: row (t, i) of a (T, N, F)
+    embedding, or row i of a slot-constant (N, F) one, whatever t is."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 3)
-    t_slots, n_nodes, dim = h.value.shape
+    *slots, n_nodes, dim = h.value.shape
     if len(pairs) == 0:
         raise ParameterError("decode needs at least one pair")
-    if pairs.min() < 0 or pairs[:, :2].max() >= n_nodes or pairs[:, 2].max() >= t_slots:
+    if pairs.min() < 0 or pairs[:, :2].max() >= n_nodes or pairs[:, 2].max() >= (slots[0] if slots else np.inf):
         raise ParameterError("pair indices out of range")
-    flat = tape.reshape(h, (t_slots * n_nodes, dim))
-    rows_i = tape.gather_rows(flat, pairs[:, 2] * n_nodes + pairs[:, 0])
-    rows_j = tape.gather_rows(flat, pairs[:, 2] * n_nodes + pairs[:, 1])
-    both = tape.concat(rows_i, rows_j)
-    hidden = tape.relu(tape.add(tape.matmul(both, leaves["dec.w1"]), leaves["dec.b1"]))
-    logits = tape.add(tape.matmul(hidden, leaves["dec.w2"]), leaves["dec.b2"])
+    # row t*N + i of the embedding viewed as a (T*N, F) matrix, per endpoint
+    ends = tape_helpers.gather_rows(tape, h, pairs[:, 2:] * n_nodes + pairs[:, :2] if slots else pairs[:, :2])
+    rows = tape.reshape(ends, (len(pairs), 2 * dim))
+    hidden = tape.relu(tape.affine(rows, leaves["dec.w1"], leaves["dec.b1"]))
+    logits = tape.affine(hidden, leaves["dec.w2"], leaves["dec.b2"])
     return tape.sigmoid(tape.reshape(logits, (len(pairs),)))

@@ -11,7 +11,7 @@ from nohgnn.tape import ParamStore, Tape
 from nohgnn.tensor3 import DenseOperator, SlicePattern, SliceSparse3, make_transform
 from pattern_helpers import to_sparse
 import propagate_oracle
-from tape_helpers import mul
+from tape_helpers import mul, total
 from weight_product_oracle import OracleTape
 from weight_product_oracle import weight_product as oracle_weight_product
 
@@ -321,7 +321,7 @@ def test_weight_product_bit_equals_composite_oracle(kind):
     for tape, product in ((Tape(), weight_product), (OracleTape(), oracle_weight_product)):
         h, w = tape.leaf(h0, requires_grad=True), tape.leaf(w0, requires_grad=True)
         out = product(tape, h, w, tf)
-        tape.backward(tape.sum(mul(tape, out, tape.constant(r))))
+        tape.backward(total(tape, mul(tape, out, tape.constant(r))))
         runs.append([out.value.tobytes(), h.grad.tobytes(), w.grad.tobytes()])
     assert runs[0] == runs[1]
 
@@ -387,7 +387,7 @@ class TestDecode:
             tape = Tape()
             h = tape.leaf(h0, requires_grad=True)
             probs = decode(tape, store.leaves(tape), h, pairs)
-            tape.backward(tape.sum(probs))
+            tape.backward(total(tape, probs))
             results.append((probs.value, h.grad))
         assert results[0][0].tobytes() == results[1][0].tobytes()
         np.testing.assert_allclose(results[0][1], results[1][1].sum(axis=0), rtol=1e-14, atol=1e-15)

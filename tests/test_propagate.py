@@ -23,7 +23,7 @@ from nohgnn.tensor3 import (
 from feature_helpers import row_features
 from pattern_helpers import entry_table, to_sparse, to_sparse_keeping_zeros
 from propagate_oracle import OracleTape, chunked_m_product, sparse_m_product
-from tape_helpers import mul
+from tape_helpers import mul, total
 
 T_SLOTS, N, F = 4, 60, 5
 WEIGHT_CASES = ("no_zeros", "diagonal_only", "zero_slices", "mixed")
@@ -59,7 +59,7 @@ def run_op(tape: Tape, pattern: SlicePattern, w0, h0, r):
         out = tape.spmm(pattern, w, h)
     else:
         out = tape.m_product(w, h, FacewiseOperator(pattern, w0))
-    tape.backward(tape.sum(mul(tape, out, tape.constant(r))))
+    tape.backward(total(tape, mul(tape, out, tape.constant(r))))
     return out.value, w.grad, h.grad
 
 
@@ -157,7 +157,7 @@ def test_pair_dot_bit_equals_oracle(case):
     ):
         o = tape.leaf(o0, requires_grad=True)
         out = scores(tape, o)
-        tape.backward(tape.sum(mul(tape, out, tape.constant(r))))
+        tape.backward(total(tape, mul(tape, out, tape.constant(r))))
         results.append((out.value, o.grad))
     assert_bit_equal(*results)
 
@@ -180,7 +180,7 @@ def test_one_operator_per_forward(monkeypatch, kind):
     leaves = store.leaves(tape)
     weights = tape.leaf(np.random.default_rng(12).random(pattern.nnz), requires_grad=True)
     h = forward(tape, leaves, pattern, weights, kind, 2)
-    tape.backward(tape.sum(h))
+    tape.backward(total(tape, h))
     assert calls == [(pattern, {"live_only": True} if kind == "identity" else {})]
     assert weights.grad is not None
 
@@ -294,7 +294,7 @@ def test_live_operator_bit_equals_oracle(kind, case):
     tape = Tape()
     w, h = tape.leaf(w0, requires_grad=True), tape.leaf(h0, requires_grad=True)
     out = tape.m_product(w, h, op)
-    tape.backward(tape.sum(mul(tape, out, tape.constant(r))))
+    tape.backward(total(tape, mul(tape, out, tape.constant(r))))
     assert_bit_equal((out.value, h.grad), (want[0], want[2]))
     assert live.all() == (case == "no_zeros")
     assert w.grad[live].tobytes() == want[1][live].tobytes()
@@ -341,7 +341,7 @@ def test_live_forward_gradients_bit_equal_full(monkeypatch, kind, case):
         weights = tape.segment_softmax(scores, pattern.row_splits)
         assert np.any(weights.value == 0) == (case != "no_zeros")
         h = forward(tape, leaves, pattern, weights, kind, 2)
-        tape.backward(tape.sum(h))
+        tape.backward(total(tape, h))
         return [h.value, o.grad] + [leaves[name].grad for name in sorted(leaves) if leaves[name].grad is not None]
 
     live, full = grads(), grads(full=True)

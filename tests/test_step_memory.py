@@ -1,13 +1,15 @@
-"""What one training step holds, and that holding less changed no bit.
+"""What one training step holds, and what holding less changed.
 
 The memory contracts: scoring keeps its features per class, the dct layer
-stack keeps no array with a row per slot and node, the decoder
-keeps only the pair rows and hidden activations its affine layers read, an
-affine layer lets its input go once the weight gradient is computed, and
-the replicated embedding is a view. The differential tests compare the
-step with the earlier code in ``score_decode_oracle.py``: every value and
-gradient keeps its bits, except the generator gradients, which the
-class-pair score backward sums in another order.
+stack keeps no array with a row per slot and node, the decoder builds no
+(P, 2F) array and keeps only the live embedding rows, the int index of the
+pairs and the hidden activations its layers read, an affine layer lets its
+input go once the weight gradient is computed, and the replicated embedding
+is a view. The differential tests compare the step with the earlier code in
+``score_decode_oracle.py``: every value up to the embedding keeps its bits;
+the decoder's outputs and every gradient move within a named tolerance,
+as the decoder's first layer and the class-pair score backward sum in
+another order.
 """
 
 import weakref
@@ -22,17 +24,23 @@ from nohgnn.structural import ClassFeatures, generate_features
 from nohgnn.synth import planted_partition_graph
 from nohgnn.tape import Tape
 from nohgnn.tensor3 import FacewiseOperator, SlicePattern, SliceSparse3
-from tape_helpers import mul
+from tape_helpers import mul, total
 
 
-# The class-pair score backward sums each class's terms in another order
-# than the per-slot oracle, so the class rows' gradient may differ from the
-# oracle's by ROW_GRAD_RTOL and a gen.* gradient by GEN_GRAD_RTOL, relative
-# to its largest entry. Measured worst on the fixtures below: 5.4e-16 on the
-# class rows; on gen.*, 2.5e-13 under the identity and 1.7e-11 under the dct
-# (gen.theta.b1, a sum over the rows' gradients that cancels).
+# Tolerances relative to a value's largest entry. The class-pair score
+# backward sums each class's terms in another order than the per-slot
+# oracle: the class rows' gradient may differ by ROW_GRAD_RTOL (measured
+# worst 5.4e-16). The decoder's per-row projections h_i W1[:F] + h_j W1[F:]
+# sum its first layer in another order than one product of the gathered
+# (P, 2F) rows: its probabilities, and every gradient behind them, may
+# differ from the gather oracle's by DECODE_RTOL (measured worst 2.0e-16 on
+# the probabilities, 4.7e-14 on the decoder cases and 1.3e-13 on dec.b1 in
+# the identity step, a sum of hidden gradients that cancels). The gen.*
+# gradients carry both orders: GEN_GRAD_RTOL (measured worst 6.9e-13 under
+# the identity and 3.2e-11 under the dct, on gen.theta.b2).
 ROW_GRAD_RTOL = 1e-14
 GEN_GRAD_RTOL = 1e-10
+DECODE_RTOL = 1e-12
 
 
 def assert_within(got, want, rtol):
@@ -57,6 +65,16 @@ def captured_arrays(rule):
     return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
 
 
+def op_name(rule):
+    """The tape op, or test-side op, that recorded a backward rule."""
+    return rule.__qualname__.split(".<locals>")[0].split(".")[-1]
+
+
+def captured(rule, name):
+    """The value a backward rule's closure holds under ``name``."""
+    return rule.__closure__[rule.__code__.co_freevars.index(name)].cell_contents
+
+
 def decoder_leaves(tape, dim, seed):
     rng = np.random.default_rng(seed)
     shapes = {"dec.w1": (2 * dim, dim), "dec.b1": (dim,), "dec.w2": (dim, 1), "dec.b2": (1,)}
@@ -75,19 +93,24 @@ PAIR_CASES = {
 class TestAgainstOracle:
     @pytest.mark.parametrize("case", sorted(PAIR_CASES))
     def test_decode_bit_equals_oracle(self, case):
+        # per-row projections sum the first layer in another order than the
+        # gathered (P, 2F) rows: every probability and gradient within
+        # DECODE_RTOL, for a (T, N, F) stack and for the dct's (N, F) rows
         rng = np.random.default_rng(len(case))
         h0 = rng.normal(size=(2, 5, 3))
         pairs = np.array(PAIR_CASES[case])
         r = rng.normal(size=len(pairs))
-        results = []
-        for tape, decode in ((Tape(), model.decode), (oracle.OracleTape(), oracle.decode)):
-            leaves = decoder_leaves(tape, 3, seed=7)
-            h = tape.leaf(h0, requires_grad=True)
-            probs = decode(tape, leaves, h, pairs)
-            tape.backward(tape.sum(mul(tape, probs, tape.constant(r))))
-            results.append([probs.value, h.grad] + [leaves[name].grad for name in sorted(leaves)])
-        for got, want in zip(*results):
-            assert got.tobytes() == want.tobytes()
+        for value in (h0, h0[1]):
+            results = []
+            for decode in (model.decode, oracle.gather_decode):
+                tape = Tape()
+                leaves = decoder_leaves(tape, 3, seed=7)
+                h = tape.leaf(value, requires_grad=True)
+                probs = decode(tape, leaves, h, pairs)
+                tape.backward(total(tape, mul(tape, probs, tape.constant(r))))
+                results.append([probs.value, h.grad] + [leaves[name].grad for name in sorted(leaves)])
+            for got, want in zip(*results):
+                assert_within(got, want, DECODE_RTOL)
 
     @pytest.mark.parametrize("zeros", [0.0, 0.5, 1.0])
     def test_scores_bit_equal_oracle(self, zeros):
@@ -110,7 +133,7 @@ class TestAgainstOracle:
             o = tape.leaf(o0, requires_grad=True)
             scores = score(tape, o)
             weights = normalize_scores(tape, scores, pattern)
-            tape.backward(tape.sum(mul(tape, scores, tape.constant(r))))
+            tape.backward(total(tape, mul(tape, scores, tape.constant(r))))
             results.append((scores.value, weights.value, o.grad))
         (got, slot, gathered) = results
         for a, b, c in zip(got[:2], slot[:2], gathered[:2]):
@@ -120,8 +143,11 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("transform", ["identity", "dct"])
     def test_training_step_bit_equals_oracle(self, transform):
-        # every bit but the generator gradients', which the class-pair
-        # backward sums in another order
+        # every value up to the embedding keeps its bits; the probabilities,
+        # the loss and every gradient move within DECODE_RTOL, which the
+        # decoder's per-row projections sum in another order, and the
+        # generator gradients within GEN_GRAD_RTOL, which the class-pair
+        # score backward sums in another order too
         config, prep, store = criterion_6(transform)
         pairs = train_pairs(prep, config)
         results = []
@@ -131,25 +157,19 @@ class TestAgainstOracle:
                 feats = oracle.generate_features(tape, prep.ctx, leaves)
                 weights = tape.segment_softmax(tape.pair_dot(feats, prep.pattern), prep.pattern.row_splits)
                 h = model.forward(tape, leaves, prep.pattern, weights, transform, config.layers)
-                rows = pairs.pairs
-                if h.value.ndim == 2:
-                    # the dct's slot-constant rows, read as the one slot of a stack
-                    h = tape.reshape(h, (1,) + h.value.shape)
-                    rows = rows * [1, 1, 0]
-                probs = oracle.decode(tape, leaves, h, rows)
+                probs = oracle.gather_decode(tape, leaves, h, pairs.pairs)
             else:
-                probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, config), pairs.pairs)
+                h = training.embed(tape, leaves, prep, config)
+                probs = training.decode(tape, leaves, h, pairs.pairs)
             loss = training.compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg)
             tape.backward(loss)
-            results.append([loss.value, probs.value] + [leaves[name].grad for name in store.names()])
-        assert len(results[0]) == 2 + len(store.names())
-        names = ["loss", "probs"] + store.names()
+            results.append([h.value, loss.value, probs.value] + [leaves[name].grad for name in store.names()])
+        assert len(results[0]) == 3 + len(store.names())
+        names = ["embedding", "loss", "probs"] + store.names()
         assert sum(name.startswith("gen.") for name in names) == 8
-        for name, got, want in zip(names, *results):
-            if name.startswith("gen."):
-                assert_within(got, want, GEN_GRAD_RTOL)
-            else:
-                assert got.tobytes() == want.tobytes(), name
+        assert results[0][0].tobytes() == results[1][0].tobytes()
+        for name, got, want in zip(names[1:], *(r[1:] for r in results)):
+            assert_within(got, want, GEN_GRAD_RTOL if name.startswith("gen.") else DECODE_RTOL)
 
     @pytest.mark.parametrize("live_only", [False, True])
     def test_facewise_grads_of_a_broadcast_y_equal_a_contiguous_one(self, live_only):
@@ -184,7 +204,7 @@ class TestMemoryContract:
 
         def watched(tape, value, parents, backward):
             for arr in [value] + captured_arrays(backward):
-                seen.append((backward.__qualname__.split(".")[1], arr.shape, rows_over_last_axis(arr)))
+                seen.append((op_name(backward), arr.shape, rows_over_last_axis(arr)))
             return record(tape, value, parents, backward)
 
         monkeypatch.setattr(Tape, "_record", watched)
@@ -206,7 +226,7 @@ class TestMemoryContract:
         record = Tape._record
 
         def watched(tape, value, parents, backward):
-            op = backward.__qualname__.split(".")[1]
+            op = op_name(backward)
             held = captured_arrays(backward)
             for cell in backward.__closure__ or ():
                 if hasattr(cell.cell_contents, "check"):
@@ -227,24 +247,29 @@ class TestMemoryContract:
         monkeypatch.setattr(Tape, "_record", watched)
         h = model.forward(tape, leaves, prep.pattern, weights, "dct", config.layers)
         assert h.value.shape == (prep.n_nodes, config.dim)
-        tape.backward(tape.sum(h))
-        assert {op for op, _, _ in seen} == {"m_product", "relu", "sum"}
+        tape.backward(total(tape, h))
+        assert {op for op, _, _ in seen} == {"m_product", "relu", "total"}
         assert len(seen) > 4 * config.layers
         assert [item for item in seen if item[2] == tall] == []
 
     def test_after_decode_only_the_affine_inputs_of_pair_rows_are_alive(self, monkeypatch):
+        # no value or capture of the decoder holds P * 2F floats: the first
+        # layer's rule keeps the embedding rows some pair reads, its weight
+        # and the int index of the pairs into those rows; the second layer's
+        # rule the (P, F) hidden activations
         config, prep, store = criterion_6()
         pairs = train_pairs(prep, config).pairs
-        n_pairs = len(pairs)
+        n_pairs, dim = len(pairs), config.dim
         tape = Tape()
         leaves = store.leaves(tape)
         h = training.embed(tape, leaves, prep, config)
+        n_live = len(np.unique(pairs[:, 2:] * prep.n_nodes + pairs[:, :2]))
         made = []
         record = Tape._record
 
         def watched(tape, value, parents, backward):
             for arr in [value] + captured_arrays(backward):
-                if arr.ndim >= 2 and arr.shape[0] == n_pairs and arr.dtype == np.float64:
+                if arr.dtype == np.float64:
                     made.append(weakref.ref(arr))
             return record(tape, value, parents, backward)
 
@@ -254,47 +279,54 @@ class TestMemoryContract:
         monkeypatch.undo()
         del h
         alive = [ref() for ref in made if ref() is not None]
-        affines = [rule for _, _, rule in tape._entries[start:] if "affine" in rule.__qualname__]
-        assert len(affines) == 2
-        # the first affine reads the (P, 2F) view of the gathered (P, 2, F)
-        # rows, the second the (P, F) hidden activations
-        rows, hidden = (rule.__closure__[[*rule.__code__.co_freevars].index("vx")].cell_contents for rule in affines)
-        assert rows.shape == (n_pairs, 2 * config.dim) and rows.base.shape == (n_pairs, 2, config.dim)
-        assert hidden.shape == (n_pairs, config.dim)
-        assert {id(a) for a in alive} <= {id(rows), id(rows.base), id(hidden)}
+        rules = {op_name(rule): rule for _, _, rule in tape._entries[start:]}
+        assert list(rules) == ["pair_affine", "relu", "affine", "reshape", "sigmoid"]
+        first = {name: captured(rules["pair_affine"], name) for name in ("picked", "local", "vw")}
+        hidden = captured(rules["affine"], "vx")
+        assert first["picked"].shape == (n_live, dim)
+        assert first["local"].shape == (n_pairs, 2) and first["local"].dtype == np.int64
+        assert first["vw"] is store.value("dec.w1")
+        assert hidden.shape == (n_pairs, dim)
+        assert all(arr.size != n_pairs * 2 * dim for arr in alive)
+        kept = {id(first["picked"]), id(hidden), id(probs.value), id(store.value("dec.w1")), id(store.value("dec.w2"))}
+        assert {id(a) for a in alive} <= kept
         assert probs.value.shape == (n_pairs,)
 
     def test_an_affine_input_is_freed_when_its_rule_returns(self, monkeypatch):
         config, prep, store = criterion_6()
         pairs = train_pairs(prep, config)
-        inputs = []
-        affine = Tape.affine
+        n_pairs = len(pairs.pairs)
+        swept = []
 
-        def watched_affine(tape, x, w, b):
-            out = affine(tape, x, w, b)
-            ref = weakref.ref(x.value)
-            base = weakref.ref(x.value.base) if isinstance(x.value.base, np.ndarray) else ref
-            out_cell, parents, rule = tape._entries[-1]
+        def watch(op, held):
+            def watched(tape, *args):
+                out = op(tape, *args)
+                out_cell, parents, rule = tape._entries[-1]
+                ref = weakref.ref(held(rule, args))
 
-            def checked(g):
-                grads = rule(g)
-                inputs.append((ref() is None, base() is None))
-                return grads
+                def checked(g):
+                    grads = rule(g)
+                    swept.append((op.__name__, ref() is None, [grad.size for grad in grads]))
+                    return grads
 
-            tape._entries[-1] = (out_cell, parents, checked)
-            return out
+                tape._entries[-1] = (out_cell, parents, checked)
+                return out
 
-        monkeypatch.setattr(Tape, "affine", watched_affine)
+            return watched
+
+        monkeypatch.setattr(Tape, "affine", watch(Tape.affine, lambda rule, args: args[0].value))
+        monkeypatch.setattr(Tape, "pair_affine", watch(Tape.pair_affine, lambda rule, args: captured(rule, "picked")))
         tape = Tape()
         leaves = store.leaves(tape)
         probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, config), pairs.pairs)
         loss = training.compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg)
         del probs
         tape.backward(loss)
-        # two per perceptron, swept from the decoder's last; the decoder's
-        # first reads a view of the gathered pair rows, which go with it
-        assert [freed for freed, _ in inputs] == [True] * 6
-        assert inputs[1] == (True, True)
+        # the decoder's two layers swept first, then two per perceptron; the
+        # first layer's live rows go once its weight gradient is computed,
+        # and no gradient has a row of 2F per pair
+        assert [(op, freed) for op, freed, _ in swept] == [("affine", True), ("pair_affine", True)] + [("affine", True)] * 4
+        assert all(size != n_pairs * 2 * config.dim for _, _, sizes in swept for size in sizes)
 
     def test_replicate_is_a_read_only_view_of_the_embedding(self, monkeypatch):
         config, prep, store = criterion_6()

@@ -25,7 +25,7 @@ from nohgnn.tensor3 import (
 from pattern_helpers import csr, entry_table, to_sparse
 from propagate_oracle import OracleTape
 from softmax_reference import masked_softmax
-from tape_helpers import add, matmul, mul
+from tape_helpers import add, gather_rows, matmul, mul, total
 
 
 def fd_probe(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -71,7 +71,7 @@ class TestScalarRules:
         m = rng.normal(size=(4, 3))
         t = Tape()
         v = t.leaf(rng.normal(size=(3, 1)), requires_grad=True)
-        loss = t.sum(matmul(t, t.constant(m), v))
+        loss = total(t, matmul(t, t.constant(m), v))
         t.backward(loss)
         np.testing.assert_allclose(v.grad[:, 0], m.sum(axis=0), atol=1e-12)
 
@@ -81,7 +81,7 @@ class TestScalarRules:
         r = rng.normal(size=(3, 5, 2))
         t = Tape()
         b = t.leaf(rng.normal(size=(2,)), requires_grad=True)
-        loss = t.sum(mul(t, add(t, t.constant(x), b), t.constant(r)))
+        loss = total(t, mul(t, add(t, t.constant(x), b), t.constant(r)))
         t.backward(loss)
         np.testing.assert_allclose(b.grad, r.sum(axis=(0, 1)), atol=1e-12)
 
@@ -96,7 +96,7 @@ class TestScalarRules:
     def test_mean_and_scale(self):
         t = Tape()
         a = t.leaf(np.array([2.0, 4.0]), requires_grad=True)
-        loss = t.scale(t.scale(t.sum(a), 1 / 2), 3.0)
+        loss = t.scale(t.scale(total(t, a), 1 / 2), 3.0)
         t.backward(loss)
         assert float(loss.value) == pytest.approx(9.0)
         np.testing.assert_allclose(a.grad, [1.5, 1.5], atol=0)
@@ -113,7 +113,7 @@ class TestStructuredRules:
         r = rng.normal(size=(4, 3, 2))
         t = Tape()
         a, y = t.leaf(a0, requires_grad=True), t.leaf(y0, requires_grad=True)
-        loss = t.sum(mul(t, t.m_product(a, y, DenseOperator(a0, tf)), t.constant(r)))
+        loss = total(t, mul(t, t.m_product(a, y, DenseOperator(a0, tf)), t.constant(r)))
         t.backward(loss)
         r_hat = np.einsum("tk,tij->kij", tf.minv, r)
         a_hat, y_hat = np.einsum("kt,tij->kij", m, a0), np.einsum("kt,tij->kij", m, y0)
@@ -130,7 +130,7 @@ class TestStructuredRules:
         t = Tape()
         a = t.leaf(a0, requires_grad=True)
         b = t.leaf(b0, requires_grad=True)
-        loss = t.sum(mul(t, matmul(t, a, b), t.constant(r)))
+        loss = total(t, mul(t, matmul(t, a, b), t.constant(r)))
         t.backward(loss)
         np.testing.assert_allclose(a.grad, r @ np.swapaxes(b0, 1, 2), atol=1e-12)
         np.testing.assert_allclose(b.grad, np.swapaxes(a0, 1, 2) @ r, atol=1e-12)
@@ -140,7 +140,7 @@ class TestStructuredRules:
         r = rng.normal(size=(5, 2, 3))
         t = Tape()
         e = t.leaf(rng.normal(size=(2, 3)), requires_grad=True)
-        loss = t.sum(mul(t, t.replicate(e, 5), t.constant(r)))
+        loss = total(t, mul(t, t.replicate(e, 5), t.constant(r)))
         t.backward(loss)
         np.testing.assert_allclose(e.grad, r.sum(axis=0), atol=1e-12)
 
@@ -148,8 +148,8 @@ class TestStructuredRules:
         t = Tape()
         a = t.leaf(np.arange(6.0).reshape(3, 2), requires_grad=True)
         idx = np.array([0, 2, 0])
-        out = t.gather_rows(a, idx)
-        loss = t.sum(out)
+        out = gather_rows(t, a, idx)
+        loss = total(t, out)
         t.backward(loss)
         np.testing.assert_array_equal(out.value, [[0, 1], [4, 5], [0, 1]])
         np.testing.assert_array_equal(a.grad, [[2, 2], [0, 0], [1, 1]])
@@ -162,7 +162,7 @@ class TestStructuredRules:
         g = rng.normal(size=(n_index, 5)) * 10.0 ** rng.integers(-8, 8, size=(n_index, 1))
         t = Tape()
         a = t.leaf(rng.normal(size=(n_rows, 5)), requires_grad=True)
-        t.gather_rows(a, idx)
+        gather_rows(t, a, idx)
         want = np.zeros((n_rows, 5))
         np.add.at(want, idx, g)
         ((_, _, backward),) = t._entries
@@ -181,17 +181,17 @@ class TestStructuredRules:
         r = rng.normal(size=shape + (3,)) * 10.0 ** rng.integers(-8, 8, size=shape + (1,))
         t = Tape()
         a = t.leaf(a0, requires_grad=True)
-        out = t.gather_rows(a, idx)
-        t.backward(t.sum(mul(t, out, t.constant(r))))
-        flat = Tape().gather_rows(Tape().leaf(a0), idx.ravel())
+        out = gather_rows(t, a, idx)
+        t.backward(total(t, mul(t, out, t.constant(r))))
+        flat = gather_rows(Tape(), Tape().leaf(a0), idx.ravel())
         assert out.value.shape == shape + (3,)
         assert out.value.tobytes() == flat.value.tobytes()
         want = np.zeros_like(a0)
         for c in range(shape[-1]):
             part = Tape()
             b = part.leaf(a0, requires_grad=True)
-            column = part.gather_rows(b, idx[..., c].ravel())
-            part.backward(part.sum(mul(part, column, part.constant(r[..., c, :].reshape(-1, 3)))))
+            column = gather_rows(part, b, idx[..., c].ravel())
+            part.backward(total(part, mul(part, column, part.constant(r[..., c, :].reshape(-1, 3)))))
             want = b.grad if c == 0 else want + b.grad
         assert a.grad.tobytes() == want.tobytes()
 
@@ -201,8 +201,8 @@ class TestStructuredRules:
         idx = np.array([[5, 0], [11, 5], [7, 7]])
         t = Tape()
         h = t.leaf(h0, requires_grad=True)
-        out = t.gather_rows(h, idx)
-        t.backward(t.sum(out))
+        out = gather_rows(t, h, idx)
+        t.backward(total(t, out))
         assert out.value.tobytes() == h0.reshape(12, 2)[idx].tobytes()
         want = np.zeros((12, 2))
         np.add.at(want, idx.ravel(), 1.0)
@@ -213,9 +213,9 @@ class TestStructuredRules:
         t = Tape()
         a = t.leaf(np.zeros((3, 2)), requires_grad=True)
         with pytest.raises(ParameterError):
-            t.gather_rows(a, np.array([3]))
+            gather_rows(t, a, np.array([3]))
         with pytest.raises(ShapeError):
-            t.gather_rows(t.leaf(np.zeros(3), requires_grad=True), np.array([0]))
+            gather_rows(t, t.leaf(np.zeros(3), requires_grad=True), np.array([0]))
 
     def test_affine_equals_matmul_then_bias_add(self):
         # the ops the decoder and the perceptrons recorded before affine
@@ -227,7 +227,7 @@ class TestStructuredRules:
             t = Tape()
             x, w, b = (t.leaf(v, requires_grad=True) for v in (x0, w0, b0))
             out = t.affine(x, w, b) if fused else add(t, matmul(t, x, w), b)
-            t.backward(t.sum(mul(t, out, t.constant(r))))
+            t.backward(total(t, mul(t, out, t.constant(r))))
             results.append([out.value, x.grad, w.grad, b.grad])
         for got, want in zip(*results):
             assert got.tobytes() == want.tobytes()
@@ -243,6 +243,67 @@ class TestStructuredRules:
         for x, w, b in (((2, 3), (4, 2), (2,)), ((2, 3), (3, 2), (3,)), ((2, 3, 1), (3, 2), (2,))):
             with pytest.raises(ShapeError, match="affine operands"):
                 t.affine(t.constant(np.zeros(x)), t.constant(np.zeros(w)), t.constant(np.zeros(b)))
+
+
+# (i, j) rows over 7 rows: repeated endpoints and pairs, i == j pairs, and
+# rows 3 and 6, which no pair reads
+PAIR_AFFINE_ENDS = np.array([[0, 1], [0, 1], [2, 2], [5, 0], [1, 4], [4, 4], [2, 5]])
+
+
+class TestPairAffine:
+    @pytest.mark.parametrize("shape", [(7, 3), (1, 7, 3), (2, 3, 3)])
+    def test_gradients_match_central_differences(self, shape):
+        # on an (N, F) matrix and on (T, N, F) stacks, whose rows the ends
+        # index as one (T * N, F) matrix
+        rng = np.random.default_rng(sum(shape))
+        store = ParamStore()
+        store.add("a", rng.normal(size=shape))
+        store.add("w", rng.normal(size=(6, 4)))
+        store.add("b", rng.normal(size=4))
+        r = rng.normal(size=(len(PAIR_AFFINE_ENDS), 4))
+
+        def build(t, leaves):
+            out = t.pair_affine(leaves["a"], PAIR_AFFINE_ENDS, leaves["w"], leaves["b"])
+            return total(t, mul(t, t.sigmoid(out), t.constant(r)))
+
+        assert grad_check(build, store) <= 1e-6
+        t = Tape()
+        leaves = store.leaves(t)
+        out = t.pair_affine(leaves["a"], PAIR_AFFINE_ENDS, leaves["w"], leaves["b"])
+        t.backward(total(t, mul(t, out, t.constant(r))))
+        rows = store.value("a").reshape(-1, 3)
+        both = np.concatenate([rows[PAIR_AFFINE_ENDS[:, 0]], rows[PAIR_AFFINE_ENDS[:, 1]]], axis=1)
+        np.testing.assert_allclose(out.value, both @ store.value("w") + store.value("b"), rtol=1e-13)
+        read = np.zeros(rows.shape[0], dtype=bool)
+        read[PAIR_AFFINE_ENDS] = True
+        grad = leaves["a"].grad.reshape(-1, 3)
+        assert leaves["a"].grad.shape == shape
+        assert np.all(grad[~read] == 0.0) and not np.signbit(grad[~read]).any()
+        assert np.all(grad[read] != 0.0)
+
+    def test_index_range_check(self):
+        t = Tape()
+        a, w, b = t.leaf(np.zeros((2, 3, 2)), True), t.leaf(np.zeros((4, 5)), True), t.leaf(np.zeros(5), True)
+        for bad in ([[0, 6]], [[-1, 0]], [[5, 0], [0, -7]]):
+            with pytest.raises(ParameterError, match="pair_affine index"):
+                t.pair_affine(a, np.array(bad), w, b)
+        assert t.pair_affine(a, np.array([[5, 0]]), w, b).value.shape == (1, 5)
+
+    def test_shape_errors(self):
+        t = Tape()
+        a, w, b = t.leaf(np.zeros((6, 2)), True), t.leaf(np.zeros((4, 5)), True), t.leaf(np.zeros(5), True)
+        ends = np.array([[0, 1]])
+        for case in (
+            (t.leaf(np.zeros(6), True), ends, w, b),
+            (a, np.array([0, 1]), w, b),
+            (a, np.array([[0, 1, 2]]), w, b),
+            (a, ends, t.leaf(np.zeros((2, 5)), True), b),
+            (a, ends, t.leaf(np.zeros(4), True), b),
+            (a, ends, w, t.leaf(np.zeros(4), True)),
+            (a, ends, w, t.leaf(np.zeros((1, 5)), True)),
+        ):
+            with pytest.raises(ShapeError, match="pair_affine"):
+                t.pair_affine(*case)
 
 
 def random_pattern(rng, t_slots, n, density=0.4):
@@ -262,7 +323,7 @@ class TestSparseRules:
         vals = t.leaf(vals0, requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
         out = t.m_product(vals, h, FacewiseOperator(pat, vals0))
-        loss = t.sum(mul(t, out, t.constant(r)))
+        loss = total(t, mul(t, out, t.constant(r)))
         t.backward(loss)
 
         # dense dual route: scatter values into full slices and use matmul
@@ -271,7 +332,7 @@ class TestSparseRules:
         h2 = t2.leaf(h0, requires_grad=True)
         dense_p = np.stack([csr(pat, vals0, k).toarray() for k in range(3)])
         out2 = matmul(t2, t2.constant(dense_p), h2)
-        loss2 = t2.sum(mul(t2, out2, t2.constant(r)))
+        loss2 = total(t2, mul(t2, out2, t2.constant(r)))
         t2.backward(loss2)
 
         np.testing.assert_allclose(out.value, out2.value, atol=1e-12)
@@ -304,7 +365,7 @@ class TestSparseRules:
         vals = t.leaf(vals0.reshape(-1), requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
         out = t.m_product(vals, h, FacewiseOperator(pat, vals.value))
-        loss = t.sum(mul(t, out, t.constant(r)))
+        loss = total(t, mul(t, out, t.constant(r)))
         t.backward(loss)
 
         dense = np.stack(
@@ -344,7 +405,7 @@ class TestSparseRules:
         vals = t.leaf(vals0, requires_grad=True)
         h = t.leaf(h0, requires_grad=True)
         out = t.sparse_m_product(pat, vals, h, tf)
-        t.backward(t.sum(mul(t, out, t.constant(r))))
+        t.backward(total(t, mul(t, out, t.constant(r))))
 
         # dense route: densify the stack and take the library's dense M-product
         def dense_route(v, h_arr):
@@ -384,7 +445,7 @@ class TestSparseRules:
         t = Tape()
         a, y = t.leaf(a0, requires_grad=True), t.leaf(y0, requires_grad=True)
         out = t.m_product(a, y, DenseOperator(a0, tf))
-        t.backward(t.sum(mul(t, out, t.constant(r))))
+        t.backward(total(t, mul(t, out, t.constant(r))))
 
         def library(a_arr, y_arr):
             return m_product(Tensor3(a_arr), Tensor3(y_arr), tf).data
@@ -423,7 +484,7 @@ class TestSparseRules:
         t = Tape()
         o = t.leaf(o0, requires_grad=True)
         v = t.pair_dot(o, classes, pat)
-        loss = t.sum(mul(t, v, t.constant(r)))
+        loss = total(t, mul(t, v, t.constant(r)))
         t.backward(loss)
 
         table = entry_table(pat)
@@ -457,7 +518,7 @@ class TestSparseRules:
         v = t.leaf(np.array([10.0, 20.0, 30.0]), requires_grad=True)
         h = t.constant(np.stack([np.eye(2)] * 2))
         out = t.m_product(v, h, FacewiseOperator(pat, v.value))
-        loss = t.sum(mul(t, out, t.constant(np.ones_like(out.value))))
+        loss = total(t, mul(t, out, t.constant(np.ones_like(out.value))))
         t.backward(loss)
         # union support is {(0,1), (1,0)}; slice 0 leaves (1,0) empty
         u_indptr, u_indices, flat_to_union = pat.union
@@ -476,7 +537,7 @@ class TestSparseRules:
         r = rng.normal(size=(4, 2))
         t = Tape()
         g = t.leaf(g0, requires_grad=True)
-        loss = t.sum(mul(t, t.csr_const_matmul(c, g), t.constant(r)))
+        loss = total(t, mul(t, t.csr_const_matmul(c, g), t.constant(r)))
         t.backward(loss)
         np.testing.assert_allclose(g.grad, c.toarray().T @ r, atol=1e-12)
 
@@ -544,7 +605,7 @@ class TestSoftmax:
         r = rng.normal(size=7)
         t = Tape()
         v = t.leaf(v0, requires_grad=True)
-        loss = t.sum(mul(t, t.segment_softmax(v, splits), t.constant(r)))
+        loss = total(t, mul(t, t.segment_softmax(v, splits), t.constant(r)))
         t.backward(loss)
 
         def f(arr):
@@ -620,7 +681,7 @@ class TestBackwardContract:
         grads = []
         for _ in range(2):
             t = Tape()
-            loss = t.sum(t.sigmoid(matmul(t, a, b)))
+            loss = total(t, t.sigmoid(matmul(t, a, b)))
             t.backward(loss)
             grads.append((a.grad.copy(), b.grad.copy()))
         assert grads[0][0].tobytes() == grads[1][0].tobytes()
@@ -638,7 +699,7 @@ class TestBackwardContract:
         y = t.scale(x, 2.0)
         z = t.relu(y)
         kept = mul(t, z, t.constant(rng.normal(size=(4, 3))))
-        loss = t.sum(kept)
+        loss = total(t, kept)
         # z is held by the tape alone once the test lets go of it
         value_ref = weakref.ref(z.value)
         del z
@@ -669,7 +730,7 @@ class TestBackwardContract:
         pre = t.scale(x, 2.0)
         z = t.relu(pre)
         kept = mul(t, z, t.constant(rng.normal(size=(4, 3))))
-        loss = t.add(t.sum(kept), t.scale(t.sumsq(x), 0.5))
+        loss = t.add(total(t, kept), t.scale(t.sumsq(x), 0.5))
         # a sum of 0-d arrays is a numpy scalar, which takes no weak reference
         assert not isinstance(loss.value, np.ndarray)
         cells = {"pre": pre.cell, "z": z.cell, "kept": kept.cell}
@@ -712,7 +773,7 @@ class TestBackwardContract:
             }
             out = {name: make[name]() for name in order}
             loss = t.add(
-                t.add(t.sum(mul(t, out["add"], t.constant(r1))), t.sum(mul(t, out["reshape"], t.constant(r2)))),
+                t.add(total(t, mul(t, out["add"], t.constant(r1))), total(t, mul(t, out["reshape"], t.constant(r2)))),
                 t.sumsq(out["scale"]),
             )
             return loss, y, out
@@ -807,7 +868,7 @@ class TestGradCheck:
         def build(t, leaves):
             h = t.relu(add(t, matmul(t, t.constant(x), leaves["w1"]), leaves["b1"]))
             out = t.sigmoid(matmul(t, h, leaves["w2"]))
-            return t.scale(t.sum(out), 1 / out.value.size)
+            return t.scale(total(t, out), 1 / out.value.size)
 
         assert grad_check(build, store) <= 1e-4
 
@@ -815,7 +876,7 @@ class TestGradCheck:
         store = ParamStore()
         store.add("w", np.ones(1))
         with pytest.raises(ParameterError):
-            grad_check(lambda t, leaves: t.sum(leaves["w"]), store, eps=0.0)
+            grad_check(lambda t, leaves: total(t, leaves["w"]), store, eps=0.0)
 
     def test_detects_corrupted_backward_rule(self, monkeypatch):
         rng = np.random.default_rng(26)
@@ -823,7 +884,7 @@ class TestGradCheck:
         store.add("w", rng.uniform(0.5, 1.5, size=(3,)))
 
         def build(t, leaves):
-            return t.sum(t.relu(leaves["w"]))
+            return total(t, t.relu(leaves["w"]))
 
         assert grad_check(build, store) <= 1e-9
         monkeypatch.setattr(tape_mod, "_relu_grad", lambda x: (x > 0) * 1.25)
@@ -843,23 +904,23 @@ def test_primitive_fd_property(op_name, seed):
     store = ParamStore()
     if op_name == "sigmoid":
         store.add("x", rng.uniform(-1, 1, size=(4, 3)))
-        build = lambda t, lv: t.scale(t.sum(t.sigmoid(lv["x"])), 1 / 12)
+        build = lambda t, lv: t.scale(total(t, t.sigmoid(lv["x"])), 1 / 12)
     elif op_name == "matmul":
         store.add("a", rng.uniform(-1, 1, size=(2, 3, 4)))
         store.add("b", rng.uniform(-1, 1, size=(2, 4, 2)))
-        build = lambda t, lv: t.sum(t.sigmoid(matmul(t, lv["a"], lv["b"])))
+        build = lambda t, lv: total(t, t.sigmoid(matmul(t, lv["a"], lv["b"])))
     elif op_name == "mode3":
         tf = make_transform("custom", 3, np.eye(3) + 0.3 * rng.uniform(-1, 1, size=(3, 3)))
         store.add("x", rng.uniform(-1, 1, size=(3, 2, 2)))
         store.add("y", rng.uniform(-1, 1, size=(3, 2, 2)))
-        build = lambda t, lv: t.sum(t.sigmoid(t.m_product(lv["x"], lv["y"], DenseOperator(lv["x"].value, tf))))
+        build = lambda t, lv: total(t, t.sigmoid(t.m_product(lv["x"], lv["y"], DenseOperator(lv["x"].value, tf))))
     elif op_name == "softmax":
         splits = np.array([0, 2, 5, 6])
         store.add("v", rng.uniform(-1, 1, size=6))
         r = rng.uniform(-1, 1, size=6)
-        build = lambda t, lv: t.sum(mul(t, t.segment_softmax(lv["v"], splits), t.constant(r)))
+        build = lambda t, lv: total(t, mul(t, t.segment_softmax(lv["v"], splits), t.constant(r)))
     else:
         store.add("a", rng.uniform(-1, 1, size=(3, 3)))
         store.add("b", rng.uniform(-1, 1, size=(3, 3)))
-        build = lambda t, lv: t.scale(t.sum(mul(t, t.add(lv["a"], lv["b"]), lv["b"])), 1 / 9)
+        build = lambda t, lv: t.scale(total(t, mul(t, t.add(lv["a"], lv["b"]), lv["b"])), 1 / 9)
     assert grad_check(build, store) <= 1e-4

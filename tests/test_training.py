@@ -483,7 +483,7 @@ class TestSharedForward:
         prep, config = small_prep(seed=3, transform=transform, max_epochs=1)
         assert config.layers >= 2
         refs = {"pre_relu": [], "scores": [], "rows": []}
-        relu, pair_dot, gather_rows = Tape.relu, Tape.pair_dot, Tape.gather_rows
+        relu, pair_dot, pair_affine = Tape.relu, Tape.pair_dot, Tape.pair_affine
 
         def watched_relu(tape, a):
             refs["pre_relu"].append(weakref.ref(a.value))
@@ -494,9 +494,12 @@ class TestSharedForward:
             refs["scores"].append(weakref.ref(out.value))
             return out
 
-        def watched_gather_rows(tape, a, index):
-            out = gather_rows(tape, a, index)
-            refs["rows"].append(weakref.ref(out.value))
+        def watched_pair_affine(tape, a, ends, w, b):
+            out = pair_affine(tape, a, ends, w, b)
+            if out.requires_grad:
+                rule = tape._entries[-1][2]
+                rows = rule.__closure__[rule.__code__.co_freevars.index("picked")].cell_contents
+                refs["rows"].append(weakref.ref(rows))
             return out
 
         monkeypatch.setattr(Tape, "relu", watched_relu)
@@ -510,7 +513,7 @@ class TestSharedForward:
         h = training.embed(tape, leaves, prep, config)
         # every relu of the generator's two perceptrons and of the hidden layers
         assert len(refs["pre_relu"]) == 2 + config.layers - 1
-        monkeypatch.setattr(Tape, "gather_rows", watched_gather_rows)
+        monkeypatch.setattr(Tape, "pair_affine", watched_pair_affine)
         probs = training.decode(tape, leaves, h, pairs.pairs)
         loss = compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg)
         embedding = weakref.ref(h.value)
@@ -519,7 +522,7 @@ class TestSharedForward:
         assert embedding() is None
         for name in ("pre_relu", "scores"):
             assert all(ref() is None for ref in refs[name]), name
-        # the decoder's first affine reads the gathered pair rows
+        # the decoder's first layer reads the embedding rows some pair reads
         (rows,) = refs["rows"]
         assert rows() is not None
         for out, parents, _ in tape._entries:
@@ -638,15 +641,16 @@ def test_training_builds_no_transform(monkeypatch, transform):
     assert run_gradient_check(transform) <= 1e-4
 
 
-@pytest.mark.parametrize("kind, entries", [("dct", 25), ("identity", 26)])
+@pytest.mark.parametrize("kind, entries", [("dct", 23), ("identity", 24)])
 def test_tape_entries_of_one_training_step(kind, entries):
     """One training step on the criterion-6 instance: two M-product entries
     per layer under either transform, the aggregation and the weight
     product; one affine entry per perceptron layer, two in each feature
-    perceptron and two in the decoder; one gather of both endpoints; and one
-    entry for the L2 penalty over every parameter. The identity replicates
-    the embedding over the slots; the dct runs on the (N, F) rows every slot
-    shares and records no replicate."""
+    perceptron, and one in the decoder, whose first layer is one
+    ``pair_affine`` on the embedding rows; and one entry for the L2 penalty
+    over every parameter. The identity replicates the embedding over the
+    slots; the dct runs on the (N, F) rows every slot shares and records no
+    replicate."""
     config = TrainConfig(dim=32, transform=kind, seed=1)
     prep = prepare(planted_partition_graph(seed=9), config)
     store = training.init_params(config, prep.n_nodes, prep.t_slots)
@@ -660,6 +664,8 @@ def test_tape_entries_of_one_training_step(kind, entries):
     assert ops.count("m_product") == 2 * config.layers
     assert ops.count("sumsq") == 1
     assert "spmm" not in ops and "mode3" not in ops
-    assert ops.count("affine") == 6 and ops.count("gather_rows") == 1 and "matmul" not in ops
+    assert ops.count("affine") == 5 and ops.count("pair_affine") == 1
+    assert "gather_rows" not in ops and "matmul" not in ops
     assert ops.count("replicate") == (kind == "identity")
+    assert ops[-9:-4] == ["pair_affine", "relu", "affine", "reshape", "sigmoid"]
     assert ops[-4:] == ["bce_mean", "sumsq", "scale", "add"]
