@@ -8,6 +8,9 @@ and the final layer stays linear. Under the orthonormal DCT the replicated
 embedding E is slot-constant and stays so (``tensor3``): the stack is
 h = P-bar relu(P-bar E W-bar_1) W-bar_2 on (N, F) rows, with P-bar = sum_t P_t
 and W-bar a layer's slot-mean weights, one sparse product per layer, not T.
+Under the identity slot t's layers read slice t of the weights and of every
+stack alone, so ``layer_stack`` runs on any window of slots, and training
+runs it one slot chunk at a time.
 The decoder maps [h_i, h_j] -> F -> 1 with a ReLU hidden layer and a
 sigmoid output: its first layer is ``Tape.pair_affine``, h_i W1[:F] +
 h_j W1[F:] on the embedding rows, so no (P, 2F) array is built.
@@ -69,8 +72,9 @@ def init_model_params(
 
 def propagate(tape: Tape, weights: Node, h: Node, op: SparseOperator) -> Node:
     """Aggregation tensor times node tensor: one ``m_product`` tape op over
-    ``op``, the operator of the flat ``weights`` that ``forward`` builds once
-    for all layers, so the dense N x N x T tensor is never materialized."""
+    ``op``, the operator of the flat ``weights`` built once for all layers
+    (``aggregation_operator``), so the dense N x N x T tensor is never
+    materialized."""
     return tape.m_product(weights, h, op)
 
 
@@ -83,6 +87,21 @@ def weight_product(tape: Tape, h: Node, w: Node, t_slots: int) -> Node:
     return tape.m_product(h, w, op)
 
 
+def aggregation_operator(pattern: SlicePattern, values: np.ndarray, kind: str) -> FacewiseOperator | SlotSumOperator:
+    """The operator of the flat aggregation weights ``values`` under the
+    transform ``kind``, built once for every layer: face-wise on T copies of
+    the embedding under the identity, P-bar on the embedding under the dct.
+    Both are live only, as the weights are a softmax output: the weight
+    gradient is +0 at the exact zeros (the tubes of them), which the softmax
+    backward multiplies by 0 anyway. Other kinds raise ``ParameterError``,
+    as the dct reduction holds for the DCT alone."""
+    if kind == "identity":
+        return FacewiseOperator(pattern, values, live_only=True)
+    if kind == "dct":
+        return SlotSumOperator(pattern, values)
+    raise ParameterError(f"forward runs the identity or dct transform, not {kind!r}")
+
+
 def forward(
     tape: Tape,
     leaves: dict[str, Node],
@@ -93,29 +112,27 @@ def forward(
 ) -> Node:
     """Run the layer stack under the transform ``kind`` over the pattern's
     T slots and return the embedding node: (T, N, F) under the identity,
-    the (N, F) rows every slot shares under the dct.
+    the (N, F) rows every slot shares under the dct."""
+    return layer_stack(tape, leaves, p_weights, aggregation_operator(pattern, p_weights.value, kind), n_layers)
 
-    The aggregation operator is built once, not as a tape node, so each
-    layer hands its own weight gradient to ``p_weights``: face-wise on T
-    copies of the embedding under the identity, P-bar on the embedding under
-    the dct. Both are live only, as ``p_weights`` is a softmax output: the
-    weight gradient is +0 at the exact zeros (the tubes of them), which the
-    softmax backward multiplies by 0 anyway. Each layer records two
-    ``m_product`` entries; hidden layers apply ReLU. Neither runs a mode-3
-    product, so no transform matrix is built. Other kinds raise
-    ``ParameterError``, as the reduction holds for the DCT alone."""
+
+def layer_stack(tape: Tape, leaves: dict[str, Node], p_weights: Node, op: SparseOperator, n_layers: int) -> Node:
+    """Run the layers over the slots of ``op``, an ``aggregation_operator``
+    or a window of one, and return the embedding node. ``p_weights`` are
+    the flat weights of those slots, and each layer hands its own weight
+    gradient to them. Under the identity the embedding is replicated over
+    the slots and the layer stacks in ``leaves`` hold those slots' slices;
+    under the dct the layers run on the (N, F) rows with the whole stacks.
+    Each layer records two ``m_product`` entries; hidden layers apply ReLU.
+    Neither runs a mode-3 product, so no transform matrix is built."""
     if n_layers < 1:
         raise ParameterError(f"layer count must be >= 1, got {n_layers}")
-    if kind == "identity":
-        op = FacewiseOperator(pattern, p_weights.value, live_only=True)
-        h = tape.replicate(leaves["embed.e"], pattern.t_slots)
-    elif kind == "dct":
-        op, h = SlotSumOperator(pattern, p_weights.value), leaves["embed.e"]
-    else:
-        raise ParameterError(f"forward runs the identity or dct transform, not {kind!r}")
+    h = leaves["embed.e"]
+    if op.node_axes == 3:
+        h = tape.replicate(h, len(op.slots))
     for layer in range(1, n_layers + 1):
         spread = propagate(tape, p_weights, h, op)
-        h = weight_product(tape, spread, leaves[f"layer{layer}.w"], pattern.t_slots)
+        h = weight_product(tape, spread, leaves[f"layer{layer}.w"], op.pattern.t_slots)
         if layer < n_layers:
             h = tape.relu(h)
         if not np.all(np.isfinite(h.value)):

@@ -21,7 +21,8 @@ scores it computes once each; ``sigmoid`` and ``segment_softmax`` their
 outputs;
 ``m_product`` its operator (which holds its left operand, or that operand
 times M) and its right operand as the operator transformed it.
-``replicate`` records a broadcast view, not copies.
+``replicate`` records a broadcast view, not copies; ``inner`` the constant
+it hands back as its operand's gradient.
 """
 
 from __future__ import annotations
@@ -272,6 +273,19 @@ class Tape:
 
         return self._record(np.asarray(total, dtype=np.float64), nodes, backward)
 
+    def inner(self, a: Node, c: np.ndarray) -> Node:
+        """The sum of ``a * c`` over every entry, for a constant ``c`` of
+        a's shape. Its gradient with respect to a is c itself, so a gradient
+        computed on other tapes joins this tape's sweep through it."""
+        va, vc = a.value, _as_f64(c)
+        if va.shape != vc.shape:
+            raise ShapeError(f"inner operands {va.shape} and {vc.shape} differ")
+
+        def backward(g):
+            return (g * vc,)
+
+        return self._record(np.asarray(np.vdot(va, vc)), (a,), backward)
+
     # ----- shape plumbing -----
 
     def replicate(self, a: Node, count: int) -> Node:
@@ -376,18 +390,23 @@ class Tape:
 
     # ----- loss -----
 
-    def bce_mean(self, probs: Node, labels: np.ndarray) -> Node:
-        """Mean binary cross-entropy with probabilities clamped away from 0/1."""
+    def bce_mean(self, probs: Node, labels: np.ndarray, count: int | None = None) -> Node:
+        """Mean binary cross-entropy with probabilities clamped away from
+        0/1, over ``count`` pairs of which these are a part (these alone by
+        default): the shares of the parts of a pair set sum to its mean."""
         y = _as_f64(labels)
         p_raw = probs.value
         if p_raw.shape != y.shape:
             raise ShapeError(f"probability shape {p_raw.shape} does not match labels {y.shape}")
         if p_raw.size == 0:
             raise ParameterError("bce_mean needs at least one labeled pair")
+        n = y.size if count is None else count
+        if n < y.size:
+            raise ParameterError(f"bce_mean over {count} pairs got {y.size}")
         p = np.clip(p_raw, PROB_FLOOR, 1.0 - PROB_FLOOR)
         inside = (p_raw >= PROB_FLOOR) & (p_raw <= 1.0 - PROB_FLOOR)
-        n = y.size
-        loss = -(y * np.log(p) + (1.0 - y) * np.log1p(-p)).mean()
+        # the sum over n is the bits of a mean over all n pairs
+        loss = -(y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum() / n
 
         def backward(g):
             dp = np.where(inside, (p - y) / (p * (1.0 - p)), 0.0)
@@ -449,7 +468,7 @@ class ParamStore:
             raise ParameterError(f"duplicate parameter name {name!r}")
         arr = _as_f64(value).copy()
         self._values[name] = arr
-        self._grads[name] = np.zeros_like(arr)
+        self._grads[name] = np.zeros(arr.shape)
 
     def names(self) -> list[str]:
         return sorted(self._values)
@@ -471,10 +490,10 @@ class ParamStore:
             g[...] = 0.0
 
     def clone(self) -> "ParamStore":
+        """A store with copies of the values and zero gradients."""
         other = ParamStore()
         for name in self.names():
             other.add(name, self._values[name])
-            other._grads[name] = self._grads[name].copy()
         return other
 
     def leaves(self, tape: Tape) -> dict[str, Node]:

@@ -25,6 +25,7 @@ this package.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -379,18 +380,24 @@ class SlicePattern:
 
 
 class SparseOperator:
-    """An M-product operator whose left operand is flat values over a
-    pattern, times (T, d2, F) arrays, or (d2, F) ones if ``node_axes`` is 2."""
+    """An M-product operator whose left operand is the flat values of the
+    pattern's ``slots``, every slot unless windowed, times (len(slots), d2,
+    F) arrays, or (d2, F) ones if ``node_axes`` is 2."""
 
     node_axes = 3
 
+    def __init__(self, pattern: SlicePattern):
+        self.pattern = pattern
+        self.slots = range(pattern.t_slots)
+
     def check(self, values: np.ndarray, y: np.ndarray) -> None:
-        """Raise ``ShapeError`` unless ``values`` fit the pattern and ``y``
-        is an array it can multiply."""
-        pattern = self.pattern
-        if values.shape != (pattern.nnz,):
-            raise ShapeError(f"values shape {values.shape} does not match pattern nnz {pattern.nnz}")
-        lead = (pattern.t_slots, pattern.n_cols)[3 - self.node_axes :]
+        """Raise ``ShapeError`` unless ``values`` fit the slots' pattern
+        entries and ``y`` is an array it can multiply."""
+        pattern, slots = self.pattern, self.slots
+        nnz = int(pattern.offsets[slots.stop] - pattern.offsets[slots.start])
+        if values.shape != (nnz,):
+            raise ShapeError(f"values shape {values.shape} does not match pattern nnz {nnz}")
+        lead = (len(slots), pattern.n_cols)[3 - self.node_axes :]
         if y.ndim != self.node_axes or y.shape[:-1] != lead:
             raise ShapeError(f"node tensor shape {y.shape} does not match pattern {'x'.join(map(str, lead))}")
 
@@ -403,10 +410,14 @@ class FacewiseOperator(SparseOperator):
     The value gradient is computed on the live entries and is +0 at the
     others. Every entry is live, since at a zero value the gradient is g·y,
     not 0; built with ``live_only``, as the model builds it from softmax
-    weights, only the entries with a nonzero value are."""
+    weights, only the entries with a nonzero value are.
+
+    Slot t's product reads slice t alone, so ``window`` gives the operator
+    of a slot range, whose products and gradients are those slots' of the
+    whole operator, bit for bit."""
 
     def __init__(self, pattern: SlicePattern, values: np.ndarray, live_only: bool = False):
-        self.pattern = pattern
+        super().__init__(pattern)
         shape = (pattern.n_rows, pattern.n_cols)
         self.slices = [
             nonzero_csr(values[pattern.offsets[t] : pattern.offsets[t + 1]], pattern.indices[t], pattern.indptrs[t], shape)
@@ -414,27 +425,40 @@ class FacewiseOperator(SparseOperator):
         ]
         self.live = values != 0 if live_only else np.ones(pattern.nnz, dtype=bool)
 
+    def window(self, start: int, stop: int) -> "FacewiseOperator":
+        """The operator of slots [start, stop) alone, on their run of the
+        flat values and (stop - start, d2, F) arrays; it shares this
+        operator's matrices and live mask."""
+        if not self.slots.start <= start < stop <= self.slots.stop:
+            raise ParameterError(f"slot window [{start}, {stop}) is not inside [{self.slots.start}, {self.slots.stop})")
+        sub = copy.copy(self)
+        sub.slots = range(start, stop)
+        sub.slices = self.slices[start - self.slots.start : stop - self.slots.start]
+        return sub
+
     def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The product with a dense (T, d2, F) array, and y for ``grads``."""
+        """The product with a dense (len(slots), d2, F) array, and y for
+        ``grads``."""
         out = np.empty((len(self.slices), self.pattern.n_rows, y.shape[2]))
-        for t, s in enumerate(self.slices):
-            out[t] = s @ y[t]
+        for k, s in enumerate(self.slices):
+            out[k] = s @ y[k]
         return out, y
 
     def grads(self, g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The gradients of the flat values and of y, given the product's."""
         pattern = self.pattern
-        dvals = np.zeros(pattern.nnz)
+        base = pattern.offsets[self.slots.start]
+        dvals = np.zeros(pattern.offsets[self.slots.stop] - base)
         # C order even for a broadcast y, whose empty_like would put the
         # slots innermost and change how the gradient's consumers sum it
         dy = np.empty(y.shape)
-        for t, s in enumerate(self.slices):
+        for k, (t, s) in enumerate(zip(self.slots, self.slices)):
             lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
             keep = self.live[lo:hi]
             live_vals = np.empty(np.count_nonzero(keep))
-            _sddmm(g[t], pattern.rows[t][keep], y[t], pattern.indices[t][keep], live_vals)
-            dvals[lo:hi][keep] = live_vals
-            dy[t] = s.T @ g[t]
+            _sddmm(g[k], pattern.rows[t][keep], y[k], pattern.indices[t][keep], live_vals)
+            dvals[lo - base : hi - base][keep] = live_vals
+            dy[k] = s.T @ g[k]
         return dvals, dy
 
 
@@ -448,7 +472,7 @@ class SlotSumOperator(SparseOperator):
     node_axes = 2
 
     def __init__(self, pattern: SlicePattern, values: np.ndarray):
-        self.pattern = pattern
+        super().__init__(pattern)
         u_indptr, u_indices, flat_to_union = pattern.union
         self.live = np.zeros(len(u_indices), dtype=bool)
         self.live[flat_to_union[values != 0]] = True

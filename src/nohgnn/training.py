@@ -1,14 +1,23 @@
 """Full-batch training of the link predictor.
 
-The pipeline splits into ``embed`` (feature generation, aggregation weights,
-layer stack) and the decoder. The embedding of the initial parameters is
-recorded once before the first epoch. Each epoch then resamples the training
-negatives, decodes them from the recorded embedding, applies one Adam update,
-and records the embedding of the updated parameters. That one forward both
-scores the frozen validation set and serves as the next epoch's training
-forward, so each parameter state is embedded once. Training stops at the
-epoch cap or after ``patience`` epochs without a new best validation F1; the
-best epoch's parameters are returned.
+The pipeline splits into a shared stage (feature generation and the
+aggregation weights with their operator) and slot chunks (the layer stack
+and the decoder). Under the identity slot t's layers and decoded pairs read
+only slice t and the shared parameters, so a chunk of slots runs on its own
+tape and is swept at once: a step's peak follows the chunk width
+(``CHUNK_BYTES``), not T. The dct couples the slots through P-bar and runs
+as one chunk.
+
+The shared stage of the initial parameters is recorded once before the
+first epoch. Each epoch then resamples the training negatives, runs the
+chunks (each decodes its training pairs and writes its run of the flat
+weights' gradient), sweeps the shared stage, applies one Adam update, and
+records the shared stage of the updated parameters. The next epoch's chunk
+pass also scores the frozen validation set, so the parameters of epoch k
+are validated in epoch k+1's chunk pass, and the last ones in one final
+pass without gradients: each parameter state is embedded once. Training
+stops at the epoch cap or after ``patience`` epochs without a new best
+validation F1; the best epoch's parameters are returned.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from nohgnn.data import (
     split_edges,
 )
 from nohgnn.errors import NumericError, ParameterError
-from nohgnn.model import decode, forward, init_model_params, model_param_shapes
+from nohgnn.model import aggregation_operator, decode, forward, init_model_params, layer_stack, model_param_shapes
 from nohgnn.overlap import aggregation_weights, build_aggregation_pattern
 from nohgnn.structural import (
     FeatureContext,
@@ -40,7 +49,7 @@ from nohgnn.structural import (
 )
 from nohgnn.synth import dense_tiny_graph
 from nohgnn.tape import Node, ParamStore, Tape, grad_check
-from nohgnn.tensor3 import SlicePattern
+from nohgnn.tensor3 import SlicePattern, SparseOperator
 
 LR_GRID = (0.1, 0.01, 0.02, 0.05, 0.001, 0.002)
 BETA_GRID = (0.01, 0.005, 0.001, 0.0005)
@@ -121,16 +130,21 @@ def evaluate(probs: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> M
     return Metrics(tp, fp, tn, fn, f1, accuracy)
 
 
+def penalty(tape: Tape, leaves: dict[str, Node], beta: float) -> Node | None:
+    """Beta times the summed squared entries of every parameter, in name
+    order; None when beta is 0."""
+    if beta > 0.0:
+        return tape.scale(tape.sumsq(*(leaves[name] for name in sorted(leaves))), beta)
+    return None
+
+
 def compute_loss(
     tape: Tape, probs: Node, labels: np.ndarray, leaves: dict[str, Node], beta: float
 ) -> Node:
-    """Mean BCE over the labeled pairs plus beta times the summed squared
-    entries of every parameter."""
+    """Mean BCE over the labeled pairs plus the ``penalty``."""
     loss = tape.bce_mean(probs, labels)
-    if beta > 0.0:
-        reg = tape.sumsq(*(leaves[name] for name in sorted(leaves)))
-        loss = tape.add(loss, tape.scale(reg, beta))
-    return loss
+    reg = penalty(tape, leaves, beta)
+    return loss if reg is None else tape.add(loss, reg)
 
 
 class Adam:
@@ -249,20 +263,148 @@ def init_params(config: TrainConfig, n_nodes: int, t_slots: int) -> ParamStore:
 
 
 def embed(tape: Tape, leaves: dict[str, Node], prep: PreparedData, config: TrainConfig) -> Node:
-    """Features, aggregation weights and the layer stack: the embedding node,
-    (T, N, F) or the dct's (N, F), that the decoder reads pairs from."""
+    """Features, aggregation weights and the layer stack over every slot on
+    one tape: the embedding node, (T, N, F) or the dct's (N, F), that the
+    decoder reads pairs from."""
     feats = generate_features(tape, prep.ctx, leaves)
     weights = aggregation_weights(tape, feats, prep.pattern)
     return forward(tape, leaves, prep.pattern, weights, config.transform, config.layers)
 
 
-def predict(store: ParamStore, prep: PreparedData, config: TrainConfig, pairs: np.ndarray) -> np.ndarray:
-    """Probabilities from the current parameters, without recording gradients."""
-    if np.asarray(pairs).reshape(-1, 3)[:, 2].max(initial=0) >= prep.t_slots:
-        raise ParameterError("pair slot out of range")  # a dct embedding has no slot axis
+# bytes of one (W, N, F) float64 stack of the identity's layer stack: a
+# chunk is the W slots that fit, so a step's peak follows W, not T. At
+# N = 3,748 and F = 32 that is 17 slots a chunk, 5 chunks for 73 slots
+CHUNK_BYTES = 16 << 20
+
+
+def slot_chunks(prep: PreparedData, config: TrainConfig) -> list[range]:
+    """The slot ranges the layer stack and the decoder run on, one tape
+    each. The identity's slots are independent; the dct couples every slot
+    through P-bar, so it runs as one chunk."""
+    t_slots = prep.t_slots
+    if config.transform != "identity":
+        return [range(t_slots)]
+    width = max(1, CHUNK_BYTES // (prep.n_nodes * config.dim * 8))
+    return [range(t0, min(t0 + width, t_slots)) for t0 in range(0, t_slots, width)]
+
+
+@dataclass
+class SharedStage:
+    """What every chunk of one parameter state reads, recorded once: the
+    tape of the feature generator, the pair scores and the softmax, its
+    leaves, the flat aggregation weights and their operator."""
+
+    tape: Tape
+    leaves: dict[str, Node]
+    weights: Node
+    op: SparseOperator
+
+
+def _record_shared(store: ParamStore, prep: PreparedData, config: TrainConfig, grad: bool = True) -> SharedStage:
     tape = Tape()
-    leaves = store.constants(tape)
-    return decode(tape, leaves, embed(tape, leaves, prep, config), pairs).value
+    leaves = store.leaves(tape) if grad else store.constants(tape)
+    weights = aggregation_weights(tape, generate_features(tape, prep.ctx, leaves), prep.pattern)
+    return SharedStage(tape, leaves, weights, aggregation_operator(prep.pattern, weights.value, config.transform))
+
+
+def _window(value: np.ndarray, slots: range) -> np.ndarray:
+    """The part of a parameter a chunk of slots reads: the slots' slices of
+    a (T, F, F) layer stack, the store's only 3-D parameters, and all of
+    any other."""
+    return value[slots.start : slots.stop] if value.ndim == 3 else value
+
+
+def _in_slots(pairs: np.ndarray, slots: range, whole: bool) -> tuple[np.ndarray | slice, np.ndarray]:
+    """The index, in order, of the (i, j, t) rows with t in ``slots``, and
+    those rows with t counted from the first of the slots: all of them, as
+    they are, if the slots are ``whole``, every slot."""
+    if whole:
+        return slice(None), pairs
+    t = pairs[:, 2]
+    picked = np.flatnonzero((t >= slots.start) & (t < slots.stop))
+    rows = pairs[picked]
+    rows[:, 2] -= slots.start
+    return picked, rows
+
+
+def _chunk_pass(
+    store: ParamStore,
+    stage: SharedStage,
+    prep: PreparedData,
+    config: TrainConfig,
+    score_pairs: np.ndarray,
+    train_set: LabeledPairSet | None = None,
+    epoch: int = 0,
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
+    """Run the layer stack and the decoder one slot chunk at a time on the
+    stage's weights, each chunk on a fresh tape, and return the summed BCE
+    shares and the flat-weight gradient (None without a ``train_set``) and
+    the probabilities of ``score_pairs``.
+
+    A chunk scores its ``score_pairs`` from its embedding's values without
+    gradients. With a ``train_set`` it decodes its training pairs, takes
+    their share of the mean BCE, sweeps its tape at once, adds the
+    gradients of its leaves (its slices of the layer stacks) into the
+    store's and writes its run of the flat-weight gradient. A chunk with no
+    pair to read is skipped. Raises a numeric error naming ``epoch`` if a
+    share is not finite.
+    """
+    offsets = prep.pattern.offsets
+    # a chunk reads the model's parameters; the generator's are the shared stage's
+    names = [name for name, _ in model_param_shapes(prep.n_nodes, config.dim, prep.t_slots, config.layers)]
+    training = train_set is not None
+    train_pairs = train_set.pairs if training else score_pairs[:0]
+    bce = weight_grad = None
+    probs = np.empty(len(score_pairs))
+    for slots in slot_chunks(prep, config):
+        whole = len(slots) == prep.t_slots
+        scored, scored_pairs = _in_slots(score_pairs, slots, whole)
+        trained, trained_pairs = _in_slots(train_pairs, slots, whole)
+        if not (len(scored_pairs) or len(trained_pairs)):
+            continue
+        tape = Tape()
+        make = (lambda value: tape.leaf(value, requires_grad=True)) if training else tape.constant
+        leaves = {name: make(_window(store.value(name), slots)) for name in names}
+        lo, hi = offsets[slots.start], offsets[slots.stop]
+        weights = make(stage.weights.value[lo:hi])
+        op = stage.op if whole else stage.op.window(slots.start, slots.stop)
+        h = layer_stack(tape, leaves, weights, op, config.layers)
+        if len(scored_pairs):
+            vt = Tape()
+            probs[scored] = decode(vt, store.constants(vt), vt.constant(h.value), scored_pairs).value
+        if not len(trained_pairs):
+            continue
+        chunk_probs = decode(tape, leaves, h, trained_pairs)
+        # no rule reads the embedding, so it goes before the backward runs
+        del h
+        share = tape.bce_mean(chunk_probs, train_set.labels[trained], count=train_set.size)
+        if not np.isfinite(share.value):
+            raise NumericError(f"training diverged at epoch {epoch}: loss is not finite")
+        tape.backward(share)
+        bce = share.value if bce is None else bce + share.value
+        for name, node in leaves.items():
+            if node.grad is not None:
+                part = _window(store.grad(name), slots)
+                part += node.grad
+        if whole:
+            weight_grad = weights.grad
+        else:
+            if weight_grad is None:
+                weight_grad = np.zeros(prep.pattern.nnz)
+            weight_grad[lo:hi] = weights.grad
+    return bce, weight_grad, probs
+
+
+def predict(store: ParamStore, prep: PreparedData, config: TrainConfig, pairs: np.ndarray) -> np.ndarray:
+    """Probabilities from the current parameters, chunk by chunk, without
+    recording gradients."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 3)
+    if len(pairs) == 0:
+        raise ParameterError("decode needs at least one pair")
+    if pairs[:, 2].min() < 0 or pairs[:, 2].max() >= prep.t_slots:
+        raise ParameterError("pair slot out of range")  # it would fall in no chunk
+    stage = _record_shared(store, prep, config, grad=False)
+    return _chunk_pass(store, stage, prep, config, pairs)[2]
 
 
 def evaluate_model(store: ParamStore, prep: PreparedData, config: TrainConfig, pair_set: LabeledPairSet) -> Metrics:
@@ -294,28 +436,24 @@ def write_metric_log(path: str, history: list[dict]) -> None:
             )
 
 
-def _record_embedding(store: ParamStore, prep: PreparedData, config: TrainConfig) -> tuple[Tape, dict[str, Node], Node]:
-    """A fresh tape holding the embedding of the store's current parameters,
-    recorded for the backward."""
-    tape = Tape()
-    leaves = store.leaves(tape)
-    return tape, leaves, embed(tape, leaves, prep, config)
-
-
 def train_loop(prep: PreparedData, config: TrainConfig, log_path: str | None = None) -> TrainResult:
     """Optimize and early-stop on validation F1, embedding each parameter
     state once.
 
-    The embedding of the initial parameters is recorded on a fresh tape
-    before the first epoch, and after the Adam step of every epoch the
-    embedding of the updated parameters is recorded on another. The
-    validation pairs are decoded from its values on a separate tape without
-    gradients, and the next epoch decodes its training pairs on the recorded
-    tape and runs the backward through it. The tape holds only the arrays its
-    backward rules read, so the embedding is let go as soon as it is decoded.
-    The finished tape, with every gradient on it, is released before the next
-    one is recorded. Raises a numeric error naming the epoch if the loss
-    diverges.
+    A step has a shared stage and slot chunks. The shared stage (feature
+    generator, pair scores, softmax and the aggregation operator) of the
+    initial parameters is recorded on a fresh tape before the first epoch,
+    and that of the updated parameters after the Adam step of every epoch.
+    Each epoch then runs the layer stack and the decoder one slot chunk at a
+    time (``_chunk_pass``): a chunk decodes its training pairs, sweeps its
+    own tape at once and writes its run of the flat-weight gradient, so the
+    step's peak follows the chunk width, not T. The shared tape is swept
+    last, from the penalty plus the inner product of the flat weights with
+    that gradient. The same chunks also score the validation pairs, so the
+    parameters of epoch k are validated in epoch k+1's chunk pass, and the
+    last ones in one final pass without gradients; early stopping after
+    epoch k drops epoch k+1's gradients. Raises a numeric error naming the
+    epoch if the loss diverges.
     """
     if prep.train_pos.size == 0:
         raise ParameterError("training set has no positive pairs")
@@ -325,43 +463,51 @@ def train_loop(prep: PreparedData, config: TrainConfig, log_path: str | None = N
     adam = Adam(store, config.learning_rate)
     result = TrainResult(store=store.clone())
     stall = 0
-    tape, leaves, h = _record_embedding(store, prep, config)
-    for epoch in range(1, config.max_epochs + 1):
-        neg = negative_sample(
-            prep.full_graph, prep.train_pos, config.neg_ratio, seed=[config.seed, epoch]
-        )
-        train_set = merge_pair_sets(prep.train_pos, neg)
-        probs = decode(tape, leaves, h, train_set.pairs)
-        # no rule reads the embedding, so it goes before the backward runs
-        del h
-        loss = compute_loss(tape, probs, train_set.labels, leaves, config.beta_reg)
-        if not np.isfinite(loss.value):
-            raise NumericError(f"training diverged at epoch {epoch}: loss is not finite")
-        tape.backward(loss)
-        store.zero_grads()
-        store.harvest(leaves)
-        adam.step()
-        loss_value = float(loss.value)
-        # the finished tape and its gradients go before the next forward is recorded
-        del tape, leaves, probs, loss
 
-        tape, leaves, h = _record_embedding(store, prep, config)
-        vt = Tape()
-        val_probs = decode(vt, store.constants(vt), vt.constant(h.value), prep.val_set.pairs)
-        metrics = evaluate(val_probs.value, prep.val_set.labels, config.threshold)
-        result.history.append(
-            {"epoch": epoch, "loss": loss_value, "val_f1": metrics.f1, "val_acc": metrics.accuracy}
-        )
+    def validated(epoch: int, loss: float, probs: np.ndarray) -> bool:
+        """Log epoch ``epoch`` with its parameters' validation metrics, and
+        whether early stopping ends the run there."""
+        nonlocal stall
+        metrics = evaluate(probs, prep.val_set.labels, config.threshold)
+        result.history.append({"epoch": epoch, "loss": loss, "val_f1": metrics.f1, "val_acc": metrics.accuracy})
         result.epochs_run = epoch
         if metrics.f1 > result.best_val_f1:
             result.best_val_f1 = metrics.f1
             result.best_epoch = epoch
             result.store = store.clone()
             stall = 0
-        else:
-            stall += 1
-            if stall >= config.patience:
-                break
+            return False
+        stall += 1
+        return stall >= config.patience
+
+    stage = _record_shared(store, prep, config)
+    loss_value = 0.0
+    for epoch in range(1, config.max_epochs + 1):
+        neg = negative_sample(
+            prep.full_graph, prep.train_pos, config.neg_ratio, seed=[config.seed, epoch]
+        )
+        train_set = merge_pair_sets(prep.train_pos, neg)
+        store.zero_grads()
+        val_pairs = prep.val_set.pairs if epoch > 1 else prep.val_set.pairs[:0]
+        bce, weight_grad, val_probs = _chunk_pass(store, stage, prep, config, val_pairs, train_set, epoch)
+        if epoch > 1 and validated(epoch - 1, loss_value, val_probs):
+            break
+        tape = stage.tape
+        reg = penalty(tape, stage.leaves, config.beta_reg)
+        loss_value = float(bce if reg is None else bce + reg.value)
+        if not np.isfinite(loss_value):
+            raise NumericError(f"training diverged at epoch {epoch}: loss is not finite")
+        dot = tape.inner(stage.weights, weight_grad)
+        # the flat-weight gradient goes once the sweep has passed the inner product
+        del weight_grad
+        tape.backward(dot if reg is None else tape.add(reg, dot))
+        store.harvest(stage.leaves)
+        # the swept stage and its gradients go before Adam's temporaries
+        del stage, tape, reg, dot
+        adam.step()
+        stage = _record_shared(store, prep, config)
+    else:
+        validated(config.max_epochs, loss_value, _chunk_pass(store, stage, prep, config, prep.val_set.pairs)[2])
     if log_path is not None:
         write_metric_log(log_path, result.history)
     return result

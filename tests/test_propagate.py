@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nohgnn.model as model_mod
+from nohgnn.errors import ParameterError, ShapeError
 from nohgnn.model import forward, init_model_params
 from nohgnn.overlap import overlap_scores
 from nohgnn.tape import ParamStore, Tape
@@ -347,3 +348,43 @@ def test_live_forward_gradients_bit_equal_full(monkeypatch, kind, case):
     live, full = grads(), grads(full=True)
     assert len(live) == len(full) == 5
     assert_bit_equal(live, full)
+
+
+@pytest.mark.parametrize("live_only", [False, True])
+@pytest.mark.parametrize("case", WEIGHT_CASES)
+def test_window_bit_equals_its_slots_of_the_whole_operator(case, live_only):
+    # slot t's product and gradients read slice t alone, so a window's are
+    # the whole operator's on its slots, bit for bit, for any split
+    pattern = make_pattern(41, t_slots=5)
+    w0, h0, r = inputs(42, pattern, case)
+    whole = FacewiseOperator(pattern, w0, live_only)
+    out, _ = whole.apply(h0)
+    dvals, dh = whole.grads(r, h0)
+    for start, stop in ((0, 5), (0, 1), (1, 3), (3, 5), (4, 5)):
+        op = whole.window(start, stop)
+        lo, hi = pattern.offsets[start], pattern.offsets[stop]
+        op.check(w0[lo:hi], h0[start:stop])
+        assert op.slots == range(start, stop)
+        got_out, _ = op.apply(h0[start:stop])
+        got_dvals, got_dh = op.grads(r[start:stop], h0[start:stop])
+        assert_bit_equal([got_out, got_dvals, got_dh], [out[start:stop], dvals[lo:hi], dh[start:stop]])
+    # a window of a window is the window of the whole
+    inner = whole.window(1, 5).window(2, 4)
+    assert inner.slots == range(2, 4) and inner.slices == whole.slices[2:4]
+
+
+def test_window_refuses_slots_outside_and_misaligned_operands():
+    pattern = make_pattern(43, t_slots=4)
+    w0, h0, _ = inputs(44, pattern, "no_zeros")
+    op = FacewiseOperator(pattern, w0)
+    for start, stop in ((-1, 2), (2, 2), (3, 5), (2, 1)):
+        with pytest.raises(ParameterError, match="slot window"):
+            op.window(start, stop)
+    with pytest.raises(ParameterError, match="slot window"):
+        op.window(1, 3).window(0, 2)
+    sub = op.window(1, 3)
+    lo, hi = pattern.offsets[1], pattern.offsets[3]
+    with pytest.raises(ShapeError, match="pattern nnz"):
+        sub.check(w0, h0[1:3])
+    with pytest.raises(ShapeError, match="node tensor shape"):
+        sub.check(w0[lo:hi], h0)

@@ -306,6 +306,42 @@ class TestPairAffine:
                 t.pair_affine(*case)
 
 
+class TestInner:
+    @pytest.mark.parametrize("shape", [(5,), (2, 3), (2, 3, 2)])
+    def test_gradients_match_central_differences(self, shape):
+        # the gradient of sum(a * c) is c, handed on to what made a
+        rng = np.random.default_rng(len(shape))
+        store = ParamStore()
+        store.add("x", rng.normal(size=shape))
+        c = rng.normal(size=shape)
+
+        def build(t, leaves):
+            return t.inner(t.sigmoid(leaves["x"]), c)
+
+        assert grad_check(build, store) <= 1e-7
+        t = Tape()
+        a = t.leaf(store.value("x"), requires_grad=True)
+        out = t.inner(a, c)
+        t.backward(out)
+        assert float(out.value) == pytest.approx(float((store.value("x") * c).sum()), rel=1e-13)
+        assert a.grad.tobytes() == c.tobytes()
+
+    def test_shape_errors(self):
+        t = Tape()
+        a = t.leaf(np.zeros((2, 3)), requires_grad=True)
+        for c in (np.zeros(6), np.zeros((3, 2)), np.zeros((2, 3, 1)), np.zeros(())):
+            with pytest.raises(ShapeError, match="inner operands"):
+                t.inner(a, c)
+
+    def test_rule_is_named_after_the_op(self):
+        # backward timers are keyed by the method the rule is a closure of
+        t = Tape()
+        t.inner(t.leaf(np.ones(3), requires_grad=True), np.ones(3))
+        ((_, _, rule),) = t._entries
+        assert rule.__qualname__.split(".")[1] == "inner"
+        assert rule.__qualname__ == "Tape.inner.<locals>.backward"
+
+
 def random_pattern(rng, t_slots, n, density=0.4):
     dense = (rng.random((t_slots, n, n)) < density).astype(float)
     return SlicePattern.from_sparse(SliceSparse3.from_dense(dense))
@@ -664,6 +700,39 @@ class TestBce:
         assert max_rel_err(p.grad, fd) < 1e-7
 
 
+    def test_shares_over_a_count_sum_to_the_mean(self):
+        # a part's share is its BCE sum over the whole count: one part is
+        # the mean itself, bit for bit, and the gradients are the mean's
+        rng = np.random.default_rng(23)
+        p0 = rng.uniform(0.05, 0.95, size=9)
+        y = (rng.random(9) < 0.5).astype(float)
+        t = Tape()
+        p = t.leaf(p0, requires_grad=True)
+        whole = t.bce_mean(p, y)
+        t.backward(whole)
+        t = Tape()
+        q = t.leaf(p0, requires_grad=True)
+        one = t.bce_mean(q, y, count=9)
+        t.backward(one)
+        assert one.value.tobytes() == whole.value.tobytes()
+        assert q.grad.tobytes() == p.grad.tobytes()
+        shares, grads = [], []
+        for part in (slice(0, 4), slice(4, 9)):
+            t = Tape()
+            q = t.leaf(p0[part], requires_grad=True)
+            share = t.bce_mean(q, y[part], count=9)
+            t.backward(share)
+            shares.append(float(share.value))
+            grads.append(q.grad)
+        assert sum(shares) == pytest.approx(float(whole.value), rel=1e-14)
+        assert np.concatenate(grads).tobytes() == p.grad.tobytes()
+
+    def test_count_below_the_pairs_rejected(self):
+        t = Tape()
+        with pytest.raises(ParameterError, match="over 1 pairs"):
+            t.bce_mean(t.leaf(np.full(2, 0.5), requires_grad=True), np.ones(2), count=1)
+
+
 class TestBackwardContract:
     def test_non_scalar_loss_rejected(self):
         t = Tape()
@@ -832,6 +901,19 @@ class TestParamStore:
         dup = store.clone()
         dup.value("w")[0] = 9.0
         assert store.value("w")[0] == 1.0
+
+    def test_clone_copies_values_not_gradients(self):
+        store = ParamStore()
+        store.add("w", np.ones((2, 3)))
+        store.grad("w")[...] = 5.0
+        dup = store.clone()
+        assert dup.value("w").tobytes() == store.value("w").tobytes()
+        assert not np.shares_memory(dup.value("w"), store.value("w"))
+        assert dup.grad("w").shape == (2, 3) and not np.any(dup.grad("w"))
+        assert not np.signbit(dup.grad("w")).any()
+        dup.grad("w")[0, 0] = 7.0
+        store.grad("w")[1, 1] = 9.0
+        assert store.grad("w")[0, 0] == 5.0 and dup.grad("w")[1, 1] == 0.0
 
     def test_harvest_accumulates(self):
         store = ParamStore()

@@ -2,6 +2,8 @@
 
 import json
 import math
+import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -428,6 +430,22 @@ def assert_same_run(got, want):
         assert got.store.value(name).tobytes() == want.store.value(name).tobytes()
 
 
+def first_step_grads(monkeypatch, loop, prep, config):
+    """The store's gradients at the first Adam step of ``loop``."""
+    grads = {}
+    inner = Adam.step
+
+    def step(self):
+        if self.step_count == 0:
+            grads.update((name, self.store.grad(name).copy()) for name in self.store.names())
+        inner(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Adam, "step", step)
+        loop(prep, config)
+    return grads
+
+
 def log_calls(monkeypatch, module, attr, calls):
     """Append ``attr`` to ``calls`` at each call of ``module.attr``."""
     inner = getattr(module, attr)
@@ -456,11 +474,12 @@ class TestSharedForward:
 
     @pytest.mark.parametrize("transform", ["identity", "dct"])
     def test_step_gradients_bit_equal_to_oracle_and_to_a_kept_tape(self, monkeypatch, transform):
-        # the sweep frees what it has passed; holding every entry alive to
-        # its end must not change one bit of the leaf gradients
+        # the sweeps free what they have passed; holding every entry of
+        # every tape alive to its end must not change one bit of the step's
+        # gradients
         prep, config = small_prep(seed=3, transform=transform, max_epochs=1)
-        got = train_loop(prep, config).store
-        want = train_loop_oracle.train_loop(prep, config).store
+        got = first_step_grads(monkeypatch, train_loop, prep, config)
+        want = first_step_grads(monkeypatch, train_loop_oracle.train_loop, prep, config)
         held = []
         sweep = Tape.backward
 
@@ -469,12 +488,16 @@ class TestSharedForward:
             return sweep(tape, loss)
 
         monkeypatch.setattr(Tape, "backward", sweep_holding_entries)
-        kept = train_loop_oracle.train_loop(prep, config).store
+        kept = first_step_grads(monkeypatch, train_loop_oracle.train_loop, prep, config)
         assert len(held) == 1
-        assert any(np.any(want.grad(name)) for name in want.names())
-        for name in want.names():
-            assert got.grad(name).tobytes() == want.grad(name).tobytes(), name
-            assert kept.grad(name).tobytes() == want.grad(name).tobytes(), name
+        kept_chunked = first_step_grads(monkeypatch, train_loop, prep, config)
+        # one chunk, then the shared stage
+        assert len(held) == 3
+        assert any(np.any(grad) for grad in want.values())
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+            assert kept[name].tobytes() == want[name].tobytes(), name
+            assert kept_chunked[name].tobytes() == want[name].tobytes(), name
 
     @pytest.mark.parametrize("transform", ["identity", "dct"])
     def test_values_no_rule_reads_are_freed_before_the_backward(self, monkeypatch, transform):
@@ -482,6 +505,7 @@ class TestSharedForward:
         # a value lives on only if a backward rule captured it
         prep, config = small_prep(seed=3, transform=transform, max_epochs=1)
         assert config.layers >= 2
+        want = first_step_grads(monkeypatch, train_loop_oracle.train_loop, prep, config)
         refs = {"pre_relu": [], "scores": [], "rows": []}
         relu, pair_dot, pair_affine = Tape.relu, Tape.pair_dot, Tape.pair_affine
 
@@ -530,28 +554,39 @@ class TestSharedForward:
         tape.backward(loss)
         assert rows() is None
         store.harvest(leaves)
-        want = train_loop_oracle.train_loop(prep, config).store
-        for name in want.names():
-            assert store.grad(name).tobytes() == want.grad(name).tobytes(), name
+        for name in want:
+            assert store.grad(name).tobytes() == want[name].tobytes(), name
 
     def test_train_loop_lets_the_embedding_go_before_the_backward(self, monkeypatch):
+        # in one chunk, and in chunks of 1 and of 3 slots: each chunk's
+        # embedding goes before its sweep, and every one before the shared
+        # stage's sweep
         prep, config = small_prep(seed=3, max_epochs=3, patience=10)
-        embeddings, held_in_sweep = [], []
-        record, sweep = training._record_embedding, Tape.backward
+        for width in (None, 1, 3):
+            embeddings, held_in_sweep = [], []
+            stack, sweep = training.layer_stack, Tape.backward
 
-        def watched_record(*args):
-            recorded = record(*args)
-            embeddings.append(weakref.ref(recorded[2].value))
-            return recorded
+            def watched_stack(*args):
+                h = stack(*args)
+                embeddings.append(weakref.ref(h.value))
+                return h
 
-        def watched_sweep(tape, loss):
-            held_in_sweep.append(embeddings[-1]() is not None)
-            return sweep(tape, loss)
+            def watched_sweep(tape, loss):
+                held_in_sweep.append(any(ref() is not None for ref in embeddings))
+                return sweep(tape, loss)
 
-        monkeypatch.setattr(training, "_record_embedding", watched_record)
-        monkeypatch.setattr(Tape, "backward", watched_sweep)
-        assert train_loop(prep, config).epochs_run == 3
-        assert held_in_sweep == [False] * 3
+            with monkeypatch.context() as patch:
+                if width is not None:
+                    patch.setattr(training, "CHUNK_BYTES", width * prep.n_nodes * config.dim * 8)
+                n_chunks = len(training.slot_chunks(prep, config))
+                assert n_chunks == (1 if width is None else -(-prep.t_slots // width))
+                patch.setattr(training, "layer_stack", watched_stack)
+                patch.setattr(Tape, "backward", watched_sweep)
+                assert train_loop(prep, config).epochs_run == 3
+            # each epoch sweeps its chunks, then the shared stage
+            assert held_in_sweep == [False] * (3 * (n_chunks + 1))
+            # three training passes and the final validation pass
+            assert len(embeddings) == 4 * n_chunks
 
     def test_bit_equal_under_scripted_val_f1(self, script_val_f1):
         prep, config = small_prep(seed=3, transform="dct", max_epochs=6, patience=2)
@@ -641,31 +676,173 @@ def test_training_builds_no_transform(monkeypatch, transform):
     assert run_gradient_check(transform) <= 1e-4
 
 
-@pytest.mark.parametrize("kind, entries", [("dct", 23), ("identity", 24)])
-def test_tape_entries_of_one_training_step(kind, entries):
-    """One training step on the criterion-6 instance: two M-product entries
-    per layer under either transform, the aggregation and the weight
-    product; one affine entry per perceptron layer, two in each feature
-    perceptron, and one in the decoder, whose first layer is one
-    ``pair_affine`` on the embedding rows; and one entry for the L2 penalty
-    over every parameter. The identity replicates the embedding over the
-    slots; the dct runs on the (N, F) rows every slot shares and records no
-    replicate."""
-    config = TrainConfig(dim=32, transform=kind, seed=1)
+@pytest.mark.parametrize("kind, shared, chunk", [("dct", 13, 11), ("identity", 13, 12)])
+def test_tape_entries_of_one_training_step(monkeypatch, kind, shared, chunk):
+    """One training step on the criterion-6 instance, one slot chunk: the
+    chunk's tape records two M-product entries per layer, the aggregation
+    and the weight product, and the decoder, whose first layer is one
+    ``pair_affine`` on the embedding rows, then the chunk's BCE share. The
+    identity replicates the embedding over the chunk's slots; the dct runs
+    on the (N, F) rows every slot shares and records no replicate. The
+    shared tape records the feature generator (two affine entries in each
+    perceptron), the pair scores and the softmax, then one entry for the L2
+    penalty over every parameter and the inner product that carries the
+    chunks' flat-weight gradient."""
+    config = TrainConfig(dim=32, transform=kind, seed=1, max_epochs=1)
     prep = prepare(planted_partition_graph(seed=9), config)
-    store = training.init_params(config, prep.n_nodes, prep.t_slots)
-    pairs = training.labeled_split(prep, config, "train")
-    tape = Tape()
-    leaves = store.leaves(tape)
-    probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, config), pairs.pairs)
-    compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg)
-    ops = [backward.__qualname__.split(".")[1] for _, _, backward in tape._entries]
-    assert len(ops) == entries
-    assert ops.count("m_product") == 2 * config.layers
-    assert ops.count("sumsq") == 1
-    assert "spmm" not in ops and "mode3" not in ops
-    assert ops.count("affine") == 5 and ops.count("pair_affine") == 1
-    assert "gather_rows" not in ops and "matmul" not in ops
-    assert ops.count("replicate") == (kind == "identity")
-    assert ops[-9:-4] == ["pair_affine", "relu", "affine", "reshape", "sigmoid"]
-    assert ops[-4:] == ["bce_mean", "sumsq", "scale", "add"]
+    assert len(training.slot_chunks(prep, config)) == 1
+    tapes = []
+    sweep = Tape.backward
+
+    def watched(tape, loss):
+        tapes.append([backward.__qualname__.split(".")[1] for _, _, backward in tape._entries])
+        return sweep(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", watched)
+    train_loop(prep, config)
+    chunk_ops, shared_ops = tapes
+    assert (len(shared_ops), len(chunk_ops)) == (shared, chunk)
+    assert chunk_ops.count("m_product") == 2 * config.layers
+    assert chunk_ops.count("affine") == 1 and chunk_ops.count("pair_affine") == 1
+    assert chunk_ops.count("replicate") == (kind == "identity")
+    assert chunk_ops[-6:] == ["pair_affine", "relu", "affine", "reshape", "sigmoid", "bce_mean"]
+    assert shared_ops.count("affine") == 4 and shared_ops.count("pair_dot") == 1
+    assert shared_ops[-6:] == ["pair_dot", "segment_softmax", "sumsq", "scale", "inner", "add"]
+    for ops in tapes:
+        assert "spmm" not in ops and "mode3" not in ops
+        assert "gather_rows" not in ops and "matmul" not in ops
+
+
+def criterion_6_chunked(monkeypatch, width, **overrides):
+    """The criterion-6 instance under the identity, in chunks of ``width``
+    slots (one chunk for None)."""
+    config = TrainConfig(dim=32, seed=1, **overrides)
+    prep = prepare(planted_partition_graph(seed=9), config)
+    if width is not None:
+        monkeypatch.setattr(training, "CHUNK_BYTES", width * prep.n_nodes * config.dim * 8)
+    return prep, config
+
+
+def assert_within(got, want, rtol):
+    scale = max(np.abs(want).max(), np.finfo(float).tiny)
+    assert got.shape == want.shape and np.abs(got - want).max() <= rtol * scale
+
+
+# Chunks sum the embedding gradient over the slots, the decoder's gradients
+# over the pairs and the loss over the shares in another order than one
+# chunk. Relative to a value's largest entry, measured worst on the
+# criterion-6 instance at widths 1, 2 and 3: 8.4e-13 on dec.b1, a sum of
+# hidden gradients that cancels; 1.7e-16 on the logged loss; 2.3e-14 on the
+# returned parameters and 2.0e-16 on their test probabilities
+CHUNK_SUM_RTOL = 1e-12
+
+
+class TestSlotChunks:
+    """The step in slot chunks against the step in one chunk."""
+
+    def test_chunk_widths(self):
+        config = TrainConfig(dim=32)
+        l_shape = types.SimpleNamespace(n_nodes=3748, t_slots=73)
+        assert [len(c) for c in training.slot_chunks(l_shape, config)] == [17, 17, 17, 17, 5]
+        assert training.slot_chunks(l_shape, TrainConfig(dim=32, transform="dct")) == [range(73)]
+        walkthrough = types.SimpleNamespace(n_nodes=60, t_slots=20000)
+        chunks = training.slot_chunks(walkthrough, config)
+        assert len(chunks) == 19 and chunks[-1].stop == 20000
+        prep, config = small_prep()
+        assert training.slot_chunks(prep, config) == [range(prep.t_slots)]
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_step_gradients_against_one_chunk(self, monkeypatch, width):
+        # the flat-weight, layer-stack and generator gradients keep every
+        # bit; the sums across chunks move within CHUNK_SUM_RTOL
+        runs = []
+        for w in (None, width):
+            with monkeypatch.context() as patch:
+                prep, config = criterion_6_chunked(patch, w, max_epochs=1)
+                flat, inner = [], Tape.inner
+
+                def watched_inner(tape, a, c):
+                    flat.append(np.array(c))
+                    return inner(tape, a, c)
+
+                patch.setattr(Tape, "inner", watched_inner)
+                grads = first_step_grads(patch, train_loop, prep, config)
+                result = train_loop(prep, config)
+                runs.append((len(training.slot_chunks(prep, config)), flat[0], grads, result.history[0]["loss"]))
+        (one, flat_one, want, loss_one), (n_chunks, flat_got, got, loss_got) = runs
+        assert (one, n_chunks) == (1, -(-prep.t_slots // width))
+        assert flat_got.tobytes() == flat_one.tobytes()
+        assert np.any(flat_one)
+        for name in want:
+            if name.startswith(("layer", "gen.")):
+                assert got[name].tobytes() == want[name].tobytes(), name
+            else:
+                assert_within(got[name], want[name], CHUNK_SUM_RTOL)
+        assert loss_got == pytest.approx(loss_one, rel=CHUNK_SUM_RTOL, abs=0)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_runs_match_one_chunk_under_early_stopping(self, monkeypatch, width):
+        runs = []
+        for w in (None, width):
+            with monkeypatch.context() as patch:
+                prep, config = criterion_6_chunked(patch, w, max_epochs=40, patience=3)
+                result = train_loop(prep, config)
+                probs = predict(result.store, prep, config, prep.test_set.pairs)
+                runs.append((result, probs))
+        (want, want_probs), (got, got_probs) = runs
+        assert want.epochs_run < 40
+        assert (got.epochs_run, got.best_epoch, got.best_val_f1) == (want.epochs_run, want.best_epoch, want.best_val_f1)
+        assert len(got.history) == len(want.history) == want.epochs_run
+        for row, expected in zip(got.history, want.history):
+            assert {k: row[k] for k in ("epoch", "val_f1", "val_acc")} == {k: expected[k] for k in ("epoch", "val_f1", "val_acc")}
+            assert row["loss"] == pytest.approx(expected["loss"], rel=CHUNK_SUM_RTOL, abs=0)
+        for name in want.store.names():
+            assert_within(got.store.value(name), want.store.value(name), CHUNK_SUM_RTOL)
+        assert_within(got_probs, want_probs, CHUNK_SUM_RTOL)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_predict_bit_equals_one_chunk(self, monkeypatch, width):
+        # for the same parameters every probability keeps its bits
+        prep, config = criterion_6_chunked(monkeypatch, None)
+        store = training.init_params(config, prep.n_nodes, prep.t_slots)
+        want = predict(store, prep, config, prep.test_set.pairs)
+        monkeypatch.setattr(training, "CHUNK_BYTES", width * prep.n_nodes * config.dim * 8)
+        got = predict(store, prep, config, prep.test_set.pairs)
+        assert got.tobytes() == want.tobytes()
+
+    def test_chunk_peak_does_not_grow_with_the_slot_count(self, monkeypatch):
+        # the traced peak of each chunk, from its layer stack to the end of
+        # its sweep, at 2 slots a chunk: the same at T = 4 and T = 16; in
+        # one chunk of all the slots it grows with T
+        def chunk_peak(t_slots, width):
+            config = TrainConfig(dim=32, seed=1, max_epochs=1)
+            prep = prepare(planted_partition_graph(400, t_slots, p_in=0.01, p_out=0.001, seed=5), config)
+            starts, peaks = [], []
+            stack, sweep = training.layer_stack, Tape.backward
+
+            def watched_stack(*args):
+                tracemalloc.reset_peak()
+                starts.append(tracemalloc.get_traced_memory()[0])
+                return stack(*args)
+
+            def watched_sweep(tape, loss):
+                out = sweep(tape, loss)
+                if len(peaks) < len(starts):
+                    peaks.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+                return out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(training, "CHUNK_BYTES", width * prep.n_nodes * config.dim * 8)
+                patch.setattr(training, "layer_stack", watched_stack)
+                patch.setattr(Tape, "backward", watched_sweep)
+                tracemalloc.start()
+                try:
+                    train_loop(prep, config)
+                finally:
+                    tracemalloc.stop()
+            assert len(peaks) == -(-t_slots // width)
+            return max(peaks)
+
+        small, large = chunk_peak(4, 2), chunk_peak(16, 2)
+        assert large <= 1.1 * small
+        assert chunk_peak(16, 16) >= 3 * chunk_peak(4, 4)
