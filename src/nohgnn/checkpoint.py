@@ -278,10 +278,9 @@ def load_model(path: str) -> tuple[ParamStore, TrainConfig, int, int]:
             expected.add(name)
     except ParameterError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
+    store = ParamStore()
     for name in sorted(stored):
         if name not in expected:
             raise CheckpointError(f"{path}: unexpected record 'param.{name}'")
-    store = ParamStore()
-    for name in sorted(stored):
         store.add(name, stored[name])
     return store, config, n_nodes, t_slots

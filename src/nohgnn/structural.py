@@ -36,7 +36,7 @@ import scipy.sparse as sp
 from nohgnn.data import DynamicGraph
 from nohgnn.errors import ParameterError
 from nohgnn.tape import Node, ParamStore, Tape, init_dense
-from nohgnn.tensor3 import SlicePattern, SliceSparse3, sparse_matpower_sum
+from nohgnn.tensor3 import SlicePattern, SliceSparse3, index_dtype, sparse_matpower_sum, stack_slices
 
 
 def generator_param_shapes(dim: int) -> Iterator[tuple[str, tuple[int, ...]]]:
@@ -119,22 +119,19 @@ class FeatureContext:
 
 
 def build_feature_context(b: SliceSparse3) -> FeatureContext:
-    n = b.shape2d[0]
-    t_slots = len(b.slices)
-    values = np.concatenate([np.zeros(0)] + [s.data for s in b.slices])
-    unique = np.unique(values)
+    stacked = stack_slices(b)
+    unique = np.unique(stacked.data)
     # one CSR row per (slot, node) over the value columns: B's own row
     # structure, each entry moved to its value's column, then summed
-    indptr = np.concatenate([[0]] + [np.diff(s.indptr) for s in b.slices]).cumsum()
     counts = sp.csr_matrix(
-        (np.ones(len(values)), np.searchsorted(unique, values), indptr), shape=(t_slots * n, len(unique))
+        (np.ones(stacked.nnz), np.searchsorted(unique, stacked.data), stacked.indptr), shape=(stacked.shape[0], len(unique))
     )
     counts.sum_duplicates()
     rep = _row_representatives(counts)
     # classes are numbered by their first rows, in row order
     is_first = rep == np.arange(len(rep))
     firsts = np.flatnonzero(is_first)
-    row_class = (np.cumsum(is_first) - 1)[rep].reshape(t_slots, n)
+    row_class = (np.cumsum(is_first) - 1)[rep].reshape(len(b.slices), b.shape2d[0])
     return FeatureContext(unique, counts[firsts], row_class)
 
 
@@ -156,25 +153,25 @@ def build_pair_plan(row_class: np.ndarray, n_classes: int, pattern: SlicePattern
 
     One sort of int64 keys, pair key ci * n_classes + cj with the entry
     number packed below it, orders the entries by pair and says where each
-    went; the keys are built slot by slot in place, and the pair indices
-    narrowed to int32 before the next array is made. The arrays the plan
-    keeps, all but the short ``indptr``, are ``_mapped``.
+    went. ci is read at the entry's stacked row t*N + i, cj at t*N + j, both
+    in ``row_class`` flattened, and the pair indices are narrowed before the
+    next array is made. The arrays the plan keeps, all but the short
+    ``indptr``, are ``_mapped``.
     """
-    nnz = pattern.nnz
-    index = np.int32 if max(nnz, n_classes) <= np.iinfo(np.int32).max else np.int64
+    nnz, n = pattern.nnz, pattern.n_rows
+    index = index_dtype(nnz, n_classes)
     bits = nnz.bit_length()
     packed = (n_classes * n_classes) << bits <= 1 << PLAN_KEY_BITS
     pair_of = _mapped(nnz, index)
-    keys = np.empty(nnz, dtype=np.int64)
-    for t in range(pattern.t_slots):
-        lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
-        key = keys[lo:hi]
-        np.multiply(row_class[t].take(pattern.rows[t]), n_classes, out=key)
-        key += row_class[t].take(pattern.indices[t])
-        if packed:
-            key <<= bits
-            key |= np.arange(lo, hi)
+    flat_class = row_class.ravel()
+    keys = np.repeat(flat_class * n_classes, np.diff(pattern.row_splits))
+    cols = np.repeat(np.arange(0, pattern.t_slots * n, n), np.diff(pattern.offsets))
+    cols += pattern.cols
+    keys += flat_class.take(cols)
+    del cols
     if packed:
+        keys <<= bits
+        keys |= np.arange(nnz)
         keys.sort()
         # the cast keeps the low bits, the entry number among them
         entry = keys.astype(index)

@@ -4,7 +4,7 @@ the invertible-transform tensor product (M-product).
 No other module applies a transform. The model's products run through
 operators of their left operand, each with ``check``, ``apply`` and
 ``grads``, which it records with ``Tape.m_product``: ``FacewiseOperator``
-(flat values over a ``SlicePattern`` as per-slice CSR matrices, the
+(flat values over a ``SlicePattern`` as one block-diagonal CSR matrix, the
 identity), ``DenseOperator`` (a dense stack, times M under a mixing
 transform) and the DCT's two below. The library ``m_product`` uses the
 first two, and for a sparse left operand under a mixing transform scatters
@@ -187,17 +187,8 @@ def mode3_product(x: Tensor3, m) -> Tensor3:
 
 def facewise_product(x, y: Tensor3) -> Tensor3:
     """Slice-by-slice matrix product: result slice t is x_t @ y_t, the
-    M-product under the identity, through the operator of ``x`` without the
-    identity's T x T matrices."""
-    if isinstance(x, Tensor3):
-        a, op = x.data, DenseOperator(x.data)
-    elif isinstance(x, SliceSparse3):
-        a = np.concatenate([np.zeros(0)] + [s.data for s in x.slices])
-        op = FacewiseOperator(SlicePattern.from_sparse(x), a)
-    else:
-        raise ShapeError(f"unsupported left operand type {type(x).__name__}")
-    op.check(a, y.data)
-    return Tensor3(op.apply(y.data)[0])
+    M-product under the identity, without the identity's T x T matrices."""
+    return m_product(x, y, None)
 
 
 def nonzero_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
@@ -209,12 +200,14 @@ def nonzero_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape
     partial sum unchanged, and +0 + (-0) is +0.
     """
     keep = data != 0
-    kept = np.concatenate(([0], np.cumsum(keep)))
+    kept = np.zeros(len(keep) + 1, dtype=index_dtype(len(keep)))
+    np.cumsum(keep, dtype=kept.dtype, out=kept[1:])
     return sp.csr_matrix((data[keep], indices[keep], kept[indptr]), shape=shape)
 
 
-def m_product(x, y: Tensor3, tf: Transform) -> Tensor3:
-    """Tensor product under an invertible mode-3 transform.
+def m_product(x, y: Tensor3, tf: Transform | None) -> Tensor3:
+    """Tensor product under an invertible mode-3 transform, or under the
+    identity without its matrices if ``tf`` is None.
 
     Computes ((x mode3 M) facewise (y mode3 M)) mode3 M^-1. A ``Tensor3``
     ``x`` goes through its ``DenseOperator``, which reduces to the plain
@@ -232,11 +225,11 @@ def m_product(x, y: Tensor3, tf: Transform) -> Tensor3:
         raise ShapeError(f"unsupported left operand type {type(x).__name__}")
     pattern = SlicePattern.from_sparse(x)
     values = np.concatenate([s.data for s in x.slices])
-    if tf.size != pattern.t_slots:
+    if tf is not None and tf.size != pattern.t_slots:
         raise ShapeError(f"transform size {tf.size} does not match {pattern.t_slots} slices")
     if y.data.shape[:2] != (pattern.t_slots, pattern.n_cols):
         raise ShapeError(f"node tensor shape {y.data.shape} does not match pattern {pattern.t_slots}x{pattern.n_cols}")
-    if tf.is_identity:
+    if tf is None or tf.is_identity:
         return Tensor3(FacewiseOperator(pattern, values).apply(y.data)[0])
     u_indptr, u_indices, flat_to_union = pattern.union
     p_hat = np.zeros((pattern.t_slots, len(u_indices)))
@@ -260,7 +253,7 @@ def sparse_matpower_sum(a: SliceSparse3, k_hops: int) -> SliceSparse3:
     d1, d2, _ = a.dims
     if d1 != d2:
         raise ShapeError(f"slices must be square, got {d1}x{d2}")
-    block = _block_diagonal(a)
+    block = stack_slices(a, block=True)
     acc = cur = block
     for _ in range(k_hops - 1):
         cur = cur @ block
@@ -274,17 +267,27 @@ def sparse_matpower_sum(a: SliceSparse3, k_hops: int) -> SliceSparse3:
     return SliceSparse3(slices, shape=a.shape2d)
 
 
-def _block_diagonal(x: SliceSparse3) -> sp.csr_matrix:
-    """The slices of ``x`` as the diagonal blocks of one (T*d1, T*d2) CSR
-    matrix; its products and sums are those of the slices, entry for entry."""
+def index_dtype(*bounds: int) -> type:
+    """int32 if every bound, the largest value or length an index array
+    holds, fits it, else int64, as scipy narrows its own indices. Keys built
+    from indices, such as t*N*N + i*N + j, stay int64."""
+    return np.int32 if max(bounds, default=0) <= np.iinfo(np.int32).max else np.int64
+
+
+def stack_slices(x: SliceSparse3, block: bool = False) -> sp.csr_matrix:
+    """The slices of ``x`` as one (T*d1, d2) CSR matrix, whose row t*d1 + i
+    is row i of slice t; with ``block``, as the diagonal blocks of one
+    (T*d1, T*d2) matrix, slice t's columns moved by t*d2, whose products and
+    sums are those of the slices, entry for entry."""
     d1, d2, t_slots = x.dims
     offsets = np.cumsum([0] + [s.nnz for s in x.slices])
-    # int32 where it fits, as scipy would narrow it to anyway
-    index = np.int32 if max(offsets[-1], t_slots * max(d1, d2)) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.concatenate([np.zeros(1, index)] + [s.indptr[1:] + index(off) for s, off in zip(x.slices, offsets)])
-    indices = np.concatenate([np.zeros(0, index)] + [s.indices + index(t * d2) for t, s in enumerate(x.slices)])
+    index = index_dtype(offsets[-1], t_slots * max(d1, d2))
+    indptr = np.concatenate([np.zeros(1, index)] + [s.indptr[1:] + off for s, off in zip(x.slices, offsets)], dtype=index)
+    indices = np.concatenate([np.zeros(0, index)] + [s.indices for s in x.slices], dtype=index)
+    if block:
+        indices += np.repeat(np.arange(t_slots, dtype=index) * index(d2), np.diff(offsets))
     data = np.concatenate([np.zeros(0)] + [s.data for s in x.slices])
-    return sp.csr_matrix((data, indices, indptr), shape=(t_slots * d1, t_slots * d2))
+    return sp.csr_matrix((data, indices, indptr), shape=(t_slots * d1, t_slots * d2 if block else d2))
 
 
 # entries per SDDMM block, so that both gathered (block, F) float64 operands
@@ -303,61 +306,66 @@ def _sddmm(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray, out
         np.einsum("ef,ef->e", a.take(rows[lo:hi], axis=0), b.take(cols[lo:hi], axis=0), out=out[lo:hi])
 
 
-class SlicePattern:
-    """Frozen sparsity structure for a stack of T sparse slices.
+class _PerSlot:
+    """``per_slot[t]`` is ``build(pattern, t)``, built on access."""
 
-    Values for the pattern live in flat float arrays: entries of slice t
-    occupy ``[offsets[t], offsets[t+1])`` in CSR order (row-major, columns
-    sorted within a row). ``row_splits`` delimits every (slice, row)
-    segment of the flat layout, in slice-major row-minor order.
+    def __init__(self, pattern: "SlicePattern", build):
+        self.pattern, self.build = pattern, build
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        return self.build(self.pattern, range(self.pattern.t_slots)[t])
+
+
+class SlicePattern:
+    """Frozen sparsity structure for a stack of T sparse (d1, d2) slices,
+    held as the CSR structure of the (T*d1, d2) matrix that stacks them, row
+    t*d1 + i being row i of slice t: ``row_splits`` is its indptr and
+    ``cols`` its column indices, sorted within a row, both at the width
+    ``index_dtype`` gives.
+
+    Values for the pattern live in flat float arrays in the same order, so
+    ``row_splits`` delimits every (slice, row) segment, and the entries of
+    slice t are ``[offsets[t], offsets[t+1])``, ``offsets`` being the view
+    ``row_splits[::d1]``.
     """
 
-    def __init__(self, indptrs, indices, n_rows: int, n_cols: int):
-        self.indptrs = [np.asarray(p, dtype=np.int64) for p in indptrs]
-        self.indices = [np.asarray(ix, dtype=np.int64) for ix in indices]
-        if len(self.indptrs) != len(self.indices):
-            raise ShapeError("indptrs and indices must pair up per slice")
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
-        self.t_slots = len(self.indptrs)
-        sizes = [len(ix) for ix in self.indices]
-        self.offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-        self.nnz = int(self.offsets[-1])
-        self.rows = [
-            np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(p))
-            for p in self.indptrs
-        ]
-        starts = [self.indptrs[t][:-1] + self.offsets[t] for t in range(self.t_slots)]
-        self.row_splits = np.concatenate(starts + [[self.nnz]]).astype(np.int64)
+    def __init__(self, row_splits, cols, n_rows: int, n_cols: int):
+        self.n_rows, self.n_cols = int(n_rows), int(n_cols)
+        index = index_dtype(len(cols), self.n_cols)
+        self.row_splits = np.asarray(row_splits).astype(index, copy=False)
+        self.cols = np.asarray(cols).astype(index, copy=False)
+        if self.n_rows < 1 or self.row_splits.ndim != 1 or (len(self.row_splits) - 1) % self.n_rows or self.row_splits[-1] != len(self.cols):
+            raise ShapeError(f"row splits of length {len(self.row_splits)} and {len(self.cols)} columns are not a stack of {self.n_rows}-row slices")
+        self.t_slots = (len(self.row_splits) - 1) // self.n_rows
+        self.offsets = self.row_splits[:: self.n_rows]
+        self.nnz = len(self.cols)
         self._union: tuple | None = None
 
     @classmethod
     def from_sparse(cls, x: SliceSparse3) -> "SlicePattern":
-        return cls(
-            [s.indptr.copy() for s in x.slices],
-            [s.indices.copy() for s in x.slices],
-            x.shape2d[0],
-            x.shape2d[1],
-        )
+        m = stack_slices(x)
+        return cls(m.indptr, m.indices, *x.shape2d)
 
     @classmethod
     def with_diagonal(cls, x: SliceSparse3) -> "SlicePattern":
-        """Pattern of x with the full diagonal added to every slice."""
-        d1, d2 = x.shape2d
+        """Pattern of x with the full diagonal added to every slice: the
+        structure of the stacked slices plus a stacked identity."""
+        d1, d2, t_slots = x.dims
         if d1 != d2:
             raise ShapeError("diagonal augmentation needs square slices")
-        eye = sp.eye(d1, format="csr")
-        indptrs, indices = [], []
-        for s in x.slices:
-            marker = sp.csr_matrix(
-                (np.ones(s.nnz), s.indices.copy(), s.indptr.copy()), shape=s.shape
-            )
-            aug = marker + eye
-            aug.sum_duplicates()
-            aug.sort_indices()
-            indptrs.append(aug.indptr)
-            indices.append(aug.indices)
-        return cls(indptrs, indices, d1, d2)
+        b = stack_slices(x)
+        # the structure alone: a value could cancel the diagonal's
+        b.data[:] = 1.0
+        eye = sp.csr_matrix((np.ones(t_slots * d1), np.tile(np.arange(d1), t_slots), np.arange(t_slots * d1 + 1)), shape=b.shape)
+        aug = b + eye
+        return cls(aug.indptr, aug.indices, d1, d2)
+
+    # Slot t's arrays in the per-slot CSR form, built on access from the
+    # stacked ones and never stored (``indices[t]`` is a view of ``cols``);
+    # only perfbench/checks.py and the test oracles read them.
+    indices = property(lambda self: _PerSlot(self, lambda p, t: p.cols[p.offsets[t] : p.offsets[t + 1]]))
+    indptrs = property(lambda self: _PerSlot(self, lambda p, t: p.row_splits[t * p.n_rows : (t + 1) * p.n_rows + 1] - p.offsets[t]))
+    rows = property(lambda self: _PerSlot(self, lambda p, t: np.repeat(np.arange(p.n_rows), np.diff(p.indptrs[t]))))
 
     @property
     def union(self):
@@ -368,9 +376,9 @@ class SlicePattern:
         densification.
         """
         if self._union is None:
-            keys = np.concatenate(
-                [self.rows[t] * self.n_cols + self.indices[t] for t in range(self.t_slots)]
-            )
+            # each entry's key i*d2 + j, i its row within its slice
+            keys = np.repeat(np.tile(np.arange(self.n_rows) * self.n_cols, self.t_slots), np.diff(self.row_splits))
+            keys += self.cols
             # sorted distinct keys are the union entries in row-major CSR order
             u_keys, flat_to_union = np.unique(keys, return_inverse=True)
             counts = np.bincount(u_keys // self.n_cols, minlength=self.n_rows)
@@ -404,13 +412,16 @@ class SparseOperator:
 
 class FacewiseOperator(SparseOperator):
     """The sparse M-product of flat values over a pattern under the identity:
-    slice t of the stack, a CSR matrix without the values' exact zeros
-    (``nonzero_csr``), times slice t of y.
+    one block-diagonal CSR matrix of the live entries, slot t's entry (i, j)
+    at (t*d1 + i, t*d2 + j), times y stacked as (T*d2, F) rows. A block
+    product sums each output in the order the slice's product does, so
+    the two agree bit for bit.
 
     The value gradient is computed on the live entries and is +0 at the
     others. Every entry is live, since at a zero value the gradient is g·y,
     not 0; built with ``live_only``, as the model builds it from softmax
-    weights, only the entries with a nonzero value are.
+    weights, only the entries with a nonzero value are, and the matrix
+    leaves out the others (``nonzero_csr``), whose products are +0.
 
     Slot t's product reads slice t alone, so ``window`` gives the operator
     of a slot range, whose products and gradients are those slots' of the
@@ -418,48 +429,48 @@ class FacewiseOperator(SparseOperator):
 
     def __init__(self, pattern: SlicePattern, values: np.ndarray, live_only: bool = False):
         super().__init__(pattern)
-        shape = (pattern.n_rows, pattern.n_cols)
-        self.slices = [
-            nonzero_csr(values[pattern.offsets[t] : pattern.offsets[t + 1]], pattern.indices[t], pattern.indptrs[t], shape)
-            for t in range(pattern.t_slots)
-        ]
-        self.live = values != 0 if live_only else np.ones(pattern.nnz, dtype=bool)
+        t_slots, d1, d2 = pattern.t_slots, pattern.n_rows, pattern.n_cols
+        index = index_dtype(pattern.nnz, t_slots * max(d1, d2))
+        cols = np.repeat(np.arange(t_slots, dtype=index) * index(d2), np.diff(pattern.offsets))
+        cols += pattern.cols
+        shape = (t_slots * d1, t_slots * d2)
+        if live_only:
+            self.matrix, self.live = nonzero_csr(values, cols, pattern.row_splits, shape), values != 0
+        else:
+            self.matrix, self.live = sp.csr_matrix((values, cols, pattern.row_splits), shape=shape), np.ones(pattern.nnz, dtype=bool)
 
     def window(self, start: int, stop: int) -> "FacewiseOperator":
         """The operator of slots [start, stop) alone, on their run of the
-        flat values and (stop - start, d2, F) arrays; it shares this
-        operator's matrices and live mask."""
+        flat values and (stop - start, d2, F) arrays: their diagonal blocks
+        of this operator's matrix, and its live mask."""
         if not self.slots.start <= start < stop <= self.slots.stop:
             raise ParameterError(f"slot window [{start}, {stop}) is not inside [{self.slots.start}, {self.slots.stop})")
+        d1, d2, first, last = self.pattern.n_rows, self.pattern.n_cols, start - self.slots.start, stop - self.slots.start
         sub = copy.copy(self)
         sub.slots = range(start, stop)
-        sub.slices = self.slices[start - self.slots.start : stop - self.slots.start]
+        sub.matrix = self.matrix[first * d1 : last * d1, first * d2 : last * d2]
         return sub
 
     def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The product with a dense (len(slots), d2, F) array, and y for
         ``grads``."""
-        out = np.empty((len(self.slices), self.pattern.n_rows, y.shape[2]))
-        for k, s in enumerate(self.slices):
-            out[k] = s @ y[k]
-        return out, y
+        out = self.matrix @ y.reshape(-1, y.shape[2])
+        return out.reshape(len(self.slots), self.pattern.n_rows, y.shape[2]), y
 
     def grads(self, g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The gradients of the flat values and of y, given the product's."""
-        pattern = self.pattern
-        base = pattern.offsets[self.slots.start]
-        dvals = np.zeros(pattern.offsets[self.slots.stop] - base)
-        # C order even for a broadcast y, whose empty_like would put the
-        # slots innermost and change how the gradient's consumers sum it
-        dy = np.empty(y.shape)
-        for k, (t, s) in enumerate(zip(self.slots, self.slices)):
-            lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
-            keep = self.live[lo:hi]
-            live_vals = np.empty(np.count_nonzero(keep))
-            _sddmm(g[k], pattern.rows[t][keep], y[k], pattern.indices[t][keep], live_vals)
-            dvals[lo - base : hi - base][keep] = live_vals
-            dy[k] = s.T @ g[k]
-        return dvals, dy
+        """The gradients of the flat values and of y, given the product's:
+        the sampled products of g and y at the matrix's entries, and the
+        transposed matrix times g."""
+        m, offsets = self.matrix, self.pattern.offsets
+        lo, hi = offsets[self.slots.start], offsets[self.slots.stop]
+        g2 = g.reshape(-1, g.shape[2])
+        live_vals = np.empty(m.nnz)
+        _sddmm(g2, np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), y.reshape(-1, y.shape[2]), m.indices, live_vals)
+        dvals = np.zeros(hi - lo)
+        dvals[self.live[lo:hi]] = live_vals
+        # a fresh C-order array even for a broadcast y, whose empty_like
+        # would put the slots innermost and change how its consumers sum it
+        return dvals, (m.T @ g2).reshape(y.shape)
 
 
 class SlotSumOperator(SparseOperator):

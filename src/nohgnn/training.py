@@ -166,17 +166,18 @@ class Adam:
             g = self.store.grad(name)
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
-            m = self._m[name]
-            v = self._v[name]
+            m, v, a, b = self._m[name], self._v[name], np.empty(g.shape), np.empty(g.shape)
+            # value - lr * m_hat / (sqrt(v_hat) + eps), each operation in
+            # its order, in the two buffers a and b
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1**t)
-            v_hat = v / (1.0 - ADAM_BETA2**t)
-            self.store.set_value(
-                name, self.store.value(name) - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            )
+            v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=a), g, out=a)
+            np.multiply(np.divide(m, 1.0 - ADAM_BETA1**t, out=a), self.lr, out=a)
+            np.add(np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**t, out=b), out=b), ADAM_EPS, out=b)
+            np.subtract(self.store.value(name), np.divide(a, b, out=a), out=a)
+            del b
+            self.store.set_value(name, a)
 
 
 @dataclass
@@ -423,17 +424,7 @@ class TrainResult:
 def write_metric_log(path: str, history: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in history:
-            fh.write(
-                json.dumps(
-                    {
-                        "epoch": row["epoch"],
-                        "loss": row["loss"],
-                        "val_f1": row["val_f1"],
-                        "val_acc": row["val_acc"],
-                    }
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({key: row[key] for key in ("epoch", "loss", "val_f1", "val_acc")}) + "\n")
 
 
 def train_loop(prep: PreparedData, config: TrainConfig, log_path: str | None = None) -> TrainResult:

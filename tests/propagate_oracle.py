@@ -12,16 +12,26 @@ slot of every flat entry, which has left it too, is derived here by
 ``entry_slots``. ``chunked_m_product`` is the forward of the sparse
 M-product as it was built one union chunk at a time, before the library
 product took the whole union at once.
+
+``slot_with_diagonal``, ``SlotFacewiseOperator`` and ``slot_pair_plan`` are
+the aggregation pattern's diagonal build, the identity operator and the
+pair plan as they were while ``SlicePattern`` kept per-slot lists: one scipy
+sum, one CSR matrix and one run of keys per slot, in a Python loop. They are
+copied verbatim but for reading the pattern's per-slot views.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import scipy.sparse as sp
 
-from nohgnn.errors import ShapeError
+from nohgnn import structural, tensor3
+from nohgnn.errors import ParameterError, ShapeError
+from nohgnn.structural import PairPlan, _mapped
 from nohgnn.tape import Node, Tape
-from nohgnn.tensor3 import SlicePattern, Transform, _apply_mode3
+from nohgnn.tensor3 import SlicePattern, SliceSparse3, SparseOperator, Transform, _apply_mode3, nonzero_csr
 from pattern_helpers import csr
 
 SDDMM_BLOCK = 1024
@@ -167,3 +177,107 @@ class OracleTape(Tape):
             return dp[entry_slots(pattern), flat_to_union], dh
 
         return self._record(out, (values, h), backward)
+
+
+def slot_with_diagonal(x: SliceSparse3) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The per-slot indptrs and indices of x with the full diagonal added to
+    every slice."""
+    d1, d2 = x.shape2d
+    if d1 != d2:
+        raise ShapeError("diagonal augmentation needs square slices")
+    eye = sp.eye(d1, format="csr")
+    indptrs, indices = [], []
+    for s in x.slices:
+        marker = sp.csr_matrix(
+            (np.ones(s.nnz), s.indices.copy(), s.indptr.copy()), shape=s.shape
+        )
+        aug = marker + eye
+        aug.sum_duplicates()
+        aug.sort_indices()
+        indptrs.append(aug.indptr)
+        indices.append(aug.indices)
+    return indptrs, indices
+
+
+class SlotFacewiseOperator(SparseOperator):
+    """The face-wise operator with one CSR matrix per slot: slice t of the
+    stack, without the values' exact zeros, times slice t of y."""
+
+    def __init__(self, pattern: SlicePattern, values: np.ndarray, live_only: bool = False):
+        super().__init__(pattern)
+        shape = (pattern.n_rows, pattern.n_cols)
+        self.slices = [
+            nonzero_csr(values[pattern.offsets[t] : pattern.offsets[t + 1]], pattern.indices[t], pattern.indptrs[t], shape)
+            for t in range(pattern.t_slots)
+        ]
+        self.live = values != 0 if live_only else np.ones(pattern.nnz, dtype=bool)
+
+    def window(self, start: int, stop: int) -> "SlotFacewiseOperator":
+        if not self.slots.start <= start < stop <= self.slots.stop:
+            raise ParameterError(f"slot window [{start}, {stop}) is not inside [{self.slots.start}, {self.slots.stop})")
+        sub = copy.copy(self)
+        sub.slots = range(start, stop)
+        sub.slices = self.slices[start - self.slots.start : stop - self.slots.start]
+        return sub
+
+    def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        out = np.empty((len(self.slices), self.pattern.n_rows, y.shape[2]))
+        for k, s in enumerate(self.slices):
+            out[k] = s @ y[k]
+        return out, y
+
+    def grads(self, g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pattern = self.pattern
+        base = pattern.offsets[self.slots.start]
+        dvals = np.zeros(pattern.offsets[self.slots.stop] - base)
+        # C order even for a broadcast y, whose empty_like would put the
+        # slots innermost and change how the gradient's consumers sum it
+        dy = np.empty(y.shape)
+        for k, (t, s) in enumerate(zip(self.slots, self.slices)):
+            lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
+            keep = self.live[lo:hi]
+            live_vals = np.empty(np.count_nonzero(keep))
+            tensor3._sddmm(g[k], pattern.rows[t][keep], y[k], pattern.indices[t][keep], live_vals)
+            dvals[lo - base : hi - base][keep] = live_vals
+            dy[k] = s.T @ g[k]
+        return dvals, dy
+
+
+def slot_pair_plan(row_class: np.ndarray, n_classes: int, pattern: SlicePattern) -> PairPlan:
+    """``structural.build_pair_plan`` with its keys built slot by slot."""
+    nnz = pattern.nnz
+    index = np.int32 if max(nnz, n_classes) <= np.iinfo(np.int32).max else np.int64
+    bits = nnz.bit_length()
+    packed = (n_classes * n_classes) << bits <= 1 << structural.PLAN_KEY_BITS
+    pair_of = _mapped(nnz, index)
+    keys = np.empty(nnz, dtype=np.int64)
+    for t in range(pattern.t_slots):
+        lo, hi = pattern.offsets[t], pattern.offsets[t + 1]
+        key = keys[lo:hi]
+        np.multiply(row_class[t].take(pattern.rows[t]), n_classes, out=key)
+        key += row_class[t].take(pattern.indices[t])
+        if packed:
+            key <<= bits
+            key |= np.arange(lo, hi)
+    if packed:
+        keys.sort()
+        entry = keys.astype(index)
+        entry &= (1 << bits) - 1
+        keys >>= bits
+    else:
+        entry = np.argsort(keys).astype(index)
+        keys = keys[entry]
+    first = np.empty(nnz, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    pairs = keys[first]
+    del keys
+    order = np.cumsum(first, dtype=index)
+    order -= 1
+    pair_of[entry] = order
+    del first, entry, order
+    rows, cols = _mapped(len(pairs), index), _mapped(len(pairs), index)
+    np.floor_divide(pairs, n_classes, out=rows)
+    np.remainder(pairs, n_classes, out=cols)
+    indptr = np.searchsorted(rows, np.arange(n_classes + 1)).astype(index)
+    return PairPlan(rows, cols, indptr, pair_of)

@@ -3,14 +3,21 @@
 
 import functools
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nohgnn.model as model_mod
+from nohgnn import structural
+from nohgnn.data import bin_snapshots, split_edges
 from nohgnn.errors import ParameterError, ShapeError
 from nohgnn.model import forward, init_model_params
 from nohgnn.overlap import overlap_scores
+from nohgnn.structural import build_feature_context, compute_overlap_tensor
+from nohgnn.synth import planted_partition
 from nohgnn.tape import ParamStore, Tape
 from nohgnn.tensor3 import (
     FacewiseOperator,
@@ -23,7 +30,7 @@ from nohgnn.tensor3 import (
 )
 from feature_helpers import row_features
 from pattern_helpers import entry_table, to_sparse, to_sparse_keeping_zeros
-from propagate_oracle import OracleTape, chunked_m_product, sparse_m_product
+from propagate_oracle import OracleTape, SlotFacewiseOperator, chunked_m_product, slot_pair_plan, slot_with_diagonal, sparse_m_product
 from tape_helpers import mul, total
 
 T_SLOTS, N, F = 4, 60, 5
@@ -284,7 +291,7 @@ def test_live_operator_bit_equals_oracle(kind, case):
     live = live_entries(kind, pattern, w0)
     if kind == "identity":
         op = FacewiseOperator(pattern, w0, live_only=True)
-        assert sum(s.nnz for s in op.slices) == np.count_nonzero(w0)
+        assert op.matrix.nnz == np.count_nonzero(w0)
         want = run_op(OracleTape(), pattern, w0, h0, r)
     else:
         h0, r = h0[0], r[0]
@@ -370,7 +377,11 @@ def test_window_bit_equals_its_slots_of_the_whole_operator(case, live_only):
         assert_bit_equal([got_out, got_dvals, got_dh], [out[start:stop], dvals[lo:hi], dh[start:stop]])
     # a window of a window is the window of the whole
     inner = whole.window(1, 5).window(2, 4)
-    assert inner.slots == range(2, 4) and inner.slices == whole.slices[2:4]
+    n = pattern.n_rows
+    want = whole.matrix[2 * n : 4 * n, 2 * n : 4 * n]
+    assert inner.slots == range(2, 4) and inner.matrix.shape == want.shape
+    assert inner.matrix.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(inner.matrix.indices, want.indices) and np.array_equal(inner.matrix.indptr, want.indptr)
 
 
 def test_window_refuses_slots_outside_and_misaligned_operands():
@@ -388,3 +399,105 @@ def test_window_refuses_slots_outside_and_misaligned_operands():
         sub.check(w0, h0[1:3])
     with pytest.raises(ShapeError, match="node tensor shape"):
         sub.check(w0[lo:hi], h0)
+
+
+# ----- the stacked pattern against the per-slot form it replaced -----
+
+
+def edge_weights(pattern: SlicePattern, rng: np.random.Generator) -> np.ndarray:
+    """Weights with +0, -0 and subnormal entries among positive ones."""
+    w = rng.random(pattern.nnz) + 0.1
+    pick = rng.random(pattern.nnz)
+    w[pick < 0.3] = 0.0
+    w[(pick >= 0.3) & (pick < 0.4)] = -0.0
+    w[(pick >= 0.4) & (pick < 0.45)] = 5e-324 * rng.integers(1, 1000, size=np.count_nonzero((pick >= 0.4) & (pick < 0.45)))
+    return w
+
+
+@pytest.mark.parametrize("live_only", [False, True])
+@pytest.mark.parametrize("y_kind", ["broadcast", "full"])
+def test_stacked_operator_bit_equals_per_slot(y_kind, live_only):
+    """The block-diagonal operator's product and both gradients equal the
+    per-slot operator's bit for bit, for the whole operator and for every
+    window of a split into 3-slot windows."""
+    pattern = scale_pattern()
+    rng = np.random.default_rng(45)
+    w0 = edge_weights(pattern, rng)
+    assert np.any(np.signbit(w0) & (w0 == 0)) and np.any((w0 > 0) & (w0 < np.finfo(float).tiny))
+    e = rng.normal(size=(pattern.n_cols, F))
+    full = rng.normal(size=(pattern.t_slots, pattern.n_cols, F))
+    g = rng.normal(size=(pattern.t_slots, pattern.n_rows, F))
+    stacked = FacewiseOperator(pattern, w0, live_only)
+    per_slot = SlotFacewiseOperator(pattern, w0, live_only)
+    windows = [(0, pattern.t_slots)] + [(lo, min(lo + 3, pattern.t_slots)) for lo in range(0, pattern.t_slots, 3)]
+    for start, stop in windows:
+        y = np.broadcast_to(e, (stop - start,) + e.shape) if y_kind == "broadcast" else full[start:stop]
+        got_op, want_op = stacked.window(start, stop), per_slot.window(start, stop)
+        got, want = got_op.apply(y)[0], want_op.apply(y)[0]
+        assert_bit_equal([got], [want])
+        assert_bit_equal(got_op.grads(g[start:stop], y), want_op.grads(g[start:stop], y))
+
+
+def assert_matches_per_slot(pattern: SlicePattern, indptrs: list, indices: list):
+    """The stacked pattern says what the per-slot lists say, and its per-slot
+    views give them back."""
+    n = pattern.n_rows
+    assert pattern.t_slots == len(indptrs)
+    sizes = [len(ix) for ix in indices]
+    np.testing.assert_array_equal(pattern.offsets, np.concatenate(([0], np.cumsum(sizes))))
+    starts = [p[:-1] + off for p, off in zip(indptrs, pattern.offsets)]
+    np.testing.assert_array_equal(pattern.row_splits, np.concatenate(starts + [[pattern.nnz]]))
+    np.testing.assert_array_equal(pattern.cols, np.concatenate([np.zeros(0, int)] + indices))
+    assert pattern.row_splits.dtype == pattern.cols.dtype == np.int32
+    assert pattern.offsets.base is not None
+    for t in range(pattern.t_slots):
+        np.testing.assert_array_equal(pattern.indptrs[t], indptrs[t])
+        np.testing.assert_array_equal(pattern.indices[t], indices[t])
+        np.testing.assert_array_equal(pattern.rows[t], np.repeat(np.arange(n), np.diff(indptrs[t])))
+    assert pattern.indices[-1].base is not None and np.array_equal(pattern.rows[-1], pattern.rows[pattern.t_slots - 1])
+    with pytest.raises(IndexError):
+        pattern.indptrs[pattern.t_slots]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t_slots=st.integers(1, 5), n=st.integers(1, 12), density=st.floats(0.0, 0.9))
+def test_with_diagonal_equals_per_slot_build(seed, t_slots, n, density):
+    # values of -1 among others, which a diagonal 1 would cancel in a sum
+    rng = np.random.default_rng(seed)
+    dense = rng.choice([-1.0, 1.0, 2.0], size=(t_slots, n, n)) * (rng.random((t_slots, n, n)) < density)
+    x = SliceSparse3.from_dense(dense)
+    assert_matches_per_slot(SlicePattern.with_diagonal(x), *slot_with_diagonal(x))
+
+
+def test_with_diagonal_equals_per_slot_build_on_the_criterion_9_fixture():
+    events = planted_partition(16, 3, p_in=0.6, p_out=0.05, retention=0.9, seed=4)
+    _, _, _, masked = split_edges(bin_snapshots(events, 3), seed=5)
+    b = compute_overlap_tensor(masked, 2)
+    assert_matches_per_slot(SlicePattern.with_diagonal(b), *slot_with_diagonal(b))
+
+
+def test_from_sparse_keeps_every_slice_and_refuses_a_ragged_stack():
+    x = SliceSparse3.from_dense((np.random.default_rng(46).random((3, 5, 4)) < 0.4).astype(float))
+    pattern = SlicePattern.from_sparse(x)
+    assert_matches_per_slot(pattern, [s.indptr for s in x.slices], [s.indices for s in x.slices])
+    with pytest.raises(ShapeError, match="5-row slices"):
+        SlicePattern(pattern.row_splits[:-1], pattern.cols, 5, 4)
+    with pytest.raises(ShapeError, match="5-row slices"):
+        SlicePattern(pattern.row_splits, pattern.cols[:-1], 5, 4)
+
+
+@pytest.mark.parametrize("key_bits", [structural.PLAN_KEY_BITS, 0])
+def test_pair_plan_equals_per_slot_build(key_bits):
+    """The plan of the scale pattern under the classes of its own walk-count
+    rows is the per-slot build's, array for array."""
+    pattern = scale_pattern()
+    rng = np.random.default_rng(47)
+    dense = (rng.random((pattern.t_slots, pattern.n_rows, pattern.n_cols)) < 0.01) * rng.integers(1, 4, size=(pattern.t_slots, pattern.n_rows, pattern.n_cols))
+    ctx = build_feature_context(SliceSparse3.from_dense(dense.astype(float)))
+    n_classes = ctx.counts.shape[0]
+    assert 1 < n_classes < pattern.t_slots * pattern.n_rows
+    with mock.patch.object(structural, "PLAN_KEY_BITS", key_bits):
+        got = structural.build_pair_plan(ctx.row_class, n_classes, pattern)
+        want = slot_pair_plan(ctx.row_class, n_classes, pattern)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

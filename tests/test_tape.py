@@ -392,7 +392,7 @@ class TestSparseRules:
         base_csr = sp.csr_matrix(base)
         indptr, indices = base_csr.indptr, base_csr.indices
         t_slots = 3
-        pat = SlicePattern([indptr] * t_slots, [indices] * t_slots, n, n)
+        pat = SlicePattern.from_sparse(SliceSparse3([base_csr] * t_slots))
         vals0 = rng.normal(size=(t_slots, base_csr.nnz))
         h0 = rng.normal(size=(t_slots, n, 2))
         r = rng.normal(size=(t_slots, n, 2))

@@ -241,6 +241,31 @@ class TestAdam:
         ).ravel()
         assert np.allclose(store.value("x"), expected, atol=1e-14)
 
+    def test_step_keeps_the_whole_array_bits_and_peaks_at_two_stacks(self):
+        """Steps on a (500, 32, 32) stack give the bits of the update written
+        as whole-array expressions, and a step allocates at most two stacks
+        (those expressions allocated four)."""
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(500, 32, 32))
+        store = store_with({"w": x})
+        adam = Adam(store, lr=0.01)
+        m, v = np.zeros_like(x), np.zeros_like(x)
+        b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
+        for t in (1, 2, 3):
+            g = rng.normal(size=x.shape)
+            set_grads(store, {"w": g})
+            m = m * b1 + (1.0 - b1) * g
+            v = v * b2 + (1.0 - b2) * g * g
+            x = x - 0.01 * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + training.ADAM_EPS)
+            tracemalloc.start()
+            try:
+                adam.step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert store.value("w").tobytes() == x.tobytes()
+            assert peak <= 2 * x.nbytes + 64 * 1024
+
     def test_zero_gradient_is_a_fixed_point(self):
         store = store_with({"x": np.array([3.0, -7.0]), "y": 1.5})
         adam = Adam(store, lr=0.1)
