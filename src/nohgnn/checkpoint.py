@@ -18,9 +18,8 @@ import math
 import struct
 
 import numpy as np
-import scipy.sparse as sp
 
-from nohgnn.data import DynamicGraph, LabeledPairSet, hold_out
+from nohgnn.data import DynamicGraph, LabeledPairSet, hold_out, unit_stack
 from nohgnn.errors import CheckpointError, ParameterError, ShapeError
 from nohgnn.tape import ParamStore
 from nohgnn.tensor3 import SliceSparse3
@@ -140,9 +139,12 @@ def save_dataset(
         "undirected": _scalar(graph.undirected),
         "split_seed": _scalar(split_seed),
     }
-    for t, s in enumerate(graph.adjacency.slices):
-        records[f"full.{t}.indptr"] = s.indptr.astype(np.int64)
-        records[f"full.{t}.indices"] = s.indices.astype(np.int64)
+    # slot t's records are its run of the stacked matrix's rows, rebased
+    m, n, offsets = graph.adjacency.matrix, graph.n_nodes, graph.adjacency.offsets.tolist()
+    indptr, indices = m.indptr.astype(np.int64), m.indices.astype(np.int64)
+    for t in range(graph.t_slots):
+        records[f"full.{t}.indptr"] = indptr[t * n : (t + 1) * n + 1] - offsets[t]
+        records[f"full.{t}.indices"] = indices[offsets[t] : offsets[t + 1]]
     for role in ("val", "test"):
         records[f"split.{role}"] = splits[role].pairs
     tokens = [""] * len(graph.id_map)
@@ -167,22 +169,30 @@ def _require_scalar(records: dict[str, np.ndarray], name: str, path: str, dtypes
     return _require_typed(records, name, path, dtypes, 0).item()
 
 
-def _load_slice(records: dict[str, np.ndarray], t: int, n: int, path: str) -> sp.csr_matrix:
-    """Slot t's unit-valued CSR adjacency slice, checked before scipy reads
-    it: scipy trusts ``indptr`` and can read out of bounds on a corrupt one."""
-    name = f"full.{t}"
-    indptr = _require_typed(records, f"{name}.indptr", path, np.int64, 1)
-    indices = _require_typed(records, f"{name}.indices", path, np.int64, 1)
-    if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0):
-        raise CheckpointError(
-            f"{path}: record '{name}.indptr' is not a row-pointer array for {n} rows and {len(indices)} entries"
-        )
-    if len(indices) and (indices.min() < 0 or indices.max() >= n):
-        raise CheckpointError(f"{path}: record '{name}.indices' holds a column outside [0, {n})")
-    # row-major keys rise strictly exactly when no row repeats or unsorts a column
-    if np.any(np.diff(np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices) <= 0):
-        raise CheckpointError(f"{path}: record '{name}.indices' repeats or unsorts a column within a row")
-    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+def _load_adjacency(records: dict[str, np.ndarray], n: int, t_slots: int, path: str) -> SliceSparse3:
+    """The unit-valued adjacency stack of the ``full.{t}`` records, checked
+    before scipy reads them: scipy trusts ``indptr`` and can read out of
+    bounds on a corrupt one."""
+    lengths, columns = [], []
+    for t in range(t_slots):
+        indptr = _require_typed(records, f"full.{t}.indptr", path, np.int64, 1)
+        columns.append(_require_typed(records, f"full.{t}.indices", path, np.int64, 1))
+        lengths.append(np.diff(indptr))
+        if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(columns[-1]) or (lengths[-1] < 0).any():
+            raise CheckpointError(
+                f"{path}: record 'full.{t}.indptr' is not a row-pointer array for {n} rows and {len(columns[-1])} entries"
+            )
+    indices = np.concatenate(columns)
+    # entry e lies in row rows[e] = t*n + i of the stacked matrix; its key
+    # t*n*n + i*n + j rises strictly exactly when no row repeats or unsorts
+    # a valid column
+    rows = np.repeat(np.arange(t_slots * n, dtype=np.int64), np.concatenate(lengths))
+    keys = rows * n + indices
+    unsorted = np.append(False, np.diff(keys) <= 0)
+    for bad, what in (((indices < 0) | (indices >= n), f"holds a column outside [0, {n})"), (unsorted, "repeats or unsorts a column within a row")):
+        if bad.any():
+            raise CheckpointError(f"{path}: record 'full.{rows[bad.argmax()] // n}.indices' {what}")
+    return unit_stack(keys, n, t_slots)
 
 
 def _load_split(records: dict[str, np.ndarray], role: str, n: int, t_slots: int, path: str) -> LabeledPairSet:
@@ -214,9 +224,9 @@ def load_dataset(path: str) -> tuple[DynamicGraph, DynamicGraph, dict[str, Label
         raise CheckpointError(f"{path}: record 'idmap.tokens' is not valid UTF-8") from None
     if blob and (len(id_map) != n or blob.count(b"\n") != n - 1):
         raise CheckpointError(f"{path}: record 'idmap.tokens' does not hold {n} distinct tokens")
-    slices = [_load_slice(records, t, n, path) for t in range(t_slots)]
+    adjacency = _load_adjacency(records, n, t_slots, path)
     try:
-        graph = DynamicGraph(n, SliceSparse3(slices, shape=(n, n)), id_map, undirected)
+        graph = DynamicGraph(n, adjacency, id_map, undirected)
         val, test = (_load_split(records, role, n, t_slots, path) for role in ("val", "test"))
         train, masked = hold_out(graph, val, test)
     except (ShapeError, ParameterError) as exc:

@@ -148,8 +148,8 @@ def _parse_timestamp(token: str) -> int:
 class DynamicGraph:
     """A sequence of graph snapshots over one shared node set.
 
-    The adjacency is a per-slice sparse stack and the only record of the
-    edges; ``slot_edges[t]`` lists the distinct edges of slot t as (i, j)
+    The adjacency, one stacked (T*N, N) CSR matrix, is the only record of
+    the edges; ``slot_edges[t]`` lists the distinct edges of slot t as (i, j)
     rows, canonicalized i < j when the graph is undirected and sorted
     lexicographically, derived from it on first use.
     """
@@ -163,7 +163,7 @@ class DynamicGraph:
         self.undirected = undirected
         self.overlap_cache: dict[int, SliceSparse3] = {}
         self._slot_edges: list[np.ndarray] | None = None
-        self._edge_keys: list[np.ndarray | None] = [None] * len(adjacency.slices)
+        self._keys: np.ndarray | None = None
         if undirected:
             self._check_symmetric()
 
@@ -176,12 +176,10 @@ class DynamicGraph:
         Such a graph is symmetric because ``g`` was checked to be, so the
         check is not run again, and ``slot_keys()`` is seeded from ``keys``.
         """
-        n, t_slots, span = g.n_nodes, g.t_slots, g.n_nodes * g.n_nodes
         # built as directed, which runs no check, then given g's direction
-        graph = cls(n, SliceSparse3(_slices_from_keys(keys, n, t_slots), shape=(n, n)), g.id_map, undirected=False)
+        graph = cls(g.n_nodes, unit_stack(keys, g.n_nodes, g.t_slots), g.id_map, undirected=False)
         graph.undirected = g.undirected
-        cuts = np.searchsorted(keys, np.arange(t_slots + 1) * span)
-        graph._edge_keys = [keys[cuts[t] : cuts[t + 1]] - t * span for t in range(t_slots)]
+        graph._keys = keys
         return graph
 
     def _check_symmetric(self) -> None:
@@ -194,23 +192,21 @@ class DynamicGraph:
         # sorted, line up slot by slot with the keys
         transposed = keys + (j - i) * (n - 1)
         order = np.argsort(transposed)
-        values = np.concatenate([s.data for s in self.adjacency.slices])
+        values = self.adjacency.matrix.data
         differ = (transposed[order] != keys) | (values[order] != values)
         if differ.any():
             raise ShapeError(f"slot {int(keys[differ.argmax()]) // (n * n)} adjacency is not symmetric")
 
     @property
     def t_slots(self) -> int:
-        return len(self.adjacency.slices)
+        return self.adjacency.t_slots
 
     @property
     def slot_edges(self) -> list[np.ndarray]:
         if self._slot_edges is None:
-            self._slot_edges = []
-            for t in range(self.t_slots):
-                i, j = divmod(self.edge_keys(t), self.n_nodes)
-                edges = np.column_stack([i, j])
-                self._slot_edges.append(edges[j > i] if self.undirected else edges)
+            rows = self.edge_rows()
+            cuts = np.searchsorted(rows[:, 2], np.arange(1, self.t_slots))
+            self._slot_edges = np.split(np.ascontiguousarray(rows[:, :2]), cuts)
         return self._slot_edges
 
     @property
@@ -219,30 +215,29 @@ class DynamicGraph:
 
     def edge_rows(self) -> np.ndarray:
         """Every slot edge as an (i, j, t) row, in (t, i, j) order."""
-        return np.concatenate(
-            [np.column_stack([edges, np.full(len(edges), t, dtype=np.int64)]) for t, edges in enumerate(self.slot_edges)]
-        )
+        t, rest = np.divmod(self.slot_keys(), self.n_nodes * self.n_nodes)
+        i, j = np.divmod(rest, self.n_nodes)
+        rows = np.column_stack([i, j, t])
+        return rows[j > i] if self.undirected else rows
 
     def neighbors(self, i: int, t: int) -> np.ndarray:
-        s = self.adjacency.slices[t]
-        return s.indices[s.indptr[i] : s.indptr[i + 1]]
+        m, r = self.adjacency.matrix, t * self.n_nodes + i
+        return m.indices[m.indptr[r] : m.indptr[r + 1]]
 
     def edge_keys(self, t: int) -> np.ndarray:
-        """Int64 keys i*N+j of every stored adjacency entry at slot t, in CSR
-        order, which is ascending because ``SliceSparse3`` slices are
-        canonical; so they line up with the slice's values."""
-        if self._edge_keys[t] is None:
-            s = self.adjacency.slices[t]
-            rows = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(s.indptr))
-            self._edge_keys[t] = rows * self.n_nodes + s.indices
-        return self._edge_keys[t]
+        """Int64 keys i*N+j of every stored adjacency entry at slot t, in
+        CSR order, so they line up with the slice's values."""
+        n, indptr = self.n_nodes, self.adjacency.matrix.indptr
+        return self.slot_keys()[indptr[t * n] : indptr[(t + 1) * n]] - t * n * n
 
     def slot_keys(self) -> np.ndarray:
-        """Sorted int64 keys t*N^2 + i*N + j of the stored entries of every
-        slot: slot t's keys lie in [t*N^2, (t+1)*N^2), so the slots' sorted
-        keys concatenate into one sorted array."""
-        span = self.n_nodes * self.n_nodes
-        return np.concatenate([self.edge_keys(t) + t * span for t in range(self.t_slots)])
+        """Sorted int64 keys t*N^2 + i*N + j of every stored entry, r*N + j
+        for the entry (r, j) of the canonical stacked matrix, r = t*N + i;
+        built on first use and shared by every caller, which must not write it."""
+        if self._keys is None:
+            m = self.adjacency.matrix
+            self._keys = np.repeat(np.arange(m.shape[0], dtype=np.int64) * self.n_nodes, np.diff(m.indptr)) + m.indices
+        return self._keys
 
 
 @dataclass
@@ -312,19 +307,16 @@ def bin_snapshots(
     distinct = np.ones(len(keys), dtype=bool)
     distinct[1:] = keys[1:] != keys[:-1]
     keys = keys[distinct]
-    adjacency = SliceSparse3(_slices_from_keys(keys, n_nodes, t_slots), shape=(n_nodes, n_nodes))
-    return DynamicGraph(n_nodes, adjacency, dict(id_map or {}), undirected)
+    return DynamicGraph(n_nodes, unit_stack(keys, n_nodes, t_slots), dict(id_map or {}), undirected)
 
 
-def _slices_from_keys(keys: np.ndarray, n_nodes: int, t_slots: int) -> list[sp.csr_matrix]:
-    """The unit-valued CSR slices of the entries whose ascending, distinct
-    int64 keys are t*N^2 + i*N + j."""
-    # row r = t*N + i of the stacked slices ends at ends[r + 1]
-    ends = np.concatenate([[0], np.cumsum(np.bincount(keys // n_nodes, minlength=t_slots * n_nodes))])
-    return [
-        sp.csr_matrix((np.ones(p[-1] - p[0]), keys[p[0] : p[-1]] % n_nodes, p - p[0]), shape=(n_nodes, n_nodes))
-        for p in (ends[t * n_nodes : (t + 1) * n_nodes + 1] for t in range(t_slots))
-    ]
+def unit_stack(keys: np.ndarray, n_nodes: int, t_slots: int) -> SliceSparse3:
+    """The unit-valued stack of the entries whose ascending, distinct int64
+    keys are t*N^2 + i*N + j: key // N is the entry's row t*N + i of the
+    stacked matrix, and key % N its column."""
+    rows, cols = np.divmod(keys, n_nodes)
+    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=t_slots * n_nodes)))
+    return SliceSparse3(sp.csr_matrix((np.ones(len(keys)), cols, indptr), shape=(t_slots * n_nodes, n_nodes)), t_slots)
 
 
 def _apportion(n: int, fractions: tuple[float, ...]) -> list[int]:

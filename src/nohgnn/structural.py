@@ -36,7 +36,7 @@ import scipy.sparse as sp
 from nohgnn.data import DynamicGraph
 from nohgnn.errors import ParameterError
 from nohgnn.tape import Node, ParamStore, Tape, init_dense
-from nohgnn.tensor3 import SlicePattern, SliceSparse3, index_dtype, sparse_matpower_sum, stack_slices
+from nohgnn.tensor3 import SlicePattern, SliceSparse3, index_dtype, sparse_matpower_sum
 
 
 def generator_param_shapes(dim: int) -> Iterator[tuple[str, tuple[int, ...]]]:
@@ -119,19 +119,18 @@ class FeatureContext:
 
 
 def build_feature_context(b: SliceSparse3) -> FeatureContext:
-    stacked = stack_slices(b)
-    unique = np.unique(stacked.data)
+    m = b.matrix
+    unique = np.unique(m.data)
     # one CSR row per (slot, node) over the value columns: B's own row
-    # structure, each entry moved to its value's column, then summed
-    counts = sp.csr_matrix(
-        (np.ones(stacked.nnz), np.searchsorted(unique, stacked.data), stacked.indptr), shape=(stacked.shape[0], len(unique))
-    )
+    # structure, each entry moved to its value's column, then summed, on a
+    # copy of B's indptr, which the sum rewrites in place
+    counts = sp.csr_matrix((np.ones(m.nnz), np.searchsorted(unique, m.data), m.indptr.copy()), shape=(m.shape[0], len(unique)))
     counts.sum_duplicates()
     rep = _row_representatives(counts)
     # classes are numbered by their first rows, in row order
     is_first = rep == np.arange(len(rep))
     firsts = np.flatnonzero(is_first)
-    row_class = (np.cumsum(is_first) - 1)[rep].reshape(len(b.slices), b.shape2d[0])
+    row_class = (np.cumsum(is_first) - 1)[rep].reshape(b.t_slots, b.shape2d[0])
     return FeatureContext(unique, counts[firsts], row_class)
 
 

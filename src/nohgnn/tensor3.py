@@ -1,5 +1,5 @@
-"""Third-order tensor algebra: dense tensors, per-slice sparse stacks, and
-the invertible-transform tensor product (M-product).
+"""Third-order tensor algebra: dense tensors, sparse slice stacks as one
+stacked CSR matrix, and the invertible-transform tensor product (M-product).
 
 No other module applies a transform. The model's products run through
 operators of their left operand, each with ``check``, ``apply`` and
@@ -65,47 +65,50 @@ class Tensor3:
 
 
 class SliceSparse3:
-    """Stack of per-slice CSR matrices sharing one 2-d shape.
+    """Stack of T sparse (d1, d2) slices as one canonical CSR ``matrix`` of
+    shape (T*d1, d2), whose row t*d1 + i is row i of slice t: duplicates
+    summed, columns sorted within each row, explicit zeros pruned. Slice t's
+    entries are ``[offsets[t], offsets[t+1])`` of its arrays."""
 
-    Slices are canonicalized on construction: duplicate entries summed,
-    column indices sorted within each row, explicit zeros pruned.
-    """
+    __slots__ = ("matrix", "shape2d", "t_slots")
 
-    __slots__ = ("slices", "shape2d")
-
-    def __init__(self, slices, shape: tuple[int, int] | None = None):
-        mats = []
-        for s in slices:
-            m = sp.csr_matrix(s, dtype=np.float64)
-            m.sum_duplicates()
-            m.sort_indices()
-            m.eliminate_zeros()
-            if not np.all(np.isfinite(m.data)):
-                raise NumericError("SliceSparse3 values must be finite")
-            mats.append(m)
-        shapes = {m.shape for m in mats}
-        if shape is not None:
-            shapes.add((int(shape[0]), int(shape[1])))
-        if len(shapes) != 1:
-            raise ShapeError(f"slices must share one shape, got {sorted(shapes)}")
-        self.shape2d = shapes.pop()
-        self.slices = mats
+    def __init__(self, matrix, t_slots: int):
+        """The stack whose slices are the ``t_slots`` row blocks of the
+        (T*d1, d2) ``matrix``, which it canonicalizes in place."""
+        rows, d2 = matrix.shape
+        if t_slots < 1 or rows % t_slots:
+            raise ShapeError(f"a {rows}-row matrix is not a stack of {t_slots} slices")
+        m = sp.csr_matrix(matrix, dtype=np.float64)
+        m.sum_duplicates()
+        m.eliminate_zeros()
+        if not np.all(np.isfinite(m.data)):
+            raise NumericError("SliceSparse3 values must be finite")
+        self.matrix, self.t_slots, self.shape2d = m, t_slots, (rows // t_slots, d2)
 
     @classmethod
     def from_dense(cls, x) -> "SliceSparse3":
         arr = x.data if isinstance(x, Tensor3) else np.asarray(x, dtype=np.float64)
-        return cls([sp.csr_matrix(arr[t]) for t in range(arr.shape[0])], shape=arr.shape[1:])
+        t_slots, d1, d2 = arr.shape
+        return cls(sp.csr_matrix(arr.reshape(t_slots * d1, d2)), t_slots)
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return (self.shape2d[0], self.shape2d[1], len(self.slices))
+        return (self.shape2d[0], self.shape2d[1], self.t_slots)
 
     @property
     def nnz(self) -> int:
-        return sum(m.nnz for m in self.slices)
+        return self.matrix.nnz
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self.matrix.indptr[np.arange(self.t_slots + 1) * self.shape2d[0]]
+
+    # Slice t as a CSR matrix of its own, a copy built on access and never
+    # stored; only perfbench/checks.py and the test oracles read it.
+    slices = property(lambda self: _PerSlot(self, lambda x, t: x.matrix[t * x.shape2d[0] : (t + 1) * x.shape2d[0]]))
 
     def densify(self) -> Tensor3:
-        return Tensor3(np.stack([m.toarray() for m in self.slices]))
+        return Tensor3(self.matrix.toarray().reshape(self.t_slots, *self.shape2d))
 
     def __repr__(self) -> str:
         return f"SliceSparse3(dims={self.dims}, nnz={self.nnz})"
@@ -223,8 +226,7 @@ def m_product(x, y: Tensor3, tf: Transform | None) -> Tensor3:
         return Tensor3(op.apply(y.data)[0])
     if not isinstance(x, SliceSparse3):
         raise ShapeError(f"unsupported left operand type {type(x).__name__}")
-    pattern = SlicePattern.from_sparse(x)
-    values = np.concatenate([s.data for s in x.slices])
+    pattern, values = SlicePattern.from_sparse(x), x.matrix.data
     if tf is not None and tf.size != pattern.t_slots:
         raise ShapeError(f"transform size {tf.size} does not match {pattern.t_slots} slices")
     if y.data.shape[:2] != (pattern.t_slots, pattern.n_cols):
@@ -250,21 +252,22 @@ def sparse_matpower_sum(a: SliceSparse3, k_hops: int) -> SliceSparse3:
     """
     if k_hops < 1:
         raise ParameterError(f"k_hops must be >= 1, got {k_hops}")
-    d1, d2, _ = a.dims
+    d1, d2, t_slots = a.dims
     if d1 != d2:
         raise ShapeError(f"slices must be square, got {d1}x{d2}")
-    block = stack_slices(a, block=True)
-    acc = cur = block
+    # the slices as the diagonal blocks of one (T*d1, T*d1) matrix, slot t's
+    # columns moved by t*d1, whose products and sums are those of the
+    # slices, entry for entry
+    m = a.matrix
+    shift = _slot_shift(a.offsets, d1, index_dtype(m.nnz, t_slots * d1))
+    block = acc = cur = sp.csr_matrix((m.data, m.indices + shift, m.indptr), shape=(t_slots * d1, t_slots * d1))
     for _ in range(k_hops - 1):
         cur = cur @ block
         # canonical terms make a canonical sum, at less cost than unsorted ones
         acc = acc + cur.sorted_indices()
-    # slot t is rows and columns [t*d1, (t+1)*d1) of the block matrix
-    slices = []
-    for t in range(len(a.slices)):
-        p = acc.indptr[t * d1 : (t + 1) * d1 + 1]
-        slices.append(sp.csr_matrix((acc.data[p[0] : p[-1]], acc.indices[p[0] : p[-1]] - t * d1, p - p[0]), shape=a.shape2d))
-    return SliceSparse3(slices, shape=a.shape2d)
+    # back to the stacked (T*d1, d1) form: slot t's columns, in [t*d1,
+    # (t+1)*d1), less t*d1
+    return SliceSparse3(sp.csr_matrix((acc.data, acc.indices % d1, acc.indptr), shape=m.shape), t_slots)
 
 
 def index_dtype(*bounds: int) -> type:
@@ -274,20 +277,11 @@ def index_dtype(*bounds: int) -> type:
     return np.int32 if max(bounds, default=0) <= np.iinfo(np.int32).max else np.int64
 
 
-def stack_slices(x: SliceSparse3, block: bool = False) -> sp.csr_matrix:
-    """The slices of ``x`` as one (T*d1, d2) CSR matrix, whose row t*d1 + i
-    is row i of slice t; with ``block``, as the diagonal blocks of one
-    (T*d1, T*d2) matrix, slice t's columns moved by t*d2, whose products and
-    sums are those of the slices, entry for entry."""
-    d1, d2, t_slots = x.dims
-    offsets = np.cumsum([0] + [s.nnz for s in x.slices])
-    index = index_dtype(offsets[-1], t_slots * max(d1, d2))
-    indptr = np.concatenate([np.zeros(1, index)] + [s.indptr[1:] + off for s, off in zip(x.slices, offsets)], dtype=index)
-    indices = np.concatenate([np.zeros(0, index)] + [s.indices for s in x.slices], dtype=index)
-    if block:
-        indices += np.repeat(np.arange(t_slots, dtype=index) * index(d2), np.diff(offsets))
-    data = np.concatenate([np.zeros(0)] + [s.data for s in x.slices])
-    return sp.csr_matrix((data, indices, indptr), shape=(t_slots * d1, t_slots * d2 if block else d2))
+def _slot_shift(offsets: np.ndarray, d2: int, dtype) -> np.ndarray:
+    """t*d2 for every entry of slot t of a stack whose slot entries
+    ``offsets`` delimits: the column shift into diagonal block t of a
+    block-diagonal matrix of (·, d2) slices."""
+    return np.repeat(np.arange(len(offsets) - 1, dtype=dtype) * int(d2), np.diff(offsets))
 
 
 # entries per SDDMM block, so that both gathered (block, F) float64 operands
@@ -307,13 +301,17 @@ def _sddmm(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray, out
 
 
 class _PerSlot:
-    """``per_slot[t]`` is ``build(pattern, t)``, built on access."""
+    """``per_slot[t]`` is ``build(stack, t)``, built on access, for a
+    ``SlicePattern`` or ``SliceSparse3`` stack."""
 
-    def __init__(self, pattern: "SlicePattern", build):
-        self.pattern, self.build = pattern, build
+    def __init__(self, stack, build):
+        self.stack, self.build = stack, build
 
-    def __getitem__(self, t: int) -> np.ndarray:
-        return self.build(self.pattern, range(self.pattern.t_slots)[t])
+    def __len__(self) -> int:
+        return self.stack.t_slots
+
+    def __getitem__(self, t: int):
+        return self.build(self.stack, range(self.stack.t_slots)[t])
 
 
 class SlicePattern:
@@ -343,8 +341,7 @@ class SlicePattern:
 
     @classmethod
     def from_sparse(cls, x: SliceSparse3) -> "SlicePattern":
-        m = stack_slices(x)
-        return cls(m.indptr, m.indices, *x.shape2d)
+        return cls(x.matrix.indptr, x.matrix.indices, *x.shape2d)
 
     @classmethod
     def with_diagonal(cls, x: SliceSparse3) -> "SlicePattern":
@@ -353,9 +350,10 @@ class SlicePattern:
         d1, d2, t_slots = x.dims
         if d1 != d2:
             raise ShapeError("diagonal augmentation needs square slices")
-        b = stack_slices(x)
-        # the structure alone: a value could cancel the diagonal's
-        b.data[:] = 1.0
+        m = x.matrix
+        # the structure alone, on unit values of its own: a value of x could
+        # cancel the diagonal's, and x's arrays are not written
+        b = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
         eye = sp.csr_matrix((np.ones(t_slots * d1), np.tile(np.arange(d1), t_slots), np.arange(t_slots * d1 + 1)), shape=b.shape)
         aug = b + eye
         return cls(aug.indptr, aug.indices, d1, d2)
@@ -430,8 +428,7 @@ class FacewiseOperator(SparseOperator):
     def __init__(self, pattern: SlicePattern, values: np.ndarray, live_only: bool = False):
         super().__init__(pattern)
         t_slots, d1, d2 = pattern.t_slots, pattern.n_rows, pattern.n_cols
-        index = index_dtype(pattern.nnz, t_slots * max(d1, d2))
-        cols = np.repeat(np.arange(t_slots, dtype=index) * index(d2), np.diff(pattern.offsets))
+        cols = _slot_shift(pattern.offsets, d2, index_dtype(pattern.nnz, t_slots * max(d1, d2)))
         cols += pattern.cols
         shape = (t_slots * d1, t_slots * d2)
         if live_only:

@@ -34,6 +34,7 @@ from nohgnn.data import (
 from nohgnn.errors import ParameterError, ParseError, ShapeError
 from nohgnn.tape import Node, Tape
 from nohgnn.tensor3 import SliceSparse3
+from pattern_helpers import slice_stack
 from tape_helpers import add, matmul
 
 log = logging.getLogger("nohgnn.data")
@@ -141,7 +142,7 @@ def bin_snapshots(
         keys = np.unique(np.asarray(rows[t], dtype=np.int64) * n_nodes + np.asarray(cols[t], dtype=np.int64))
         indptr = np.searchsorted(keys, np.arange(n_nodes + 1, dtype=np.int64) * n_nodes)
         slices.append(sp.csr_matrix((np.ones(len(keys)), keys % n_nodes, indptr), shape=(n_nodes, n_nodes)))
-    adjacency = SliceSparse3(slices, shape=(n_nodes, n_nodes))
+    adjacency = slice_stack(slices, shape=(n_nodes, n_nodes))
     return DynamicGraph(n_nodes, adjacency, dict(id_map or {}), undirected)
 
 
@@ -201,7 +202,7 @@ def split_edges(
         keep = ~np.isin(coo.row.astype(np.int64) * g.n_nodes + coo.col, removed_keys[t])
         masked_slices.append(sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=s.shape))
     masked_graph = DynamicGraph(
-        g.n_nodes, SliceSparse3(masked_slices, shape=(g.n_nodes, g.n_nodes)), g.id_map, g.undirected
+        g.n_nodes, slice_stack(masked_slices, shape=(g.n_nodes, g.n_nodes)), g.id_map, g.undirected
     )
     return build(0, "train"), build(1, "val"), build(2, "test"), masked_graph
 
@@ -225,7 +226,7 @@ def sparse_matpower_sum(a: SliceSparse3, k_hops: int) -> SliceSparse3:
             cur = cur @ s
             acc = acc + cur
         out.append(acc)
-    return SliceSparse3(out, shape=a.shape2d)
+    return slice_stack(out, shape=a.shape2d)
 
 
 @dataclass(frozen=True)

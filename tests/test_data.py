@@ -22,6 +22,7 @@ from nohgnn.data import (
 )
 from nohgnn.errors import ParameterError, ParseError, SamplingError
 from nohgnn.tensor3 import SliceSparse3
+from pattern_helpers import slice_stack
 
 
 def write_edges(tmp_path, text, name="edges.txt"):
@@ -352,7 +353,7 @@ def matrix_graph(rng, n, densities, undirected):
             dense = np.triu(dense, 1)
             dense = dense | dense.T
         slices.append(sp.csr_matrix(dense.astype(np.float64)))
-    return DynamicGraph(n, SliceSparse3(slices, shape=(n, n)), {}, undirected)
+    return DynamicGraph(n, slice_stack(slices, shape=(n, n)), {}, undirected)
 
 
 def oracle_outcome(sampler, g, positives, ratio, seed):
@@ -404,7 +405,7 @@ class TestNegativeSampleOracle:
             s[1:198, 0] = 1.0
             s[198:, 0] = 0.0
         s = s.tocsr()
-        g = DynamicGraph(200, SliceSparse3([s], shape=(200, 200)), {}, undirected)
+        g = DynamicGraph(200, slice_stack([s], shape=(200, 200)), {}, undirected)
         positives = LabeledPairSet(np.zeros((3, 3), dtype=np.int64), np.ones(3), "train")
         for seed in range(4):
             got = negative_sample(g, positives, ratio=1, seed=seed).pairs

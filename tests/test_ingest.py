@@ -6,12 +6,14 @@ graph, the overlap tensor and the feature counts, or the same
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingest_oracle as oracle
-from nohgnn import data, structural, tensor3
+from nohgnn import checkpoint, data, structural, tensor3, training
 from nohgnn.errors import ParseError
+from nohgnn.synth import planted_partition
 
 NODES = ["0", "1", "2", "3", "17", "a", "b", "007", "é", "n-9"]
 STAMPS = st.one_of(
@@ -159,3 +161,30 @@ def test_earlier_bad_line_wins_over_int64_range(tmp_path):
     _, old_error = _load(oracle.load_edge_list, path)
     assert _load(data.load_edge_list, path)[1] == old_error
     assert old_error.endswith(":1: could not convert string to float: 'x'")
+
+
+def test_pipeline_builds_as_many_scipy_matrices_at_8_as_at_80_slots(tmp_path, monkeypatch):
+    """Binning, splitting, assembling, saving and loading the same events
+    construct the same number of scipy sparse matrices at 8 slots as at 80:
+    no stage builds one per slot."""
+    events = planted_partition(t_slots=80, seed=3)
+    built = []
+    init = sp._compressed._cs_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp._compressed._cs_matrix, "__init__", counted)
+    counts = []
+    for t_slots in (8, 80):
+        built.clear()
+        graph = data.bin_snapshots(events, t_slots)
+        train, val, test, masked = data.split_edges(graph, seed=0)
+        splits = {"train": train, "val": val, "test": test}
+        training.assemble(graph, masked, splits, training.TrainConfig())
+        path = str(tmp_path / f"{t_slots}.nohg")
+        checkpoint.save_dataset(path, graph, masked, splits, 0)
+        checkpoint.load_dataset(path)
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0

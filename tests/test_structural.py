@@ -22,7 +22,7 @@ from nohgnn.structural import (
 from nohgnn.tape import ParamStore, Tape, grad_check, xavier_uniform
 from nohgnn.synth import dense_tiny_graph, planted_partition, planted_partition_graph
 from nohgnn.tensor3 import SlicePattern, SliceSparse3
-from pattern_helpers import entry_table
+from pattern_helpers import entry_table, slice_stack
 from tape_helpers import gather_rows, mul, total
 
 # A gen.* gradient of the per-class generator and class-pair score op may
@@ -163,7 +163,7 @@ class TestFeatureContext:
         assert ctx.counts.shape[0] < flat.size
 
     def test_empty_overlap_gives_one_class_of_theta_of_zero(self):
-        b = SliceSparse3([sp.csr_matrix((4, 4)) for _ in range(3)], shape=(4, 4))
+        b = slice_stack([sp.csr_matrix((4, 4)) for _ in range(3)], shape=(4, 4))
         ctx = build_feature_context(b)
         assert ctx.counts.shape == (1, 0)
         assert np.array_equal(ctx.row_class, np.zeros((3, 4), dtype=np.int64))
@@ -179,7 +179,7 @@ class TestFeatureContext:
         slices = [
             sp.csr_matrix(np.triu(np.full((5, 5), t + 1.0))[::-1]) for t in range(2)
         ]
-        b = SliceSparse3(slices, shape=(5, 5))
+        b = slice_stack(slices, shape=(5, 5))
         ctx, old = build_feature_context(b), oracle.build_feature_context(b)
         assert np.array_equal(ctx.row_class, np.arange(10).reshape(2, 5))
         store = ParamStore()

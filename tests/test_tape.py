@@ -22,7 +22,7 @@ from nohgnn.tensor3 import (
     m_product,
     make_transform,
 )
-from pattern_helpers import csr, entry_table, to_sparse
+from pattern_helpers import csr, entry_table, slice_stack, to_sparse
 from propagate_oracle import OracleTape
 from softmax_reference import masked_softmax
 from tape_helpers import add, gather_rows, matmul, mul, total
@@ -392,7 +392,7 @@ class TestSparseRules:
         base_csr = sp.csr_matrix(base)
         indptr, indices = base_csr.indptr, base_csr.indices
         t_slots = 3
-        pat = SlicePattern.from_sparse(SliceSparse3([base_csr] * t_slots))
+        pat = SlicePattern.from_sparse(slice_stack([base_csr] * t_slots))
         vals0 = rng.normal(size=(t_slots, base_csr.nnz))
         h0 = rng.normal(size=(t_slots, n, 2))
         r = rng.normal(size=(t_slots, n, 2))

@@ -17,7 +17,7 @@ from nohgnn.tensor3 import (
     mode3_product,
     sparse_matpower_sum,
 )
-from pattern_helpers import entry_table, to_sparse
+from pattern_helpers import entry_table, slice_stack, to_sparse
 
 
 def naive_mode3(x: Tensor3, m: np.ndarray) -> np.ndarray:
@@ -259,12 +259,12 @@ class TestSparseMatpowerSum:
         assert np.all(b == 2.0)
 
     def test_empty_slice(self):
-        a = SliceSparse3([sp.csr_matrix((4, 4))])
+        a = slice_stack([sp.csr_matrix((4, 4))])
         b = sparse_matpower_sum(a, 3)
         assert b.nnz == 0
 
     def test_k0_rejected(self):
-        a = SliceSparse3([sp.csr_matrix((2, 2))])
+        a = slice_stack([sp.csr_matrix((2, 2))])
         with pytest.raises(ParameterError):
             sparse_matpower_sum(a, 0)
 
@@ -296,12 +296,16 @@ class TestTypesAndInvariants:
 
     def test_slicesparse_prunes_explicit_zeros(self):
         m = sp.csr_matrix((np.array([0.0, 1.0]), (np.array([0, 1]), np.array([1, 0]))), shape=(2, 2))
-        s = SliceSparse3([m])
+        s = slice_stack([m])
         assert s.nnz == 1
 
     def test_slicesparse_shape_consistency(self):
         with pytest.raises(ShapeError):
-            SliceSparse3([sp.csr_matrix((2, 2)), sp.csr_matrix((3, 3))])
+            slice_stack([sp.csr_matrix((2, 2)), sp.csr_matrix((3, 3))])
+        # a stacked matrix whose rows do not split into the slices
+        for rows, t_slots in ((5, 2), (0, 0)):
+            with pytest.raises(ShapeError, match="not a stack"):
+                SliceSparse3(sp.csr_matrix((rows, 2)), t_slots)
 
     def test_pattern_round_trip(self):
         rng = np.random.default_rng(9)

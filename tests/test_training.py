@@ -333,6 +333,21 @@ class TestPrepare:
         assert prep.pattern.nnz >= split_edges(prep.full_graph, seed=config.seed)[3].edge_count
         assert prep.ctx.row_class.shape == (prep.full_graph.t_slots, prep.n_nodes)
 
+    @pytest.mark.parametrize("k_hops", [1, 2, 3])
+    def test_assemble_writes_no_array_of_the_cached_overlap_tensor(self, k_hops):
+        """The aggregation pattern and the feature context read B's own
+        arrays; after ``assemble`` the cached B is still bit-equal to a
+        fresh build, in its values, columns and row pointers."""
+        graph = planted_partition_graph(16, 3, p_in=0.6, p_out=0.05, seed=0)
+        train, val, test, masked = split_edges(graph, seed=0)
+        training.assemble(graph, masked, {"train": train, "val": val, "test": test}, TrainConfig(dim=4, k_hops=k_hops))
+        cached = masked.overlap_cache[k_hops].matrix
+        fresh = tensor3.sparse_matpower_sum(masked.adjacency, k_hops).matrix
+        assert cached.data.max() > 1 or k_hops == 1
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(cached, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
 
 class TestTrainLoop:
     def test_frozen_metric_stops_after_patience(self, script_val_f1):
