@@ -49,9 +49,10 @@ def _as_f64(value) -> np.ndarray:
 
 
 def _relu_grad(mask: np.ndarray) -> np.ndarray:
-    """Subgradient of ReLU from its input's positive mask; module-level so
-    tests can swap it out."""
-    return mask.astype(np.float64)
+    """Subgradient of ReLU from its input's positive mask, as the boolean
+    mask itself, which a product casts to 0 and 1 without a full-size
+    float copy; module-level so tests can swap it out."""
+    return mask
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -228,16 +229,24 @@ class Tape:
         local = (np.cumsum(live) - 1)[ends]
         picked = rows[live]
         out = (picked @ vw[:dim]).take(local[:, 0], axis=0)
-        out += (picked @ vw[dim:]).take(local[:, 1], axis=0)
+        # the second endpoint's rows gathered and added a block at a time,
+        # as the SDDMM gathers its operands, so no second (P, F) array is made
+        proj, step = picked @ vw[dim:], tensor3.SDDMM_BLOCK
+        for lo in range(0, len(out), step):
+            out[lo : lo + step] += proj.take(local[lo : lo + step, 1], axis=0)
         out += vb
 
         def backward(g):
             nonlocal picked
-            sums = [row_scatter(local[:, k], len(picked)) @ g for k in (0, 1)]
-            dw = np.concatenate([picked.T @ s for s in sums])
+            first, second = (row_scatter(local[:, k], len(picked)) @ g for k in (0, 1))
+            dw = np.concatenate([picked.T @ first, picked.T @ second])
             picked = None
-            da_live = sums[0] @ vw[:dim].T
-            da_live += sums[1] @ vw[dim:].T
+            # each endpoint's row sums go once read, before the full-size
+            # gradient of a is allocated
+            da_live = first @ vw[:dim].T
+            first = None
+            da_live += second @ vw[dim:].T
+            second = None
             da = np.zeros((len(live), dim))
             da[live] = da_live
             return da.reshape(shape), dw, g.sum(axis=0)
@@ -353,16 +362,18 @@ class Tape:
         if np.any(seg_len < 1):
             raise ParameterError("segment_softmax requires every segment non-empty")
         starts = splits[:-1]
-        seg_max = np.maximum.reduceat(v, starts)
-        shifted = v - np.repeat(seg_max, seg_len)
-        e = np.exp(shifted)
-        seg_sum = np.add.reduceat(e, starts)
-        w = e / np.repeat(seg_sum, seg_len)
+        # subtract, exp and divide in place into the repeated segment maximum
+        w = np.repeat(np.maximum.reduceat(v, starts), seg_len)
+        np.subtract(v, w, out=w)
+        np.exp(w, out=w)
+        w /= np.repeat(np.add.reduceat(w, starts), seg_len)
 
         def backward(g):
             gw = g * w
-            seg_dot = np.add.reduceat(gw, starts)
-            return (gw - w * np.repeat(seg_dot, seg_len),)
+            dot = np.repeat(np.add.reduceat(gw, starts), seg_len)
+            dot *= w
+            gw -= dot
+            return (gw,)
 
         return self._record(w, (scores,), backward)
 

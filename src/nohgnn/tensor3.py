@@ -217,8 +217,8 @@ def m_product(x, y: Tensor3, tf: Transform | None) -> Tensor3:
     face-wise product under the identity. A ``SliceSparse3`` ``x`` goes
     through its ``FacewiseOperator`` under the identity; under a mixing
     transform its values are scattered onto a (T, union nnz) stack, M mixes
-    the stack, and each of its slices multiplies the matching slice of y M
-    as a CSR matrix over the union support.
+    the stack, and its slices, the diagonal blocks of one CSR matrix over
+    the union support, multiply the matching slices of y M.
     """
     if isinstance(x, Tensor3):
         op = DenseOperator(x.data, tf)
@@ -233,15 +233,19 @@ def m_product(x, y: Tensor3, tf: Transform | None) -> Tensor3:
         raise ShapeError(f"node tensor shape {y.data.shape} does not match pattern {pattern.t_slots}x{pattern.n_cols}")
     if tf is None or tf.is_identity:
         return Tensor3(FacewiseOperator(pattern, values).apply(y.data)[0])
+    t_slots, d1, d2 = pattern.t_slots, pattern.n_rows, pattern.n_cols
     u_indptr, u_indices, flat_to_union = pattern.union
-    p_hat = np.zeros((pattern.t_slots, len(u_indices)))
-    p_hat[np.repeat(np.arange(pattern.t_slots), np.diff(pattern.offsets)), flat_to_union] = values
-    p_hat = _apply_mode3(p_hat, tf.m)
-    y_hat = _apply_mode3(y.data, tf.m)
-    prod = np.empty((pattern.t_slots, pattern.n_rows, y.data.shape[2]))
-    for t in range(pattern.t_slots):
-        prod[t] = sp.csr_matrix((p_hat[t], u_indices, u_indptr), shape=(pattern.n_rows, pattern.n_cols)) @ y_hat[t]
-    return Tensor3(_apply_mode3(prod, tf.minv))
+    width = len(u_indices)
+    p_hat = np.zeros((t_slots, width))
+    p_hat[np.repeat(np.arange(t_slots), np.diff(pattern.offsets)), flat_to_union] = values
+    # slice t's entry (i, j) at (t*d1 + i, t*d2 + j): the block product
+    # sums each output in the order slice t's own product does
+    slot = np.arange(t_slots)[:, None]
+    cols = (u_indices + slot * d2).ravel()
+    indptr = np.append((u_indptr[:-1] + slot * width).ravel(), t_slots * width)
+    block = sp.csr_matrix((_apply_mode3(p_hat, tf.m).ravel(), cols, indptr), shape=(t_slots * d1, t_slots * d2))
+    prod = block @ _apply_mode3(y.data, tf.m).reshape(t_slots * d2, -1)
+    return Tensor3(_apply_mode3(prod.reshape(t_slots, d1, -1), tf.minv))
 
 
 def sparse_matpower_sum(a: SliceSparse3, k_hops: int) -> SliceSparse3:
@@ -448,11 +452,22 @@ class FacewiseOperator(SparseOperator):
         sub.matrix = self.matrix[first * d1 : last * d1, first * d2 : last * d2]
         return sub
 
+    def _operands(self, y: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+        """The matrix and the (rows, F) operand its product reads. For a y
+        broadcast over the slots, as the identity's first layer reads the
+        embedding, that is the same entries at their local columns, a
+        (len(slots)*d1, d2) matrix, times y's one (d2, F) slice: the same
+        terms in the same order, with no (len(slots)*d2, F) copy of y."""
+        m, d2 = self.matrix, self.pattern.n_cols
+        if y.strides[0] == 0:
+            return sp.csr_matrix((m.data, m.indices % d2, m.indptr), shape=(m.shape[0], d2)), y[0]
+        return m, y.reshape(-1, y.shape[2])
+
     def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The product with a dense (len(slots), d2, F) array, and y for
         ``grads``."""
-        out = self.matrix @ y.reshape(-1, y.shape[2])
-        return out.reshape(len(self.slots), self.pattern.n_rows, y.shape[2]), y
+        m, rows = self._operands(y)
+        return (m @ rows).reshape(len(self.slots), self.pattern.n_rows, y.shape[2]), y
 
     def grads(self, g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The gradients of the flat values and of y, given the product's:
@@ -462,7 +477,8 @@ class FacewiseOperator(SparseOperator):
         lo, hi = offsets[self.slots.start], offsets[self.slots.stop]
         g2 = g.reshape(-1, g.shape[2])
         live_vals = np.empty(m.nnz)
-        _sddmm(g2, np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), y.reshape(-1, y.shape[2]), m.indices, live_vals)
+        read, rows = self._operands(y)
+        _sddmm(g2, np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), rows, read.indices, live_vals)
         dvals = np.zeros(hi - lo)
         dvals[self.live[lo:hi]] = live_vals
         # a fresh C-order array even for a broadcast y, whose empty_like
@@ -471,35 +487,36 @@ class FacewiseOperator(SparseOperator):
 
 
 class SlotSumOperator(SparseOperator):
-    """P-bar = sum_t P_t of flat values, summed in slot order into one CSR
-    matrix on the union support, times (d2, F) rows: the DCT M-product with
-    a slot-constant right operand (see the module docstring). Each flat
-    entry gets its tube's value gradient, which is computed on the live
-    tubes, those holding a nonzero value, and is +0 at the others."""
+    """P-bar = sum_t P_t of nonnegative flat values, such as softmax
+    weights, summed in slot order into one CSR matrix on the union support,
+    times (d2, F) rows: the DCT M-product with a slot-constant right operand
+    (see the module docstring). Each flat entry gets its tube's value
+    gradient, which is computed on the live tubes, those holding a nonzero
+    value, and is +0 at the others. A sum of nonnegative terms is nonzero
+    exactly when one of them is, so the live tubes are P-bar's entries."""
 
     node_axes = 2
 
     def __init__(self, pattern: SlicePattern, values: np.ndarray):
         super().__init__(pattern)
         u_indptr, u_indices, flat_to_union = pattern.union
-        self.live = np.zeros(len(u_indices), dtype=bool)
-        self.live[flat_to_union[values != 0]] = True
         sums = np.bincount(flat_to_union, weights=values, minlength=len(u_indices))
+        self.live = sums != 0
         self.matrix = nonzero_csr(sums, u_indices, u_indptr, (pattern.n_rows, pattern.n_cols))
+        # the row of each of P-bar's entries, which its SDDMM reads
+        self.rows = np.repeat(np.arange(pattern.n_rows), np.diff(self.matrix.indptr))
 
     def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.matrix @ y, y
 
     def grads(self, g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The value gradient, the sampled products on the live tubes sent to
-        their flat entries, and P-bar^T g."""
-        u_indptr, u_indices, flat_to_union = self.pattern.union
-        live = np.flatnonzero(self.live)
-        rows = np.repeat(np.arange(self.pattern.n_rows), np.diff(u_indptr))
-        d_sums, live_sums = np.zeros(len(u_indices)), np.empty(len(live))
-        _sddmm(g, rows[live], y, u_indices[live], live_sums)
-        d_sums[live] = live_sums
-        return d_sums[flat_to_union], self.matrix.T @ g
+        """The value gradient, the sampled products at P-bar's entries sent
+        to their tubes' flat entries, and P-bar^T g."""
+        m = self.matrix
+        d_sums, live_sums = np.zeros(len(self.live)), np.empty(m.nnz)
+        _sddmm(g, self.rows, y, m.indices, live_sums)
+        d_sums[self.live] = live_sums
+        return d_sums[self.pattern.union[2]], m.T @ g
 
 
 class SlotMeanOperator:

@@ -25,6 +25,7 @@ from nohgnn.tensor3 import (
     SliceSparse3,
     SlotSumOperator,
     Tensor3,
+    _sddmm,
     m_product,
     make_transform,
 )
@@ -310,6 +311,17 @@ def test_live_operator_bit_equals_oracle(kind, case):
     assert np.all(dead == 0) and not np.any(np.signbit(dead))
 
 
+class FullTubeSlotSum(SlotSumOperator):
+    """P-bar with its value gradient taken on every tube of the union, the
+    live ones and the ones whose every slice is 0."""
+
+    def grads(self, g, y):
+        u_indptr, u_indices, flat_to_union = self.pattern.union
+        d_sums = np.empty(len(u_indices))
+        _sddmm(g, np.repeat(np.arange(self.pattern.n_rows), np.diff(u_indptr)), y, u_indices, d_sums)
+        return d_sums[flat_to_union], self.matrix.T @ g
+
+
 @pytest.mark.parametrize("case", ["no_zeros", "mixed", "diagonal_only"])
 @pytest.mark.parametrize("kind", ["identity", "dct"])
 def test_live_forward_gradients_bit_equal_full(monkeypatch, kind, case):
@@ -336,9 +348,7 @@ def test_live_forward_gradients_bit_equal_full(monkeypatch, kind, case):
             return FacewiseOperator(pattern, values, live_only and not full)
 
         def slot_sum(pattern, values):
-            op = SlotSumOperator(pattern, values)
-            op.live[:] |= full
-            return op
+            return (FullTubeSlotSum if full else SlotSumOperator)(pattern, values)
 
         monkeypatch.setattr(model_mod, "FacewiseOperator", facewise)
         monkeypatch.setattr(model_mod, "SlotSumOperator", slot_sum)

@@ -12,6 +12,7 @@ as the decoder's first layer and the class-pair score backward sum in
 another order.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -327,6 +328,34 @@ class TestMemoryContract:
         # and no gradient has a row of 2F per pair
         assert [(op, freed) for op, freed, _ in swept] == [("affine", True), ("pair_affine", True)] + [("affine", True)] * 4
         assert all(size != n_pairs * 2 * config.dim for _, _, sizes in swept for size in sizes)
+
+    def test_facewise_operator_makes_no_copy_of_a_broadcast_y(self):
+        # the identity's first layer reads the embedding broadcast over the
+        # slots: its product and its gradients allocate their outputs and
+        # no (W*N, F) copy of the embedding, and keep the bits of a
+        # contiguous copy's
+        rng = np.random.default_rng(8)
+        w, n, f = 6, 300, 64
+        dense = (rng.random((w, n, n)) < 0.01) * rng.random((w, n, n))
+        stack = SliceSparse3.from_dense(dense)
+        op = FacewiseOperator(SlicePattern.from_sparse(stack), stack.matrix.data, live_only=True)
+        y = np.broadcast_to(rng.normal(size=(n, f)), (w, n, f))
+        g = rng.normal(size=(w, n, f))
+        tracemalloc.start()
+        try:
+            out, b_hat = op.apply(y)
+            apply_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            grads = op.grads(g, b_hat)
+            grads_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert apply_peak < 1.5 * g.nbytes and grads_peak < 1.5 * g.nbytes
+        copy = np.ascontiguousarray(y)
+        assert out.tobytes() == op.apply(copy)[0].tobytes()
+        for got, want in zip(grads, op.grads(g, copy)):
+            assert got.tobytes() == want.tobytes()
 
     def test_replicate_is_a_read_only_view_of_the_embedding(self, monkeypatch):
         config, prep, store = criterion_6()

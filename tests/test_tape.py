@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -65,6 +66,25 @@ class TestScalarRules:
         t.backward(loss)
         assert loss.value == 0.0
         assert x.grad == 0.0
+
+    def test_relu_backward_allocates_one_array_of_g(self):
+        # the gradient is g times the boolean mask, with no float copy of
+        # the mask, and keeps the bits of g times the mask as floats
+        rng = np.random.default_rng(23)
+        x0 = rng.normal(size=(1 << 15, 8))
+        x0[::7] = -0.0
+        g = rng.normal(size=x0.shape)
+        t = Tape()
+        t.relu(t.leaf(x0, requires_grad=True))
+        rule = t._entries[-1][2]
+        tracemalloc.start()
+        try:
+            (dx,) = rule(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * g.nbytes
+        assert dx.tobytes() == (g * (x0 > 0).astype(np.float64)).tobytes()
 
     def test_matvec_sum_grad_is_column_sums(self):
         rng = np.random.default_rng(10)
@@ -650,6 +670,35 @@ class TestSoftmax:
 
         fd = fd_probe(f, v0.copy())
         assert max_rel_err(v.grad, fd) < 1e-7
+
+    def test_segment_softmax_computes_in_place(self):
+        # the forward allocates its output and one repeated array, the
+        # backward its output and one more; both keep the bits of the
+        # out-of-place formulas
+        rng = np.random.default_rng(22)
+        n = 1 << 18
+        splits = np.append(np.arange(0, n, 64), n)
+        v0, g0 = 30.0 * rng.normal(size=n), rng.normal(size=n)
+        t = Tape()
+        v = t.leaf(v0, requires_grad=True)
+        tracemalloc.start()
+        try:
+            w = t.segment_softmax(v, splits)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            (dv,) = t._entries[-1][2](g0)
+            backward_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert forward_peak <= 2.25 * v0.nbytes
+        assert backward_peak <= 2.25 * v0.nbytes
+        starts, seg_len = splits[:-1], np.diff(splits)
+        e = np.exp(v0 - np.repeat(np.maximum.reduceat(v0, starts), seg_len))
+        want = e / np.repeat(np.add.reduceat(e, starts), seg_len)
+        gw = g0 * want
+        assert w.value.tobytes() == want.tobytes()
+        assert dv.tobytes() == (gw - want * np.repeat(np.add.reduceat(gw, starts), seg_len)).tobytes()
 
     def test_segment_softmax_rejects_empty_segment(self):
         t = Tape()

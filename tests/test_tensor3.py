@@ -184,6 +184,28 @@ class TestMProduct:
         with pytest.raises(ShapeError):
             m_product(Tensor3.zeros(2, 2, 3), Tensor3.zeros(2, 2, 3), make_transform("dct", 4))
 
+    def test_sparse_dct_product_builds_as_many_scipy_matrices_at_8_as_at_80_slots(self, monkeypatch):
+        # the mixed slices are one block-diagonal matrix, not one per slot
+        built = []
+        init = sp._compressed._cs_matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        rng = np.random.default_rng(9)
+        counts = []
+        for t_slots in (8, 80):
+            dense = rng.uniform(-1, 1, size=(t_slots, 6, 6)) * (rng.random((t_slots, 6, 6)) < 0.3)
+            xs, y, tf = SliceSparse3.from_dense(dense), rand_tensor(rng, 6, 3, t_slots), make_transform("dct", t_slots)
+            monkeypatch.setattr(sp._compressed._cs_matrix, "__init__", counted)
+            built.clear()
+            out = m_product(xs, y, tf)
+            counts.append(len(built))
+            monkeypatch.undo()
+            np.testing.assert_allclose(out.data, m_product(xs.densify(), y, tf).data, atol=1e-12)
+        assert counts[0] == counts[1] > 0
+
 
 class TestMakeTransform:
     def test_identity(self):
