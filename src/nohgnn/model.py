@@ -93,27 +93,14 @@ def aggregation_operator(pattern: SlicePattern, values: np.ndarray, kind: str) -
     the embedding under the identity, P-bar on the embedding under the dct.
     Both are live only, as the weights are a softmax output: the weight
     gradient is +0 at the exact zeros (the tubes of them), which the softmax
-    backward multiplies by 0 anyway. Other kinds raise ``ParameterError``,
-    as the dct reduction holds for the DCT alone."""
+    backward multiplies by 0 anyway. It takes T from the pattern, so no
+    transform matrix is built. Other kinds raise ``ParameterError``, as the
+    dct reduction holds for the DCT alone."""
     if kind == "identity":
         return FacewiseOperator(pattern, values, live_only=True)
     if kind == "dct":
         return SlotSumOperator(pattern, values)
-    raise ParameterError(f"forward runs the identity or dct transform, not {kind!r}")
-
-
-def forward(
-    tape: Tape,
-    leaves: dict[str, Node],
-    pattern: SlicePattern,
-    p_weights: Node,
-    kind: str,
-    n_layers: int,
-) -> Node:
-    """Run the layer stack under the transform ``kind`` over the pattern's
-    T slots and return the embedding node: (T, N, F) under the identity,
-    the (N, F) rows every slot shares under the dct."""
-    return layer_stack(tape, leaves, p_weights, aggregation_operator(pattern, p_weights.value, kind), n_layers)
+    raise ParameterError(f"the layer stack runs the identity or dct transform, not {kind!r}")
 
 
 def layer_stack(tape: Tape, leaves: dict[str, Node], p_weights: Node, op: SparseOperator, n_layers: int) -> Node:

@@ -9,15 +9,17 @@ tape and is swept at once: a step's peak follows the chunk width
 as one chunk.
 
 The shared stage of the initial parameters is recorded once before the
-first epoch. Each epoch then resamples the training negatives, runs the
-chunks (each decodes its training pairs and writes its run of the flat
-weights' gradient), sweeps the shared stage, applies one Adam update, and
-records the shared stage of the updated parameters. The next epoch's chunk
-pass also scores the frozen validation set, so the parameters of epoch k
-are validated in epoch k+1's chunk pass, and the last ones in one final
-pass without gradients: each parameter state is embedded once. Training
-stops at the epoch cap or after ``patience`` epochs without a new best
-validation F1; the best epoch's parameters are returned.
+first epoch. Each epoch then resamples the training negatives, runs
+``train_step`` (the chunks, each decoding its training pairs and writing
+its run of the flat weights' gradient, then the shared stage's sweep),
+applies one Adam update, and records the shared stage of the updated
+parameters; the gradient check runs the same ``train_step``. The next
+epoch's chunk pass also scores the frozen validation set, so the
+parameters of epoch k are validated in epoch k+1's chunk pass, and the
+last ones in one final pass without gradients: each parameter state is
+embedded once. Training stops at the epoch cap or after ``patience``
+epochs without a new best validation F1; the best epoch's parameters are
+returned.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from nohgnn.data import (
     split_edges,
 )
 from nohgnn.errors import NumericError, ParameterError
-from nohgnn.model import aggregation_operator, decode, forward, init_model_params, layer_stack, model_param_shapes
+from nohgnn.model import aggregation_operator, decode, init_model_params, layer_stack, model_param_shapes
 from nohgnn.overlap import aggregation_weights, build_aggregation_pattern
 from nohgnn.structural import (
     FeatureContext,
@@ -263,29 +265,22 @@ def init_params(config: TrainConfig, n_nodes: int, t_slots: int) -> ParamStore:
     return store
 
 
-def embed(tape: Tape, leaves: dict[str, Node], prep: PreparedData, config: TrainConfig) -> Node:
-    """Features, aggregation weights and the layer stack over every slot on
-    one tape: the embedding node, (T, N, F) or the dct's (N, F), that the
-    decoder reads pairs from."""
-    feats = generate_features(tape, prep.ctx, leaves)
-    weights = aggregation_weights(tape, feats, prep.pattern)
-    return forward(tape, leaves, prep.pattern, weights, config.transform, config.layers)
-
-
 # bytes of one (W, N, F) float64 stack of the identity's layer stack: a
 # chunk is the W slots that fit, so a step's peak follows W, not T. At
 # N = 3,748 and F = 32 that is 17 slots a chunk, 5 chunks for 73 slots
 CHUNK_BYTES = 16 << 20
 
 
-def slot_chunks(prep: PreparedData, config: TrainConfig) -> list[range]:
+def slot_chunks(prep: PreparedData, config: TrainConfig, chunk_bytes: int | None = None) -> list[range]:
     """The slot ranges the layer stack and the decoder run on, one tape
-    each. The identity's slots are independent; the dct couples every slot
-    through P-bar, so it runs as one chunk."""
+    each: under the identity the slots whose stack fits ``chunk_bytes``
+    (``CHUNK_BYTES`` if None), at least one. The identity's slots are
+    independent; the dct couples every slot through P-bar, so it runs as
+    one chunk."""
     t_slots = prep.t_slots
     if config.transform != "identity":
         return [range(t_slots)]
-    width = max(1, CHUNK_BYTES // (prep.n_nodes * config.dim * 8))
+    width = max(1, (CHUNK_BYTES if chunk_bytes is None else chunk_bytes) // (prep.n_nodes * config.dim * 8))
     return [range(t0, min(t0 + width, t_slots)) for t0 in range(0, t_slots, width)]
 
 
@@ -336,11 +331,13 @@ def _chunk_pass(
     score_pairs: np.ndarray,
     train_set: LabeledPairSet | None = None,
     epoch: int = 0,
+    chunk_bytes: int | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
-    """Run the layer stack and the decoder one slot chunk at a time on the
-    stage's weights, each chunk on a fresh tape, and return the summed BCE
-    shares and the flat-weight gradient (None without a ``train_set``) and
-    the probabilities of ``score_pairs``.
+    """Run the layer stack and the decoder one slot chunk (``slot_chunks``
+    at ``chunk_bytes``) at a time on the stage's weights, each chunk on a
+    fresh tape, and return the summed BCE shares and the flat-weight
+    gradient (None without a ``train_set``) and the probabilities of
+    ``score_pairs``.
 
     A chunk scores its ``score_pairs`` from its embedding's values without
     gradients. With a ``train_set`` it decodes its training pairs, takes
@@ -357,7 +354,7 @@ def _chunk_pass(
     train_pairs = train_set.pairs if training else score_pairs[:0]
     bce = weight_grad = None
     probs = np.empty(len(score_pairs))
-    for slots in slot_chunks(prep, config):
+    for slots in slot_chunks(prep, config, chunk_bytes):
         whole = len(slots) == prep.t_slots
         scored, scored_pairs = _in_slots(score_pairs, slots, whole)
         trained, trained_pairs = _in_slots(train_pairs, slots, whole)
@@ -396,6 +393,42 @@ def _chunk_pass(
     return bce, weight_grad, probs
 
 
+def train_step(
+    store: ParamStore,
+    stage: SharedStage,
+    prep: PreparedData,
+    config: TrainConfig,
+    train_set: LabeledPairSet,
+    score_pairs: np.ndarray,
+    epoch: int,
+    chunk_bytes: int | None = None,
+) -> tuple[float, np.ndarray]:
+    """One epoch's loss, the mean BCE of ``train_set`` plus the
+    ``penalty``, at the parameters ``stage`` recorded, with its gradient
+    left in the store's zeroed buffers; returns the loss and the
+    probabilities of ``score_pairs``.
+
+    The slot chunks (``_chunk_pass``) each sweep their own tape and write
+    their run of the flat-weight gradient; the stage's tape is swept last,
+    from the penalty plus the inner product of the flat weights with that
+    gradient. Raises a numeric error naming ``epoch`` if the loss is not
+    finite.
+    """
+    store.zero_grads()
+    bce, weight_grad, probs = _chunk_pass(store, stage, prep, config, score_pairs, train_set, epoch, chunk_bytes)
+    tape = stage.tape
+    reg = penalty(tape, stage.leaves, config.beta_reg)
+    loss = float(bce if reg is None else bce + reg.value)
+    if not np.isfinite(loss):
+        raise NumericError(f"training diverged at epoch {epoch}: loss is not finite")
+    dot = tape.inner(stage.weights, weight_grad)
+    # the flat-weight gradient goes once the sweep has passed the inner product
+    del weight_grad
+    tape.backward(dot if reg is None else tape.add(reg, dot))
+    store.harvest(stage.leaves)
+    return loss, probs
+
+
 def predict(store: ParamStore, prep: PreparedData, config: TrainConfig, pairs: np.ndarray) -> np.ndarray:
     """Probabilities from the current parameters, chunk by chunk, without
     recording gradients."""
@@ -431,20 +464,14 @@ def train_loop(prep: PreparedData, config: TrainConfig, log_path: str | None = N
     """Optimize and early-stop on validation F1, embedding each parameter
     state once.
 
-    A step has a shared stage and slot chunks. The shared stage (feature
-    generator, pair scores, softmax and the aggregation operator) of the
-    initial parameters is recorded on a fresh tape before the first epoch,
-    and that of the updated parameters after the Adam step of every epoch.
-    Each epoch then runs the layer stack and the decoder one slot chunk at a
-    time (``_chunk_pass``): a chunk decodes its training pairs, sweeps its
-    own tape at once and writes its run of the flat-weight gradient, so the
-    step's peak follows the chunk width, not T. The shared tape is swept
-    last, from the penalty plus the inner product of the flat weights with
-    that gradient. The same chunks also score the validation pairs, so the
-    parameters of epoch k are validated in epoch k+1's chunk pass, and the
-    last ones in one final pass without gradients; early stopping after
-    epoch k drops epoch k+1's gradients. Raises a numeric error naming the
-    epoch if the loss diverges.
+    The shared stage of the initial parameters is recorded before the first
+    epoch, and that of the updated parameters after the Adam step of every
+    epoch. Each epoch draws its training negatives and runs ``train_step``
+    on the stage, which also scores the validation pairs: the parameters of
+    epoch k are validated in epoch k+1's step, and the last ones in one
+    final chunk pass without gradients; early stopping after epoch k drops
+    epoch k+1's gradients. Raises a numeric error naming the epoch if the
+    loss diverges.
     """
     if prep.train_pos.size == 0:
         raise ParameterError("training set has no positive pairs")
@@ -478,23 +505,13 @@ def train_loop(prep: PreparedData, config: TrainConfig, log_path: str | None = N
             prep.full_graph, prep.train_pos, config.neg_ratio, seed=[config.seed, epoch]
         )
         train_set = merge_pair_sets(prep.train_pos, neg)
-        store.zero_grads()
         val_pairs = prep.val_set.pairs if epoch > 1 else prep.val_set.pairs[:0]
-        bce, weight_grad, val_probs = _chunk_pass(store, stage, prep, config, val_pairs, train_set, epoch)
+        loss, val_probs = train_step(store, stage, prep, config, train_set, val_pairs, epoch)
         if epoch > 1 and validated(epoch - 1, loss_value, val_probs):
             break
-        tape = stage.tape
-        reg = penalty(tape, stage.leaves, config.beta_reg)
-        loss_value = float(bce if reg is None else bce + reg.value)
-        if not np.isfinite(loss_value):
-            raise NumericError(f"training diverged at epoch {epoch}: loss is not finite")
-        dot = tape.inner(stage.weights, weight_grad)
-        # the flat-weight gradient goes once the sweep has passed the inner product
-        del weight_grad
-        tape.backward(dot if reg is None else tape.add(reg, dot))
-        store.harvest(stage.leaves)
+        loss_value = loss
         # the swept stage and its gradients go before Adam's temporaries
-        del stage, tape, reg, dot
+        del stage
         adam.step()
         stage = _record_shared(store, prep, config)
     else:
@@ -505,8 +522,11 @@ def train_loop(prep: PreparedData, config: TrainConfig, log_path: str | None = N
 
 
 def run_gradient_check(transform: str = "identity", eps: float = 1e-5, seed: int = 0) -> float:
-    """Worst relative error between tape and central-difference gradients of
-    the full training loss on a small dense instance.
+    """Worst relative error between the gradient ``train_step`` leaves in the
+    store and central differences of the loss it returns, on a small dense
+    instance. The identity runs one slot a chunk, so the check covers the
+    seam between chunks: each chunk's slices of the layer stacks and its
+    run of the flat-weight gradient.
 
     The instance keeps every node connected in every slot, and the parameters
     are jittered away from the initialization before probing. Both choices
@@ -529,9 +549,10 @@ def run_gradient_check(transform: str = "identity", eps: float = 1e-5, seed: int
     for name in store.names():
         v = store.value(name)
         store.set_value(name, v + rng.uniform(-0.3, 0.3, size=v.shape))
+    one_slot = graph.n_nodes * config.dim * 8
 
-    def build(tape: Tape, leaves: dict[str, Node]) -> Node:
-        probs = decode(tape, leaves, embed(tape, leaves, prep, config), pairs_set.pairs)
-        return compute_loss(tape, probs, pairs_set.labels, leaves, config.beta_reg)
+    def loss_of(probe: ParamStore) -> float:
+        stage = _record_shared(probe, prep, config)
+        return train_step(probe, stage, prep, config, pairs_set, pairs_set.pairs[:0], 1, one_slot)[0]
 
-    return grad_check(build, store, eps)
+    return grad_check(loss_of, store, eps)

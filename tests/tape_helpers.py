@@ -4,8 +4,9 @@ matrix product of matching 2-D or 3-D stacks; an add that broadcasts a
 trailing operand such as a bias (the program records ``Tape.affine`` for
 the last two); and the row gather the decoder recorded before
 ``Tape.pair_affine``. Each records through ``Tape._record``, so it works on
-any tape, the one ``grad_check`` builds among them; an oracle tape takes
-them as methods.
+any tape, the one ``grad_check`` below builds among them; an oracle tape
+takes them as methods. ``grad_check`` runs ``tape.grad_check`` on a loss
+that one tape records over a store's leaves.
 """
 
 from __future__ import annotations
@@ -106,3 +107,20 @@ def gather_rows(tape: Tape, a: Node, index: np.ndarray) -> Node:
         return (summed.reshape(shape),)
 
     return tape._record(rows.take(index, axis=0), (a,), backward)
+
+
+def grad_check(build, store, eps: float = 1e-5) -> float:
+    """``tape.grad_check`` of the loss ``build(tape, leaves)`` records on a
+    fresh tape over the store's leaves, swept and harvested into the
+    store's zeroed gradients."""
+
+    def loss_of(probe):
+        tape = Tape()
+        leaves = probe.leaves(tape)
+        loss = build(tape, leaves)
+        tape.backward(loss)
+        probe.zero_grads()
+        probe.harvest(leaves)
+        return float(loss.value)
+
+    return tape_mod.grad_check(loss_of, store, eps)

@@ -18,7 +18,7 @@ import pytest
 
 from nohgnn.cli import main
 from nohgnn.data import bin_snapshots, load_edge_list, split_edges
-from nohgnn.model import forward, init_model_params
+from nohgnn.model import aggregation_operator, init_model_params, layer_stack
 from nohgnn.overlap import (
     aggregation_weights,
     build_aggregation_pattern,
@@ -183,9 +183,8 @@ def test_criterion_5_forward_oracle():
         init_model_params(store, n, dim, t_slots, n_layers, rng)
         tape = Tape()
         leaves = store.leaves(tape)
-        batched = forward(
-            tape, leaves, pat, tape.constant(p_flat), kind, n_layers
-        ).value
+        op = aggregation_operator(pat, p_flat, kind)
+        batched = layer_stack(tape, leaves, tape.constant(p_flat), op, n_layers).value
 
         p_dense = np.zeros((t_slots, n, n))
         for (t, i, j), v in zip(entry_table(pat), p_flat):

@@ -3,7 +3,7 @@ import pytest
 
 from nohgnn import training
 from nohgnn.errors import NumericError, ParameterError, ShapeError
-from nohgnn.model import LAYER_NOISE_SCALE, decode, forward, init_model_params
+from nohgnn.model import LAYER_NOISE_SCALE, decode, init_model_params
 from nohgnn.overlap import aggregation_weights
 from nohgnn.structural import generate_features
 from nohgnn.synth import planted_partition_graph
@@ -12,6 +12,7 @@ from nohgnn.tensor3 import DenseOperator, SlicePattern, SliceSparse3, make_trans
 from pattern_helpers import to_sparse
 import propagate_oracle
 from tape_helpers import mul, total
+from train_loop_oracle import embed, forward
 from weight_product_oracle import OracleTape
 from weight_product_oracle import weight_product as oracle_weight_product
 
@@ -270,7 +271,7 @@ class TestSlotConstantDct:
                 weights = aggregation_weights(tape, generate_features(tape, prep.ctx, leaves), prep.pattern)
                 h = union_stack(tape, leaves, prep.pattern, weights, tf, config.layers)
             else:
-                h = training.embed(tape, leaves, prep, config)
+                h = embed(tape, leaves, prep, config)
             probs = training.decode(tape, leaves, h, pairs.pairs)
             tape.backward(training.compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg))
             grads.append({name: leaves[name].grad for name in store.names()})

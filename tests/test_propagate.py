@@ -14,7 +14,7 @@ import nohgnn.model as model_mod
 from nohgnn import structural
 from nohgnn.data import bin_snapshots, split_edges
 from nohgnn.errors import ParameterError, ShapeError
-from nohgnn.model import forward, init_model_params
+from nohgnn.model import init_model_params
 from nohgnn.overlap import overlap_scores
 from nohgnn.structural import build_feature_context, compute_overlap_tensor
 from nohgnn.synth import planted_partition
@@ -33,6 +33,7 @@ from feature_helpers import row_features
 from pattern_helpers import entry_table, to_sparse, to_sparse_keeping_zeros
 from propagate_oracle import OracleTape, SlotFacewiseOperator, chunked_m_product, slot_pair_plan, slot_with_diagonal, sparse_m_product
 from tape_helpers import mul, total
+from train_loop_oracle import forward
 
 T_SLOTS, N, F = 4, 60, 5
 WEIGHT_CASES = ("no_zeros", "diagonal_only", "zero_slices", "mixed")

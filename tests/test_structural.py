@@ -19,11 +19,12 @@ from nohgnn.structural import (
     generate_features,
     init_generator_params,
 )
-from nohgnn.tape import ParamStore, Tape, grad_check, xavier_uniform
+from nohgnn.tape import ParamStore, Tape, xavier_uniform
 from nohgnn.synth import dense_tiny_graph, planted_partition, planted_partition_graph
 from nohgnn.tensor3 import SlicePattern, SliceSparse3
 from pattern_helpers import entry_table, slice_stack
-from tape_helpers import gather_rows, mul, total
+from tape_helpers import gather_rows, grad_check, mul, total
+import train_loop_oracle
 
 # A gen.* gradient of the per-class generator and class-pair score op may
 # differ from the per-row oracle's by this much, relative to its largest
@@ -302,7 +303,7 @@ def step_gradients(config, prep, store):
     pairs = training.labeled_split(prep, config, "train")
     tape = Tape()
     leaves = store.leaves(tape)
-    probs = training.decode(tape, leaves, training.embed(tape, leaves, prep, config), pairs.pairs)
+    probs = training.decode(tape, leaves, train_loop_oracle.embed(tape, leaves, prep, config), pairs.pairs)
     tape.backward(training.compute_loss(tape, probs, pairs.labels, leaves, config.beta_reg))
     return {name: node.grad for name, node in leaves.items()}
 
@@ -328,7 +329,7 @@ class TestPerClassGenerator:
         got = step_gradients(config, prep, store)
         # the oracle's (T, N, F) rows, scored with one class per row
         monkeypatch.setattr(
-            training, "generate_features", lambda tape, ctx, leaves: row_features(tape, oracle.generate_features(tape, ctx, leaves))
+            train_loop_oracle, "generate_features", lambda tape, ctx, leaves: row_features(tape, oracle.generate_features(tape, ctx, leaves))
         )
         want = step_gradients(config, old, store)
         assert got.keys() == want.keys()

@@ -13,7 +13,7 @@ import nohgnn.tape as tape_mod
 import nohgnn.tensor3 as tensor3_mod
 from nohgnn.errors import ParameterError, ShapeError
 from nohgnn.structural import FeatureContext
-from nohgnn.tape import Node, ParamStore, Tape, grad_check
+from nohgnn.tape import Node, ParamStore, Tape
 from nohgnn.tensor3 import (
     DenseOperator,
     FacewiseOperator,
@@ -26,7 +26,7 @@ from nohgnn.tensor3 import (
 from pattern_helpers import csr, entry_table, slice_stack, to_sparse
 from propagate_oracle import OracleTape
 from softmax_reference import masked_softmax
-from tape_helpers import add, gather_rows, matmul, mul, total
+from tape_helpers import add, gather_rows, grad_check, matmul, mul, total
 
 
 def fd_probe(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -988,6 +988,25 @@ class TestGradCheck:
 
         assert grad_check(build, store) <= 1e-9
 
+    def test_reads_the_gradient_the_callback_leaves_in_the_store(self):
+        # no tape: the loss 0.5 |theta|^2 and its gradient theta, written
+        # into the store's buffer; a wrong gradient shows
+        store = ParamStore()
+        store.add("theta", np.random.default_rng(27).normal(size=(3, 2)))
+        seen = []
+
+        def loss_of(probe, scale=1.0):
+            seen.append(probe)
+            theta = probe.value("theta")
+            probe.grad("theta")[...] = scale * theta
+            return 0.5 * float(np.sum(theta * theta))
+
+        assert tape_mod.grad_check(loss_of, store) <= 1e-9
+        # once on the store, then twice per entry on one probe copy
+        assert seen[0] is store and len(seen) == 1 + 2 * 6
+        assert len({id(probe) for probe in seen[1:]}) == 1 and seen[1] is not store
+        assert tape_mod.grad_check(lambda probe: loss_of(probe, 1.5), store) > 1e-4
+
     def test_composite_mlp_within_tolerance(self):
         rng = np.random.default_rng(25)
         store = ParamStore()
@@ -1007,7 +1026,7 @@ class TestGradCheck:
         store = ParamStore()
         store.add("w", np.ones(1))
         with pytest.raises(ParameterError):
-            grad_check(lambda t, leaves: total(t, leaves["w"]), store, eps=0.0)
+            tape_mod.grad_check(lambda probe: 0.0, store, eps=0.0)
 
     def test_detects_corrupted_backward_rule(self, monkeypatch):
         rng = np.random.default_rng(26)

@@ -574,7 +574,7 @@ class TestSharedForward:
         pairs = training.merge_pair_sets(prep.train_pos, neg)
         tape = Tape()
         leaves = store.leaves(tape)
-        h = training.embed(tape, leaves, prep, config)
+        h = train_loop_oracle.embed(tape, leaves, prep, config)
         # every relu of the generator's two perceptrons and of the hidden layers
         assert len(refs["pre_relu"]) == 2 + config.layers - 1
         monkeypatch.setattr(Tape, "pair_affine", watched_pair_affine)
@@ -693,9 +693,49 @@ class TestInitParams:
 
 
 class TestGradientCheck:
+    """The check runs ``train_step``, the identity at one slot a chunk, so
+    a fault in the seam between chunks shows in it."""
+
     @pytest.mark.parametrize("transform", ["identity", "dct"])
     def test_full_model_gradients(self, transform):
         assert run_gradient_check(transform) <= 1e-4
+
+    def test_a_dropped_layer_stack_gradient_shows(self, monkeypatch):
+        # each chunk adds its layer-stack gradient into a copy, not the store's
+        window = training._window
+        monkeypatch.setattr(training, "_window", lambda value, slots: window(value, slots).copy())
+        assert run_gradient_check("identity") > 1e-4
+
+    def test_a_misplaced_flat_weight_gradient_run_shows(self, monkeypatch):
+        # the second chunk's run of the flat-weight gradient written one entry late
+        chunk_pass = training._chunk_pass
+
+        def shifted(store, stage, prep, *args):
+            bce, weight_grad, probs = chunk_pass(store, stage, prep, *args)
+            lo, hi = prep.pattern.offsets[1:3]
+            run = weight_grad[lo:hi].copy()
+            weight_grad[lo:hi] = 0.0
+            weight_grad[lo + 1 : hi + 1] = run
+            return bce, weight_grad, probs
+
+        monkeypatch.setattr(training, "_chunk_pass", shifted)
+        assert run_gradient_check("identity") > 1e-4
+
+    @pytest.mark.parametrize("kind, chunks, chunk", [("identity", 3, 12), ("dct", 1, 11)])
+    def test_each_evaluation_sweeps_the_chunks_then_the_shared_tape(self, monkeypatch, kind, chunks, chunk):
+        # the entry counts of test_tape_entries_of_one_training_step; the
+        # loss is evaluated once, then twice per parameter entry
+        sizes = []
+        sweep = Tape.backward
+
+        def watched(tape, loss):
+            sizes.append(len(tape._entries))
+            return sweep(tape, loss)
+
+        monkeypatch.setattr(Tape, "backward", watched)
+        assert run_gradient_check(kind) <= 1e-4
+        entries = sum(math.prod(shape) for _, shape in training.param_shapes(TrainConfig(dim=4, layers=2), 6, 3))
+        assert sizes == ([chunk] * chunks + [13]) * (1 + 2 * entries)
 
 
 @pytest.mark.parametrize("transform", ["identity", "dct"])

@@ -1,7 +1,9 @@
-"""The ``train_loop`` that ran two forwards per epoch (a recorded training
-forward, then a gradient-free validation forward after the Adam step), kept
-as the reference the differential tests compare against, with the pipeline
-composite ``model_probs`` it called."""
+"""The whole model on one tape, and the ``train_loop`` that ran it: two
+forwards per epoch (a recorded training forward, then a gradient-free
+validation forward after the Adam step). The program runs the layer stack
+and the decoder in slot chunks, each on its own tape (``training.train_step``);
+the differential tests compare it against this reference, built from
+``forward``, ``embed`` and ``model_probs``."""
 
 from __future__ import annotations
 
@@ -9,19 +11,42 @@ import numpy as np
 
 from nohgnn.data import merge_pair_sets, negative_sample
 from nohgnn.errors import NumericError, ParameterError
-from nohgnn.model import decode
+from nohgnn.model import aggregation_operator, decode, layer_stack
+from nohgnn.overlap import aggregation_weights
+from nohgnn.structural import generate_features
 from nohgnn.tape import Node, Tape
+from nohgnn.tensor3 import SlicePattern
 from nohgnn.training import (
     Adam,
     PreparedData,
     TrainConfig,
     TrainResult,
     compute_loss,
-    embed,
     evaluate_model,
     init_params,
     write_metric_log,
 )
+
+
+def forward(
+    tape: Tape,
+    leaves: dict[str, Node],
+    pattern: SlicePattern,
+    p_weights: Node,
+    kind: str,
+    n_layers: int,
+) -> Node:
+    """The layer stack under the transform ``kind`` over the pattern's T
+    slots: the embedding node, (T, N, F) under the identity, the (N, F) rows
+    every slot shares under the dct."""
+    return layer_stack(tape, leaves, p_weights, aggregation_operator(pattern, p_weights.value, kind), n_layers)
+
+
+def embed(tape: Tape, leaves: dict[str, Node], prep: PreparedData, config: TrainConfig) -> Node:
+    """Features, aggregation weights and the layer stack over every slot:
+    the embedding node the decoder reads pairs from."""
+    weights = aggregation_weights(tape, generate_features(tape, prep.ctx, leaves), prep.pattern)
+    return forward(tape, leaves, prep.pattern, weights, config.transform, config.layers)
 
 
 def model_probs(
